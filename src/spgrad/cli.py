@@ -12,9 +12,9 @@ import sys
 
 from .config import ExperimentConfig, build_experiment, load_config
 from .errors import ConfigurationError, NumericError, SpgradError
-from .estimators import EstimatorKind, error_bound, variance_bound
+from .estimators import BaselineKind, EstimatorKind, error_bound, variance_bound
 from .runlog import write_run_csv
-from .safe_updates import fixed_meta_run, lipschitz_constant, spg_run
+from .safe_updates import MetaParams, check_schedule, lipschitz_constant, spg_run
 from .validate import DEFAULT_BUDGET, run_validation
 
 EXIT_OK = 0
@@ -103,9 +103,10 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _parse_schedule(text: str):
+def _parse_schedule(text: str) -> "MetaParams | None":
+    """None for the adaptive rule, else the fixed (alpha, N)."""
     if text == "spg":
-        return ("spg", None, None)
+        return None
     if text.startswith("fixed:"):
         fields = {}
         for part in text[len("fixed:"):].split(","):
@@ -121,54 +122,48 @@ def _parse_schedule(text: str):
             n = int(fields["n"])
         except (KeyError, ValueError) as exc:
             raise ConfigurationError(f"schedule {text!r}: needs alpha=<float>,n=<int>") from exc
-        return ("fixed", alpha, n)
+        return MetaParams(alpha=alpha, batch_size=n)
     raise ConfigurationError(f"unknown schedule {text!r}; use 'spg' or 'fixed:alpha=...,n=...'")
 
 
-def _schedule_label(parsed) -> str:
-    kind, alpha, n = parsed
-    if kind == "spg":
+def _schedule_label(fixed: "MetaParams | None") -> str:
+    if fixed is None:
         return "spg"
     # comma-free so the label can sit in a CSV field
-    return f"fixed_a{alpha:g}_n{n}"
+    return f"fixed_a{fixed.alpha:g}_n{fixed.batch_size}"
 
 
 def cmd_sweep(args) -> int:
     config = _effective_config(args)
     if not args.schedule:
         raise ConfigurationError("sweep needs at least one --schedule")
-    parsed = [_parse_schedule(s) for s in args.schedule]
+    # every schedule is checked before any is run, so a bad one writes nothing
+    schedules: dict[str, tuple[str, MetaParams | None]] = {}
+    for text in args.schedule:
+        fixed = _parse_schedule(text)
+        check_schedule(fixed, config.limits)
+        label = _schedule_label(fixed)
+        if label in schedules:
+            raise ConfigurationError(
+                f"schedules {schedules[label][0]!r} and {text!r} both write sweep_{label}.csv"
+            )
+        schedules[label] = (text, fixed)
     built = build_experiment(config)
     os.makedirs(config.output_dir, exist_ok=True)
     summary_rows = []
-    for text, sched in zip(args.schedule, parsed):
-        kind, alpha, n = sched
-        if kind == "spg":
-            result = spg_run(
-                built.env,
-                built.policy,
-                built.theta0,
-                n_iterations=config.iterations,
-                delta=config.delta,
-                estimator_kind=config.estimator_kind,
-                limits=config.limits,
-                seed=config.seed,
-            )
-        else:
-            result = fixed_meta_run(
-                built.env,
-                built.policy,
-                built.theta0,
-                n_iterations=config.iterations,
-                alpha=alpha,
-                batch_size=n,
-                estimator_kind=config.estimator_kind,
-                baseline=config.baseline_kind,
-                delta=config.delta,
-                limits=config.limits,
-                seed=config.seed,
-            )
-        label = _schedule_label(sched)
+    for label, (text, fixed) in schedules.items():
+        result = spg_run(
+            built.env,
+            built.policy,
+            built.theta0,
+            n_iterations=config.iterations,
+            delta=config.delta,
+            estimator_kind=config.estimator_kind,
+            limits=config.limits,
+            seed=config.seed,
+            fixed=fixed,
+            baseline=BaselineKind.ZERO if fixed is None else config.baseline_kind,
+        )
         echo = copy.deepcopy(config.raw)
         echo["schedule"] = text
         path = os.path.join(config.output_dir, f"sweep_{label}.csv")

@@ -13,6 +13,7 @@ eps_delta = sqrt(nu^2 / delta).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -97,35 +98,6 @@ def gpomdp_terms(
     return disc, cum
 
 
-def peters_baseline_reinforce(
-    returns: np.ndarray, score_sums: np.ndarray, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Component-wise b_j = E[G * S_j^2] / E[S_j^2] over the batch (or weights)."""
-    returns = np.asarray(returns, dtype=float)
-    score_sums = np.asarray(score_sums, dtype=float)
-    w = np.ones(returns.size) if weights is None else np.asarray(weights, dtype=float)
-    sq = score_sums**2
-    num = (w[:, None] * returns[:, None] * sq).sum(axis=0)
-    den = (w[:, None] * sq).sum(axis=0)
-    return np.where(den > _PETERS_DENOM_FLOOR, num / np.maximum(den, _PETERS_DENOM_FLOOR), 0.0)
-
-
-def peters_baseline_gpomdp(
-    disc_rewards: np.ndarray, cum_scores: np.ndarray, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-timestep, component-wise b_tj = E[gamma^t r_t C_tj^2] / E[C_tj^2].
-
-    disc_rewards: (N, T), cum_scores: (N, T, m); returns (T, m).
-    """
-    disc_rewards = np.asarray(disc_rewards, dtype=float)
-    cum_scores = np.asarray(cum_scores, dtype=float)
-    w = np.ones(disc_rewards.shape[0]) if weights is None else np.asarray(weights, dtype=float)
-    sq = cum_scores**2
-    num = (w[:, None, None] * disc_rewards[:, :, None] * sq).sum(axis=0)
-    den = (w[:, None, None] * sq).sum(axis=0)
-    return np.where(den > _PETERS_DENOM_FLOOR, num / np.maximum(den, _PETERS_DENOM_FLOOR), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Incremental accumulation
 # ---------------------------------------------------------------------------
@@ -134,10 +106,11 @@ def peters_baseline_gpomdp(
 class GradientAccumulator:
     """Streaming sufficient statistics for a gradient estimate.
 
-    Adding trajectories one at a time and finalizing matches the batch
-    functions bit-for-bit with the zero baseline; Peters baselines are
-    recomputed from the stored statistics at finalize time.  Two
-    accumulators over disjoint trajectory sets may be merged.
+    Each trajectory enters with a positive weight (1 for a sampled batch,
+    its probability for an enumerated one).  The accumulator keeps weighted
+    sums and divides by the weight sum, so the estimate is the weighted mean
+    of the per-trajectory terms; Peters baselines are recomputed from the
+    weighted statistics at finalize time.
     """
 
     def __init__(
@@ -154,6 +127,7 @@ class GradientAccumulator:
         self.kind = EstimatorKind(kind)
         self.baseline = BaselineKind(baseline)
         self.count = 0
+        self.weight_sum = 0.0
         self.horizon: int | None = None
         self.return_sum = 0.0  # running sum of discounted returns, for J-hat logging
         m = policy.dim
@@ -176,7 +150,9 @@ class GradientAccumulator:
                 np.zeros((horizon, m)),  # sum of C^2
             )
 
-    def add_trajectory(self, traj: Trajectory) -> "GradientAccumulator":
+    def add_trajectory(self, traj: Trajectory, weight: float = 1.0) -> "GradientAccumulator":
+        if not 0.0 < weight < math.inf:
+            raise ValueError(f"trajectory weight must be positive and finite, got {weight}")
         if self.horizon is None:
             self.horizon = len(traj)
         elif len(traj) != self.horizon:
@@ -185,59 +161,42 @@ class GradientAccumulator:
             )
         if self.kind is EstimatorKind.REINFORCE:
             g, s = reinforce_terms(traj, self.policy, self.theta, self.gamma)
-            self.return_sum += g
-            self._sum_g += g * s
+            wg = weight * g
+            self.return_sum += wg
+            self._sum_g += wg * s
             if self.baseline is BaselineKind.PETERS:
-                self._sum_s += s
-                self._sum_s2 += s**2
-                self._sum_gs2 += g * s**2
+                ws = weight * s
+                ws2 = ws * s
+                self._sum_s += ws
+                self._sum_s2 += ws2
+                self._sum_gs2 += g * ws2
         else:
             disc, cum = gpomdp_terms(traj, self.policy, self.theta, self.gamma)
-            self.return_sum += float(disc.sum())
-            self._sum_g += (disc[:, None] * cum).sum(axis=0)
+            wdisc = weight * disc
+            self.return_sum += float(wdisc.sum())
+            rc = wdisc[:, None] * cum
+            self._sum_g += rc.sum(axis=0)
             if self.baseline is BaselineKind.PETERS:
                 self._ensure_gpomdp_arrays(len(traj))
                 sum_rc, sum_c, sum_rc2, sum_c2 = self._peters_arrays
                 sq = cum**2
-                sum_rc += disc[:, None] * cum
-                sum_c += cum
-                sum_rc2 += disc[:, None] * sq
-                sum_c2 += sq
+                sum_rc += rc
+                sum_c += weight * cum
+                sum_rc2 += wdisc[:, None] * sq
+                sum_c2 += weight * sq
         self.count += 1
-        return self
-
-    def merge(self, other: "GradientAccumulator") -> "GradientAccumulator":
-        if (self.kind, self.baseline) != (other.kind, other.baseline):
-            raise ValueError("cannot merge accumulators of different estimator settings")
-        if other.count == 0:
-            return self
-        if self.horizon is None:
-            self.horizon = other.horizon
-        elif other.horizon is not None and other.horizon != self.horizon:
-            raise ValueError("cannot merge accumulators with different horizons")
-        self.count += other.count
-        self.return_sum += other.return_sum
-        self._sum_g += other._sum_g
-        if self.baseline is BaselineKind.PETERS:
-            if self.kind is EstimatorKind.REINFORCE:
-                self._sum_s += other._sum_s
-                self._sum_s2 += other._sum_s2
-                self._sum_gs2 += other._sum_gs2
-            elif other._peters_arrays is not None:
-                self._ensure_gpomdp_arrays(self.horizon)
-                for mine, theirs in zip(self._peters_arrays, other._peters_arrays):
-                    mine += theirs
+        self.weight_sum += weight
         return self
 
     def mean_return(self) -> float:
         if self.count == 0:
             raise ValueError("no trajectories accumulated")
-        return self.return_sum / self.count
+        return self.return_sum / self.weight_sum
 
     def finalize(self) -> GradientEstimate:
         if self.count == 0:
             raise ValueError("cannot finalize an empty accumulator")
-        n = self.count
+        n = self.weight_sum
         if self.baseline is BaselineKind.ZERO:
             vector = self._sum_g / n
         elif self.kind is EstimatorKind.REINFORCE:
@@ -256,7 +215,10 @@ class GradientAccumulator:
         if not np.all(np.isfinite(vector)):
             raise NumericError("gradient estimate is not finite")
         return GradientEstimate(
-            vector=vector, batch_size=n, estimator_kind=self.kind, baseline_kind=self.baseline
+            vector=vector,
+            batch_size=self.count,
+            estimator_kind=self.kind,
+            baseline_kind=self.baseline,
         )
 
 

@@ -16,14 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, OracleBudgetError
-from .estimators import (
-    BaselineKind,
-    EstimatorKind,
-    gpomdp_terms,
-    peters_baseline_gpomdp,
-    peters_baseline_reinforce,
-    reinforce_terms,
-)
+from .estimators import BaselineKind, EstimatorKind, GradientAccumulator
 from .mdp import EnumerableMdp, Trajectory
 
 DEFAULT_PATH_BUDGET = 1_000_000
@@ -216,34 +209,14 @@ def expected_gradient_estimate(
 ) -> np.ndarray:
     """Probability-weighted mean of the single-trajectory estimator.
 
-    For Peters baselines the population baseline (computed with the same
-    enumeration weights) is used, since a one-trajectory batch estimate of
-    the baseline is degenerate.
+    Every path enters the accumulator weighted by its probability, so a
+    Peters baseline is the population baseline (a one-trajectory batch
+    estimate of the baseline would be degenerate).
     """
-    gamma = mdp.spec.gamma
-    pairs = enumerate_trajectories(mdp, policy, theta, budget)
-    weights = np.array([p for p, _ in pairs])
-    kind = EstimatorKind(kind)
-    baseline = BaselineKind(baseline)
-    if kind is EstimatorKind.REINFORCE:
-        terms = [reinforce_terms(traj, policy, theta, gamma) for _, traj in pairs]
-        returns = np.array([g for g, _ in terms])
-        score_sums = np.stack([s for _, s in terms])
-        if baseline is BaselineKind.PETERS:
-            b = peters_baseline_reinforce(returns, score_sums, weights)
-        else:
-            b = np.zeros(score_sums.shape[1])
-        contrib = (returns[:, None] - b[None, :]) * score_sums
-    else:
-        terms = [gpomdp_terms(traj, policy, theta, gamma) for _, traj in pairs]
-        disc = np.stack([d for d, _ in terms])
-        cum = np.stack([c for _, c in terms])
-        if baseline is BaselineKind.PETERS:
-            b = peters_baseline_gpomdp(disc, cum, weights)
-        else:
-            b = np.zeros(cum.shape[1:])
-        contrib = ((disc[:, :, None] - b[None, :, :]) * cum).sum(axis=1)
-    return (weights[:, None] * contrib).sum(axis=0)
+    acc = GradientAccumulator(policy, theta, mdp.spec.gamma, kind, baseline)
+    for prob, traj in enumerate_trajectories(mdp, policy, theta, budget):
+        acc.add_trajectory(traj, weight=prob)
+    return acc.finalize().vector
 
 
 # ---------------------------------------------------------------------------

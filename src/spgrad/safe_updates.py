@@ -57,8 +57,8 @@ class MetaParams:
     batch_size: int
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ConfigurationError(f"alpha must be non-negative, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigurationError(f"alpha must be finite and non-negative, got {self.alpha}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -210,6 +210,29 @@ class RunResult:
         return self.thetas[-1]
 
 
+def check_schedule(
+    fixed: "MetaParams | None",
+    limits: RunLimits,
+    baseline: BaselineKind = BaselineKind.ZERO,
+) -> None:
+    """Reject a schedule that ``spg_run`` could not follow as stated.
+
+    Certified updates need the zero baseline, for which the error bound is
+    proven; a fixed schedule takes whole batches, so N must fit under the
+    per-iteration cap.  Raises before anything is sampled.
+    """
+    if fixed is None:
+        if BaselineKind(baseline) is not BaselineKind.ZERO:
+            raise ConfigurationError(
+                "certified updates use the zero baseline; only a fixed schedule may set another"
+            )
+    elif fixed.batch_size > limits.max_trajectories_per_iteration:
+        raise ConfigurationError(
+            f"fixed batch size {fixed.batch_size} exceeds max_trajectories_per_iteration"
+            f" = {limits.max_trajectories_per_iteration}"
+        )
+
+
 def spg_run(
     env: Environment,
     policy,
@@ -219,38 +242,51 @@ def spg_run(
     estimator_kind: EstimatorKind = EstimatorKind.GPOMDP,
     limits: RunLimits = RunLimits(),
     seed: int = 0,
+    fixed: "MetaParams | None" = None,
+    baseline: BaselineKind = BaselineKind.ZERO,
 ) -> RunResult:
-    """Adaptive-batch safe policy gradient.
+    """Safe policy gradient: the adaptive rule, or a fixed (alpha, N) for comparison.
 
-    Each iteration collects trajectories one at a time, recomputing the
-    estimate after each, until N >= ceil(4 eps^2 / ||grad_est||^2), then
-    updates theta with the constant step 1/(2L).  An iteration that hits
-    ``max_trajectories_per_iteration`` before satisfying the rule stalls:
-    theta is left unchanged (a safe no-op) and the run moves on.  Hitting
-    ``max_total_trajectories`` ends the run.  Certified updates use the
-    zero baseline, for which the error bound is proven.
+    With ``fixed=None`` each iteration collects trajectories one at a time,
+    recomputing the estimate after each, until N >= ceil(4 eps^2 /
+    ||grad_est||^2), then updates theta with the constant step 1/(2L).  An
+    iteration that hits ``max_trajectories_per_iteration`` before satisfying
+    the rule stalls: theta is left unchanged (a safe no-op) and the run moves
+    on.  Hitting ``max_total_trajectories`` ends the run.  Certified updates
+    use the zero baseline, for which the error bound is proven.
+
+    With ``fixed`` given, every iteration takes exactly ``fixed.batch_size``
+    trajectories and the step ``fixed.alpha``, estimated with ``baseline``.
+    An iteration whose batch would cross ``max_total_trajectories`` is not
+    started.  Nothing is certified, so the guaranteed improvement is logged
+    as zero.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     if not np.all(np.isfinite(theta)):
         raise ConfigurationError("theta0 must be finite")
     if n_iterations < 1:
         raise ConfigurationError(f"n_iterations must be >= 1, got {n_iterations}")
+    check_schedule(fixed, limits, baseline)
     kind = EstimatorKind(estimator_kind)
     constants = policy.smoothing_constants()
     lip = lipschitz_constant(constants, env.spec)
-    if lip.value <= 0:
-        raise ConfigurationError("Lipschitz constant is zero; no certified step exists")
     var = variance_bound(kind, env.spec, constants.kappa)
     err = error_bound(var, delta)
-    alpha = 1.0 / (2.0 * lip.value)
+    if fixed is not None:
+        alpha = fixed.alpha
+    elif lip.value <= 0:
+        raise ConfigurationError("Lipschitz constant is zero; no certified step exists")
+    else:
+        alpha = 1.0 / (2.0 * lip.value)
     gamma = env.spec.gamma
 
     records: list[RunRecord] = []
     thetas = [theta.copy()]
     total = 0
     for k in range(n_iterations):
-        acc = GradientAccumulator(policy, theta, gamma, kind, BaselineKind.ZERO)
-        grad_norm = 0.0
+        if fixed is not None and total + fixed.batch_size > limits.max_total_trajectories:
+            break
+        acc = GradientAccumulator(policy, theta, gamma, kind, baseline)
         stalled = False
         while True:
             if acc.count >= limits.max_trajectories_per_iteration or (
@@ -261,20 +297,21 @@ def spg_run(
             traj = sample_trajectory(env, policy, theta, substream(seed, k, acc.count))
             acc.add_trajectory(traj)
             total += 1
-            estimate = acc.finalize()
-            grad_norm = estimate.norm
-            needed = required_batch_size(grad_norm, err.eps_delta)
+            if fixed is None:
+                needed = required_batch_size(acc.finalize().norm, err.eps_delta)
+            else:
+                needed = fixed.batch_size
             if needed is not None and acc.count >= needed:
                 break
         if acc.count == 0:
             # total cap exhausted before this iteration could sample anything
             break
-        j_hat = acc.mean_return()
-        if stalled:
-            guaranteed = 0.0
-        else:
-            guaranteed = grad_norm**2 / (8.0 * lip.value)
-            theta = theta + alpha * acc.finalize().vector
+        estimate = acc.finalize()
+        guaranteed = 0.0
+        if not stalled:
+            if fixed is None:
+                guaranteed = estimate.norm**2 / (8.0 * lip.value)
+            theta = theta + alpha * estimate.vector
             if not np.all(np.isfinite(theta)):
                 raise NumericError("parameter update produced non-finite values")
         records.append(
@@ -282,8 +319,8 @@ def spg_run(
                 iteration=k,
                 batch_size=acc.count,
                 alpha=alpha,
-                grad_norm=grad_norm,
-                j_hat=j_hat,
+                grad_norm=estimate.norm,
+                j_hat=acc.mean_return(),
                 guaranteed_improvement=guaranteed,
                 cum_trajectories=total,
                 stalled=stalled,
@@ -292,76 +329,6 @@ def spg_run(
         thetas.append(theta.copy())
         if total >= limits.max_total_trajectories:
             break
-    return RunResult(
-        records=records,
-        thetas=thetas,
-        constants=constants,
-        lipschitz=lip,
-        variance=var,
-        error=err,
-        estimator_kind=kind,
-    )
-
-
-def fixed_meta_run(
-    env: Environment,
-    policy,
-    theta0: np.ndarray,
-    n_iterations: int,
-    alpha: float,
-    batch_size: int,
-    estimator_kind: EstimatorKind = EstimatorKind.GPOMDP,
-    baseline: BaselineKind = BaselineKind.ZERO,
-    delta: float = 0.5,
-    limits: RunLimits = RunLimits(),
-    seed: int = 0,
-) -> RunResult:
-    """Plain actor-only loop with fixed step and batch sizes.
-
-    The comparison baseline for sweeps: no certification, so the guaranteed
-    improvement column is logged as zero.
-    """
-    theta = np.asarray(theta0, dtype=float).copy()
-    if not np.all(np.isfinite(theta)):
-        raise ConfigurationError("theta0 must be finite")
-    if alpha < 0:
-        raise ConfigurationError(f"alpha must be non-negative, got {alpha}")
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    kind = EstimatorKind(estimator_kind)
-    constants = policy.smoothing_constants()
-    lip = lipschitz_constant(constants, env.spec)
-    var = variance_bound(kind, env.spec, constants.kappa)
-    err = error_bound(var, delta)
-    gamma = env.spec.gamma
-
-    records: list[RunRecord] = []
-    thetas = [theta.copy()]
-    total = 0
-    for k in range(n_iterations):
-        if total + batch_size > limits.max_total_trajectories:
-            break
-        acc = GradientAccumulator(policy, theta, gamma, kind, BaselineKind(baseline))
-        for i in range(batch_size):
-            acc.add_trajectory(sample_trajectory(env, policy, theta, substream(seed, k, i)))
-            total += 1
-        estimate = acc.finalize()
-        theta = theta + alpha * estimate.vector
-        if not np.all(np.isfinite(theta)):
-            raise NumericError("parameter update produced non-finite values")
-        records.append(
-            RunRecord(
-                iteration=k,
-                batch_size=batch_size,
-                alpha=alpha,
-                grad_norm=estimate.norm,
-                j_hat=acc.mean_return(),
-                guaranteed_improvement=0.0,
-                cum_trajectories=total,
-                stalled=False,
-            )
-        )
-        thetas.append(theta.copy())
     return RunResult(
         records=records,
         thetas=thetas,

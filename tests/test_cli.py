@@ -184,7 +184,8 @@ class TestSweepCommand:
         assert code == EXIT_OK
         assert os.path.exists(os.path.join(str(out), "sweep_spg.csv"))
         assert os.path.exists(os.path.join(str(out), "sweep_fixed_a0.05_n20.csv"))
-        summary = open(os.path.join(str(out), "sweep_summary.csv"), encoding="utf-8").read()
+        with open(os.path.join(str(out), "sweep_summary.csv"), encoding="utf-8") as handle:
+            summary = handle.read()
         lines = summary.strip().splitlines()
         assert lines[0] == "schedule,final_J_hat,total_trajectories,performance_drops"
         assert len(lines) == 3
@@ -197,6 +198,25 @@ class TestSweepCommand:
         path = write_config(tmp_path, chain_config(tmp_path / "x"))
         assert main(["sweep", "--config", path]) == EXIT_CONFIG
 
-    def test_bad_schedule_rejected(self, tmp_path):
-        path = write_config(tmp_path, chain_config(tmp_path / "x"))
-        assert main(["sweep", "--config", path, "--schedule", "fixed:alpha=oops"]) == EXIT_CONFIG
+    @pytest.mark.parametrize(
+        "schedules",
+        [
+            pytest.param(["fixed:alpha=oops"], id="malformed"),
+            pytest.param(["fixed:alpha=nan,n=20"], id="alpha-nan"),
+            pytest.param(["fixed:alpha=inf,n=20"], id="alpha-inf"),
+            pytest.param(["spg", "fixed:alpha=0.05,n=400"], id="batch-over-cap"),
+            pytest.param(
+                ["fixed:alpha=0.1234567,n=20", "fixed:alpha=0.12345678,n=20"],
+                id="duplicate-fixed-label",
+            ),
+            pytest.param(["spg", "spg"], id="duplicate-spg"),
+        ],
+    )
+    def test_bad_schedule_rejected(self, tmp_path, schedules):
+        out = tmp_path / "x"
+        path = write_config(tmp_path, chain_config(out))
+        argv = ["sweep", "--config", path]
+        for schedule in schedules:
+            argv += ["--schedule", schedule]
+        assert main(argv) == EXIT_CONFIG
+        assert not out.exists()

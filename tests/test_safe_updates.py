@@ -9,10 +9,10 @@ from spgrad.oracle import exact_gradient, exact_performance, grid_maximize
 from spgrad.policies import GaussianPolicy, PolynomialFeatures, SmoothingConstants, TabularFeatures, SoftmaxPolicy
 from spgrad.rng import substream
 from spgrad.safe_updates import (
+    MetaParams,
     RunLimits,
     adaptive_step,
     exact_improvement_bound,
-    fixed_meta_run,
     lipschitz_constant,
     optimal_step_and_batch,
     optimal_step_exact,
@@ -267,9 +267,9 @@ class TestSpgRun:
 
 class TestFixedMetaRun:
     def test_runs_requested_iterations(self, bandit):
-        result = fixed_meta_run(
-            bandit.env, bandit.policy, np.zeros(1), n_iterations=5, alpha=0.02, batch_size=40,
-            seed=3,
+        result = spg_run(
+            bandit.env, bandit.policy, np.zeros(1), n_iterations=5, delta=0.5,
+            fixed=MetaParams(alpha=0.02, batch_size=40), seed=3,
         )
         assert len(result.records) == 5
         assert all(r.batch_size == 40 for r in result.records)
@@ -277,8 +277,9 @@ class TestFixedMetaRun:
         assert result.records[-1].cum_trajectories == 200
 
     def test_respects_total_cap(self, bandit):
-        result = fixed_meta_run(
-            bandit.env, bandit.policy, np.zeros(1), n_iterations=10, alpha=0.02, batch_size=40,
+        result = spg_run(
+            bandit.env, bandit.policy, np.zeros(1), n_iterations=10, delta=0.5,
+            fixed=MetaParams(alpha=0.02, batch_size=40),
             limits=RunLimits(max_total_trajectories=100), seed=3,
         )
         assert len(result.records) == 2
