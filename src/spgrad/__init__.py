@@ -1,108 +1,28 @@
-"""Safe policy gradients with smoothing policies and adaptive meta-parameters."""
+"""Safe policy gradients with smoothing policies and adaptive meta-parameters.
+
+The top level exports what the README's example needs and the error types;
+everything else is imported from its submodule (``spgrad.oracle``,
+``spgrad.estimators``, ...).
+"""
 
 from .errors import ConfigurationError, NumericError, OracleBudgetError, SpgradError
-from .estimators import (
-    BaselineKind,
-    ErrorBound,
-    EstimatorKind,
-    GradientAccumulator,
-    GradientEstimate,
-    VarianceBound,
-    error_bound,
-    gpomdp_gradient,
-    reinforce_gradient,
-    variance_bound,
-)
-from .mdp import (
-    ChainConfig,
-    EnumerableEnv,
-    EnumerableMdp,
-    Lqg1dConfig,
-    MdpSpec,
-    Trajectory,
-    discounted_return,
-    make_bandit,
-    make_chain,
-    make_lqg1d,
-    sample_trajectory,
-)
-from .policies import (
-    ActionIndicatorFeatures,
-    BinnedGaussianPolicy,
-    GaussianPolicy,
-    PolynomialFeatures,
-    SmoothingConstants,
-    SoftmaxPolicy,
-    StateTabularFeatures,
-    TabularFeatures,
-)
-from .rng import substream
-from .safe_updates import (
-    ImprovementBound,
-    LipschitzConstant,
-    MetaParams,
-    RunLimits,
-    RunRecord,
-    RunResult,
-    adaptive_step,
-    exact_improvement_bound,
-    lipschitz_constant,
-    optimal_step_and_batch,
-    optimal_step_exact,
-    required_batch_size,
-    spg_run,
-    stochastic_improvement_bound,
-)
+from .mdp import ChainConfig, EnumerableEnv, make_chain
+from .policies import SoftmaxPolicy, TabularFeatures
+from .safe_updates import MetaParams, RunLimits, spg_run
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionIndicatorFeatures",
-    "BaselineKind",
-    "BinnedGaussianPolicy",
     "ChainConfig",
     "ConfigurationError",
     "EnumerableEnv",
-    "EnumerableMdp",
-    "ErrorBound",
-    "EstimatorKind",
-    "GaussianPolicy",
-    "GradientAccumulator",
-    "GradientEstimate",
-    "ImprovementBound",
-    "LipschitzConstant",
-    "Lqg1dConfig",
-    "MdpSpec",
     "MetaParams",
     "NumericError",
     "OracleBudgetError",
-    "PolynomialFeatures",
     "RunLimits",
-    "RunRecord",
-    "RunResult",
-    "SmoothingConstants",
     "SoftmaxPolicy",
     "SpgradError",
-    "StateTabularFeatures",
     "TabularFeatures",
-    "Trajectory",
-    "VarianceBound",
-    "adaptive_step",
-    "discounted_return",
-    "error_bound",
-    "exact_improvement_bound",
-    "gpomdp_gradient",
-    "lipschitz_constant",
-    "make_bandit",
     "make_chain",
-    "make_lqg1d",
-    "optimal_step_and_batch",
-    "optimal_step_exact",
-    "reinforce_gradient",
-    "required_batch_size",
-    "sample_trajectory",
     "spg_run",
-    "stochastic_improvement_bound",
-    "substream",
-    "variance_bound",
 ]

@@ -136,14 +136,22 @@ class GaussianPolicy:
             )
         return phi
 
-    def mean(self, theta: np.ndarray, state) -> float:
-        return float(np.dot(np.asarray(theta, dtype=float), self._phi(state)))
-
-    def sample_action(self, theta: np.ndarray, state, rng: np.random.Generator) -> float:
-        m = self.mean(theta, state)
+    @staticmethod
+    def _linear_mean(theta: np.ndarray, phi: np.ndarray) -> float:
+        # Python floats overflow to inf without numpy's RuntimeWarning; at
+        # dim 1 the sum is exactly np.dot's
+        m = 0.0
+        for t, p in zip(np.asarray(theta, dtype=float).tolist(), phi.tolist()):
+            m += t * p
         if not math.isfinite(m):
             raise NumericError(f"non-finite policy mean {m}")
-        return m + self.sigma * rng.standard_normal()
+        return m
+
+    def mean(self, theta: np.ndarray, state) -> float:
+        return self._linear_mean(theta, self._phi(state))
+
+    def sample_action(self, theta: np.ndarray, state, rng: np.random.Generator) -> float:
+        return self.mean(theta, state) + self.sigma * rng.standard_normal()
 
     def log_pdf(self, theta: np.ndarray, state, action) -> float:
         z = (float(action) - self.mean(theta, state)) / self.sigma
@@ -151,7 +159,7 @@ class GaussianPolicy:
 
     def score(self, theta: np.ndarray, state, action) -> np.ndarray:
         phi = self._phi(state)
-        m = float(np.dot(np.asarray(theta, dtype=float), phi))
+        m = self._linear_mean(theta, phi)
         return phi * (float(action) - m) / (self.sigma**2)
 
     def observed_information(self, theta: np.ndarray, state, action) -> np.ndarray:

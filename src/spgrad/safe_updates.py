@@ -131,24 +131,6 @@ def required_batch_size(grad_est_norm: float, eps_delta: float) -> "int | None":
     return max(1, math.ceil(4.0 * eps_delta**2 / grad_est_norm**2))
 
 
-def adaptive_step(
-    grad_est_norm: float,
-    eps_delta: float,
-    batch_size: int,
-    lip: "LipschitzConstant | float",
-) -> MetaParams:
-    """Best step for a given batch size; zero when no improvement is certifiable."""
-    if grad_est_norm <= 0.0:
-        raise ValueError("zero gradient estimate: no step can be certified")
-    l = _l_value(lip)
-    if l <= 0:
-        raise ConfigurationError(f"Lipschitz constant must be positive, got {l}")
-    if batch_size * grad_est_norm**2 < eps_delta**2:
-        return MetaParams(alpha=0.0, batch_size=batch_size)
-    alpha = (1.0 / l) * (1.0 - eps_delta / (math.sqrt(batch_size) * grad_est_norm))
-    return MetaParams(alpha=max(alpha, 0.0), batch_size=batch_size)
-
-
 def optimal_step_and_batch(
     grad_est_norm: float, eps_delta: float, lip: "LipschitzConstant | float"
 ) -> MetaParams:

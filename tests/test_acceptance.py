@@ -2,41 +2,33 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines as they complete.  Sampling-heavy criteria use counter-derived
-streams, so every number here is reproducible.
+streams, so every number here is reproducible.  Criteria 01-07 run the
+named checks of ``spgrad.validate`` (the code behind ``spgrad validate``)
+at larger sizes and with this module's seed.
 """
 import math
-import os
 
 import numpy as np
 import pytest
 import yaml
 
 from spgrad.cli import EXIT_OK, main
-from spgrad.estimators import (
-    BaselineKind,
-    EstimatorKind,
-    GradientAccumulator,
-    error_bound,
-    variance_bound,
+from spgrad.estimators import EstimatorKind
+from spgrad.oracle import exact_performance
+from spgrad.safe_updates import spg_run
+from spgrad.validate import (
+    DEFAULT_BUDGET,
+    chebyshev_violations,
+    check_estimator_unbiasedness,
+    check_exact_step,
+    check_gradient_crosscheck,
+    check_hessian_bound,
+    check_joint_grid,
+    check_quadratic_bound,
+    check_step_grid,
+    variance_ratios,
+    variance_setups,
 )
-from spgrad.mdp import sample_trajectory
-from spgrad.oracle import (
-    exact_gradient,
-    exact_hessian,
-    exact_performance,
-    expected_gradient_estimate,
-    fd_gradient,
-    grid_maximize,
-)
-from spgrad.rng import substream
-from spgrad.safe_updates import (
-    lipschitz_constant,
-    optimal_step_and_batch,
-    optimal_step_exact,
-    spg_run,
-    stochastic_improvement_bound,
-)
-from spgrad.testbeds import chain_instance, lqg_instance
 
 SEED = 77_000
 
@@ -46,45 +38,21 @@ def report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def test_01_estimator_unbiasedness(two_state):
-    theta = 0.5 * substream(SEED, 1).standard_normal(two_state.policy.dim)
-    exact = exact_gradient(two_state.mdp, two_state.policy, theta)
-    # independent route for the oracle itself: finite differences of the DP value
-    fd = fd_gradient(two_state.mdp, two_state.policy, theta)
-    oracle_gap = np.linalg.norm(exact.grad - fd) / max(np.linalg.norm(fd), 1e-12)
-    worst = 0.0
-    for kind in EstimatorKind:
-        mean = expected_gradient_estimate(
-            two_state.mdp, two_state.policy, theta, kind, BaselineKind.ZERO
-        )
-        worst = max(worst, float(np.max(np.abs(mean - exact.grad))))
-    ok = worst <= 1e-10 and oracle_gap <= 1e-6
+def report_checks(number: str, *results) -> None:
     report(
-        "01 estimator-unbiasedness",
-        ok,
-        f"max component gap {worst:.2e} (tol 1e-10), oracle fd gap {oracle_gap:.2e}",
+        f"{number} " + " + ".join(r.name for r in results),
+        all(r.passed for r in results),
+        "; ".join(f"{r.observed} (tol {r.tolerance})" for r in results),
     )
 
 
-def _single_sample_trace_variances(env, policy, theta, n_samples, stream):
-    gamma = env.spec.gamma
-    sums = {kind: np.zeros(policy.dim) for kind in EstimatorKind}
-    squares = {kind: 0.0 for kind in EstimatorKind}
-    for i in range(n_samples):
-        traj = sample_trajectory(env, policy, theta, substream(SEED, stream, i))
-        # the bounds above are meaningless if these two contracts slip
-        assert len(traj) == env.spec.horizon
-        assert np.max(np.abs(traj.rewards)) <= env.spec.r_max + 1e-12
-        for kind in EstimatorKind:
-            acc = GradientAccumulator(policy, theta, gamma, kind)
-            vec = acc.add_trajectory(traj).finalize().vector
-            sums[kind] += vec
-            squares[kind] += float(vec @ vec)
-    out = {}
-    for kind in EstimatorKind:
-        mean = sums[kind] / n_samples
-        out[kind] = squares[kind] / n_samples - float(mean @ mean)
-    return out
+def test_01_estimator_unbiasedness():
+    # the oracle itself is checked by an independent route: finite differences of the DP value
+    report_checks(
+        "01",
+        check_estimator_unbiasedness(DEFAULT_BUDGET, SEED),
+        check_gradient_crosscheck(DEFAULT_BUDGET, SEED),
+    )
 
 
 @pytest.mark.parametrize(
@@ -92,177 +60,42 @@ def _single_sample_trace_variances(env, policy, theta, n_samples, stream):
     [("gaussian-lqg", 2), ("softmax-chain", 3)],
 )
 def test_02_variance_bounds(label, stream):
-    n_samples = 100_000
-    if label == "gaussian-lqg":
-        env, policy = lqg_instance(sigma=0.5, gamma=0.9, horizon=10)
-        theta = np.array([0.5])
-        spec = env.spec
-    else:
-        inst = chain_instance(n_states=3, slip=0.1, gamma=0.9, horizon=5)
-        env, policy = inst.env, inst.policy
-        theta = np.zeros(policy.dim)
-        spec = inst.mdp.spec
-    variances = _single_sample_trace_variances(env, policy, theta, n_samples, stream)
-    kappa = policy.smoothing_constants().kappa
-    ratios = {
-        kind: variances[kind] / variance_bound(kind, spec, kappa).nu_squared
-        for kind in EstimatorKind
-    }
-    worst = max(ratios.values())
+    ratios = variance_ratios(variance_setups()[label], SEED, 100_000, stream)
+    assert ratios is not None, "a sampled trajectory breaks the horizon or r_max contract"
     report(
         f"02 variance-bounds[{label}]",
-        worst <= 1.0,
+        max(ratios.values()) <= 1.0,
         "variance/nu^2 = "
         + ", ".join(f"{k.value} {v:.3f}" for k, v in ratios.items())
         + " (must be <= 1)",
     )
 
 
-def test_03_chebyshev_coverage(two_state):
-    n_estimates, batch = 10_000, 25
-    theta = np.zeros(two_state.policy.dim)
-    exact = exact_gradient(two_state.mdp, two_state.policy, theta).grad
-    gamma = two_state.mdp.spec.gamma
-    kappa = two_state.policy.smoothing_constants().kappa
-    deltas = (0.1, 0.5)
-    eps = {
-        kind: {
-            d: error_bound(variance_bound(kind, two_state.mdp.spec, kappa), d).eps_delta
-            for d in deltas
-        }
-        for kind in EstimatorKind
-    }
-    violations = {kind: {d: 0 for d in deltas} for kind in EstimatorKind}
-    for i in range(n_estimates):
-        accs = {
-            kind: GradientAccumulator(two_state.policy, theta, gamma, kind)
-            for kind in EstimatorKind
-        }
-        for j in range(batch):
-            traj = sample_trajectory(
-                two_state.env, two_state.policy, theta, substream(SEED, 4, i, j)
-            )
-            for acc in accs.values():
-                acc.add_trajectory(traj)
-        for kind, acc in accs.items():
-            err = float(np.linalg.norm(acc.finalize().vector - exact))
-            for d in deltas:
-                if err > eps[kind][d] / math.sqrt(batch):
-                    violations[kind][d] += 1
-    worst = max(
-        violations[kind][d] / n_estimates - d for kind in EstimatorKind for d in deltas
-    )
-    rates = {
-        f"{kind.value}@{d}": violations[kind][d] / n_estimates
-        for kind in EstimatorKind
-        for d in deltas
-    }
+def test_03_chebyshev_coverage():
+    rates = chebyshev_violations(DEFAULT_BUDGET, SEED, 10_000, tuple(EstimatorKind), 4)
+    shown = {f"{kind.value}@{delta}": rate for (kind, delta), rate in rates.items()}
     report(
         "03 chebyshev-coverage",
-        worst <= 0.0,
-        f"violation rates {rates} (each must be <= its delta)",
+        max(rate - delta for (_, delta), rate in rates.items()) <= 0.0,
+        f"violation rates {shown} (each must be <= its delta)",
     )
 
 
-def test_04_quadratic_bound(two_state):
-    lip = lipschitz_constant(two_state.policy.smoothing_constants(), two_state.mdp.spec)
-    rng = substream(SEED, 5)
-    worst = -np.inf
-    for _ in range(200):
-        theta = 0.5 * rng.standard_normal(two_state.policy.dim)
-        step = rng.standard_normal(two_state.policy.dim)
-        step *= rng.uniform(0.01, 1.0) / np.linalg.norm(step)
-        grad = exact_gradient(two_state.mdp, two_state.policy, theta).grad
-        deviation = abs(
-            exact_performance(two_state.mdp, two_state.policy, theta + step)
-            - exact_performance(two_state.mdp, two_state.policy, theta)
-            - float(step @ grad)
-        )
-        worst = max(worst, deviation - lip.value / 2.0 * float(step @ step))
-    report("04 quadratic-bound", worst <= 1e-9, f"max excess {worst:.2e} (tol 1e-9)")
+def test_04_quadratic_bound():
+    report_checks("04", check_quadratic_bound(DEFAULT_BUDGET, SEED, 1.0, n_points=200))
 
 
-def test_05_hessian_spectral_bound(two_state, binned_gaussian):
-    worst = 0.0
-    for idx, inst in enumerate((two_state, binned_gaussian)):
-        lip = lipschitz_constant(inst.policy.smoothing_constants(), inst.mdp.spec)
-        rng = substream(SEED, 6, idx)
-        for _ in range(50):
-            theta = 0.5 * rng.standard_normal(inst.oracle_policy.dim)
-            hess = exact_hessian(inst.mdp, inst.oracle_policy, theta)
-            worst = max(worst, float(np.linalg.norm(hess, 2)) / lip.value)
-    report(
-        "05 hessian-spectral-bound",
-        worst <= 1.0 + 1e-6,
-        f"max ||H||/L = {worst:.3e} over both policy classes (must be <= 1 + 1e-6)",
-    )
+def test_05_hessian_spectral_bound():
+    # both policy classes: the two-state Softmax and the binned Gaussian
+    report_checks("05", check_hessian_bound(DEFAULT_BUDGET, SEED, 1.0, n_points=50))
 
 
-def test_06_exact_step_guarantee(two_state):
-    lip = lipschitz_constant(two_state.policy.smoothing_constants(), two_state.mdp.spec)
-    alpha = optimal_step_exact(lip).alpha
-    rng = substream(SEED, 7)
-    worst = np.inf
-    for _ in range(100):
-        theta = 0.5 * rng.standard_normal(two_state.policy.dim)
-        grad = exact_gradient(two_state.mdp, two_state.policy, theta).grad
-        improvement = exact_performance(
-            two_state.mdp, two_state.policy, theta + alpha * grad
-        ) - exact_performance(two_state.mdp, two_state.policy, theta)
-        worst = min(worst, improvement - float(grad @ grad) / (2.0 * lip.value))
-    report("06 exact-step-guarantee", worst >= -1e-9, f"min margin {worst:.2e} (tol -1e-9)")
+def test_06_exact_step_guarantee():
+    report_checks("06", check_exact_step(DEFAULT_BUDGET, SEED, n_points=100))
 
 
 def test_07_kkt_optima():
-    lip, eps, grad_norm, delta = 2.0, 10.0, 2.0, 0.5
-
-    exact_best = grad_norm**2 / (2.0 * lip)
-    _, _, exact_grid = grid_maximize(
-        lambda a: a * grad_norm**2 - a * a * lip / 2.0 * grad_norm**2, (0.0, 3.0 / lip)
-    )
-    gap_exact = abs(exact_grid - exact_best) / exact_best
-
-    n_fixed = 64.0
-    adaptive_best = (grad_norm - eps / math.sqrt(n_fixed)) ** 2 / (2.0 * lip)
-    _, _, adaptive_grid = grid_maximize(
-        lambda a: stochastic_improvement_bound(a, grad_norm, eps, n_fixed, lip, delta).value,
-        (0.0, 3.0 / lip),
-    )
-    gap_adaptive = abs(adaptive_grid - adaptive_best) / adaptive_best
-
-    meta = optimal_step_and_batch(grad_norm, eps, lip)
-    upsilon_star = grad_norm**4 / (32.0 * lip * eps**2)
-    _, _, joint_grid = grid_maximize(
-        lambda a, n: stochastic_improvement_bound(a, grad_norm, eps, n, lip, delta).value / n,
-        (0.0, 1.0 / lip),
-        (1.0, 10.0 * meta.batch_size),
-        resolution=1001,
-    )
-    gap_joint = abs(joint_grid - upsilon_star) / upsilon_star
-
-    # the rejected stationary point of the averaged branch of the bound
-    rejected_alpha = 1.0 / (3.0 * lip)
-    rejected_n = 3.0 * eps**2 / grad_norm**2
-    second_branch = (
-        rejected_alpha / 2.0 * (grad_norm**2 - eps**2 / rejected_n)
-        - rejected_alpha**2 * lip * grad_norm**2 / 2.0
-    ) / rejected_n
-    upsilon_rejected = grad_norm**4 / (54.0 * lip * eps**2)
-    rejected_identity = abs(second_branch - upsilon_rejected) / upsilon_rejected
-
-    ok = (
-        max(gap_exact, gap_adaptive, gap_joint) <= 0.01
-        and rejected_identity <= 1e-12
-        and upsilon_rejected < upsilon_star
-        and meta.alpha == 1.0 / (2.0 * lip)
-        and meta.batch_size == 100
-    )
-    report(
-        "07 kkt-optima",
-        ok,
-        f"grid gaps: exact {gap_exact:.1e}, adaptive {gap_adaptive:.1e}, joint {gap_joint:.1e} "
-        f"(tol 1%); rejected branch {upsilon_rejected:.4g} < kept {upsilon_star:.4g}",
-    )
+    report_checks("07", check_step_grid(), check_joint_grid())
 
 
 def test_08_spg_monotonicity(bandit):

@@ -1,11 +1,14 @@
 import os
 
+import numpy as np
 import pytest
 import yaml
 
 from spgrad.cli import EXIT_CONFIG, EXIT_OK, EXIT_SKIPPED, main
 from spgrad.config import load_config, parse_config, build_experiment
 from spgrad.errors import ConfigurationError
+from spgrad.mdp import MdpSpec
+from spgrad.policies import SoftmaxPolicy, TabularFeatures
 from spgrad.runlog import read_run_csv
 from spgrad.validate import check_hessian_bound, check_quadratic_bound, run_validation
 
@@ -159,6 +162,31 @@ class TestValidateCommand:
         # hook must shrink it well below that slack to flip the checks.
         assert check_quadratic_bound(10**6, 20240, lipschitz_scale=1e-5).status == "fail"
         assert check_hessian_bound(10**6, 20240, lipschitz_scale=1e-5).status == "fail"
+
+    def test_reward_above_r_max_fails_variance_check(self, monkeypatch):
+        import spgrad.validate as validate
+
+        class ConstantRewardEnv:
+            """One state; every step pays ``reward`` against a declared r_max of 1."""
+
+            spec = MdpSpec(gamma=0.9, r_max=1.0, horizon=2)
+
+            def __init__(self, reward):
+                self.reward = reward
+
+            def reset(self, rng):
+                return 0
+
+            def step(self, state, action, rng):
+                return 0, self.reward
+
+        policy = SoftmaxPolicy(TabularFeatures(1, 2), feature_bound=1.0, tau=1.0, n_actions=2)
+        theta = np.zeros(policy.dim)
+        assert validate.variance_ratios((ConstantRewardEnv(1.0), policy, theta), 0, 10, 9)
+        breach = (ConstantRewardEnv(1.5), policy, theta)
+        assert validate.variance_ratios(breach, 0, 10, 9) is None
+        monkeypatch.setattr(validate, "variance_setups", lambda: {"breach": breach})
+        assert validate.check_variance_bound(0, 10).status == "fail"
 
     def test_full_suite_passes_via_cli(self, capsys):
         assert main(["validate"]) == EXIT_OK

@@ -285,6 +285,8 @@ class TestFeatureBoundEnforcement:
         theta = np.array([1.7e308, 1.7e308])
         with pytest.raises(NumericError):
             policy.sample_action(theta, 0.85, substream(0, 0))
+        with pytest.raises(NumericError):
+            policy.score(theta, 0.85, 0.0)
 
     def test_softmax_violation_raises(self):
         features = TabularFeatures(1, 2)

@@ -11,7 +11,6 @@ from spgrad.rng import substream
 from spgrad.safe_updates import (
     MetaParams,
     RunLimits,
-    adaptive_step,
     exact_improvement_bound,
     lipschitz_constant,
     optimal_step_and_batch,
@@ -137,36 +136,6 @@ class TestStochasticBound:
         # below the error level the averaged branch is the active one
         value = stochastic_improvement_bound(1.0, 0.5, 2.0, 1, 0.0, delta=0.5).value
         assert value == pytest.approx((0.5 - 2.0) * (0.5 + 2.0) / 2.0)
-
-
-class TestAdaptiveStep:
-    def test_example_value(self):
-        meta = adaptive_step(1.0, 1.0, 4, 10.0)
-        assert meta.alpha == pytest.approx(0.05)
-        improvement = stochastic_improvement_bound(meta.alpha, 1.0, 1.0, 4, 10.0, delta=0.1)
-        assert improvement.value == pytest.approx(0.0125)
-
-    def test_insufficient_batch_forces_noop(self):
-        meta = adaptive_step(1.0, 10.0, 4, 10.0)
-        assert meta.alpha == 0.0
-
-    def test_recovers_exact_step_in_the_limit(self):
-        meta = adaptive_step(1.0, 1.0, 10**12, 10.0)
-        assert meta.alpha == pytest.approx(0.1, rel=1e-5)
-
-    def test_zero_gradient_signalled(self):
-        with pytest.raises(ValueError):
-            adaptive_step(0.0, 1.0, 4, 10.0)
-
-    def test_dominates_grid_for_fixed_batch(self):
-        lip, eps, n, grad_norm = 5.0, 1.0, 25, 0.8
-        meta = adaptive_step(grad_norm, eps, n, lip)
-        best = stochastic_improvement_bound(meta.alpha, grad_norm, eps, n, lip, delta=0.1).value
-        _, _, grid_best = grid_maximize(
-            lambda a: stochastic_improvement_bound(a, grad_norm, eps, n, lip, delta=0.1).value,
-            (0.0, 3.0 / lip),
-        )
-        assert best >= grid_best - 1e-15
 
 
 class TestOptimalStepAndBatch:
