@@ -151,42 +151,91 @@ class GradientAccumulator:
             )
 
     def add_trajectory(self, traj: Trajectory, weight: float = 1.0) -> "GradientAccumulator":
-        if not 0.0 < weight < math.inf:
-            raise ValueError(f"trajectory weight must be positive and finite, got {weight}")
+        actor = self.policy.actor(self.theta) if hasattr(self.policy, "actor") else None
+        if actor is None:
+            scores = trajectory_scores(traj, self.policy, self.theta)[None]
+        else:
+            scores = actor.score(np.asarray(traj.states)[None], np.asarray(traj.actions)[None])
+        rewards = np.asarray(traj.rewards, dtype=float)[None]
+        self.add_block(rewards, scores, None if weight == 1.0 else np.array([float(weight)]))
+        return self
+
+    def add_block(
+        self,
+        rewards: np.ndarray,
+        scores: np.ndarray,
+        weights: "np.ndarray | None" = None,
+        stop=None,
+    ) -> bool:
+        """Add a block of trajectories, row after row, as ``add_trajectory`` would.
+
+        ``rewards`` is (n, T) and ``scores`` (n, T, m), row i holding
+        trajectory i; ``weights`` defaults to 1 for every row.  Per-trajectory
+        terms are computed for all rows at once and accumulated with
+        ``np.cumsum``, which adds in row order like the one-at-a-time sums
+        (``np.sum`` may pair terms), so the statistics after row i are the
+        ones ``add_trajectory`` reaches, bit for bit.
+
+        ``stop(counts, estimates)``, if given, sees the trajectory count and
+        the zero-baseline estimate after each row, both up to the first row
+        whose estimate is not finite, and returns the index of the row that
+        ends the block or None.  Rows past that row are dropped and True is
+        returned; otherwise every row is added, or NumericError is raised
+        when an estimate is not finite.
+        """
+        n, horizon = rewards.shape
+        if weights is None:
+            weights = np.ones(n)
+        elif not np.all((weights > 0.0) & (weights < math.inf)):
+            raise ValueError(f"trajectory weights must be positive and finite, got {weights}")
         if self.horizon is None:
-            self.horizon = len(traj)
-        elif len(traj) != self.horizon:
+            self.horizon = horizon
+            self._discount = self.gamma ** np.arange(horizon)
+        elif horizon != self.horizon:
             raise ValueError(
-                f"trajectory has horizon {len(traj)}, accumulator expects {self.horizon}"
+                f"trajectory has horizon {horizon}, accumulator expects {self.horizon}"
             )
         if self.kind is EstimatorKind.REINFORCE:
-            g, s = reinforce_terms(traj, self.policy, self.theta, self.gamma)
-            wg = weight * g
-            self.return_sum += wg
-            self._sum_g += wg * s
+            # one dot per row: a matrix product may order the sum differently
+            g = np.array([float(np.dot(self._discount, r)) for r in rewards])
+            s = scores.sum(axis=1)
+            wg = weights * g
+            terms = {"return_sum": wg, "_sum_g": wg[:, None] * s}
             if self.baseline is BaselineKind.PETERS:
-                ws = weight * s
+                ws = weights[:, None] * s
                 ws2 = ws * s
-                self._sum_s += ws
-                self._sum_s2 += ws2
-                self._sum_gs2 += g * ws2
+                terms.update(_sum_s=ws, _sum_s2=ws2, _sum_gs2=g[:, None] * ws2)
         else:
-            disc, cum = gpomdp_terms(traj, self.policy, self.theta, self.gamma)
-            wdisc = weight * disc
-            self.return_sum += float(wdisc.sum())
-            rc = wdisc[:, None] * cum
-            self._sum_g += rc.sum(axis=0)
+            wdisc = weights[:, None] * (self._discount * rewards)
+            cum = np.cumsum(scores, axis=1)
+            rc = wdisc[:, :, None] * cum
+            terms = {"return_sum": wdisc.sum(axis=1), "_sum_g": rc.sum(axis=1)}
             if self.baseline is BaselineKind.PETERS:
-                self._ensure_gpomdp_arrays(len(traj))
-                sum_rc, sum_c, sum_rc2, sum_c2 = self._peters_arrays
+                self._ensure_gpomdp_arrays(horizon)
                 sq = cum**2
-                sum_rc += rc
-                sum_c += weight * cum
-                sum_rc2 += wdisc[:, None] * sq
-                sum_c2 += weight * sq
-        self.count += 1
-        self.weight_sum += weight
-        return self
+                w = weights[:, None, None]
+                peters = (rc, w * cum, wdisc[:, :, None] * sq, w * sq)
+        terms["weight_sum"] = weights
+        running = {name: _running(getattr(self, name), term) for name, term in terms.items()}
+        keep, stopped = n, False
+        if stop is not None:
+            estimates = running["_sum_g"] / running["weight_sum"][:, None]
+            finite = np.isfinite(estimates).all(axis=1)
+            valid = n if finite.all() else int(np.argmin(finite))
+            end = stop(self.count + np.arange(1, valid + 1), estimates[:valid])
+            if end is not None:
+                keep, stopped = end + 1, True
+            elif valid < n:
+                raise NumericError("gradient estimate is not finite")
+        for name, values in running.items():
+            value = values[keep - 1]
+            setattr(self, name, float(value) if values.ndim == 1 else value.copy())
+        if self.baseline is BaselineKind.PETERS and self.kind is EstimatorKind.GPOMDP:
+            self._peters_arrays = tuple(
+                _running(total, term[:keep])[-1] for total, term in zip(self._peters_arrays, peters)
+            )
+        self.count += keep
+        return stopped
 
     def mean_return(self) -> float:
         if self.count == 0:
@@ -220,6 +269,14 @@ class GradientAccumulator:
             estimator_kind=self.kind,
             baseline_kind=self.baseline,
         )
+
+
+def _running(total, terms: np.ndarray) -> np.ndarray:
+    """total + terms[0], total + terms[0] + terms[1], ...: sums in row order."""
+    if len(terms) == 1:
+        return total + terms
+    start = np.asarray(total, dtype=float)[None]
+    return np.cumsum(np.concatenate((start, terms)), axis=0)[1:]
 
 
 # ---------------------------------------------------------------------------

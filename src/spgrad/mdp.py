@@ -9,9 +9,16 @@ and two pure sampling operations::
 ``step`` is stateless: identical inputs and rng stream yield identical
 outputs.  Episodes always run exactly ``spec.horizon`` steps; there are no
 absorbing states or early terminations.
+
+The shipped environments also step arrays of episodes at once for
+:func:`sample_block`: ``reset_batch(u)`` and ``step_batch(states, actions,
+u)`` take one draw per row, made beforehand with the generator method named
+by ``reset_draw`` / ``step_draw``, and ``n_states`` is the size of a finite
+state space (None when it is continuous).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Protocol
 
@@ -110,6 +117,43 @@ def sample_trajectory(
     )
 
 
+def sample_block(env, actor, rngs) -> "tuple[np.ndarray, np.ndarray]":
+    """Roll out one episode per generator in ``rngs``, stepping all of them together.
+
+    ``actor`` is a policy frozen at theta (``policy.actor``) with
+    ``sample(states, draws)`` and ``score(states, actions)``.  Row i takes
+    its draws from ``rngs[i]`` in the order ``sample_trajectory`` takes
+    them (reset, then action and transition at every step), so it is the
+    episode ``sample_trajectory`` returns for that generator.  Returns the
+    rewards, shape (n, T), and the per-step scores, shape (n, T, m).
+    """
+    horizon = env.spec.horizon
+    kinds = [env.reset_draw] + [actor.draw, env.step_draw] * horizon
+    runs, start = [], 0  # (method, columns) per run of draws of one kind
+    for kind, group in itertools.groupby(kinds):
+        stop = start + len(list(group))
+        runs.append((kind, slice(start, stop)))
+        start = stop
+    rows = []
+    for rng in rngs:  # an iterator keeps one generator alive at a time
+        row = np.empty(len(kinds))
+        for kind, columns in runs:
+            getattr(rng, kind)(out=row[columns])
+        rows.append(row)
+    draws = np.stack(rows)
+    states, actions, rewards = [], [], []
+    state = env.reset_batch(draws[:, 0])
+    for t in range(horizon):
+        action = actor.sample(state, draws[:, 2 * t + 1])
+        states.append(state)
+        actions.append(action)
+        state, reward = env.step_batch(state, action, draws[:, 2 * t + 2])
+        rewards.append(reward)
+    # scores after the whole episode, as add_trajectory takes them
+    scores = actor.score(np.stack(states, axis=1), np.stack(actions, axis=1))
+    return np.stack(rewards, axis=1), scores
+
+
 @dataclass
 class EnumerableMdp:
     """A finite MDP given by explicit tables; the substrate for exact oracles.
@@ -164,6 +208,8 @@ class EnumerableEnv:
     finite MDP while keeping the MDP itself enumerable.
     """
 
+    reset_draw = step_draw = "random"
+
     def __init__(self, mdp: EnumerableMdp, bin_edges: np.ndarray | None = None):
         self.mdp = mdp
         self.spec = mdp.spec
@@ -178,6 +224,7 @@ class EnumerableEnv:
                 raise ConfigurationError("bin edges must be strictly increasing")
         self._cum_initial = np.cumsum(mdp.initial)
         self._cum_next = np.cumsum(mdp.transition, axis=-1)
+        self.n_states = mdp.n_states
 
     def _draw(self, cum: np.ndarray, rng: np.random.Generator) -> int:
         idx = int(np.searchsorted(cum, rng.random(), side="right"))
@@ -199,6 +246,24 @@ class EnumerableEnv:
         a = self.action_index(action)
         next_state = self._draw(self._cum_next[s, a], rng)
         return next_state, float(self.mdp.reward[s, a])
+
+    def reset_batch(self, u: np.ndarray) -> np.ndarray:
+        return np.minimum(np.searchsorted(self._cum_initial, u, side="right"), self.n_states - 1)
+
+    def step_batch(
+        self, states: np.ndarray, actions: np.ndarray, u: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        if self.bin_edges is not None:
+            a = np.searchsorted(self.bin_edges, actions, side="right")
+        else:
+            a = np.asarray(actions).astype(int)
+            bad = (a < 0) | (a >= self.mdp.n_actions)
+            if bad.any():
+                raise ValueError(f"action {a[bad][0]} out of range [0, {self.mdp.n_actions})")
+        cum = self._cum_next[states, a]
+        # searchsorted(cum[i], u[i], side="right") for every row i
+        next_states = np.minimum((cum <= u[:, None]).sum(axis=1), self.n_states - 1)
+        return next_states, self.mdp.reward[states, a]
 
 
 @dataclass(frozen=True)
@@ -222,6 +287,8 @@ class Lqg1dConfig:
 
 
 class Lqg1dEnv:
+    reset_draw, step_draw, n_states = "random", "standard_normal", None
+
     def __init__(self, config: Lqg1dConfig):
         if config.s_max <= 0:
             raise ConfigurationError(f"s_max must be positive, got {config.s_max}")
@@ -244,6 +311,24 @@ class Lqg1dEnv:
         drift = cfg.a_dyn * s + cfg.b_dyn * a + cfg.noise_std * rng.standard_normal()
         next_state = float(np.clip(drift, -cfg.s_max, cfg.s_max))
         return next_state, reward
+
+    def reset_batch(self, u: np.ndarray) -> np.ndarray:
+        # Generator.uniform(low, high) is low + (high - low) * random()
+        low, high = -self.config.s_max, self.config.s_max
+        return low + (high - low) * u
+
+    def step_batch(
+        self, states: np.ndarray, actions: np.ndarray, z: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        cfg = self.config
+        s, a = states, actions
+        bad = ~np.isfinite(a)
+        if bad.any():
+            raise NumericError(f"non-finite action {a[bad][0]}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            reward = -np.minimum(cfg.q * s * s + cfg.c * a * a, cfg.r_max)
+            drift = cfg.a_dyn * s + cfg.b_dyn * a + cfg.noise_std * z
+        return np.clip(drift, -cfg.s_max, cfg.s_max), reward
 
 
 def make_lqg1d(config: Lqg1dConfig) -> Lqg1dEnv:

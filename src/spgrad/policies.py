@@ -2,7 +2,8 @@
 
 Both classes expose the same surface: ``sample_action``, ``log_pdf``,
 ``score`` (gradient of the log-density in theta), ``observed_information``
-(its Hessian), and ``smoothing_constants`` returning the class constants
+(its Hessian), ``actor`` (the policy frozen at theta, acting on arrays of
+states), and ``smoothing_constants`` returning the class constants
 (psi, kappa, xi) that bound, uniformly over states and theta,
 
     E ||score||      <= psi
@@ -56,6 +57,12 @@ class PolynomialFeatures:
         x = float(state) * self.scale
         return np.array([x**k for k in range(1, self.degree + 1)])
 
+    def batch(self, states: np.ndarray) -> np.ndarray:
+        """(n, degree) rows equal to ``self(state)``; powers above 1 use Python's pow."""
+        x = np.asarray(states, dtype=float) * self.scale
+        powers = [np.array([v**k for v in x.tolist()]) for k in range(2, self.degree + 1)]
+        return np.stack([x, *powers], axis=1)
+
 
 class StateTabularFeatures:
     """One-hot encoding of a discrete state (for Gaussian means over finite MDPs)."""
@@ -69,6 +76,9 @@ class StateTabularFeatures:
 
     def __call__(self, state) -> np.ndarray:
         return self._eye[int(state)]
+
+    def batch(self, states: np.ndarray) -> np.ndarray:
+        return self._eye[np.asarray(states, dtype=int)]
 
 
 class TabularFeatures:
@@ -166,6 +176,9 @@ class GaussianPolicy:
         phi = self._phi(state)
         return -np.outer(phi, phi) / (self.sigma**2)
 
+    def actor(self, theta: np.ndarray, n_states: "int | None" = None) -> "GaussianActor":
+        return GaussianActor(self, theta)
+
     def smoothing_constants(self) -> SmoothingConstants:
         b = self.feature_bound
         return SmoothingConstants(
@@ -173,6 +186,57 @@ class GaussianPolicy:
             kappa=(b / self.sigma) ** 2,
             xi=(b / self.sigma) ** 2,
         )
+
+
+class GaussianActor:
+    """A Gaussian policy frozen at theta, acting on arrays of states.
+
+    ``sample`` and ``score`` repeat ``sample_action`` and ``score`` state by
+    state, float for float: features row by row, the mean summed feature
+    by feature as ``_linear_mean`` does, and the same typed errors.
+    Arithmetic that overflows gives inf as Python floats do, with no numpy
+    warning.
+    """
+
+    draw = "standard_normal"
+
+    def __init__(self, policy: GaussianPolicy, theta: np.ndarray):
+        self.policy = policy
+        self.theta = np.asarray(theta, dtype=float).tolist()
+
+    def _phi_and_mean(self, states: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        policy = self.policy
+        batch = getattr(policy.features, "batch", None)
+        if batch is None:
+            phi = np.stack([np.asarray(policy.features(s), dtype=float) for s in states])
+        else:
+            phi = np.asarray(batch(states), dtype=float)
+        # np.linalg.norm per row may differ from the scalar norm in the last
+        # bit; rows near the bound are re-checked by the scalar check
+        near = np.linalg.norm(phi, axis=1) > (policy.feature_bound + 1e-9) * (1.0 - 1e-12)
+        for i in np.flatnonzero(near):
+            policy._phi(states[i])
+        mean = np.zeros(len(states))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, t in enumerate(self.theta):
+                mean += t * phi[:, j]
+        bad = ~np.isfinite(mean)
+        if bad.any():
+            raise NumericError(f"non-finite policy mean {mean[bad][0]}")
+        return phi, mean
+
+    def sample(self, states: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Actions at ``states`` (n,) from standard normals ``z`` (n,)."""
+        _, mean = self._phi_and_mean(states)
+        with np.errstate(over="ignore"):
+            return mean + self.policy.sigma * z
+
+    def score(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """Scores, shape states.shape + (m,), of ``actions`` at ``states``."""
+        phi, mean = self._phi_and_mean(states.ravel())
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = phi * (actions.ravel() - mean)[:, None] / (self.policy.sigma**2)
+        return scores.reshape(*states.shape, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,20 +259,20 @@ class SoftmaxPolicy:
         self.tau = tau
         self.n_actions = n_actions
         self._matrix_cache: dict = {}
+        # action probabilities at the last theta seen, by int state
+        self._probs_theta: "bytes | None" = None
+        self._probs_memo: "dict[int, np.ndarray]" = {}
 
     @property
     def dim(self) -> int:
         return self.features.dim
 
     def _feature_matrix(self, state) -> np.ndarray:
-        key = None
-        try:
-            key = int(state)
+        key = int(state) if isinstance(state, (int, np.integer)) else None
+        if key is not None:
             cached = self._matrix_cache.get(key)
             if cached is not None:
                 return cached
-        except (TypeError, ValueError):
-            pass
         rows = np.stack(
             [np.asarray(self.features(state, a), dtype=float) for a in range(self.n_actions)]
         )
@@ -228,7 +292,23 @@ class SoftmaxPolicy:
         return z - math.log(float(np.sum(np.exp(z))))
 
     def action_probabilities(self, theta: np.ndarray, state) -> np.ndarray:
-        return np.exp(self._log_probabilities(theta, state))
+        """pi(. | state) at theta, read-only.
+
+        Sampling and scoring ask for the same (theta, state) in turn, so
+        integer states are memoised at the last theta seen.
+        """
+        if not isinstance(state, (int, np.integer)):
+            return np.exp(self._log_probabilities(theta, state))
+        key = np.asarray(theta, dtype=float).tobytes()
+        if key != self._probs_theta:
+            self._probs_theta = key
+            self._probs_memo = {}
+        probs = self._probs_memo.get(int(state))
+        if probs is None:
+            probs = np.exp(self._log_probabilities(theta, state))
+            probs.flags.writeable = False
+            self._probs_memo[int(state)] = probs
+        return probs
 
     def sample_action(self, theta: np.ndarray, state, rng: np.random.Generator) -> int:
         cum = np.cumsum(self.action_probabilities(theta, state))
@@ -251,6 +331,10 @@ class SoftmaxPolicy:
         second = rows.T @ (probs[:, None] * rows)
         return (np.outer(mean, mean) - second) / (self.tau**2)
 
+    def actor(self, theta: np.ndarray, n_states: "int | None" = None) -> "SoftmaxActor | None":
+        """The policy frozen at theta over states 0..n_states-1; None without a state count."""
+        return None if n_states is None else SoftmaxActor(self, theta, n_states)
+
     def smoothing_constants(self) -> SmoothingConstants:
         b = self.feature_bound
         return SmoothingConstants(
@@ -258,6 +342,34 @@ class SoftmaxPolicy:
             kappa=4.0 * b * b / (self.tau**2),
             xi=2.0 * b * b / (self.tau**2),
         )
+
+
+class SoftmaxActor:
+    """A Softmax policy frozen at theta, acting on arrays of integer states.
+
+    The (S, A) table of action probabilities and the (S, A, m) table of
+    scores are the policy's own ``action_probabilities`` and ``score`` at
+    every state, so a rollout is table lookups.  ``sample`` draws for row i
+    the action ``sample_action`` draws from uniform i.
+    """
+
+    draw = "random"
+
+    def __init__(self, policy: SoftmaxPolicy, theta: np.ndarray, n_states: int):
+        states, actions = range(n_states), range(policy.n_actions)
+        probs = np.stack([policy.action_probabilities(theta, s) for s in states])
+        self.cum = np.cumsum(probs, axis=1)
+        self.scores = np.stack([[policy.score(theta, s, a) for a in actions] for s in states])
+
+    def sample(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Actions at ``states`` (n,) from uniforms ``u`` (n,)."""
+        cum = self.cum[states]
+        # searchsorted(cum, u * cum[-1], side="right") on every row at once
+        return np.minimum((cum <= (u * cum[:, -1])[:, None]).sum(axis=1), cum.shape[1] - 1)
+
+    def score(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """Scores, shape states.shape + (m,), of ``actions`` at ``states``."""
+        return self.scores[states, actions]
 
 
 # ---------------------------------------------------------------------------

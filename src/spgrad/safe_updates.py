@@ -10,8 +10,9 @@ estimated gradients the bound degrades by the estimation error
 eps_delta/sqrt(N), and jointly maximizing improvement per trajectory gives
 the constant step 1/(2L) together with the adaptive batch size
 N = ceil(4*eps_delta^2 / ||grad_est||^2).  The loop below applies that rule
-with a do-while inner collection phase, so each update is certified to
-improve J by at least ||grad_est||^2 / (8L) with probability 1 - delta.
+to blocks of trajectories and stops at the first prefix that meets it, so
+each update is certified to improve J by at least ||grad_est||^2 / (8L)
+with probability 1 - delta.
 
 The certification is per update: no union bound is taken across the K
 updates of a run.  The parameter space is all of R^m; bounded parameter
@@ -32,9 +33,10 @@ from .estimators import (
     GradientAccumulator,
     VarianceBound,
     error_bound,
+    trajectory_scores,
     variance_bound,
 )
-from .mdp import Environment, sample_trajectory
+from .mdp import Environment, sample_block, sample_trajectory
 from .policies import SmoothingConstants
 from .rng import substream
 
@@ -215,6 +217,72 @@ def check_schedule(
         )
 
 
+# Rows per sampled block: the rule's current shortfall, clamped to these
+# bounds and to both trajectory caps.  Records do not depend on them.  A
+# block holds a few (rows, T, m) arrays; at 512 rows the chain config's
+# peak RSS grows by ~1 MB over one-at-a-time sampling, at 4096 by ~6 MB,
+# at the same speed.
+_MIN_BLOCK = 64
+_MAX_BLOCK = 512
+
+
+def _rollout(env, policy, theta: np.ndarray):
+    """rngs -> (rewards (n, T), scores (n, T, m)) for one episode per generator.
+
+    Environments and policies with array methods are stepped as a block;
+    any other pair falls back to ``sample_trajectory`` one row at a time.
+    Either way row i is the episode ``sample_trajectory`` returns for
+    ``rngs[i]``.
+    """
+    actor = None
+    if hasattr(env, "step_batch") and hasattr(policy, "actor"):
+        actor = policy.actor(theta, env.n_states)
+    if actor is not None:
+        return lambda rngs: sample_block(env, actor, rngs)
+
+    def one_at_a_time(rngs):
+        trajs = [sample_trajectory(env, policy, theta, rng) for rng in rngs]
+        rewards = np.stack([np.asarray(t.rewards, dtype=float) for t in trajs])
+        return rewards, np.stack([trajectory_scores(t, policy, theta) for t in trajs])
+
+    return one_at_a_time
+
+
+def _first_certified(eps_delta: float):
+    """stop(counts, estimates) for ``GradientAccumulator.add_block``: the first
+    row whose prefix meets N >= required_batch_size(||estimate||, eps_delta).
+
+    A vectorized screen with slack picks the candidate rows; each is then
+    decided by the rule itself on ``np.linalg.norm`` of the estimate, the
+    norm ``finalize`` reports, so the stop is the one a check after every
+    trajectory finds.
+    """
+    floor = 4.0 * eps_delta**2 * (1.0 - 1e-9)
+
+    def stop(counts: np.ndarray, estimates: np.ndarray) -> "int | None":
+        with np.errstate(over="ignore"):
+            squares = np.einsum("ij,ij->i", estimates, estimates)
+        for i in np.flatnonzero((squares > 0.0) & (counts * squares >= floor)):
+            needed = required_batch_size(float(np.linalg.norm(estimates[i])), eps_delta)
+            if needed is not None and counts[i] >= needed:
+                return int(i)
+        return None
+
+    return stop
+
+
+def _block_size(acc: GradientAccumulator, eps_delta: float) -> int:
+    """Rows to sample next: the rule's shortfall at the current estimate."""
+    shortfall = _MAX_BLOCK
+    if acc.count == 0:
+        shortfall = _MIN_BLOCK
+    else:
+        norm = acc.finalize().norm
+        if norm > 0.0 and eps_delta / norm < 1e6:
+            shortfall = math.ceil(4.0 * (eps_delta / norm) ** 2) - acc.count
+    return min(max(shortfall, _MIN_BLOCK), _MAX_BLOCK)
+
+
 def spg_run(
     env: Environment,
     policy,
@@ -229,13 +297,17 @@ def spg_run(
 ) -> RunResult:
     """Safe policy gradient: the adaptive rule, or a fixed (alpha, N) for comparison.
 
-    With ``fixed=None`` each iteration collects trajectories one at a time,
-    recomputing the estimate after each, until N >= ceil(4 eps^2 /
-    ||grad_est||^2), then updates theta with the constant step 1/(2L).  An
-    iteration that hits ``max_trajectories_per_iteration`` before satisfying
-    the rule stalls: theta is left unchanged (a safe no-op) and the run moves
-    on.  Hitting ``max_total_trajectories`` ends the run.  Certified updates
-    use the zero baseline, for which the error bound is proven.
+    With ``fixed=None`` each iteration samples blocks of trajectories
+    (trajectory i of iteration k from ``substream(seed, k, i)``) and stops at
+    the first prefix with N >= ceil(4 eps^2 / ||grad_est||^2), the estimate
+    taken over that prefix; rows past it are dropped and not counted.  It
+    then updates theta with the constant step 1/(2L).  The records are
+    those of checking the rule after every trajectory, whatever the block
+    sizes.  An iteration that hits ``max_trajectories_per_iteration`` before
+    satisfying the rule stalls: theta is left unchanged (a safe no-op) and
+    the run moves on.  Hitting ``max_total_trajectories`` ends the run.
+    Certified updates use the zero baseline, for which the error bound is
+    proven.
 
     With ``fixed`` given, every iteration takes exactly ``fixed.batch_size``
     trajectories and the step ``fixed.alpha``, estimated with ``baseline``.
@@ -246,6 +318,10 @@ def spg_run(
     theta = np.asarray(theta0, dtype=float).copy()
     if not np.all(np.isfinite(theta)):
         raise ConfigurationError("theta0 must be finite")
+    if theta.shape != (policy.dim,):
+        raise ConfigurationError(
+            f"theta has shape {theta.shape}, policy expects ({policy.dim},)"
+        )
     if n_iterations < 1:
         raise ConfigurationError(f"n_iterations must be >= 1, got {n_iterations}")
     check_schedule(fixed, limits, baseline)
@@ -261,6 +337,7 @@ def spg_run(
     else:
         alpha = 1.0 / (2.0 * lip.value)
     gamma = env.spec.gamma
+    stop = None if fixed is not None else _first_certified(err.eps_delta)
 
     records: list[RunRecord] = []
     thetas = [theta.copy()]
@@ -269,21 +346,25 @@ def spg_run(
         if fixed is not None and total + fixed.batch_size > limits.max_total_trajectories:
             break
         acc = GradientAccumulator(policy, theta, gamma, kind, baseline)
+        rollout = _rollout(env, policy, theta)
         stalled = False
         while True:
-            if acc.count >= limits.max_trajectories_per_iteration or (
-                total >= limits.max_total_trajectories
-            ):
+            room = min(
+                limits.max_trajectories_per_iteration - acc.count,
+                limits.max_total_trajectories - total,
+            )
+            if room <= 0:
                 stalled = True
                 break
-            traj = sample_trajectory(env, policy, theta, substream(seed, k, acc.count))
-            acc.add_trajectory(traj)
-            total += 1
             if fixed is None:
-                needed = required_batch_size(acc.finalize().norm, err.eps_delta)
+                size = _block_size(acc, err.eps_delta)
             else:
-                needed = fixed.batch_size
-            if needed is not None and acc.count >= needed:
+                size = min(fixed.batch_size - acc.count, _MAX_BLOCK)
+            first = acc.count
+            rngs = (substream(seed, k, i) for i in range(first, first + min(size, room)))
+            met = acc.add_block(*rollout(rngs), stop=stop)
+            total += acc.count - first
+            if met or (fixed is not None and acc.count >= fixed.batch_size):
                 break
         if acc.count == 0:
             # total cap exhausted before this iteration could sample anything

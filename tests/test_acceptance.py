@@ -119,13 +119,18 @@ def test_08_spg_monotonicity(bandit):
             after = exact_performance(bandit.mdp, bandit.policy, result.thetas[k + 1])
             if after - before < record.guaranteed_improvement:
                 violations += 1
-    rate = violations / updates
-    ok = updates == n_seeds * iterations and rate <= delta + 0.1
+    # one-sided binomial test at delta: each certified update may fail with
+    # probability at most delta, so this many failures must not be unlikely
+    tail = sum(
+        math.comb(updates, i) * delta**i * (1.0 - delta) ** (updates - i)
+        for i in range(violations, updates + 1)
+    )
+    ok = updates == n_seeds * iterations and tail >= 0.01
     report(
         "08 spg-monotonicity",
         ok,
         f"{violations}/{updates} updates below the certified bound "
-        f"(rate {rate:.4f}, allowed {delta + 0.1:.2f})",
+        f"(P(Bin({updates}, {delta}) >= {violations}) = {tail:.3g}, must be >= 0.01)",
     )
 
 

@@ -338,3 +338,80 @@ class TestFeatureMaps:
     def test_tabular_state_action(self):
         features = TabularFeatures(2, 2)
         assert np.argmax(features(1, 0)) == 2
+
+
+class TestActors:
+    """A policy frozen at theta acts on arrays of states as the scalar methods do, bit for bit."""
+
+    GAUSSIANS = {
+        "poly1": (
+            GaussianPolicy(PolynomialFeatures(1), 1.0, 0.5),
+            lambda r, n: r.uniform(-1, 1, n),
+        ),
+        "poly3": (
+            GaussianPolicy(PolynomialFeatures(3, scale=0.7), 2.0, 0.3),
+            lambda r, n: r.uniform(-1, 1, n),
+        ),
+        "state-tabular": (
+            GaussianPolicy(StateTabularFeatures(4), 1.0, 0.8),
+            lambda r, n: r.integers(0, 4, n),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(GAUSSIANS))
+    def test_gaussian_actor_matches_scalar_methods(self, name):
+        policy, draw_states = self.GAUSSIANS[name]
+        rng = substream(60, 0)
+        theta = random_theta(rng, policy.dim, scale=2.0)
+        states = draw_states(rng, 200)
+        actor = policy.actor(theta)
+        z = np.array([substream(60, 1, i).standard_normal() for i in range(200)])
+        actions = actor.sample(states, z)
+        expected = [
+            policy.sample_action(theta, s, substream(60, 1, i)) for i, s in enumerate(states)
+        ]
+        np.testing.assert_array_equal(actions, expected)
+        grid = (states.reshape(20, 10), actions.reshape(20, 10))
+        scores = [policy.score(theta, s, a) for s, a in zip(states, actions)]
+        np.testing.assert_array_equal(actor.score(*grid), np.reshape(scores, (20, 10, policy.dim)))
+
+    def test_softmax_actor_matches_scalar_methods(self):
+        policy = SoftmaxPolicy(TabularFeatures(3, 2), feature_bound=1.0, tau=0.7, n_actions=2)
+        rng = substream(61, 0)
+        theta = random_theta(rng, policy.dim, scale=2.0)
+        states = rng.integers(0, 3, 300)
+        actor = policy.actor(theta, 3)
+        u = np.array([substream(61, 1, i).random() for i in range(300)])
+        actions = actor.sample(states, u)
+        expected = [
+            policy.sample_action(theta, s, substream(61, 1, i)) for i, s in enumerate(states)
+        ]
+        np.testing.assert_array_equal(actions, expected)
+        scores = [policy.score(theta, s, a) for s, a in zip(states, actions)]
+        np.testing.assert_array_equal(actor.score(states, actions), scores)
+
+    def test_softmax_needs_a_state_count(self):
+        assert bandit_softmax().actor(np.zeros(1)) is None
+
+
+class TestActionProbabilityMemo:
+    def test_memo_follows_theta_and_is_read_only(self):
+        policy = SoftmaxPolicy(TabularFeatures(2, 3), feature_bound=1.0, tau=1.0, n_actions=3)
+        theta = np.linspace(-1.0, 1.0, 6)
+        first = policy.action_probabilities(theta, 1)
+        assert policy.action_probabilities(theta.copy(), np.int64(1)) is first
+        with pytest.raises(ValueError):
+            first[0] = 0.5
+        moved = policy.action_probabilities(2.0 * theta, 1)
+        assert moved is not first and not np.array_equal(moved, first)
+        np.testing.assert_array_equal(policy.action_probabilities(theta, 1), first)
+
+    def test_non_integer_states_are_not_memoised(self):
+        policy = SoftmaxPolicy(
+            lambda s, a: np.array([s * (a == 0)]), feature_bound=1.0, tau=1.0, n_actions=2
+        )
+        policy.features.dim = 1
+        theta = np.ones(1)
+        low = policy.action_probabilities(theta, 0.25)
+        high = policy.action_probabilities(theta, 0.75)
+        assert low[0] < high[0]

@@ -1,16 +1,33 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from spgrad.errors import ConfigurationError
-from spgrad.mdp import EnumerableEnv, MdpSpec, make_bandit
-from spgrad.oracle import exact_gradient, exact_performance, grid_maximize
+import spgrad.safe_updates as safe_updates
+from spgrad.errors import ConfigurationError, NumericError
+from spgrad.estimators import (
+    BaselineKind,
+    EstimatorKind,
+    GradientAccumulator,
+    error_bound,
+    variance_bound,
+)
+from spgrad.mdp import (
+    EnumerableEnv,
+    Lqg1dConfig,
+    MdpSpec,
+    make_bandit,
+    make_lqg1d,
+    sample_trajectory,
+)
+from spgrad.oracle import grid_maximize
 from spgrad.policies import GaussianPolicy, PolynomialFeatures, SmoothingConstants, TabularFeatures, SoftmaxPolicy
 from spgrad.rng import substream
 from spgrad.safe_updates import (
     MetaParams,
     RunLimits,
+    RunRecord,
     exact_improvement_bound,
     lipschitz_constant,
     optimal_step_and_batch,
@@ -19,8 +36,13 @@ from spgrad.safe_updates import (
     spg_run,
     stochastic_improvement_bound,
 )
-
-from conftest import random_theta
+from spgrad.testbeds import (
+    bandit_instance,
+    binned_gaussian_instance,
+    chain_instance,
+    lqg_instance,
+    two_state_instance,
+)
 
 
 class TestLipschitzConstant:
@@ -226,6 +248,12 @@ class TestSpgRun:
         for a, b in zip(first.thetas, second.thetas):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("name", ["bandit", "lqg"])
+    def test_theta_of_wrong_shape_rejected(self, name):
+        env, policy = INSTANCES[name]()
+        with pytest.raises(ConfigurationError, match="policy expects"):
+            spg_run(env, policy, np.zeros(policy.dim + 1), n_iterations=1, delta=0.5, seed=0)
+
     def test_zero_lipschitz_rejected(self, bandit):
         degenerate = SoftmaxPolicy(
             TabularFeatures(1, 2), feature_bound=0.0, tau=1.0, n_actions=2
@@ -254,32 +282,195 @@ class TestFixedMetaRun:
         assert len(result.records) == 2
 
 
-class TestOracleBackedGuarantees:
-    # Smaller-count versions of the acceptance checks, for fast feedback.
-
-    def test_quadratic_bound(self, two_state):
-        lip = lipschitz_constant(two_state.policy.smoothing_constants(), two_state.mdp.spec)
-        rng = substream(41, 0)
-        for _ in range(40):
-            theta = random_theta(rng, two_state.policy.dim)
-            step = rng.standard_normal(4)
-            step *= rng.uniform(0.05, 1.0) / np.linalg.norm(step)
-            grad = exact_gradient(two_state.mdp, two_state.policy, theta).grad
-            deviation = abs(
-                exact_performance(two_state.mdp, two_state.policy, theta + step)
-                - exact_performance(two_state.mdp, two_state.policy, theta)
-                - float(step @ grad)
+def one_at_a_time(
+    env, policy, theta0, n_iterations, delta, kind, limits, seed, fixed=None, baseline="zero"
+):
+    """(records, thetas) of the rule checked after every single trajectory."""
+    theta = np.asarray(theta0, dtype=float).copy()
+    constants = policy.smoothing_constants()
+    lip = lipschitz_constant(constants, env.spec).value
+    eps = error_bound(variance_bound(kind, env.spec, constants.kappa), delta).eps_delta
+    alpha = 1.0 / (2.0 * lip) if fixed is None else fixed.alpha
+    records, thetas, total = [], [theta.copy()], 0
+    for k in range(n_iterations):
+        if fixed is not None and total + fixed.batch_size > limits.max_total_trajectories:
+            break
+        acc = GradientAccumulator(policy, theta, env.spec.gamma, kind, baseline)
+        stalled = False
+        while True:
+            if (
+                acc.count >= limits.max_trajectories_per_iteration
+                or total >= limits.max_total_trajectories
+            ):
+                stalled = True
+                break
+            acc.add_trajectory(sample_trajectory(env, policy, theta, substream(seed, k, acc.count)))
+            total += 1
+            if fixed is None:
+                needed = required_batch_size(acc.finalize().norm, eps)
+            else:
+                needed = fixed.batch_size
+            if needed is not None and acc.count >= needed:
+                break
+        if acc.count == 0:
+            break
+        estimate = acc.finalize()
+        guaranteed = 0.0
+        if not stalled:
+            if fixed is None:
+                guaranteed = estimate.norm**2 / (8.0 * lip)
+            theta = theta + alpha * estimate.vector
+        records.append(
+            RunRecord(
+                iteration=k,
+                batch_size=acc.count,
+                alpha=alpha,
+                grad_norm=estimate.norm,
+                j_hat=acc.mean_return(),
+                guaranteed_improvement=guaranteed,
+                cum_trajectories=total,
+                stalled=stalled,
             )
-            assert deviation <= lip.value / 2 * float(step @ step) + 1e-9
+        )
+        thetas.append(theta.copy())
+        if total >= limits.max_total_trajectories:
+            break
+    return records, thetas
 
-    def test_exact_step_guarantee(self, two_state):
-        lip = lipschitz_constant(two_state.policy.smoothing_constants(), two_state.mdp.spec)
-        alpha = optimal_step_exact(lip).alpha
-        rng = substream(41, 1)
-        for _ in range(30):
-            theta = random_theta(rng, two_state.policy.dim)
-            grad = exact_gradient(two_state.mdp, two_state.policy, theta).grad
-            improvement = exact_performance(
-                two_state.mdp, two_state.policy, theta + alpha * grad
-            ) - exact_performance(two_state.mdp, two_state.policy, theta)
-            assert improvement >= float(grad @ grad) / (2 * lip.value) - 1e-9
+
+def _discrete(build):
+    def make():
+        inst = build()
+        return inst.env, inst.policy
+
+    return make
+
+
+INSTANCES = {
+    "bandit": _discrete(bandit_instance),
+    "chain": _discrete(chain_instance),
+    "two-state": _discrete(two_state_instance),
+    "binned-gaussian": _discrete(binned_gaussian_instance),
+    "lqg": lqg_instance,
+}
+
+
+def assert_same_run(result, records, thetas):
+    assert result.records == records
+    assert len(result.thetas) == len(thetas)
+    for got, want in zip(result.thetas, thetas):
+        np.testing.assert_array_equal(got, want)
+
+
+class TestBlockSamplingIsExact:
+    """spg_run samples blocks; its records equal the one-at-a-time loop's."""
+
+    LIMITS = RunLimits(max_trajectories_per_iteration=2500, max_total_trajectories=5000)
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("name", list(INSTANCES))
+    def test_certified_run_matches_reference(self, name, kind):
+        # delta = 0.9 keeps N small enough that most cases certify updates;
+        # chain and two-state GPOMDP stall at the per-iteration cap
+        env, policy = INSTANCES[name]()
+        theta0 = np.full(policy.dim, 0.3)
+        args = (env, policy, theta0, 3, 0.9, kind, self.LIMITS, 11)
+        records, thetas = one_at_a_time(*args)
+        result = spg_run(*args[:5], estimator_kind=kind, limits=self.LIMITS, seed=11)
+        assert_same_run(result, records, thetas)
+        assert records[-1].cum_trajectories <= self.LIMITS.max_total_trajectories
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("name", ["chain", "binned-gaussian", "lqg"])
+    def test_fixed_schedule_with_peters_baseline(self, name, kind):
+        env, policy = INSTANCES[name]()
+        fixed = MetaParams(alpha=0.05, batch_size=700)
+        limits = RunLimits(max_trajectories_per_iteration=1000, max_total_trajectories=2500)
+        theta0 = np.zeros(policy.dim)
+        records, thetas = one_at_a_time(
+            env, policy, theta0, 4, 0.5, kind, limits, 5, fixed, BaselineKind.PETERS
+        )
+        result = spg_run(
+            env, policy, theta0, 4, 0.5, estimator_kind=kind, limits=limits, seed=5,
+            fixed=fixed, baseline=BaselineKind.PETERS,
+        )
+        assert_same_run(result, records, thetas)
+        assert [r.batch_size for r in records] == [700, 700, 700]
+
+    def test_per_iteration_cap_stall(self):
+        env, policy = INSTANCES["chain"]()
+        limits = RunLimits(max_trajectories_per_iteration=300, max_total_trajectories=10_000)
+        args = (env, policy, np.zeros(policy.dim), 2, 0.5, EstimatorKind.GPOMDP, limits, 3)
+        records, thetas = one_at_a_time(*args)
+        assert [(r.batch_size, r.stalled) for r in records] == [(300, True), (300, True)]
+        assert_same_run(spg_run(*args[:5], limits=limits, seed=3), records, thetas)
+
+    def test_total_cap_hit_mid_iteration(self):
+        env, policy = INSTANCES["bandit"]()
+        limits = RunLimits(max_trajectories_per_iteration=100_000, max_total_trajectories=3000)
+        args = (env, policy, np.zeros(policy.dim), 5, 0.5, EstimatorKind.GPOMDP, limits, 8)
+        records, thetas = one_at_a_time(*args)
+        assert not records[0].stalled
+        assert records[-1].stalled and records[-1].cum_trajectories == 3000
+        assert 0 < records[-1].batch_size < 3000
+        assert_same_run(spg_run(*args[:5], limits=limits, seed=8), records, thetas)
+
+    @pytest.mark.parametrize("name", ["bandit", "lqg"])
+    def test_block_bound_does_not_change_records(self, name, monkeypatch):
+        env, policy = INSTANCES[name]()
+        limits = RunLimits(max_trajectories_per_iteration=2000, max_total_trajectories=5000)
+        runs = []
+        for bound in (1, 7, 4096):
+            monkeypatch.setattr(safe_updates, "_MAX_BLOCK", bound)
+            runs.append(
+                spg_run(env, policy, np.full(policy.dim, 0.2), 3, 0.5, limits=limits, seed=21)
+            )
+        for other in runs[1:]:
+            assert_same_run(other, runs[0].records, runs[0].thetas)
+
+    def test_scalar_only_objects_fall_back_to_sample_trajectory(self):
+        env, policy = INSTANCES["chain"]()
+
+        class ScalarEnv:  # reset/step only: no array methods
+            spec = env.spec
+            reset = env.reset
+            step = env.step
+
+        limits = RunLimits(max_trajectories_per_iteration=800, max_total_trajectories=2000)
+        args = (np.zeros(policy.dim), 2, 0.5)
+        block = spg_run(env, policy, *args, limits=limits, seed=4)
+        fallback = spg_run(ScalarEnv(), policy, *args, limits=limits, seed=4)
+        assert_same_run(fallback, block.records, block.thetas)
+
+
+class TestBlockPathErrors:
+    """Typed errors from the array methods, with no numpy warning."""
+
+    @pytest.fixture(autouse=True)
+    def no_scalar_rollout(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("spg_run left the block path")
+
+        monkeypatch.setattr(safe_updates, "sample_trajectory", refuse)
+
+    @staticmethod
+    def run_lqg(policy, theta0, **kwargs):
+        env = make_lqg1d(Lqg1dConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return spg_run(env, policy, np.asarray(theta0), 1, 0.5, seed=2, **kwargs)
+
+    def test_gaussian_mean_overflow(self):
+        policy = GaussianPolicy(PolynomialFeatures(1, scale=2.0), feature_bound=2.0, sigma=0.5)
+        with pytest.raises(NumericError, match="non-finite policy mean"):
+            self.run_lqg(policy, [1e308])
+
+    def test_feature_bound_breach(self):
+        policy = GaussianPolicy(PolynomialFeatures(1), feature_bound=0.5, sigma=0.5)
+        with pytest.raises(ConfigurationError, match="exceeds feature_bound"):
+            self.run_lqg(policy, [0.0])
+
+    def test_non_finite_lqg_action(self):
+        policy = GaussianPolicy(PolynomialFeatures(1), feature_bound=1.0, sigma=1e308)
+        with pytest.raises(NumericError, match="non-finite action"):
+            self.run_lqg(policy, [0.0], fixed=MetaParams(alpha=0.1, batch_size=50))
