@@ -5,8 +5,11 @@ Two estimators over a batch of N trajectories:
   REINFORCE:  mean_i (sum_t gamma^t r_t^i - b) * (sum_t score_t^i)
   GPOMDP:     mean_i sum_t (gamma^t r_t^i - b_t) * (sum_{h<=t} score_h^i)
 
-with either a zero baseline or the component-wise variance-minimizing
-baselines of Peters & Schaal estimated from the batch.  Single-trajectory
+Both pair K reward terms r_k with K score terms c_k per trajectory and
+average sum_k (r_k - b_k) c_k: REINFORCE is the one-step case (K = 1, the
+discounted return and the summed score), GPOMDP has K = T.  The baseline
+is zero or the component-wise variance-minimizing one of Peters & Schaal,
+b_k = E[r_k c_k^2] / E[c_k^2], estimated from the batch.  Single-trajectory
 variance is bounded by a closed-form nu^2 (so Var <= nu^2 / N), which a
 Chebyshev argument turns into the high-probability estimation error
 eps_delta = sqrt(nu^2 / delta).
@@ -127,28 +130,12 @@ class GradientAccumulator:
         self.kind = EstimatorKind(kind)
         self.baseline = BaselineKind(baseline)
         self.count = 0
-        self.weight_sum = 0.0
         self.horizon: int | None = None
-        self.return_sum = 0.0  # running sum of discounted returns, for J-hat logging
-        m = policy.dim
-        self._sum_g = np.zeros(m)  # per-trajectory gradient terms, zero baseline
-        if self.baseline is BaselineKind.PETERS:
-            if self.kind is EstimatorKind.REINFORCE:
-                self._sum_s = np.zeros(m)
-                self._sum_s2 = np.zeros(m)
-                self._sum_gs2 = np.zeros(m)
-            else:
-                self._peters_arrays: tuple[np.ndarray, ...] | None = None
-
-    def _ensure_gpomdp_arrays(self, horizon: int) -> None:
-        if self._peters_arrays is None:
-            m = self.policy.dim
-            self._peters_arrays = (
-                np.zeros((horizon, m)),  # sum of gamma^t r_t * C
-                np.zeros((horizon, m)),  # sum of C
-                np.zeros((horizon, m)),  # sum of gamma^t r_t * C^2
-                np.zeros((horizon, m)),  # sum of C^2
-            )
+        # weighted totals, each 0.0 until its first term: the return (for
+        # J-hat logging), the zero-baseline gradient (m,), and under Peters
+        # the (K, m) totals of r c, c, r c^2 and c^2
+        self.weight_sum = self.return_sum = self._sum_g = 0.0
+        self._sum_rc = self._sum_c = self._sum_rc2 = self._sum_c2 = 0.0
 
     def add_trajectory(self, traj: Trajectory, weight: float = 1.0) -> "GradientAccumulator":
         actor = self.policy.actor(self.theta) if hasattr(self.policy, "actor") else None
@@ -195,27 +182,20 @@ class GradientAccumulator:
             raise ValueError(
                 f"trajectory has horizon {horizon}, accumulator expects {self.horizon}"
             )
+        # reward terms r (n, K) and score terms c (n, K, m)
         if self.kind is EstimatorKind.REINFORCE:
             # one dot per row: a matrix product may order the sum differently
-            g = np.array([float(np.dot(self._discount, r)) for r in rewards])
-            s = scores.sum(axis=1)
-            wg = weights * g
-            terms = {"return_sum": wg, "_sum_g": wg[:, None] * s}
-            if self.baseline is BaselineKind.PETERS:
-                ws = weights[:, None] * s
-                ws2 = ws * s
-                terms.update(_sum_s=ws, _sum_s2=ws2, _sum_gs2=g[:, None] * ws2)
+            r = np.array([[float(np.dot(self._discount, row))] for row in rewards])
+            c = scores.sum(axis=1, keepdims=True)
         else:
-            wdisc = weights[:, None] * (self._discount * rewards)
-            cum = np.cumsum(scores, axis=1)
-            rc = wdisc[:, :, None] * cum
-            terms = {"return_sum": wdisc.sum(axis=1), "_sum_g": rc.sum(axis=1)}
-            if self.baseline is BaselineKind.PETERS:
-                self._ensure_gpomdp_arrays(horizon)
-                sq = cum**2
-                w = weights[:, None, None]
-                peters = (rc, w * cum, wdisc[:, :, None] * sq, w * sq)
-        terms["weight_sum"] = weights
+            r = self._discount * rewards
+            c = np.cumsum(scores, axis=1)
+        wr = weights[:, None] * r
+        rc = wr[:, :, None] * c
+        terms = {"weight_sum": weights, "return_sum": wr.sum(axis=1), "_sum_g": rc.sum(axis=1)}
+        if self.baseline is BaselineKind.PETERS:
+            w, c2 = weights[:, None, None], c**2
+            terms.update(_sum_rc=rc, _sum_c=w * c, _sum_rc2=wr[:, :, None] * c2, _sum_c2=w * c2)
         running = {name: _running(getattr(self, name), term) for name, term in terms.items()}
         keep, stopped = n, False
         if stop is not None:
@@ -230,10 +210,6 @@ class GradientAccumulator:
         for name, values in running.items():
             value = values[keep - 1]
             setattr(self, name, float(value) if values.ndim == 1 else value.copy())
-        if self.baseline is BaselineKind.PETERS and self.kind is EstimatorKind.GPOMDP:
-            self._peters_arrays = tuple(
-                _running(total, term[:keep])[-1] for total, term in zip(self._peters_arrays, peters)
-            )
         self.count += keep
         return stopped
 
@@ -245,22 +221,12 @@ class GradientAccumulator:
     def finalize(self) -> GradientEstimate:
         if self.count == 0:
             raise ValueError("cannot finalize an empty accumulator")
-        n = self.weight_sum
         if self.baseline is BaselineKind.ZERO:
-            vector = self._sum_g / n
-        elif self.kind is EstimatorKind.REINFORCE:
-            b = np.where(
-                self._sum_s2 > _PETERS_DENOM_FLOOR,
-                self._sum_gs2 / np.maximum(self._sum_s2, _PETERS_DENOM_FLOOR),
-                0.0,
-            )
-            vector = (self._sum_g - b * self._sum_s) / n
+            vector = self._sum_g / self.weight_sum
         else:
-            sum_rc, sum_c, sum_rc2, sum_c2 = self._peters_arrays
-            b = np.where(
-                sum_c2 > _PETERS_DENOM_FLOOR, sum_rc2 / np.maximum(sum_c2, _PETERS_DENOM_FLOOR), 0.0
-            )
-            vector = (sum_rc - b * sum_c).sum(axis=0) / n
+            c2, floor = self._sum_c2, _PETERS_DENOM_FLOOR
+            b = np.where(c2 > floor, self._sum_rc2 / np.maximum(c2, floor), 0.0)
+            vector = (self._sum_rc - b * self._sum_c).sum(axis=0) / self.weight_sum
         if not np.all(np.isfinite(vector)):
             raise NumericError("gradient estimate is not finite")
         return GradientEstimate(
@@ -272,10 +238,13 @@ class GradientAccumulator:
 
 
 def _running(total, terms: np.ndarray) -> np.ndarray:
-    """total + terms[0], total + terms[0] + terms[1], ...: sums in row order."""
+    """total + terms[0], total + terms[0] + terms[1], ...: sums in row order.
+
+    ``total`` is a running total or its 0.0 start, broadcast to a term's shape.
+    """
     if len(terms) == 1:
         return total + terms
-    start = np.asarray(total, dtype=float)[None]
+    start = np.broadcast_to(total, terms.shape[1:])[None]
     return np.cumsum(np.concatenate((start, terms)), axis=0)[1:]
 
 

@@ -233,8 +233,10 @@ def grid_maximize(
     """Brute-force argmax of a bound surface on a regular grid.
 
     With ``n_range`` given, ``bound_fn(alpha, n)`` is maximized over the 2-D
-    grid; otherwise ``bound_fn(alpha)`` over the 1-D grid.  Used to confirm
-    closed-form optimal meta-parameters against an independent search.
+    grid, called once per alpha with the array of every n; otherwise
+    ``bound_fn(alpha)`` is called once on the array of every alpha.  The
+    first maximum in row-major order wins.  Used to confirm closed-form
+    optimal meta-parameters against an independent search.
     """
     lo, hi = alpha_range
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
@@ -243,7 +245,7 @@ def grid_maximize(
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     alphas = np.linspace(lo, hi, resolution)
     if n_range is None:
-        values = [bound_fn(a) for a in alphas]
+        values = np.broadcast_to(bound_fn(alphas), alphas.shape)
         best = int(np.argmax(values))
         return float(alphas[best]), None, float(values[best])
     n_lo, n_hi = n_range
@@ -253,9 +255,10 @@ def grid_maximize(
     best_val = -np.inf
     best_alpha = alphas[0]
     best_n = ns[0]
+    # row by row: the whole grid would hold resolution^2 values at once
     for a in alphas:
-        for n in ns:
-            val = bound_fn(a, n)
-            if val > best_val:
-                best_val, best_alpha, best_n = val, a, n
+        row = np.broadcast_to(bound_fn(a, ns), ns.shape)
+        j = int(np.argmax(row))
+        if row[j] > best_val:
+            best_val, best_alpha, best_n = row[j], a, ns[j]
     return float(best_alpha), float(best_n), float(best_val)

@@ -87,8 +87,8 @@ def _l_value(lip: "LipschitzConstant | float") -> float:
 def exact_improvement_bound(
     alpha: float, grad_norm: float, lip: "LipschitzConstant | float"
 ) -> ImprovementBound:
-    """Guaranteed improvement of an exact-gradient update of step alpha."""
-    if alpha < 0 or grad_norm < 0:
+    """Guaranteed improvement of an exact-gradient update of step alpha (elementwise on arrays)."""
+    if np.any(alpha < 0) or np.any(grad_norm < 0):
         raise ValueError("alpha and grad_norm must be non-negative")
     l = _l_value(lip)
     value = alpha * grad_norm**2 - alpha**2 * (l / 2.0) * grad_norm**2
@@ -115,13 +115,14 @@ def stochastic_improvement_bound(
 
     The max term keeps the bound valid on both sides of the estimation
     error: its first argument applies when the estimated norm exceeds
-    eps_delta/sqrt(N), the second otherwise.
+    eps_delta/sqrt(N), the second otherwise.  Array arguments give the
+    bound elementwise.
     """
-    if min(alpha, grad_est_norm, eps_delta) < 0 or batch_size < 1:
+    if any(np.any(x < 0) for x in (alpha, grad_est_norm, eps_delta)) or np.any(batch_size < 1):
         raise ValueError("inputs must be non-negative with batch_size >= 1")
     l = _l_value(lip)
-    err = eps_delta / math.sqrt(batch_size)
-    anticipated = max(grad_est_norm, (grad_est_norm + err) / 2.0)
+    err = eps_delta / np.sqrt(batch_size)
+    anticipated = np.maximum(grad_est_norm, (grad_est_norm + err) / 2.0)
     value = alpha * (grad_est_norm - err) * anticipated - alpha**2 * l * grad_est_norm**2 / 2.0
     return ImprovementBound(value=value, confidence=1.0 - delta)
 

@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -7,9 +8,13 @@ import yaml
 from spgrad.cli import EXIT_CONFIG, EXIT_OK, EXIT_SKIPPED, main
 from spgrad.config import load_config, parse_config, build_experiment
 from spgrad.errors import ConfigurationError
-from spgrad.mdp import MdpSpec
+from spgrad.estimators import ErrorBound, EstimatorKind, GradientAccumulator, variance_bound
+from spgrad.mdp import MdpSpec, sample_trajectory
+from spgrad.oracle import exact_gradient
 from spgrad.policies import SoftmaxPolicy, TabularFeatures
+from spgrad.rng import substream
 from spgrad.runlog import read_run_csv
+from spgrad.testbeds import two_state_instance
 from spgrad.validate import check_hessian_bound, check_quadratic_bound, run_validation
 
 
@@ -192,6 +197,82 @@ class TestValidateCommand:
         assert main(["validate"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out and "SKIP" not in out
+
+
+class TestValidateSampling:
+    """The sampled helpers against references that score each trajectory
+    once per kind with ``add_trajectory``, at small sizes."""
+
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        """Counts trajectories drawn through validate's ``sample_trajectory``."""
+        import spgrad.validate as validate
+
+        count = {"calls": 0}
+
+        def counting(*args):
+            count["calls"] += 1
+            return sample_trajectory(*args)
+
+        monkeypatch.setattr(validate, "sample_trajectory", counting)
+        return count
+
+    def test_variance_ratios_match_reference(self, sampled):
+        import spgrad.validate as validate
+
+        class ResetStepOnly:
+            """An environment with no state count, so the policy scores step by step."""
+
+            def __init__(self, env):
+                self.spec, self.reset, self.step = env.spec, env.reset, env.step
+
+        setups = list(validate.variance_setups().values())
+        env, policy, theta = setups[1]
+        setups.append((ResetStepOnly(env), policy, theta))
+        n = 30
+        for idx, (env, policy, theta) in enumerate(setups):
+            sums = {kind: np.zeros(policy.dim) for kind in EstimatorKind}
+            sq_sums = {kind: 0.0 for kind in EstimatorKind}
+            for i in range(n):
+                traj = sample_trajectory(env, policy, theta, substream(5, 9, idx, i))
+                for kind in EstimatorKind:
+                    acc = GradientAccumulator(policy, theta, env.spec.gamma, kind)
+                    g = acc.add_trajectory(traj).finalize().vector
+                    sums[kind] += g
+                    sq_sums[kind] += float(np.dot(g, g))
+            kappa = policy.smoothing_constants().kappa
+            expected = {}
+            for kind in EstimatorKind:
+                mean = sums[kind] / n
+                trace_var = sq_sums[kind] / n - float(np.dot(mean, mean))
+                expected[kind] = trace_var / variance_bound(kind, env.spec, kappa).nu_squared
+            calls = sampled["calls"]
+            assert validate.variance_ratios((env, policy, theta), 5, n, 9, idx) == expected
+            assert sampled["calls"] - calls == n
+
+    def test_chebyshev_violations_match_reference(self, monkeypatch, sampled):
+        import spgrad.validate as validate
+
+        # a radius of 2 delta / sqrt(25) puts every rate strictly inside (0, 1)
+        monkeypatch.setattr(validate, "error_bound", lambda vb, delta: ErrorBound(delta, 2 * delta))
+        inst = two_state_instance()
+        theta = np.zeros(inst.policy.dim)
+        exact = exact_gradient(inst.mdp, inst.oracle_policy, theta).grad
+        kinds, n, gamma = tuple(EstimatorKind), 40, inst.mdp.spec.gamma
+        violations = {(kind, delta): 0 for kind in kinds for delta in (0.1, 0.5)}
+        for i in range(n):
+            accs = {kind: GradientAccumulator(inst.policy, theta, gamma, kind) for kind in kinds}
+            for j in range(25):
+                traj = sample_trajectory(inst.env, inst.policy, theta, substream(5, 10, i, j))
+                for acc in accs.values():
+                    acc.add_trajectory(traj)
+            for kind, delta in violations:
+                err = np.linalg.norm(accs[kind].finalize().vector - exact)
+                violations[kind, delta] += err > 2 * delta / math.sqrt(25)
+        expected = {pair: count / n for pair, count in violations.items()}
+        assert all(0.0 < rate < 1.0 for rate in expected.values())
+        assert validate.chebyshev_violations(10**6, 5, n, kinds, 10) == expected
+        assert sampled["calls"] == 25 * n
 
 
 class TestSweepCommand:

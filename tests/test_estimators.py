@@ -11,6 +11,7 @@ from spgrad.estimators import (
     gpomdp_terms,
     reinforce_gradient,
     reinforce_terms,
+    trajectory_scores,
     variance_bound,
 )
 from spgrad.mdp import MdpSpec, Trajectory, sample_trajectory
@@ -103,14 +104,10 @@ class TestAccumulator:
     def test_incremental_matches_batch_peters(self, chain, kind):
         theta = random_theta(substream(20, 1), chain.policy.dim)
         batch = self.sample_batch(chain, theta)
-        acc = GradientAccumulator(
-            chain.policy, theta, chain.mdp.spec.gamma, kind, BaselineKind.PETERS
-        )
-        for traj in batch:
-            acc.add_trajectory(traj)
-        # the finite-batch Peters estimate written out directly: REINFORCE is
-        # the one-step case of GPOMDP, with rewards (N, T, 1), factors (N, T, m)
         gamma = chain.mdp.spec.gamma
+        # the finite-batch Peters estimate written out directly, with trajectory
+        # weights w: REINFORCE is the one-step case of GPOMDP, with rewards
+        # (N, T, 1), factors (N, T, m)
         if kind is EstimatorKind.REINFORCE:
             terms = [reinforce_terms(traj, chain.policy, theta, gamma) for traj in batch]
             rewards = np.array([g for g, _ in terms])[:, None, None]
@@ -119,11 +116,31 @@ class TestAccumulator:
             terms = [gpomdp_terms(traj, chain.policy, theta, gamma) for traj in batch]
             rewards = np.stack([d for d, _ in terms])[:, :, None]
             factors = np.stack([c for _, c in terms])
-        den = (factors**2).sum(axis=0)
-        num = (rewards * factors**2).sum(axis=0)
-        b = np.where(den > 1e-12, num / np.maximum(den, 1e-12), 0.0)
-        expected = ((rewards - b) * factors).sum(axis=(0, 1)) / len(batch)
-        np.testing.assert_allclose(acc.finalize().vector, expected, rtol=1e-12, atol=1e-15)
+
+        def expected(weights):
+            w = weights[:, None, None]
+            den = (w * factors**2).sum(axis=0)
+            num = (w * rewards * factors**2).sum(axis=0)
+            b = np.where(den > 1e-12, num / np.maximum(den, 1e-12), 0.0)
+            return (w * (rewards - b) * factors).sum(axis=(0, 1)) / weights.sum()
+
+        acc = GradientAccumulator(chain.policy, theta, gamma, kind, BaselineKind.PETERS)
+        for traj in batch:
+            acc.add_trajectory(traj)
+        unit = expected(np.ones(len(batch)))
+        np.testing.assert_allclose(acc.finalize().vector, unit, rtol=1e-12, atol=1e-15)
+
+        # non-unit weights, as an enumerated batch carries path probabilities
+        weights = substream(20, 3).uniform(0.1, 2.0, len(batch))
+        acc = GradientAccumulator(chain.policy, theta, gamma, kind, BaselineKind.PETERS)
+        acc.add_block(
+            np.stack([traj.rewards for traj in batch]),
+            np.stack([trajectory_scores(traj, chain.policy, theta) for traj in batch]),
+            weights,
+        )
+        weighted = expected(weights)
+        assert np.max(np.abs(weighted - unit)) > 1e-6  # the weights matter
+        np.testing.assert_allclose(acc.finalize().vector, weighted, rtol=1e-12, atol=1e-15)
 
     def test_order_permutation(self, chain):
         theta = random_theta(substream(20, 2), chain.policy.dim)

@@ -156,6 +156,21 @@ class TestGridMaximize:
         assert n == pytest.approx(40.0, abs=1.0)
         assert value == pytest.approx(0.0, abs=1e-3)
 
+    def test_ties_go_to_the_first_in_row_major_order(self):
+        # alphas 0, 0.25, ..., 1 and ns 1, 2, ..., 5: maxima of 1 at
+        # (0.25, 3), (0.25, 5) and (0.75, 1)
+        def surface(a, n):
+            top = (a == 0.25) & ((n == 3.0) | (n == 5.0)) | (a == 0.75) & (n == 1.0)
+            return np.where(top, 1.0, 0.0)
+
+        assert grid_maximize(surface, (0.0, 1.0), (1.0, 5.0), resolution=5) == (0.25, 3.0, 1.0)
+        line = lambda a: np.where((a == 0.25) | (a == 0.75), 1.0, 0.0)
+        assert grid_maximize(line, (0.0, 1.0), resolution=5) == (0.25, None, 1.0)
+
+    def test_scalar_bound_accepted(self):
+        assert grid_maximize(lambda a: 2.0, (0.0, 1.0)) == (0.0, None, 2.0)
+        assert grid_maximize(lambda a, n: 2.0, (0.0, 1.0), (1.0, 5.0)) == (0.0, 1.0, 2.0)
+
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             grid_maximize(lambda a: a, (1.0, 1.0))
