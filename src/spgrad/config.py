@@ -7,6 +7,7 @@ what a run certifies.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -117,7 +118,19 @@ def _get(section: dict, path: str, key: str, types, default=None, required=False
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, types):
         _fail(f"{path}.{key}", f"expected {types}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        _fail(f"{path}.{key}", f"must be finite, got {value!r}")
     return value
+
+
+def _numbers(values: list, path: str) -> "list[float]":
+    """The entries of a list as floats; each must be a finite, non-bool number."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            _fail(path, f"entries must be numbers, got {value!r}")
+        if not math.isfinite(value):
+            _fail(path, f"entries must be finite, got {value!r}")
+    return [float(value) for value in values]
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -239,7 +252,7 @@ def _build_environment(config: ExperimentConfig):
         return EnumerableEnv(mdp), mdp
     if kind == "bandit":
         arms = _get(p, "environment", "arm_rewards", list, required=True)
-        mdp = make_bandit([float(a) for a in arms], gamma=gamma, horizon=horizon)
+        mdp = make_bandit(_numbers(arms, "environment.arm_rewards"), gamma=gamma, horizon=horizon)
         return EnumerableEnv(mdp), mdp
     env = make_lqg1d(
         Lqg1dConfig(
@@ -292,12 +305,10 @@ def build_experiment(config: ExperimentConfig) -> BuiltExperiment:
     else:
         if not isinstance(theta0_raw, list):
             _fail("policy.theta0", "expected a list of numbers")
-        theta0 = np.asarray([float(v) for v in theta0_raw], dtype=float)
+        theta0 = np.asarray(_numbers(theta0_raw, "policy.theta0"), dtype=float)
         if theta0.shape != (policy.dim,):
             _fail(
                 "policy.theta0",
                 f"expected {policy.dim} entries for this policy, got {theta0.size}",
             )
-        if not np.all(np.isfinite(theta0)):
-            _fail("policy.theta0", "entries must be finite")
     return BuiltExperiment(env=env, policy=policy, theta0=theta0, mdp=mdp)

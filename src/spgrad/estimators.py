@@ -7,7 +7,10 @@ Two estimators over a batch of N trajectories:
 
 Both pair K reward terms r_k with K score terms c_k per trajectory and
 average sum_k (r_k - b_k) c_k: REINFORCE is the one-step case (K = 1, the
-discounted return and the summed score), GPOMDP has K = T.  The baseline
+discounted return and the summed score), GPOMDP has K = T.  That term form
+is computed in one place, ``trajectory_terms``: ``GradientAccumulator``
+sums it for certified runs and the exact oracle, and the sampled validate
+checks read its per-trajectory estimates directly.  The baseline
 is zero or the component-wise variance-minimizing one of Peters & Schaal,
 b_k = E[r_k c_k^2] / E[c_k^2], estimated from the batch.  Single-trajectory
 variance is bounded by a closed-form nu^2 (so Var <= nu^2 / N), which a
@@ -81,24 +84,33 @@ def trajectory_scores(traj: Trajectory, policy, theta: np.ndarray) -> np.ndarray
     )
 
 
-def reinforce_terms(
-    traj: Trajectory, policy, theta: np.ndarray, gamma: float
-) -> tuple[float, np.ndarray]:
-    """Discounted return G and summed score S for one trajectory."""
-    rewards = np.asarray(traj.rewards, dtype=float)
-    g = float(np.dot(gamma ** np.arange(rewards.size), rewards))
-    s = trajectory_scores(traj, policy, theta).sum(axis=0)
-    return g, s
+def trajectory_terms(
+    kind: EstimatorKind,
+    gamma: float,
+    rewards: np.ndarray,
+    scores: np.ndarray,
+    weights: "np.ndarray | None" = None,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """The term form of a block of trajectories: (w r, c, g).
 
-
-def gpomdp_terms(
-    traj: Trajectory, policy, theta: np.ndarray, gamma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step discounted rewards gamma^t r_t and cumulative scores (T, m)."""
-    rewards = np.asarray(traj.rewards, dtype=float)
-    disc = gamma ** np.arange(rewards.size) * rewards
-    cum = np.cumsum(trajectory_scores(traj, policy, theta), axis=0)
-    return disc, cum
+    ``rewards`` is (n, T) and ``scores`` (n, T, m), row i holding trajectory
+    i.  Reward terms r are (n, K) and score terms c (n, K, m): REINFORCE has
+    K = 1, the discounted return (one ``np.dot`` per row, as a matrix
+    product may order the sum differently) and the summed score; GPOMDP has
+    K = T, the discounted rewards gamma^t r_t and the cumulative scores.
+    Row i's estimate is g_i = sum_k w_i r_ik c_ik (n, m), with the weight
+    w_i (1 when ``weights`` is None) applied to the reward terms.
+    """
+    discount = gamma ** np.arange(rewards.shape[1])
+    if EstimatorKind(kind) is EstimatorKind.REINFORCE:
+        r = np.array([[float(np.dot(discount, row))] for row in rewards])
+        c = scores.sum(axis=1, keepdims=True)
+    else:
+        r = discount * rewards
+        c = np.cumsum(scores, axis=1)
+    if weights is not None:
+        r = weights[:, None] * r
+    return r, c, (r[:, :, None] * c).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +169,8 @@ class GradientAccumulator:
         """Add a block of trajectories, row after row, as ``add_trajectory`` would.
 
         ``rewards`` is (n, T) and ``scores`` (n, T, m), row i holding
-        trajectory i; ``weights`` defaults to 1 for every row.  Per-trajectory
-        terms are computed for all rows at once and accumulated with
+        trajectory i; ``weights`` defaults to 1 for every row.  The terms of
+        all rows come from one ``trajectory_terms`` call and are accumulated with
         ``np.cumsum``, which adds in row order like the one-at-a-time sums
         (``np.sum`` may pair terms), so the statistics after row i are the
         ones ``add_trajectory`` reaches, bit for bit.
@@ -177,26 +189,16 @@ class GradientAccumulator:
             raise ValueError(f"trajectory weights must be positive and finite, got {weights}")
         if self.horizon is None:
             self.horizon = horizon
-            self._discount = self.gamma ** np.arange(horizon)
         elif horizon != self.horizon:
             raise ValueError(
                 f"trajectory has horizon {horizon}, accumulator expects {self.horizon}"
             )
-        # reward terms r (n, K) and score terms c (n, K, m)
-        if self.kind is EstimatorKind.REINFORCE:
-            # one dot per row: a matrix product may order the sum differently
-            r = np.array([[float(np.dot(self._discount, row))] for row in rewards])
-            c = scores.sum(axis=1, keepdims=True)
-        else:
-            r = self._discount * rewards
-            c = np.cumsum(scores, axis=1)
-        wr = weights[:, None] * r
-        rc = wr[:, :, None] * c
-        terms = {"weight_sum": weights, "return_sum": wr.sum(axis=1), "_sum_g": rc.sum(axis=1)}
+        wr, c, g = trajectory_terms(self.kind, self.gamma, rewards, scores, weights)
+        terms = {"weight_sum": weights, "return_sum": wr.sum(axis=1), "_sum_g": g}
         if self.baseline is BaselineKind.PETERS:
-            w, c2 = weights[:, None, None], c**2
-            terms.update(_sum_rc=rc, _sum_c=w * c, _sum_rc2=wr[:, :, None] * c2, _sum_c2=w * c2)
-        running = {name: _running(getattr(self, name), term) for name, term in terms.items()}
+            w, wr3, c2 = weights[:, None, None], wr[:, :, None], c**2
+            terms.update(_sum_rc=wr3 * c, _sum_c=w * c, _sum_rc2=wr3 * c2, _sum_c2=w * c2)
+        running = {name: running_sums(getattr(self, name), term) for name, term in terms.items()}
         keep, stopped = n, False
         if stop is not None:
             estimates = running["_sum_g"] / running["weight_sum"][:, None]
@@ -237,7 +239,7 @@ class GradientAccumulator:
         )
 
 
-def _running(total, terms: np.ndarray) -> np.ndarray:
+def running_sums(total, terms: np.ndarray) -> np.ndarray:
     """total + terms[0], total + terms[0] + terms[1], ...: sums in row order.
 
     ``total`` is a running total or its 0.0 start, broadcast to a term's shape.
@@ -246,34 +248,6 @@ def _running(total, terms: np.ndarray) -> np.ndarray:
         return total + terms
     start = np.broadcast_to(total, terms.shape[1:])[None]
     return np.cumsum(np.concatenate((start, terms)), axis=0)[1:]
-
-
-# ---------------------------------------------------------------------------
-# Batch estimators
-# ---------------------------------------------------------------------------
-
-
-def _batch_estimate(batch, policy, theta, gamma, kind, baseline) -> GradientEstimate:
-    acc = GradientAccumulator(policy, theta, gamma, kind, baseline)
-    for traj in batch:
-        acc.add_trajectory(traj)
-    if acc.count == 0:
-        raise ValueError("empty batch")
-    return acc.finalize()
-
-
-def reinforce_gradient(
-    batch, policy, theta: np.ndarray, gamma: float, baseline: BaselineKind = BaselineKind.ZERO
-) -> GradientEstimate:
-    """REINFORCE estimate over a batch of trajectories."""
-    return _batch_estimate(batch, policy, theta, gamma, EstimatorKind.REINFORCE, baseline)
-
-
-def gpomdp_gradient(
-    batch, policy, theta: np.ndarray, gamma: float, baseline: BaselineKind = BaselineKind.ZERO
-) -> GradientEstimate:
-    """GPOMDP estimate over a batch of trajectories."""
-    return _batch_estimate(batch, policy, theta, gamma, EstimatorKind.GPOMDP, baseline)
 
 
 # ---------------------------------------------------------------------------

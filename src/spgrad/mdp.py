@@ -77,16 +77,6 @@ class Environment(Protocol):
     def step(self, state: Any, action: Any, rng: np.random.Generator) -> tuple[Any, float]: ...
 
 
-def discounted_return(traj: Trajectory, gamma: float) -> float:
-    """Sum of gamma^t * reward_t over the trajectory."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    rewards = np.asarray(traj.rewards, dtype=float)
-    if rewards.size == 0:
-        raise ValueError("empty trajectory")
-    return float(np.dot(gamma ** np.arange(rewards.size), rewards))
-
-
 def sample_trajectory(
     env: Environment, policy, theta: np.ndarray, rng: np.random.Generator
 ) -> Trajectory:

@@ -125,10 +125,10 @@ class GaussianPolicy:
     """
 
     def __init__(self, features, feature_bound: float, sigma: float):
-        if sigma <= 0:
-            raise ConfigurationError(f"sigma must be positive, got {sigma}")
-        if feature_bound < 0:
-            raise ConfigurationError(f"feature_bound must be non-negative, got {feature_bound}")
+        if not 0 < sigma < math.inf:
+            raise ConfigurationError(f"sigma must be positive and finite, got {sigma}")
+        if not 0 <= feature_bound < math.inf:
+            raise ConfigurationError(f"feature_bound must be finite and >= 0, got {feature_bound}")
         self.features = features
         self.feature_bound = feature_bound
         self.sigma = sigma
@@ -248,10 +248,10 @@ class SoftmaxPolicy:
     """Discrete-action Softmax: pi(a|s) proportional to exp(theta . phi(s,a) / tau)."""
 
     def __init__(self, features, feature_bound: float, tau: float, n_actions: int):
-        if tau <= 0:
-            raise ConfigurationError(f"tau must be positive, got {tau}")
-        if feature_bound < 0:
-            raise ConfigurationError(f"feature_bound must be non-negative, got {feature_bound}")
+        if not 0 < tau < math.inf:
+            raise ConfigurationError(f"tau must be positive and finite, got {tau}")
+        if not 0 <= feature_bound < math.inf:
+            raise ConfigurationError(f"feature_bound must be finite and >= 0, got {feature_bound}")
         if n_actions < 2:
             raise ConfigurationError(f"need at least 2 actions, got {n_actions}")
         self.features = features

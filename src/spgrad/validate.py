@@ -10,7 +10,10 @@ These checks are the only implementation of the acceptance criteria: the
 CLI runs them at its default sizes, the acceptance tests at larger ones
 (``n_points``, ``n_samples``, ``n_estimates``).  The sampled criteria are
 split into a ``check_*`` wrapper and a helper taking the stream key, so the
-tests can draw their own streams.
+tests can draw their own streams.  The helpers draw each trajectory with one
+``sample_trajectory`` call and score chunks of at most ``_CHUNK`` of them at
+once; per-trajectory estimates come from ``estimators.trajectory_terms`` and
+are summed in row order, so every statistic equals the one-at-a-time sum.
 
 ``check_quadratic_bound`` and ``check_hessian_bound`` take a
 ``lipschitz_scale`` that multiplies the smoothness constant; shrinking it
@@ -29,9 +32,10 @@ from .errors import OracleBudgetError
 from .estimators import (
     BaselineKind,
     EstimatorKind,
-    GradientAccumulator,
     error_bound,
+    running_sums,
     trajectory_scores,
+    trajectory_terms,
     variance_bound,
 )
 from .mdp import sample_trajectory
@@ -49,6 +53,7 @@ from .rng import substream
 from .runlog import read_run_csv, write_run_csv
 from .safe_updates import (
     RunLimits,
+    exact_improvement_bound,
     lipschitz_constant,
     optimal_step_and_batch,
     optimal_step_exact,
@@ -58,6 +63,8 @@ from .safe_updates import (
 from .testbeds import binned_gaussian_instance, chain_instance, lqg_instance, two_state_instance
 
 DEFAULT_BUDGET = 1_000_000
+# trajectories the sampled checks score and sum at once
+_CHUNK = 512
 
 
 @dataclass
@@ -226,7 +233,7 @@ def check_step_grid() -> CheckResult:
     alpha_star = optimal_step_exact(lip).alpha
     best = grad_norm**2 / (2.0 * lip)
     _, _, grid_val = grid_maximize(
-        lambda a: a * grad_norm**2 - a * a * lip / 2.0 * grad_norm**2, (0.0, 3.0 / lip)
+        lambda a: exact_improvement_bound(a, grad_norm, lip).value, (0.0, 3.0 / lip)
     )
     gap_exact = abs(grid_val - best) / best
 
@@ -302,11 +309,12 @@ def check_constants_closed_forms(seed: int) -> CheckResult:
     return _result(name, worst <= 1e-12, tol, f"max relative gap = {worst:.3e}")
 
 
-def _estimates(trajs: list, policy, theta: np.ndarray, actor, gamma: float, kinds) -> dict:
-    """Kind -> zero-baseline estimate over equal-length ``trajs``, each scored once.
+def _score_chunk(trajs: list, policy, theta: np.ndarray, actor, gamma: float, kinds) -> dict:
+    """Kind -> per-trajectory zero-baseline estimates (n, m) of equal-length ``trajs``.
 
-    ``actor`` is ``policy.actor(theta, n_states)``; without one (no state
-    count) the policy scores step by step.
+    The chunk is scored once: through ``actor``, ``policy.actor(theta,
+    n_states)``, or step by step by the policy when there is none (no state
+    count).
     """
     if actor is None:
         scores = np.stack([trajectory_scores(t, policy, theta) for t in trajs])
@@ -314,10 +322,7 @@ def _estimates(trajs: list, policy, theta: np.ndarray, actor, gamma: float, kind
         states = np.stack([t.states for t in trajs])
         scores = actor.score(states, np.stack([t.actions for t in trajs]))
     rewards = np.stack([t.rewards for t in trajs])
-    estimates = {kind: GradientAccumulator(policy, theta, gamma, kind) for kind in kinds}
-    for acc in estimates.values():
-        acc.add_block(rewards, scores)
-    return {kind: acc.finalize().vector for kind, acc in estimates.items()}
+    return {kind: trajectory_terms(kind, gamma, rewards, scores)[2] for kind in kinds}
 
 
 def variance_setups() -> "dict[str, tuple]":
@@ -342,13 +347,18 @@ def variance_ratios(setup: tuple, seed: int, n_samples: int, *key: int) -> "dict
     actor = policy.actor(theta, getattr(env, "n_states", None))
     sums = {kind: np.zeros(policy.dim) for kind in EstimatorKind}
     sq_sums = {kind: 0.0 for kind in EstimatorKind}
-    for i in range(n_samples):
-        traj = sample_trajectory(env, policy, theta, substream(seed, *key, i))
-        if len(traj) != spec.horizon or not np.max(np.abs(traj.rewards)) <= spec.r_max + 1e-12:
-            return None
-        for kind, g in _estimates([traj], policy, theta, actor, spec.gamma, EstimatorKind).items():
-            sums[kind] += g
-            sq_sums[kind] += float(np.dot(g, g))
+    for first in range(0, n_samples, _CHUNK):
+        trajs = []
+        for i in range(first, min(first + _CHUNK, n_samples)):
+            trajs.append(sample_trajectory(env, policy, theta, substream(seed, *key, i)))
+            rewards = trajs[-1].rewards
+            if len(rewards) != spec.horizon or not np.max(np.abs(rewards)) <= spec.r_max + 1e-12:
+                return None
+        estimates = _score_chunk(trajs, policy, theta, actor, spec.gamma, EstimatorKind)
+        for kind, g in estimates.items():
+            sums[kind] = running_sums(sums[kind], g)[-1]
+            for row in g:
+                sq_sums[kind] += float(np.dot(row, row))
     kappa = policy.smoothing_constants().kappa
     ratios = {}
     for kind in EstimatorKind:
@@ -393,16 +403,18 @@ def chebyshev_violations(
         for delta in (0.1, 0.5)
     }
     violations = {pair: 0 for pair in radius}
-    for i in range(n_estimates):
+    per_chunk = _CHUNK // batch
+    for first in range(0, n_estimates, per_chunk):
         trajs = [
             sample_trajectory(inst.env, inst.policy, theta, substream(seed, *key, i, j))
+            for i in range(first, min(first + per_chunk, n_estimates))
             for j in range(batch)
         ]
-        estimates = _estimates(trajs, inst.policy, theta, actor, gamma, kinds)
-        err = {kind: np.linalg.norm(g - exact) for kind, g in estimates.items()}
-        for (kind, delta), r in radius.items():
-            if err[kind] > r:
-                violations[kind, delta] += 1
+        for kind, g in _score_chunk(trajs, inst.policy, theta, actor, gamma, kinds).items():
+            for rows in np.split(g, len(g) // batch):
+                err = np.linalg.norm(running_sums(0.0, rows)[-1] / batch - exact)
+                for delta in (0.1, 0.5):
+                    violations[kind, delta] += bool(err > radius[kind, delta])
     return {pair: count / n_estimates for pair, count in violations.items()}
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 
@@ -96,6 +97,33 @@ class TestRunCommand:
         assert main(["run", "--config", path]) == EXIT_CONFIG
         assert "safety.delta" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(str(out), "run.csv"))
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            pytest.param("environment", "arm_rewards", [1.0, "x"], id="arm-str"),
+            pytest.param("environment", "arm_rewards", [1.0, math.inf], id="arm-inf"),
+            pytest.param("policy", "theta0", ["a"], id="theta0-str"),
+            pytest.param("policy", "theta0", [True, 0, 0, 0], id="theta0-bool"),
+            pytest.param("policy", "feature_bound", math.nan, id="bound-nan"),
+            pytest.param("policy", "tau", math.nan, id="tau-nan"),
+            pytest.param("policy", "sigma", math.inf, id="sigma-inf"),
+        ],
+    )
+    def test_untyped_value_exits_without_output(self, tmp_path, capsys, section, key, value):
+        out = tmp_path / "out"
+        data = chain_config(out)
+        if key == "arm_rewards":
+            data["environment"] = {"kind": "bandit", "arm_rewards": [1.0, 0.0], "horizon": 1}
+            data["policy"]["features"] = "action_indicator"
+        elif key == "sigma":
+            data["environment"] = {"kind": "lqg1d", "horizon": 3}
+            data["policy"] = {"kind": "gaussian", "sigma": 0.5}
+        data[section][key] = value
+        path = write_config(tmp_path, data)
+        assert main(["run", "--config", path]) == EXIT_CONFIG
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override_changes_echo(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -201,7 +229,8 @@ class TestValidateCommand:
 
 class TestValidateSampling:
     """The sampled helpers against references that score each trajectory
-    once per kind with ``add_trajectory``, at small sizes."""
+    once per kind with ``add_trajectory``, at small sizes and at sizes that
+    cross validate's scoring chunk."""
 
     @pytest.fixture
     def sampled(self, monkeypatch):
@@ -229,8 +258,8 @@ class TestValidateSampling:
         setups = list(validate.variance_setups().values())
         env, policy, theta = setups[1]
         setups.append((ResetStepOnly(env), policy, theta))
-        n = 30
-        for idx, (env, policy, theta) in enumerate(setups):
+        assert validate._CHUNK < 600 < 2 * validate._CHUNK
+        for n, (idx, (env, policy, theta)) in itertools.product((30, 600), enumerate(setups)):
             sums = {kind: np.zeros(policy.dim) for kind in EstimatorKind}
             sq_sums = {kind: 0.0 for kind in EstimatorKind}
             for i in range(n):
@@ -258,7 +287,9 @@ class TestValidateSampling:
         inst = two_state_instance()
         theta = np.zeros(inst.policy.dim)
         exact = exact_gradient(inst.mdp, inst.oracle_policy, theta).grad
-        kinds, n, gamma = tuple(EstimatorKind), 40, inst.mdp.spec.gamma
+        # two full chunks of 20 estimates and one of a single estimate
+        kinds, n, gamma = tuple(EstimatorKind), 41, inst.mdp.spec.gamma
+        assert validate._CHUNK // 25 == 20
         violations = {(kind, delta): 0 for kind in kinds for delta in (0.1, 0.5)}
         for i in range(n):
             accs = {kind: GradientAccumulator(inst.policy, theta, gamma, kind) for kind in kinds}

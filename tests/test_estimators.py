@@ -7,10 +7,6 @@ from spgrad.estimators import (
     EstimatorKind,
     GradientAccumulator,
     error_bound,
-    gpomdp_gradient,
-    gpomdp_terms,
-    reinforce_gradient,
-    reinforce_terms,
     trajectory_scores,
     variance_bound,
 )
@@ -31,6 +27,14 @@ def bandit_policy() -> SoftmaxPolicy:
     return SoftmaxPolicy(ActionIndicatorFeatures(), feature_bound=1.0, tau=1.0, n_actions=2)
 
 
+def estimate(batch, policy, theta, gamma, kind, baseline=BaselineKind.ZERO) -> np.ndarray:
+    """The accumulator's estimate over ``batch``, added one trajectory at a time."""
+    acc = GradientAccumulator(policy, theta, gamma, kind, baseline)
+    for traj in batch:
+        acc.add_trajectory(traj)
+    return acc.finalize().vector
+
+
 class TestBanditExpectation:
     """Hand enumeration of the two-armed bandit at theta = 0.
 
@@ -42,8 +46,8 @@ class TestBanditExpectation:
         policy = bandit_policy()
         theta = np.zeros(1)
         estimates = [
-            reinforce_gradient([bandit_trajectory(0, 1.0)], policy, theta, 0.5).vector,
-            reinforce_gradient([bandit_trajectory(1, 0.0)], policy, theta, 0.5).vector,
+            estimate([bandit_trajectory(0, 1.0)], policy, theta, 0.5, EstimatorKind.REINFORCE),
+            estimate([bandit_trajectory(1, 0.0)], policy, theta, 0.5, EstimatorKind.REINFORCE),
         ]
         np.testing.assert_allclose(0.5 * estimates[0] + 0.5 * estimates[1], [0.25])
 
@@ -52,8 +56,8 @@ class TestBanditExpectation:
         theta = np.zeros(1)
         batch = [bandit_trajectory(0, 1.0), bandit_trajectory(1, 0.0), bandit_trajectory(0, 1.0)]
         for baseline in BaselineKind:
-            r = reinforce_gradient(batch, policy, theta, 0.5, baseline).vector
-            g = gpomdp_gradient(batch, policy, theta, 0.5, baseline).vector
+            r = estimate(batch, policy, theta, 0.5, EstimatorKind.REINFORCE, baseline)
+            g = estimate(batch, policy, theta, 0.5, EstimatorKind.GPOMDP, baseline)
             np.testing.assert_array_equal(r, g)
 
 
@@ -61,26 +65,28 @@ class TestDegenerateBatches:
     def test_zero_rewards_give_zero_vector(self):
         policy = bandit_policy()
         batch = [bandit_trajectory(0, 0.0), bandit_trajectory(1, 0.0)]
-        for fn in (reinforce_gradient, gpomdp_gradient):
-            np.testing.assert_array_equal(fn(batch, policy, np.zeros(1), 0.5).vector, [0.0])
+        for kind in EstimatorKind:
+            np.testing.assert_array_equal(estimate(batch, policy, np.zeros(1), 0.5, kind), [0.0])
 
     def test_identical_trajectories_average_to_single(self):
         policy = bandit_policy()
-        single = reinforce_gradient([bandit_trajectory(0, 1.0)], policy, np.zeros(1), 0.5)
-        repeated = reinforce_gradient([bandit_trajectory(0, 1.0)] * 5, policy, np.zeros(1), 0.5)
-        np.testing.assert_allclose(repeated.vector, single.vector, rtol=1e-15)
+        kind = EstimatorKind.REINFORCE
+        single = estimate([bandit_trajectory(0, 1.0)], policy, np.zeros(1), 0.5, kind)
+        repeated = estimate([bandit_trajectory(0, 1.0)] * 5, policy, np.zeros(1), 0.5, kind)
+        np.testing.assert_allclose(repeated, single, rtol=1e-15)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            reinforce_gradient([], bandit_policy(), np.zeros(1), 0.5)
+            estimate([], bandit_policy(), np.zeros(1), 0.5, EstimatorKind.REINFORCE)
 
     def test_peters_degenerate_denominator_falls_back_to_zero(self):
         # all actions exactly at the Gaussian mean: every score is zero
         policy = GaussianPolicy(PolynomialFeatures(1), feature_bound=1.0, sigma=1.0)
         traj = Trajectory(np.array([0.5]), np.array([0.0]), np.array([1.0]))
-        est = reinforce_gradient([traj], policy, np.zeros(1), 0.9, BaselineKind.PETERS)
-        assert np.all(np.isfinite(est.vector))
-        np.testing.assert_array_equal(est.vector, [0.0])
+        kind = EstimatorKind.REINFORCE
+        vector = estimate([traj], policy, np.zeros(1), 0.9, kind, BaselineKind.PETERS)
+        assert np.all(np.isfinite(vector))
+        np.testing.assert_array_equal(vector, [0.0])
 
 
 class TestAccumulator:
@@ -93,29 +99,45 @@ class TestAccumulator:
     def test_incremental_matches_batch_bitwise_zero_baseline(self, chain, kind):
         theta = random_theta(substream(20, 0), chain.policy.dim)
         batch = self.sample_batch(chain, theta)
-        acc = GradientAccumulator(chain.policy, theta, chain.mdp.spec.gamma, kind)
+        gamma = chain.mdp.spec.gamma
+        incremental = GradientAccumulator(chain.policy, theta, gamma, kind)
         for traj in batch:
-            acc.add_trajectory(traj)
-        batch_fn = reinforce_gradient if kind is EstimatorKind.REINFORCE else gpomdp_gradient
-        expected = batch_fn(batch, chain.policy, theta, chain.mdp.spec.gamma)
-        np.testing.assert_array_equal(acc.finalize().vector, expected.vector)
+            incremental.add_trajectory(traj)
+        block = GradientAccumulator(chain.policy, theta, gamma, kind)
+        block.add_block(
+            np.stack([traj.rewards for traj in batch]),
+            np.stack([trajectory_scores(traj, chain.policy, theta) for traj in batch]),
+        )
+        assert block.count == incremental.count == len(batch)
+        assert block.mean_return() == incremental.mean_return()
+        np.testing.assert_array_equal(block.finalize().vector, incremental.finalize().vector)
 
     @pytest.mark.parametrize("kind", list(EstimatorKind))
     def test_incremental_matches_batch_peters(self, chain, kind):
         theta = random_theta(substream(20, 1), chain.policy.dim)
         batch = self.sample_batch(chain, theta)
         gamma = chain.mdp.spec.gamma
-        # the finite-batch Peters estimate written out directly, with trajectory
-        # weights w: REINFORCE is the one-step case of GPOMDP, with rewards
-        # (N, T, 1), factors (N, T, m)
+        # the finite-batch Peters estimate written out directly from per-step
+        # scores, an explicit discount loop and trajectory weights w:
+        # REINFORCE is the one-step case of GPOMDP, with rewards (N, K, 1) and
+        # factors (N, K, m), K = 1 for REINFORCE and K = T for GPOMDP
+        scores = np.array(
+            [[chain.policy.score(theta, s, a) for s, a in zip(t.states, t.actions)] for t in batch]
+        )
+        discounted = np.zeros((len(batch), scores.shape[1]))
+        for i, traj in enumerate(batch):
+            discount = 1.0
+            for t, reward in enumerate(traj.rewards):
+                discounted[i, t] = discount * reward
+                discount *= gamma
         if kind is EstimatorKind.REINFORCE:
-            terms = [reinforce_terms(traj, chain.policy, theta, gamma) for traj in batch]
-            rewards = np.array([g for g, _ in terms])[:, None, None]
-            factors = np.stack([s for _, s in terms])[:, None, :]
+            rewards = discounted.sum(axis=1)[:, None, None]
+            factors = scores.sum(axis=1)[:, None, :]
         else:
-            terms = [gpomdp_terms(traj, chain.policy, theta, gamma) for traj in batch]
-            rewards = np.stack([d for d, _ in terms])[:, :, None]
-            factors = np.stack([c for _, c in terms])
+            rewards = discounted[:, :, None]
+            factors = np.zeros_like(scores)
+            for t in range(scores.shape[1]):
+                factors[:, t] = scores[:, : t + 1].sum(axis=1)
 
         def expected(weights):
             w = weights[:, None, None]
@@ -133,11 +155,7 @@ class TestAccumulator:
         # non-unit weights, as an enumerated batch carries path probabilities
         weights = substream(20, 3).uniform(0.1, 2.0, len(batch))
         acc = GradientAccumulator(chain.policy, theta, gamma, kind, BaselineKind.PETERS)
-        acc.add_block(
-            np.stack([traj.rewards for traj in batch]),
-            np.stack([trajectory_scores(traj, chain.policy, theta) for traj in batch]),
-            weights,
-        )
+        acc.add_block(np.stack([traj.rewards for traj in batch]), scores, weights)
         weighted = expected(weights)
         assert np.max(np.abs(weighted - unit)) > 1e-6  # the weights matter
         np.testing.assert_allclose(acc.finalize().vector, weighted, rtol=1e-12, atol=1e-15)
@@ -146,8 +164,8 @@ class TestAccumulator:
         theta = random_theta(substream(20, 2), chain.policy.dim)
         batch = self.sample_batch(chain, theta)
         gamma = chain.mdp.spec.gamma
-        forward = gpomdp_gradient(batch, chain.policy, theta, gamma).vector
-        backward = gpomdp_gradient(batch[::-1], chain.policy, theta, gamma).vector
+        forward = estimate(batch, chain.policy, theta, gamma, EstimatorKind.GPOMDP)
+        backward = estimate(batch[::-1], chain.policy, theta, gamma, EstimatorKind.GPOMDP)
         np.testing.assert_allclose(forward, backward, rtol=1e-12, atol=1e-15)
 
     def test_empty_finalize_rejected(self, chain):

@@ -9,7 +9,6 @@ from spgrad.mdp import (
     Lqg1dConfig,
     MdpSpec,
     Trajectory,
-    discounted_return,
     make_bandit,
     make_chain,
     make_lqg1d,
@@ -43,23 +42,7 @@ class TestMdpSpec:
             MdpSpec(**kwargs)
 
 
-class TestDiscountedReturn:
-    def test_three_ones(self):
-        traj = Trajectory(np.zeros(3), np.zeros(3), np.ones(3))
-        assert discounted_return(traj, 0.5) == 1.75
-
-    def test_zero_rewards(self):
-        traj = Trajectory(np.zeros(4), np.zeros(4), np.zeros(4))
-        assert discounted_return(traj, 0.9) == 0.0
-
-    def test_geometric_series(self):
-        # independent closed form: sum of gamma^t = (1 - gamma^T) / (1 - gamma)
-        gamma, horizon = 0.9, 10
-        expected = (1.0 - gamma**horizon) / (1.0 - gamma)
-        traj = Trajectory(np.zeros(horizon), np.zeros(horizon), np.ones(horizon))
-        assert discounted_return(traj, gamma) == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(6.513215599, rel=1e-9)
-
+class TestTrajectory:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Trajectory(np.zeros(0), np.zeros(0), np.zeros(0))

@@ -116,10 +116,18 @@ class TestSmoothingConstants:
         assert policy.smoothing_constants() == policy.smoothing_constants()
 
     def test_bad_scale_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GaussianPolicy(PolynomialFeatures(1), feature_bound=1.0, sigma=0.0)
-        with pytest.raises(ConfigurationError):
-            SoftmaxPolicy(TabularFeatures(1, 2), feature_bound=1.0, tau=0.0, n_actions=2)
+        for value in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="sigma"):
+                GaussianPolicy(PolynomialFeatures(1), feature_bound=1.0, sigma=value)
+            with pytest.raises(ConfigurationError, match="tau"):
+                SoftmaxPolicy(TabularFeatures(1, 2), feature_bound=1.0, tau=value, n_actions=2)
+
+    def test_bad_feature_bound_rejected(self):
+        for value in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="feature_bound"):
+                GaussianPolicy(PolynomialFeatures(1), feature_bound=value, sigma=1.0)
+            with pytest.raises(ConfigurationError, match="feature_bound"):
+                SoftmaxPolicy(TabularFeatures(1, 2), feature_bound=value, tau=1.0, n_actions=2)
 
 
 class TestLogPdf:
