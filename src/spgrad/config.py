@@ -8,6 +8,7 @@ what a run certifies.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -118,19 +119,34 @@ def _get(section: dict, path: str, key: str, types, default=None, required=False
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, types):
         _fail(f"{path}.{key}", f"expected {types}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        _fail(f"{path}.{key}", f"must be finite, got {value!r}")
     return value
+
+
+def _to_float(value, path: str) -> float:
+    """``float(value)``; failing at ``path`` unless it is finite and in float range."""
+    try:
+        number = float(value)
+    except OverflowError:
+        _fail(path, f"must fit in a float, got {reprlib.repr(value)}")
+    if not math.isfinite(number):
+        _fail(path, f"must be finite, got {value!r}")
+    return number
+
+
+def _float(section: dict, path: str, key: str, default=None, required=False) -> float:
+    """The number at ``path.key`` as a finite float."""
+    value = _get(section, path, key, (int, float), default, required)
+    return _to_float(value, f"{path}.{key}")
 
 
 def _numbers(values: list, path: str) -> "list[float]":
     """The entries of a list as floats; each must be a finite, non-bool number."""
+    numbers = []
     for value in values:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             _fail(path, f"entries must be numbers, got {value!r}")
-        if not math.isfinite(value):
-            _fail(path, f"entries must be finite, got {value!r}")
-    return [float(value) for value in values]
+        numbers.append(_to_float(value, path))
+    return numbers
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -172,7 +188,7 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     safety = _section(data, "safety")
     _check_keys(safety, "safety", _SECTION_KEYS["safety"])
-    delta = float(_get(safety, "safety", "delta", (int, float), required=True))
+    delta = _float(safety, "safety", "delta", required=True)
     if not 0.0 < delta < 1.0:
         _fail("safety.delta", f"must be in (0, 1), got {delta}")
     iterations = _get(safety, "safety", "iterations", int, required=True)
@@ -232,19 +248,15 @@ def load_config(path: str) -> ExperimentConfig:
 def _build_environment(config: ExperimentConfig):
     p = config.environment.params
     kind = config.environment.kind
-    gamma = float(_get(p, "environment", "gamma", (int, float), default=0.9))
+    gamma = _float(p, "environment", "gamma", default=0.9)
     horizon = _get(p, "environment", "horizon", int, default=10)
     if kind == "chain":
         mdp = make_chain(
             ChainConfig(
                 n_states=_get(p, "environment", "n_states", int, required=True),
-                slip=float(_get(p, "environment", "slip", (int, float), default=0.0)),
-                goal_reward=float(
-                    _get(p, "environment", "goal_reward", (int, float), default=1.0)
-                ),
-                step_reward=float(
-                    _get(p, "environment", "step_reward", (int, float), default=0.0)
-                ),
+                slip=_float(p, "environment", "slip", default=0.0),
+                goal_reward=_float(p, "environment", "goal_reward", default=1.0),
+                step_reward=_float(p, "environment", "step_reward", default=0.0),
                 gamma=gamma,
                 horizon=horizon,
             )
@@ -258,13 +270,13 @@ def _build_environment(config: ExperimentConfig):
         Lqg1dConfig(
             gamma=gamma,
             horizon=horizon,
-            a_dyn=float(_get(p, "environment", "a_dyn", (int, float), default=1.0)),
-            b_dyn=float(_get(p, "environment", "b_dyn", (int, float), default=1.0)),
-            noise_std=float(_get(p, "environment", "noise_std", (int, float), default=0.2)),
-            q=float(_get(p, "environment", "q", (int, float), default=0.5)),
-            c=float(_get(p, "environment", "c", (int, float), default=0.5)),
-            s_max=float(_get(p, "environment", "s_max", (int, float), default=1.0)),
-            r_max=float(_get(p, "environment", "r_max", (int, float), default=1.0)),
+            a_dyn=_float(p, "environment", "a_dyn", default=1.0),
+            b_dyn=_float(p, "environment", "b_dyn", default=1.0),
+            noise_std=_float(p, "environment", "noise_std", default=0.2),
+            q=_float(p, "environment", "q", default=0.5),
+            c=_float(p, "environment", "c", default=0.5),
+            s_max=_float(p, "environment", "s_max", default=1.0),
+            r_max=_float(p, "environment", "r_max", default=1.0),
         )
     )
     return env, None
@@ -272,7 +284,7 @@ def _build_environment(config: ExperimentConfig):
 
 def _build_policy(config: ExperimentConfig, mdp):
     p = config.policy.params
-    bound = float(_get(p, "policy", "feature_bound", (int, float), default=1.0))
+    bound = _float(p, "policy", "feature_bound", default=1.0)
     if config.policy.kind == "softmax":
         n_actions = mdp.n_actions
         family = _get(p, "policy", "features", str, default="tabular")
@@ -282,16 +294,16 @@ def _build_policy(config: ExperimentConfig, mdp):
             features = ActionIndicatorFeatures(active=0)
         else:
             _fail("policy.features", f"unknown feature family {family!r}")
-        tau = float(_get(p, "policy", "tau", (int, float), default=1.0))
+        tau = _float(p, "policy", "tau", default=1.0)
         return SoftmaxPolicy(features, feature_bound=bound, tau=tau, n_actions=n_actions)
     family = _get(p, "policy", "features", str, default="polynomial")
     if family != "polynomial":
         _fail("policy.features", f"unknown feature family {family!r}")
     features = PolynomialFeatures(
         degree=_get(p, "policy", "degree", int, default=1),
-        scale=float(_get(p, "policy", "scale", (int, float), default=1.0)),
+        scale=_float(p, "policy", "scale", default=1.0),
     )
-    sigma = float(_get(p, "policy", "sigma", (int, float), required=True))
+    sigma = _float(p, "policy", "sigma", required=True)
     return GaussianPolicy(features, feature_bound=bound, sigma=sigma)
 
 

@@ -12,19 +12,19 @@ absorbing states or early terminations.
 
 The shipped environments also step arrays of episodes at once for
 :func:`sample_block`: ``reset_batch(u)`` and ``step_batch(states, actions,
-u)`` take one draw per row, made beforehand with the generator method named
-by ``reset_draw`` / ``step_draw``, and ``n_states`` is the size of a finite
-state space (None when it is continuous).
+u)`` take an (n, k) array of uniforms in [0, 1), k being the count the
+environment declares as ``reset_draws`` / ``step_draws``, and ``n_states``
+is the size of a finite state space (None when it is continuous).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Protocol
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
+from .rng import box_muller
 
 _STOCHASTIC_ATOL = 1e-12
 
@@ -107,37 +107,35 @@ def sample_trajectory(
     )
 
 
-def sample_block(env, actor, rngs) -> "tuple[np.ndarray, np.ndarray]":
-    """Roll out one episode per generator in ``rngs``, stepping all of them together.
+def row_draws(env, actor) -> int:
+    """Uniforms one episode takes: the reset's, then an action's and a transition's per step."""
+    return env.reset_draws + env.spec.horizon * (actor.draws + env.step_draws)
+
+
+def sample_block(env, actor, draws: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Roll out one episode per row of ``draws``, stepping all of them together.
 
     ``actor`` is a policy frozen at theta (``policy.actor``) with
-    ``sample(states, draws)`` and ``score(states, actions)``.  Row i takes
-    its draws from ``rngs[i]`` in the order ``sample_trajectory`` takes
-    them (reset, then action and transition at every step), so it is the
-    episode ``sample_trajectory`` returns for that generator.  Returns the
-    rewards, shape (n, T), and the per-step scores, shape (n, T, m).
+    ``sample(states, u)`` and ``score(states, actions)``.  ``draws`` holds
+    uniforms in [0, 1), shape (n, ``row_draws(env, actor)``); each row is
+    read left to right, in the order ``sample_trajectory`` draws (reset,
+    then action and transition at every step), each component taking the
+    count of columns it declares.  Returns the rewards, shape (n, T), and
+    the per-step scores, shape (n, T, m).
     """
     horizon = env.spec.horizon
-    kinds = [env.reset_draw] + [actor.draw, env.step_draw] * horizon
-    runs, start = [], 0  # (method, columns) per run of draws of one kind
-    for kind, group in itertools.groupby(kinds):
-        stop = start + len(list(group))
-        runs.append((kind, slice(start, stop)))
-        start = stop
-    rows = []
-    for rng in rngs:  # an iterator keeps one generator alive at a time
-        row = np.empty(len(kinds))
-        for kind, columns in runs:
-            getattr(rng, kind)(out=row[columns])
-        rows.append(row)
-    draws = np.stack(rows)
+    width = row_draws(env, actor)
+    if draws.ndim != 2 or draws.shape[1] != width:
+        raise ValueError(f"draws have shape {draws.shape}, expected (n, {width})")
+    r, a, s = env.reset_draws, actor.draws, env.step_draws
     states, actions, rewards = [], [], []
-    state = env.reset_batch(draws[:, 0])
+    state = env.reset_batch(draws[:, :r])
     for t in range(horizon):
-        action = actor.sample(state, draws[:, 2 * t + 1])
+        col = r + t * (a + s)
+        action = actor.sample(state, draws[:, col : col + a])
         states.append(state)
         actions.append(action)
-        state, reward = env.step_batch(state, action, draws[:, 2 * t + 2])
+        state, reward = env.step_batch(state, action, draws[:, col + a : col + a + s])
         rewards.append(reward)
     # scores after the whole episode, as add_trajectory takes them
     scores = actor.score(np.stack(states, axis=1), np.stack(actions, axis=1))
@@ -198,7 +196,7 @@ class EnumerableEnv:
     finite MDP while keeping the MDP itself enumerable.
     """
 
-    reset_draw = step_draw = "random"
+    reset_draws = step_draws = 1  # one uniform per inverse-CDF draw
 
     def __init__(self, mdp: EnumerableMdp, bin_edges: np.ndarray | None = None):
         self.mdp = mdp
@@ -238,7 +236,9 @@ class EnumerableEnv:
         return next_state, float(self.mdp.reward[s, a])
 
     def reset_batch(self, u: np.ndarray) -> np.ndarray:
-        return np.minimum(np.searchsorted(self._cum_initial, u, side="right"), self.n_states - 1)
+        return np.minimum(
+            np.searchsorted(self._cum_initial, u[:, 0], side="right"), self.n_states - 1
+        )
 
     def step_batch(
         self, states: np.ndarray, actions: np.ndarray, u: np.ndarray
@@ -252,7 +252,7 @@ class EnumerableEnv:
                 raise ValueError(f"action {a[bad][0]} out of range [0, {self.mdp.n_actions})")
         cum = self._cum_next[states, a]
         # searchsorted(cum[i], u[i], side="right") for every row i
-        next_states = np.minimum((cum <= u[:, None]).sum(axis=1), self.n_states - 1)
+        next_states = np.minimum((cum <= u).sum(axis=1), self.n_states - 1)
         return next_states, self.mdp.reward[states, a]
 
 
@@ -277,7 +277,8 @@ class Lqg1dConfig:
 
 
 class Lqg1dEnv:
-    reset_draw, step_draw, n_states = "random", "standard_normal", None
+    # a uniform initial state; a standard normal (two uniforms) of noise per step
+    reset_draws, step_draws, n_states = 1, 2, None
 
     def __init__(self, config: Lqg1dConfig):
         if config.s_max <= 0:
@@ -305,12 +306,13 @@ class Lqg1dEnv:
     def reset_batch(self, u: np.ndarray) -> np.ndarray:
         # Generator.uniform(low, high) is low + (high - low) * random()
         low, high = -self.config.s_max, self.config.s_max
-        return low + (high - low) * u
+        return low + (high - low) * u[:, 0]
 
     def step_batch(
-        self, states: np.ndarray, actions: np.ndarray, z: np.ndarray
+        self, states: np.ndarray, actions: np.ndarray, u: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray]":
         cfg = self.config
+        z = box_muller(u[:, 0], u[:, 1])
         s, a = states, actions
         bad = ~np.isfinite(a)
         if bad.any():

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
+from .rng import box_muller
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -191,14 +192,15 @@ class GaussianPolicy:
 class GaussianActor:
     """A Gaussian policy frozen at theta, acting on arrays of states.
 
-    ``sample`` and ``score`` repeat ``sample_action`` and ``score`` state by
-    state, float for float: features row by row, the mean summed feature
+    ``sample`` and ``score`` repeat ``sample_action`` (given the standard
+    normal ``box_muller`` makes of a row's two uniforms) and ``score`` state
+    by state, float for float: features row by row, the mean summed feature
     by feature as ``_linear_mean`` does, and the same typed errors.
     Arithmetic that overflows gives inf as Python floats do, with no numpy
     warning.
     """
 
-    draw = "standard_normal"
+    draws = 2  # uniforms per action: one standard normal by ``box_muller``
 
     def __init__(self, policy: GaussianPolicy, theta: np.ndarray):
         self.policy = policy
@@ -225,8 +227,10 @@ class GaussianActor:
             raise NumericError(f"non-finite policy mean {mean[bad][0]}")
         return phi, mean
 
-    def sample(self, states: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Actions at ``states`` (n,) from standard normals ``z`` (n,)."""
+    def sample(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Actions at ``states`` (n,) from uniforms ``u`` (n, 2): the mean plus
+        sigma times the standard normal ``box_muller`` makes of each row."""
+        z = box_muller(u[:, 0], u[:, 1])
         _, mean = self._phi_and_mean(states)
         with np.errstate(over="ignore"):
             return mean + self.policy.sigma * z
@@ -353,7 +357,7 @@ class SoftmaxActor:
     the action ``sample_action`` draws from uniform i.
     """
 
-    draw = "random"
+    draws = 1
 
     def __init__(self, policy: SoftmaxPolicy, theta: np.ndarray, n_states: int):
         states, actions = range(n_states), range(policy.n_actions)
@@ -362,10 +366,10 @@ class SoftmaxActor:
         self.scores = np.stack([[policy.score(theta, s, a) for a in actions] for s in states])
 
     def sample(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Actions at ``states`` (n,) from uniforms ``u`` (n,)."""
+        """Actions at ``states`` (n,) from uniforms ``u`` (n, 1)."""
         cum = self.cum[states]
         # searchsorted(cum, u * cum[-1], side="right") on every row at once
-        return np.minimum((cum <= (u * cum[:, -1])[:, None]).sum(axis=1), cum.shape[1] - 1)
+        return np.minimum((cum <= u * cum[:, -1:]).sum(axis=1), cum.shape[1] - 1)
 
     def score(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Scores, shape states.shape + (m,), of ``actions`` at ``states``."""

@@ -36,9 +36,9 @@ from .estimators import (
     trajectory_scores,
     variance_bound,
 )
-from .mdp import Environment, sample_block, sample_trajectory
+from .mdp import Environment, row_draws, sample_block, sample_trajectory
 from .policies import SmoothingConstants
-from .rng import substream
+from .rng import substream, uniform_rows
 
 
 @dataclass(frozen=True)
@@ -227,22 +227,27 @@ _MIN_BLOCK = 64
 _MAX_BLOCK = 512
 
 
-def _rollout(env, policy, theta: np.ndarray):
-    """rngs -> (rewards (n, T), scores (n, T, m)) for one episode per generator.
+def _rollout(env, policy, theta: np.ndarray, seed: int, k: int):
+    """(first, n) -> (rewards (n, T), scores (n, T, m)) for trajectories
+    first .. first+n-1 of iteration k.
 
-    Environments and policies with array methods are stepped as a block;
-    any other pair falls back to ``sample_trajectory`` one row at a time.
-    Either way row i is the episode ``sample_trajectory`` returns for
-    ``rngs[i]``.
+    Environments and policies with array methods are stepped as a block on
+    rows of ``uniform_rows(seed, k, ...)``; any other pair falls back to
+    ``sample_trajectory`` one row at a time, trajectory i on
+    ``substream(seed, k, i)``.  Either way row i depends only on (seed, k, i).
     """
     actor = None
     if hasattr(env, "step_batch") and hasattr(policy, "actor"):
         actor = policy.actor(theta, env.n_states)
     if actor is not None:
-        return lambda rngs: sample_block(env, actor, rngs)
+        width = row_draws(env, actor)
+        return lambda first, n: sample_block(env, actor, uniform_rows(seed, k, first, n, width))
 
-    def one_at_a_time(rngs):
-        trajs = [sample_trajectory(env, policy, theta, rng) for rng in rngs]
+    def one_at_a_time(first, n):
+        trajs = [
+            sample_trajectory(env, policy, theta, substream(seed, k, i))
+            for i in range(first, first + n)
+        ]
         rewards = np.stack([np.asarray(t.rewards, dtype=float) for t in trajs])
         return rewards, np.stack([trajectory_scores(t, policy, theta) for t in trajs])
 
@@ -299,9 +304,10 @@ def spg_run(
     """Safe policy gradient: the adaptive rule, or a fixed (alpha, N) for comparison.
 
     With ``fixed=None`` each iteration samples blocks of trajectories
-    (trajectory i of iteration k from ``substream(seed, k, i)``) and stops at
-    the first prefix with N >= ceil(4 eps^2 / ||grad_est||^2), the estimate
-    taken over that prefix; rows past it are dropped and not counted.  It
+    (trajectory i of iteration k depends only on (seed, k, i); see
+    ``_rollout``) and stops at the first prefix with
+    N >= ceil(4 eps^2 / ||grad_est||^2), the estimate taken over that
+    prefix; rows past it are dropped and not counted.  It
     then updates theta with the constant step 1/(2L).  The records are
     those of checking the rule after every trajectory, whatever the block
     sizes.  An iteration that hits ``max_trajectories_per_iteration`` before
@@ -347,7 +353,7 @@ def spg_run(
         if fixed is not None and total + fixed.batch_size > limits.max_total_trajectories:
             break
         acc = GradientAccumulator(policy, theta, gamma, kind, baseline)
-        rollout = _rollout(env, policy, theta)
+        rollout = _rollout(env, policy, theta, seed, k)
         stalled = False
         while True:
             room = min(
@@ -362,8 +368,7 @@ def spg_run(
             else:
                 size = min(fixed.batch_size - acc.count, _MAX_BLOCK)
             first = acc.count
-            rngs = (substream(seed, k, i) for i in range(first, first + min(size, room)))
-            met = acc.add_block(*rollout(rngs), stop=stop)
+            met = acc.add_block(*rollout(first, min(size, room)), stop=stop)
             total += acc.count - first
             if met or (fixed is not None and acc.count >= fixed.batch_size):
                 break

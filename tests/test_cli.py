@@ -108,6 +108,10 @@ class TestRunCommand:
             pytest.param("policy", "feature_bound", math.nan, id="bound-nan"),
             pytest.param("policy", "tau", math.nan, id="tau-nan"),
             pytest.param("policy", "sigma", math.inf, id="sigma-inf"),
+            # integers too large for a float
+            pytest.param("policy", "sigma", 10**400, id="sigma-huge-int"),
+            pytest.param("environment", "arm_rewards", [1.0, 10**400], id="arm-huge-int"),
+            pytest.param("policy", "theta0", [0, 0, 0, -(10**400)], id="theta0-huge-int"),
         ],
     )
     def test_untyped_value_exits_without_output(self, tmp_path, capsys, section, key, value):

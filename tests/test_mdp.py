@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,16 @@ from spgrad.mdp import (
     make_bandit,
     make_chain,
     make_lqg1d,
+    row_draws,
+    sample_block,
     sample_trajectory,
 )
+from spgrad.estimators import trajectory_scores
 from spgrad.policies import ActionIndicatorFeatures, SoftmaxPolicy
-from spgrad.rng import substream
+from spgrad.rng import box_muller, substream, uniform_rows
+from spgrad.testbeds import bandit_instance, chain_instance, lqg_instance, two_state_instance
+
+from conftest import random_theta
 
 
 def uniform_two_action_policy():
@@ -200,3 +208,107 @@ class TestRngContract:
     def test_seed_range_checked(self):
         with pytest.raises(ConfigurationError):
             substream(-1, 0)
+
+
+def philox_row(seed, k, i, width):
+    """A generator positioned at row i of iteration k's uniforms: Philox keyed
+    (seed, k), its counter advanced past i rows of ``width`` padded to a
+    multiple of four (one counter step gives four 64-bit words)."""
+    bits = np.random.Philox(key=np.array([seed, k], dtype=np.uint64))
+    bits.advance(i * (-(-width // 4)))
+    return np.random.Generator(bits)
+
+
+class TestUniformRows:
+    # chain (T=5): 1 + 5 * (1 + 1) = 11 draws a row; lqg (T=10): 1 + 10 * (2 + 2) = 41
+    WIDTHS = {"chain": 11, "lqg": 41}
+
+    def test_widths_of_the_chain_and_lqg_instances(self):
+        chain = chain_instance()
+        env, policy = lqg_instance()
+        actor = chain.policy.actor(np.zeros(chain.policy.dim), chain.env.n_states)
+        assert row_draws(chain.env, actor) == 11
+        assert row_draws(env, policy.actor(np.zeros(policy.dim))) == 41
+
+    @pytest.mark.parametrize("width", list(WIDTHS.values()), ids=list(WIDTHS))
+    @pytest.mark.parametrize("block", [1, 7, 513])
+    def test_any_split_gives_the_same_rows(self, width, block):
+        n = 1100
+        whole = uniform_rows(5, 3, 0, n, width)
+        assert whole.shape == (n, width)
+        assert np.all((whole >= 0.0) & (whole < 1.0))
+        parts = [uniform_rows(5, 3, first, min(block, n - first), width)
+                 for first in range(0, n, block)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+        # and a split at the same points in one pass: [0, 1), [1, 7), [7, 513), [513, n)
+        edges = [0, 1, 7, 513, n]
+        uneven = [uniform_rows(5, 3, a, b - a, width) for a, b in zip(edges, edges[1:])]
+        np.testing.assert_array_equal(np.concatenate(uneven), whole)
+
+    @pytest.mark.parametrize("width", list(WIDTHS.values()), ids=list(WIDTHS))
+    def test_row_is_the_generator_advanced_to_it(self, width):
+        rows = uniform_rows(2**64 - 1, 6, 40, 3, width)
+        for j, row in enumerate(rows):
+            np.testing.assert_array_equal(row, philox_row(2**64 - 1, 6, 40 + j, width).random(width))
+
+    def test_distinct_addresses_differ(self):
+        addresses = [(0, 0), (0, 1), (1, 0), (1, 1), (7, 3), (3, 7), (2**64 - 1, 0)]
+        rows = [uniform_rows(seed, k, 0, 2, 11) for seed, k in addresses]
+        for a in range(len(rows)):
+            for b in range(a + 1, len(rows)):
+                assert not np.any(rows[a] == rows[b]), (addresses[a], addresses[b])
+
+    @pytest.mark.parametrize(
+        "seed, k, first",
+        [(-1, 0, 0), (2**64, 0, 0), (0, -1, 0), (0, 0, -1)],
+    )
+    def test_address_range_checked(self, seed, k, first):
+        with pytest.raises(ConfigurationError):
+            uniform_rows(seed, k, first, 1, 11)
+
+
+class TestBoxMuller:
+    def test_finite_at_the_ends_of_the_unit_interval(self):
+        ends = np.array([0.0, 1.0 - 2.0**-53])
+        u1, u2 = np.meshgrid(ends, ends)
+        z = box_muller(u1.ravel(), u2.ravel())
+        assert np.all(np.isfinite(z))
+        assert z[0] == 0.0  # u1 = 0 gives radius 0
+        assert np.max(np.abs(z)) == pytest.approx(math.sqrt(106.0 * math.log(2.0)))
+
+    def test_standard_normal_moments(self):
+        n = 100_000
+        u = uniform_rows(31, 0, 0, n, 2)
+        z = box_muller(u[:, 0], u[:, 1])
+        # about five standard errors: sd(mean) = 1/sqrt(n) = 0.0032,
+        # sd(variance) = sqrt(2/n) = 0.0045
+        assert abs(z.mean()) <= 0.016
+        assert abs(z.var() - 1.0) <= 0.023
+
+
+class TestBlockMatchesScalarPath:
+    """On uniform-only pairs, row i of ``sample_block`` is the episode
+    ``sample_trajectory`` rolls out on a generator at row i, bit for bit."""
+
+    SETUPS = {"bandit": bandit_instance, "chain": chain_instance, "two-state": two_state_instance}
+
+    @pytest.mark.parametrize("name", list(SETUPS))
+    def test_rows_equal_scalar_episodes(self, name):
+        inst = self.SETUPS[name]()
+        env, policy = inst.env, inst.policy
+        theta = random_theta(substream(62, 0), policy.dim, scale=2.0)
+        actor = policy.actor(theta, env.n_states)
+        width = row_draws(env, actor)
+        seed, k, first, n = 9, 2, 30, 200
+        rewards, scores = sample_block(env, actor, uniform_rows(seed, k, first, n, width))
+        assert rewards.shape == (n, env.spec.horizon)
+        for i in range(n):
+            traj = sample_trajectory(env, policy, theta, philox_row(seed, k, first + i, width))
+            np.testing.assert_array_equal(rewards[i], traj.rewards)
+            np.testing.assert_array_equal(scores[i], trajectory_scores(traj, policy, theta))
+
+    def test_wrong_width_rejected(self):
+        inst = chain_instance()
+        actor = inst.policy.actor(np.zeros(inst.policy.dim), inst.env.n_states)
+        with pytest.raises(ValueError, match="expected"):
+            sample_block(inst.env, actor, uniform_rows(0, 0, 0, 4, 10))

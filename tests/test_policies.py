@@ -13,7 +13,7 @@ from spgrad.policies import (
     StateTabularFeatures,
     TabularFeatures,
 )
-from spgrad.rng import substream
+from spgrad.rng import box_muller, substream
 
 from conftest import random_theta
 
@@ -348,6 +348,16 @@ class TestFeatureMaps:
         assert np.argmax(features(1, 0)) == 2
 
 
+class NextNormal:
+    """A stand-in generator whose standard normal is ``z``."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self):
+        return self.z
+
+
 class TestActors:
     """A policy frozen at theta acts on arrays of states as the scalar methods do, bit for bit."""
 
@@ -373,11 +383,11 @@ class TestActors:
         theta = random_theta(rng, policy.dim, scale=2.0)
         states = draw_states(rng, 200)
         actor = policy.actor(theta)
-        z = np.array([substream(60, 1, i).standard_normal() for i in range(200)])
-        actions = actor.sample(states, z)
-        expected = [
-            policy.sample_action(theta, s, substream(60, 1, i)) for i, s in enumerate(states)
-        ]
+        u = np.stack([substream(60, 1, i).random(2) for i in range(200)])
+        actions = actor.sample(states, u)
+        # sample_action given the standard normal the actor makes of each row
+        z = box_muller(u[:, 0], u[:, 1])
+        expected = [policy.sample_action(theta, s, NextNormal(z[i])) for i, s in enumerate(states)]
         np.testing.assert_array_equal(actions, expected)
         grid = (states.reshape(20, 10), actions.reshape(20, 10))
         scores = [policy.score(theta, s, a) for s, a in zip(states, actions)]
@@ -390,7 +400,7 @@ class TestActors:
         states = rng.integers(0, 3, 300)
         actor = policy.actor(theta, 3)
         u = np.array([substream(61, 1, i).random() for i in range(300)])
-        actions = actor.sample(states, u)
+        actions = actor.sample(states, u[:, None])
         expected = [
             policy.sample_action(theta, s, substream(61, 1, i)) for i, s in enumerate(states)
         ]

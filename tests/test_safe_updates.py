@@ -19,11 +19,13 @@ from spgrad.mdp import (
     MdpSpec,
     make_bandit,
     make_lqg1d,
+    row_draws,
+    sample_block,
     sample_trajectory,
 )
 from spgrad.oracle import grid_maximize
 from spgrad.policies import GaussianPolicy, PolynomialFeatures, SmoothingConstants, TabularFeatures, SoftmaxPolicy
-from spgrad.rng import substream
+from spgrad.rng import substream, uniform_rows
 from spgrad.safe_updates import (
     MetaParams,
     RunLimits,
@@ -282,10 +284,30 @@ class TestFixedMetaRun:
         assert len(result.records) == 2
 
 
+def block_rows(env, policy, theta, seed, k):
+    """add(acc, i): trajectory i of iteration k, one row through ``sample_block``
+    on row i of ``uniform_rows``, added with ``add_block``."""
+    actor = policy.actor(theta, env.n_states)
+    width = row_draws(env, actor)
+    return lambda acc, i: acc.add_block(
+        *sample_block(env, actor, uniform_rows(seed, k, i, 1, width))
+    )
+
+
+def substream_rows(env, policy, theta, seed, k):
+    """add(acc, i): trajectory i of iteration k from ``sample_trajectory`` on
+    ``substream(seed, k, i)``, added with ``add_trajectory``."""
+    return lambda acc, i: acc.add_trajectory(
+        sample_trajectory(env, policy, theta, substream(seed, k, i))
+    )
+
+
 def one_at_a_time(
-    env, policy, theta0, n_iterations, delta, kind, limits, seed, fixed=None, baseline="zero"
+    env, policy, theta0, n_iterations, delta, kind, limits, seed, fixed=None, baseline="zero",
+    rows=block_rows,
 ):
-    """(records, thetas) of the rule checked after every single trajectory."""
+    """(records, thetas) of the rule checked after every single trajectory,
+    each trajectory added by ``rows(env, policy, theta, seed, k)``."""
     theta = np.asarray(theta0, dtype=float).copy()
     constants = policy.smoothing_constants()
     lip = lipschitz_constant(constants, env.spec).value
@@ -296,6 +318,7 @@ def one_at_a_time(
         if fixed is not None and total + fixed.batch_size > limits.max_total_trajectories:
             break
         acc = GradientAccumulator(policy, theta, env.spec.gamma, kind, baseline)
+        add = rows(env, policy, theta, seed, k)
         stalled = False
         while True:
             if (
@@ -304,7 +327,7 @@ def one_at_a_time(
             ):
                 stalled = True
                 break
-            acc.add_trajectory(sample_trajectory(env, policy, theta, substream(seed, k, acc.count)))
+            add(acc, acc.count)
             total += 1
             if fixed is None:
                 needed = required_batch_size(acc.finalize().norm, eps)
@@ -437,10 +460,13 @@ class TestBlockSamplingIsExact:
             step = env.step
 
         limits = RunLimits(max_trajectories_per_iteration=800, max_total_trajectories=2000)
-        args = (np.zeros(policy.dim), 2, 0.5)
-        block = spg_run(env, policy, *args, limits=limits, seed=4)
-        fallback = spg_run(ScalarEnv(), policy, *args, limits=limits, seed=4)
-        assert_same_run(fallback, block.records, block.thetas)
+        theta0 = np.zeros(policy.dim)
+        records, thetas = one_at_a_time(
+            ScalarEnv(), policy, theta0, 2, 0.5, EstimatorKind.GPOMDP, limits, 4,
+            rows=substream_rows,
+        )
+        fallback = spg_run(ScalarEnv(), policy, theta0, 2, 0.5, limits=limits, seed=4)
+        assert_same_run(fallback, records, thetas)
 
 
 class TestBlockPathErrors:
