@@ -237,7 +237,8 @@ def parse_config(data: dict) -> ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = yaml.safe_load(handle)
+            # libyaml's loader when PyYAML was built with it; the same dicts, ~10x faster
+            data = yaml.load(handle, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{path}: not valid YAML ({exc})") from exc
     if data is None:

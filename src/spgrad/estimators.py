@@ -84,6 +84,24 @@ def trajectory_scores(traj: Trajectory, policy, theta: np.ndarray) -> np.ndarray
     )
 
 
+def stack_trajectories(
+    trajs: "list[Trajectory]", policy, theta: np.ndarray, actor=None
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Rewards (n, T) and per-step scores (n, T, m) of equal-length ``trajs``, row i
+    holding trajectory i.
+
+    The scores come from ``actor`` (the policy frozen at theta) in one call,
+    or step by step from ``trajectory_scores`` when there is no actor.
+    """
+    rewards = np.stack([np.asarray(t.rewards, dtype=float) for t in trajs])
+    if actor is None:
+        scores = np.stack([trajectory_scores(t, policy, theta) for t in trajs])
+    else:
+        states, actions = np.stack([t.states for t in trajs]), np.stack([t.actions for t in trajs])
+        scores = actor.score(states, actions)
+    return rewards, scores
+
+
 def trajectory_terms(
     kind: EstimatorKind,
     gamma: float,
@@ -151,11 +169,7 @@ class GradientAccumulator:
 
     def add_trajectory(self, traj: Trajectory, weight: float = 1.0) -> "GradientAccumulator":
         actor = self.policy.actor(self.theta) if hasattr(self.policy, "actor") else None
-        if actor is None:
-            scores = trajectory_scores(traj, self.policy, self.theta)[None]
-        else:
-            scores = actor.score(np.asarray(traj.states)[None], np.asarray(traj.actions)[None])
-        rewards = np.asarray(traj.rewards, dtype=float)[None]
+        rewards, scores = stack_trajectories([traj], self.policy, self.theta, actor)
         self.add_block(rewards, scores, None if weight == 1.0 else np.array([float(weight)]))
         return self
 

@@ -8,7 +8,11 @@ and two pure sampling operations::
 
 ``step`` is stateless: identical inputs and rng stream yield identical
 outputs.  Episodes always run exactly ``spec.horizon`` steps; there are no
-absorbing states or early terminations.
+absorbing states or early terminations.  The shipped environments do this
+per-step work in Python floats, ints and lists (``bisect_right`` for an
+inverse-CDF draw, ``min``/``max`` for a clamp), taking the same generator
+calls, and giving the same values, as the numpy forms
+(``np.searchsorted(..., side="right")``, ``np.clip``, ``rng.uniform``) would.
 
 The shipped environments also step arrays of episodes at once for
 :func:`sample_block`: ``reset_batch(u)`` and ``step_batch(states, actions,
@@ -18,6 +22,8 @@ is the size of a finite state space (None when it is continuous).
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Protocol
 
@@ -91,11 +97,12 @@ def sample_trajectory(
             f"theta has shape {theta.shape}, policy expects ({policy.dim},)"
         )
     horizon = env.spec.horizon
+    sample_action, step = policy.sample_action, env.step
     states, actions, rewards = [], [], []
     state = env.reset(rng)
     for _ in range(horizon):
-        action = policy.sample_action(theta, state, rng)
-        next_state, reward = env.step(state, action, rng)
+        action = sample_action(theta, state, rng)
+        next_state, reward = step(state, action, rng)
         states.append(state)
         actions.append(action)
         rewards.append(reward)
@@ -176,14 +183,15 @@ class EnumerableMdp:
                 f"initial distribution has shape {self.initial.shape}, "
                 f"expected {(self.n_states,)}"
             )
-        if np.any(self.transition < 0.0) or np.any(self.initial < 0.0):
+        # negated comparisons, so that a NaN entry is rejected too
+        if not (np.all(self.transition >= 0.0) and np.all(self.initial >= 0.0)):
             raise ConfigurationError("probabilities must be non-negative")
         row_sums = self.transition.sum(axis=-1)
-        if np.max(np.abs(row_sums - 1.0)) > _STOCHASTIC_ATOL:
+        if not np.max(np.abs(row_sums - 1.0)) <= _STOCHASTIC_ATOL:
             raise ConfigurationError("transition rows must sum to 1 within 1e-12")
-        if abs(self.initial.sum() - 1.0) > _STOCHASTIC_ATOL:
+        if not abs(self.initial.sum() - 1.0) <= _STOCHASTIC_ATOL:
             raise ConfigurationError("initial distribution must sum to 1 within 1e-12")
-        if np.max(np.abs(self.reward)) > self.spec.r_max + 1e-12:
+        if not np.max(np.abs(self.reward)) <= self.spec.r_max + 1e-12:
             raise ConfigurationError("rewards exceed spec.r_max")
 
 
@@ -213,27 +221,31 @@ class EnumerableEnv:
         self._cum_initial = np.cumsum(mdp.initial)
         self._cum_next = np.cumsum(mdp.transition, axis=-1)
         self.n_states = mdp.n_states
+        # the same tables as Python lists for the scalar reset and step
+        self._initial_cdf = self._cum_initial.tolist()
+        self._next_cdf = self._cum_next.tolist()
+        self._reward = mdp.reward.tolist()
+        self._edges = None if self.bin_edges is None else self.bin_edges.tolist()
 
-    def _draw(self, cum: np.ndarray, rng: np.random.Generator) -> int:
-        idx = int(np.searchsorted(cum, rng.random(), side="right"))
-        return min(idx, cum.size - 1)
+    def _draw(self, cum: "list[float]", rng: np.random.Generator) -> int:
+        # np.searchsorted(cum, u, side="right"), clamped to the last index
+        return min(bisect_right(cum, rng.random()), len(cum) - 1)
 
     def action_index(self, action: Any) -> int:
-        if self.bin_edges is not None:
-            return int(np.searchsorted(self.bin_edges, float(action), side="right"))
+        if self._edges is not None:
+            return bisect_right(self._edges, float(action))
         index = int(action)
         if not 0 <= index < self.mdp.n_actions:
             raise ValueError(f"action {index} out of range [0, {self.mdp.n_actions})")
         return index
 
     def reset(self, rng: np.random.Generator) -> int:
-        return self._draw(self._cum_initial, rng)
+        return self._draw(self._initial_cdf, rng)
 
     def step(self, state: int, action: Any, rng: np.random.Generator) -> tuple[int, float]:
         s = int(state)
         a = self.action_index(action)
-        next_state = self._draw(self._cum_next[s, a], rng)
-        return next_state, float(self.mdp.reward[s, a])
+        return self._draw(self._next_cdf[s][a], rng), self._reward[s][a]
 
     def reset_batch(self, u: np.ndarray) -> np.ndarray:
         return np.minimum(
@@ -281,8 +293,8 @@ class Lqg1dEnv:
     reset_draws, step_draws, n_states = 1, 2, None
 
     def __init__(self, config: Lqg1dConfig):
-        if config.s_max <= 0:
-            raise ConfigurationError(f"s_max must be positive, got {config.s_max}")
+        if not 0 < config.s_max < math.inf:
+            raise ConfigurationError(f"s_max must be positive and finite, got {config.s_max}")
         if config.noise_std < 0:
             raise ConfigurationError(f"noise_std must be non-negative, got {config.noise_std}")
         # MdpSpec rejects r_max <= 0.
@@ -290,21 +302,22 @@ class Lqg1dEnv:
         self.config = config
 
     def reset(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(-self.config.s_max, self.config.s_max))
+        # Generator.uniform(low, high) is low + (high - low) * random()
+        low, high = -self.config.s_max, self.config.s_max
+        return low + (high - low) * rng.random()
 
     def step(self, state: float, action: float, rng: np.random.Generator) -> tuple[float, float]:
         cfg = self.config
         s = float(state)
         a = float(action)
-        if not np.isfinite(a):
+        if not math.isfinite(a):
             raise NumericError(f"non-finite action {a}")
         reward = -min(cfg.q * s * s + cfg.c * a * a, cfg.r_max)
         drift = cfg.a_dyn * s + cfg.b_dyn * a + cfg.noise_std * rng.standard_normal()
-        next_state = float(np.clip(drift, -cfg.s_max, cfg.s_max))
-        return next_state, reward
+        # np.clip(drift, -s_max, s_max); a NaN drift stays NaN, as there
+        return min(max(drift, -cfg.s_max), cfg.s_max), reward
 
     def reset_batch(self, u: np.ndarray) -> np.ndarray:
-        # Generator.uniform(low, high) is low + (high - low) * random()
         low, high = -self.config.s_max, self.config.s_max
         return low + (high - low) * u[:, 0]
 

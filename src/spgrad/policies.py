@@ -1,10 +1,13 @@
 """Smoothing parametric policies: linear-mean Gaussian and linear Softmax.
 
-Both classes expose the same surface: ``sample_action``, ``log_pdf``,
-``score`` (gradient of the log-density in theta), ``observed_information``
-(its Hessian), ``actor`` (the policy frozen at theta, acting on arrays of
-states), and ``smoothing_constants`` returning the class constants
-(psi, kappa, xi) that bound, uniformly over states and theta,
+Both classes expose the same surface: ``sample_action`` (one action, in
+Python floats and lists: a Softmax draw is ``bisect_right`` on cumulative
+probabilities memoised with the probabilities, as ``np.searchsorted`` on
+``np.cumsum`` would find it), ``log_pdf``, ``score`` (gradient of the
+log-density in theta), ``observed_information`` (its Hessian), ``actor``
+(the policy frozen at theta, acting on arrays of states), and
+``smoothing_constants`` returning the class constants (psi, kappa, xi)
+that bound, uniformly over states and theta,
 
     E ||score||      <= psi
     E ||score||^2    <= kappa
@@ -18,7 +21,9 @@ computable before any data is seen.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -140,11 +145,15 @@ class GaussianPolicy:
 
     def _phi(self, state) -> np.ndarray:
         phi = np.asarray(self.features(state), dtype=float)
-        norm = float(np.linalg.norm(phi))
-        if norm > self.feature_bound + 1e-9:
-            raise ConfigurationError(
-                f"||phi(state)|| = {norm} exceeds feature_bound {self.feature_bound}"
-            )
+        bound = self.feature_bound + 1e-9
+        # math.hypot may differ from np.linalg.norm in the last bits, so a
+        # norm near the bound is decided, and reported, by np.linalg.norm
+        if math.hypot(*phi.tolist()) > bound * (1.0 - 1e-12):
+            norm = float(np.linalg.norm(phi))
+            if norm > bound:
+                raise ConfigurationError(
+                    f"||phi(state)|| = {norm} exceeds feature_bound {self.feature_bound}"
+                )
         return phi
 
     @staticmethod
@@ -263,9 +272,10 @@ class SoftmaxPolicy:
         self.tau = tau
         self.n_actions = n_actions
         self._matrix_cache: dict = {}
-        # action probabilities at the last theta seen, by int state
+        # (action probabilities, their cumulative sums) at the last theta
+        # seen, by int state
         self._probs_theta: "bytes | None" = None
-        self._probs_memo: "dict[int, np.ndarray]" = {}
+        self._probs_memo: "dict[int, tuple[np.ndarray, list[float]]]" = {}
 
     @property
     def dim(self) -> int:
@@ -295,29 +305,34 @@ class SoftmaxPolicy:
         z = z - np.max(z)  # max subtraction keeps exp finite for any finite theta
         return z - math.log(float(np.sum(np.exp(z))))
 
-    def action_probabilities(self, theta: np.ndarray, state) -> np.ndarray:
-        """pi(. | state) at theta, read-only.
+    def _probabilities_and_cdf(self, theta: np.ndarray, state) -> "tuple[np.ndarray, list[float]]":
+        """pi(. | state) at theta and its cumulative sums, as ``np.cumsum`` adds them.
 
         Sampling and scoring ask for the same (theta, state) in turn, so
-        integer states are memoised at the last theta seen.
+        integer states are memoised at the last theta seen, both in one entry.
         """
         if not isinstance(state, (int, np.integer)):
-            return np.exp(self._log_probabilities(theta, state))
+            probs = np.exp(self._log_probabilities(theta, state))
+            return probs, list(accumulate(probs.tolist()))
         key = np.asarray(theta, dtype=float).tobytes()
         if key != self._probs_theta:
             self._probs_theta = key
             self._probs_memo = {}
-        probs = self._probs_memo.get(int(state))
-        if probs is None:
+        entry = self._probs_memo.get(int(state))
+        if entry is None:
             probs = np.exp(self._log_probabilities(theta, state))
             probs.flags.writeable = False
-            self._probs_memo[int(state)] = probs
-        return probs
+            entry = self._probs_memo[int(state)] = (probs, list(accumulate(probs.tolist())))
+        return entry
+
+    def action_probabilities(self, theta: np.ndarray, state) -> np.ndarray:
+        """pi(. | state) at theta, read-only at integer states (memoised)."""
+        return self._probabilities_and_cdf(theta, state)[0]
 
     def sample_action(self, theta: np.ndarray, state, rng: np.random.Generator) -> int:
-        cum = np.cumsum(self.action_probabilities(theta, state))
-        idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        return min(idx, self.n_actions - 1)
+        cum = self._probabilities_and_cdf(theta, state)[1]
+        # np.searchsorted(cum, u * cum[-1], side="right"), the last action at the top
+        return min(bisect_right(cum, rng.random() * cum[-1]), self.n_actions - 1)
 
     def log_pdf(self, theta: np.ndarray, state, action) -> float:
         return float(self._log_probabilities(theta, state)[int(action)])

@@ -33,7 +33,7 @@ from .estimators import (
     GradientAccumulator,
     VarianceBound,
     error_bound,
-    trajectory_scores,
+    stack_trajectories,
     variance_bound,
 )
 from .mdp import Environment, row_draws, sample_block, sample_trajectory
@@ -248,8 +248,7 @@ def _rollout(env, policy, theta: np.ndarray, seed: int, k: int):
             sample_trajectory(env, policy, theta, substream(seed, k, i))
             for i in range(first, first + n)
         ]
-        rewards = np.stack([np.asarray(t.rewards, dtype=float) for t in trajs])
-        return rewards, np.stack([trajectory_scores(t, policy, theta) for t in trajs])
+        return stack_trajectories(trajs, policy, theta)
 
     return one_at_a_time
 

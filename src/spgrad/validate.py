@@ -34,7 +34,7 @@ from .estimators import (
     EstimatorKind,
     error_bound,
     running_sums,
-    trajectory_scores,
+    stack_trajectories,
     trajectory_terms,
     variance_bound,
 )
@@ -316,12 +316,7 @@ def _score_chunk(trajs: list, policy, theta: np.ndarray, actor, gamma: float, ki
     n_states)``, or step by step by the policy when there is none (no state
     count).
     """
-    if actor is None:
-        scores = np.stack([trajectory_scores(t, policy, theta) for t in trajs])
-    else:
-        states = np.stack([t.states for t in trajs])
-        scores = actor.score(states, np.stack([t.actions for t in trajs]))
-    rewards = np.stack([t.rewards for t in trajs])
+    rewards, scores = stack_trajectories(trajs, policy, theta, actor)
     return {kind: trajectory_terms(kind, gamma, rewards, scores)[2] for kind in kinds}
 
 

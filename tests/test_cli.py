@@ -99,6 +99,19 @@ class TestRunCommand:
         assert not os.path.exists(os.path.join(str(out), "run.csv"))
 
     @pytest.mark.parametrize(
+        "text, message",
+        [("environment: [\n", "not valid YAML"), ("", "empty config")],
+        ids=["malformed", "empty"],
+    )
+    def test_unreadable_yaml_exits_without_output(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.yaml"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.yaml"]
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [
             pytest.param("environment", "arm_rewards", [1.0, "x"], id="arm-str"),

@@ -1,14 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from spgrad.errors import ConfigurationError
+from spgrad.errors import ConfigurationError, NumericError
 from spgrad.mdp import (
     ChainConfig,
     EnumerableEnv,
     EnumerableMdp,
     Lqg1dConfig,
+    Lqg1dEnv,
     MdpSpec,
     Trajectory,
     make_bandit,
@@ -19,9 +21,20 @@ from spgrad.mdp import (
     sample_trajectory,
 )
 from spgrad.estimators import trajectory_scores
-from spgrad.policies import ActionIndicatorFeatures, SoftmaxPolicy
+from spgrad.policies import (
+    ActionIndicatorFeatures,
+    GaussianPolicy,
+    SoftmaxPolicy,
+    StateTabularFeatures,
+)
 from spgrad.rng import box_muller, substream, uniform_rows
-from spgrad.testbeds import bandit_instance, chain_instance, lqg_instance, two_state_instance
+from spgrad.testbeds import (
+    bandit_instance,
+    binned_gaussian_instance,
+    chain_instance,
+    lqg_instance,
+    two_state_instance,
+)
 
 from conftest import random_theta
 
@@ -122,6 +135,17 @@ class TestLqg1d:
         with pytest.raises(ConfigurationError):
             make_lqg1d(Lqg1dConfig(r_max=0.0))
 
+    @pytest.mark.parametrize("s_max", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_s_max_rejected(self, s_max):
+        with pytest.raises(ConfigurationError, match="s_max"):
+            make_lqg1d(Lqg1dConfig(s_max=s_max))
+
+    @pytest.mark.parametrize("action", [math.nan, math.inf, -math.inf])
+    def test_non_finite_action_raises(self, action):
+        env = make_lqg1d(Lqg1dConfig())
+        with pytest.raises(NumericError, match="non-finite action"):
+            env.step(0.5, action, substream(0, 0))
+
     def test_rewards_bounded_over_random_steps(self):
         env = make_lqg1d(Lqg1dConfig())
         rng = substream(7, 0)
@@ -161,30 +185,42 @@ class TestChain:
 
 class TestEnumerableMdp:
     def test_bad_rows_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EnumerableMdp(
-                n_states=2,
-                n_actions=1,
-                transition=np.array([[[0.5, 0.4]], [[0.5, 0.5]]]),
-                reward=np.zeros((2, 1)),
-                initial=np.array([1.0, 0.0]),
-                spec=MdpSpec(0.9, 1.0, 2),
-            )
+        # a row sum off by 0.1; a NaN transition or initial probability
+        for transition, initial in (
+            ([[[0.5, 0.4]], [[0.5, 0.5]]], [1.0, 0.0]),
+            ([[[math.nan, 1.0]], [[0.5, 0.5]]], [1.0, 0.0]),
+            ([[[0.5, 0.5]], [[0.5, 0.5]]], [math.nan, 1.0]),
+        ):
+            with pytest.raises(ConfigurationError):
+                EnumerableMdp(
+                    n_states=2,
+                    n_actions=1,
+                    transition=np.array(transition),
+                    reward=np.zeros((2, 1)),
+                    initial=np.array(initial),
+                    spec=MdpSpec(0.9, 1.0, 2),
+                )
 
     def test_reward_above_bound_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EnumerableMdp(
-                n_states=1,
-                n_actions=2,
-                transition=np.ones((1, 2, 1)),
-                reward=np.array([[2.0, 0.0]]),
-                initial=np.ones(1),
-                spec=MdpSpec(0.9, 1.0, 1),
-            )
+        for bad in (2.0, math.nan):
+            with pytest.raises(ConfigurationError):
+                EnumerableMdp(
+                    n_states=1,
+                    n_actions=2,
+                    transition=np.ones((1, 2, 1)),
+                    reward=np.array([[bad, 0.0]]),
+                    initial=np.ones(1),
+                    spec=MdpSpec(0.9, 1.0, 1),
+                )
 
     def test_binned_env_requires_matching_edges(self, binned_gaussian):
         with pytest.raises(ConfigurationError):
             EnumerableEnv(binned_gaussian.mdp, bin_edges=np.array([0.0]))
+
+    @pytest.mark.parametrize("action", [-1, 2, 7])
+    def test_action_out_of_range_raises(self, chain, action):
+        with pytest.raises(ValueError, match=f"action {action} out of range"):
+            chain.env.step(0, action, substream(0, 0))
 
     def test_binned_action_mapping(self, binned_gaussian):
         env = binned_gaussian.env
@@ -312,3 +348,143 @@ class TestBlockMatchesScalarPath:
         actor = inst.policy.actor(np.zeros(inst.policy.dim), inst.env.n_states)
         with pytest.raises(ValueError, match="expected"):
             sample_block(inst.env, actor, uniform_rows(0, 0, 0, 4, 10))
+
+
+# The scalar steps as numpy calls on one value each, written out here as the
+# reference for the shipped Python-float forms.
+
+
+def numpy_reset(env, rng):
+    if isinstance(env, Lqg1dEnv):
+        return float(rng.uniform(-env.config.s_max, env.config.s_max))
+    cum = np.cumsum(env.mdp.initial)
+    return min(int(np.searchsorted(cum, rng.random(), side="right")), cum.size - 1)
+
+
+def numpy_step(env, state, action, rng):
+    if isinstance(env, Lqg1dEnv):
+        cfg, s, a = env.config, float(state), float(action)
+        assert np.isfinite(a)
+        reward = -min(cfg.q * s * s + cfg.c * a * a, cfg.r_max)
+        drift = cfg.a_dyn * s + cfg.b_dyn * a + cfg.noise_std * rng.standard_normal()
+        return float(np.clip(drift, -cfg.s_max, cfg.s_max)), reward
+    s = int(state)
+    if env.bin_edges is None:
+        a = int(action)
+    else:
+        a = int(np.searchsorted(env.bin_edges, float(action), side="right"))
+    cum = np.cumsum(env.mdp.transition, axis=-1)[s, a]
+    next_state = min(int(np.searchsorted(cum, rng.random(), side="right")), cum.size - 1)
+    return next_state, float(env.mdp.reward[s, a])
+
+
+def numpy_action(policy, theta, state, rng):
+    if isinstance(policy, SoftmaxPolicy):
+        # unmemoised, so a stale memo in the policy cannot leak into the reference
+        cum = np.cumsum(np.exp(policy._log_probabilities(theta, state)))
+        idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        return min(idx, policy.n_actions - 1)
+    phi = np.asarray(policy.features(state), dtype=float)
+    assert float(np.linalg.norm(phi)) <= policy.feature_bound + 1e-9
+    mean = 0.0
+    for t, p in zip(theta.tolist(), phi.tolist()):
+        mean += t * p
+    return mean + policy.sigma * rng.standard_normal()
+
+
+def numpy_trajectory(env, policy, theta, rng):
+    states, actions, rewards = [], [], []
+    state = numpy_reset(env, rng)
+    for _ in range(env.spec.horizon):
+        action = numpy_action(policy, theta, state, rng)
+        next_state, reward = numpy_step(env, state, action, rng)
+        states.append(state)
+        actions.append(action)
+        rewards.append(reward)
+        state = next_state
+    return np.asarray(states), np.asarray(actions), np.asarray(rewards, dtype=float)
+
+
+def assert_same_episode(traj, reference):
+    for got, want in zip((traj.states, traj.actions, traj.rewards), reference):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+class Scripted:
+    """A stand-in generator that returns the given uniforms and normals in turn."""
+
+    def __init__(self, uniforms, normals=(0.0,)):
+        self._uniforms, self._normals = itertools.cycle(uniforms), itertools.cycle(normals)
+
+    def random(self):
+        return next(self._uniforms)
+
+    def standard_normal(self):
+        return next(self._normals)
+
+
+class TestScalarRolloutMatchesNumpyReference:
+    """``sample_trajectory`` equals the numpy formulation of every scalar step,
+    states, actions and rewards bit for bit and with the same dtypes."""
+
+    SETUPS = {
+        "two-state": two_state_instance,
+        "bandit": bandit_instance,
+        "chain": chain_instance,
+        "binned-gaussian": binned_gaussian_instance,
+        "lqg": lqg_instance,
+    }
+
+    def env_and_policy(self, name):
+        built = self.SETUPS[name]()
+        return built if name == "lqg" else (built.env, built.policy)
+
+    @pytest.mark.parametrize("name", list(SETUPS))
+    @pytest.mark.parametrize("scale", [0.0, 1.5])
+    def test_episodes_on_substreams(self, name, scale):
+        env, policy = self.env_and_policy(name)
+        if name == "lqg":
+            theta = np.array([0.5 - 1.2 * scale])
+        else:
+            theta = scale * np.linspace(-1.0, 0.6, policy.dim)
+        for i in range(200):
+            traj = sample_trajectory(env, policy, theta, substream(71, i))
+            assert_same_episode(traj, numpy_trajectory(env, policy, theta, substream(71, i)))
+
+    def test_alternating_thetas_from_the_same_state(self):
+        # the chain starts in state 0, so each episode asks the memo for
+        # state 0 at a theta other than the last one seen
+        inst = chain_instance()
+        thetas = [np.zeros(inst.policy.dim), np.linspace(-2.0, 2.0, inst.policy.dim)]
+        for i in range(200):
+            theta = thetas[i % 2]
+            traj = sample_trajectory(inst.env, inst.policy, theta, substream(72, i))
+            assert_same_episode(
+                traj, numpy_trajectory(inst.env, inst.policy, theta, substream(72, i))
+            )
+
+    @pytest.mark.parametrize("name", ["two-state", "bandit", "chain", "binned"])
+    def test_draws_on_a_cdf_step(self, name):
+        """Uniforms equal to a cumulative probability, and actions on a bin
+        edge, go to the next index, as ``side="right"`` does."""
+        if name == "binned":
+            inst = binned_gaussian_instance()
+            # sigma 0.5 puts the actions 0.5 * z exactly on the edges -0.5 and 0.5
+            env = EnumerableEnv(inst.mdp, bin_edges=np.array([-0.5, 0.5]))
+            policy = GaussianPolicy(StateTabularFeatures(2), feature_bound=1.0, sigma=0.5)
+        else:
+            env, policy = self.env_and_policy(name)
+        theta = np.zeros(policy.dim)
+        cdfs = [np.cumsum(env.mdp.transition, axis=-1), np.cumsum(env.mdp.initial)]
+        if isinstance(policy, SoftmaxPolicy):
+            cdfs += [np.cumsum(policy.action_probabilities(theta, s)) for s in range(env.n_states)]
+        uniforms = sorted({u for c in cdfs for u in c.ravel().tolist() if u < 1.0} | {0.0, 0.33})
+        normals = [-1.0, 1.0, 0.0, 0.3]
+        for i in range(60):
+            shift = i % len(uniforms)
+            script = uniforms[shift:] + uniforms[:shift]
+            traj = sample_trajectory(env, policy, theta, Scripted(script, normals))
+            assert_same_episode(
+                traj, numpy_trajectory(env, policy, theta, Scripted(script, normals))
+            )

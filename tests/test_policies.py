@@ -283,8 +283,37 @@ class TestDefinitionBounds:
 class TestFeatureBoundEnforcement:
     def test_gaussian_violation_raises(self):
         policy = GaussianPolicy(PolynomialFeatures(1), feature_bound=0.5, sigma=1.0)
-        with pytest.raises(ConfigurationError):
-            policy.mean(np.zeros(1), 1.0)
+        for call in (
+            lambda: policy.mean(np.zeros(1), 1.0),
+            lambda: policy.sample_action(np.zeros(1), 1.0, substream(0, 0)),
+            lambda: policy.score(np.zeros(1), 1.0, 0.0),
+        ):
+            with pytest.raises(ConfigurationError) as info:
+                call()
+            assert str(info.value) == "||phi(state)|| = 1.0 exceeds feature_bound 0.5"
+
+    @pytest.mark.parametrize("dim", [1, 3, 7])
+    def test_decisions_near_the_bound_follow_numpy_norm(self, dim):
+        """Raise exactly when np.linalg.norm(phi) exceeds feature_bound + 1e-9,
+        for feature vectors within a few ulps of that threshold."""
+        rng = substream(81, dim)
+        bound = 0.75
+        raised = kept = 0
+        for _ in range(300):
+            direction = rng.standard_normal(dim)
+            phi = direction * ((bound + 1e-9) / np.linalg.norm(direction))
+            phi = phi * (1.0 + float(rng.integers(-4, 5)) * 2.0**-52)
+            policy = GaussianPolicy(lambda state, phi=phi: phi, feature_bound=bound, sigma=1.0)
+            norm = float(np.linalg.norm(phi))
+            if norm > bound + 1e-9:
+                with pytest.raises(ConfigurationError) as info:
+                    policy.sample_action(np.zeros(dim), 0.0, substream(0, 0))
+                assert str(info.value) == f"||phi(state)|| = {norm} exceeds feature_bound {bound}"
+                raised += 1
+            else:
+                policy.sample_action(np.zeros(dim), 0.0, substream(0, 0))
+                kept += 1
+        assert raised > 0 and kept > 0
 
     def test_overflowing_mean_raises_numeric_error(self):
         from spgrad.errors import NumericError
