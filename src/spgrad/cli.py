@@ -10,12 +10,13 @@ import copy
 import os
 import sys
 
-from .config import ExperimentConfig, build_experiment, load_config
+from .config import ExperimentConfig, build_experiment, check_seed, load_config
 from .errors import ConfigurationError, NumericError, SpgradError
 from .estimators import BaselineKind, EstimatorKind, error_bound, variance_bound
+from .oracle import DEFAULT_PATH_BUDGET
 from .runlog import write_run_csv
 from .safe_updates import MetaParams, check_schedule, lipschitz_constant, spg_run
-from .validate import DEFAULT_BUDGET, run_validation
+from .validate import run_validation
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -33,7 +34,7 @@ def _effective_config(args) -> ExperimentConfig:
     config = load_config(args.config)
     raw = copy.deepcopy(config.raw)
     if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
+        config.seed = check_seed(args.seed)
         raw["seed"] = args.seed
     if getattr(args, "out", None) is not None:
         config.output_dir = args.out
@@ -69,12 +70,11 @@ def derived_constants(config: ExperimentConfig) -> "dict[str, float]":
     built = build_experiment(config)
     sc = built.policy.smoothing_constants()
     spec = built.env.spec
-    lip = lipschitz_constant(sc, spec)
     table: dict[str, float] = {
         "psi": sc.psi,
         "kappa": sc.kappa,
         "xi": sc.xi,
-        "L": lip.value,
+        "L": lipschitz_constant(sc, spec),
     }
     for kind in EstimatorKind:
         vb = variance_bound(kind, spec, sc.kappa)
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     const_p.set_defaults(func=cmd_constants)
 
     val_p = sub.add_parser("validate", help="run the oracle-backed check suite")
-    val_p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="path-enumeration budget")
+    val_p.add_argument("--budget", type=int, default=DEFAULT_PATH_BUDGET, help="path-enumeration budget")
     val_p.add_argument("--seed", type=int, default=20240)
     val_p.set_defaults(func=cmd_validate)
 

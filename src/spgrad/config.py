@@ -17,7 +17,7 @@ import yaml
 
 from .errors import ConfigurationError
 from .estimators import BaselineKind, EstimatorKind
-from .mdp import ChainConfig, Lqg1dConfig, make_bandit, make_chain, make_lqg1d, EnumerableEnv
+from .mdp import ChainConfig, EnumerableEnv, Lqg1dConfig, Lqg1dEnv, make_bandit, make_chain
 from .policies import (
     ActionIndicatorFeatures,
     GaussianPolicy,
@@ -149,6 +149,16 @@ def _numbers(values: list, path: str) -> "list[float]":
     return numbers
 
 
+def check_seed(value) -> int:
+    """The run seed, from the config file or a command-line override: an
+    unsigned 64-bit integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail("seed", f"expected {int}, got {value!r}")
+    if not 0 <= value <= 2**64 - 1:
+        _fail("seed", f"must be an unsigned 64-bit integer, got {value}")
+    return value
+
+
 def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be a mapping")
@@ -216,10 +226,6 @@ def parse_config(data: dict) -> ExperimentConfig:
     _check_keys(output_sec, "output", _SECTION_KEYS["output"])
     output_dir = _get(output_sec, "output", "directory", str, default="runs")
 
-    seed = _get(data, "", "seed", int, default=0)
-    if not 0 <= seed <= 2**64 - 1:
-        _fail("seed", "must be an unsigned 64-bit integer")
-
     return ExperimentConfig(
         environment=EnvironmentSection(kind=env_kind, params=dict(env_sec)),
         policy=PolicySection(kind=pol_kind, params=dict(pol_sec)),
@@ -228,7 +234,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         delta=delta,
         iterations=iterations,
         limits=limits,
-        seed=seed,
+        seed=check_seed(data.get("seed", 0)),
         output_dir=output_dir,
         raw=data,
     )
@@ -267,7 +273,7 @@ def _build_environment(config: ExperimentConfig):
         arms = _get(p, "environment", "arm_rewards", list, required=True)
         mdp = make_bandit(_numbers(arms, "environment.arm_rewards"), gamma=gamma, horizon=horizon)
         return EnumerableEnv(mdp), mdp
-    env = make_lqg1d(
+    env = Lqg1dEnv(
         Lqg1dConfig(
             gamma=gamma,
             horizon=horizon,

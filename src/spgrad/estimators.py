@@ -139,8 +139,9 @@ def trajectory_terms(
 class GradientAccumulator:
     """Streaming sufficient statistics for a gradient estimate.
 
-    Each trajectory enters with a positive weight (1 for a sampled batch,
-    its probability for an enumerated one).  The accumulator keeps weighted
+    Each trajectory enters with a positive weight: 1 when sampled, its path
+    probability when the exact oracle adds a block of enumerated paths
+    (``oracle.expected_gradient_estimate``).  The accumulator keeps weighted
     sums and divides by the weight sum, so the estimate is the weighted mean
     of the per-trajectory terms; Peters baselines are recomputed from the
     weighted statistics at finalize time.
@@ -167,10 +168,9 @@ class GradientAccumulator:
         self.weight_sum = self.return_sum = self._sum_g = 0.0
         self._sum_rc = self._sum_c = self._sum_rc2 = self._sum_c2 = 0.0
 
-    def add_trajectory(self, traj: Trajectory, weight: float = 1.0) -> "GradientAccumulator":
+    def add_trajectory(self, traj: Trajectory) -> "GradientAccumulator":
         actor = self.policy.actor(self.theta) if hasattr(self.policy, "actor") else None
-        rewards, scores = stack_trajectories([traj], self.policy, self.theta, actor)
-        self.add_block(rewards, scores, None if weight == 1.0 else np.array([float(weight)]))
+        self.add_block(*stack_trajectories([traj], self.policy, self.theta, actor))
         return self
 
     def add_block(
@@ -180,14 +180,15 @@ class GradientAccumulator:
         weights: "np.ndarray | None" = None,
         stop=None,
     ) -> bool:
-        """Add a block of trajectories, row after row, as ``add_trajectory`` would.
+        """Add a block of trajectories, row after row.
 
         ``rewards`` is (n, T) and ``scores`` (n, T, m), row i holding
         trajectory i; ``weights`` defaults to 1 for every row.  The terms of
         all rows come from one ``trajectory_terms`` call and are accumulated with
         ``np.cumsum``, which adds in row order like the one-at-a-time sums
         (``np.sum`` may pair terms), so the statistics after row i are the
-        ones ``add_trajectory`` reaches, bit for bit.
+        ones that adding rows one at a time reaches, bit for bit, however
+        the rows are split into blocks.
 
         ``stop(counts, estimates)``, if given, sees the trajectory count and
         the zero-baseline estimate after each row, both up to the first row

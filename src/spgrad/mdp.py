@@ -336,11 +336,6 @@ class Lqg1dEnv:
         return np.clip(drift, -cfg.s_max, cfg.s_max), reward
 
 
-def make_lqg1d(config: Lqg1dConfig) -> Lqg1dEnv:
-    """Build the bounded-reward 1-D LQG environment."""
-    return Lqg1dEnv(config)
-
-
 @dataclass(frozen=True)
 class ChainConfig:
     """Discrete chain: move LEFT/RIGHT along n states, reward at the goal.

@@ -7,19 +7,31 @@ Hessian is the central finite difference of the exact gradient.  Any policy
 exposing ``action_probabilities(theta, state)`` (and ``score`` for gradient
 work) over the MDP's discrete actions can be used: the Softmax policy
 directly, the Gaussian one through its binned-action view.
+
+The path sums take the paths in walk order in blocks (``path_blocks``) and
+carry their totals across blocks in path order, so each is the
+one-path-at-a-time sum bit for bit, in memory that does not grow with the
+number of paths.  Only ``expected_gradient_estimate`` goes through
+``GradientAccumulator``, so the exact gradient stays an independent check of it.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import NumericError, OracleBudgetError
-from .estimators import BaselineKind, EstimatorKind, GradientAccumulator
-from .mdp import EnumerableMdp, Trajectory
+from .estimators import BaselineKind, EstimatorKind, GradientAccumulator, running_sums
+from .mdp import EnumerableMdp
 
 DEFAULT_PATH_BUDGET = 1_000_000
+# paths per block of the path sums, each block a few (n, T, m) arrays
+PATH_BLOCK = 512
+# central-difference steps of fd_gradient (on J) and exact_hessian (on grad J)
+_FD_STEP = 1e-6
+_HESSIAN_STEP = 1e-4
 
 
 @dataclass
@@ -100,35 +112,37 @@ def _walk_paths(mdp: EnumerableMdp, probs: np.ndarray):
                     stack.append((t + 1, s2, p_next, states + (s2,), new_actions))
 
 
-def enumerate_trajectories(
-    mdp: EnumerableMdp, policy, theta: np.ndarray, budget: int = DEFAULT_PATH_BUDGET
-) -> list[tuple[float, Trajectory]]:
-    """All T-step trajectories with their probabilities under the policy."""
+def path_blocks(mdp: EnumerableMdp, policy, theta: np.ndarray, budget: int = DEFAULT_PATH_BUDGET):
+    """The paths of ``_walk_paths`` in walk order, in blocks of at most ``PATH_BLOCK``:
+    (probabilities (n,), states (n, T), actions (n, T)) per block.
+
+    The budget is checked by this call, before any path is walked.
+    """
     _check_budget(mdp, budget)
-    probs = policy_matrix(mdp, policy, theta)
-    out = []
-    for prob, states, actions in _walk_paths(mdp, probs):
-        rewards = np.array([mdp.reward[s, a] for s, a in zip(states, actions)])
-        traj = Trajectory(
-            states=np.array(states), actions=np.array(actions), rewards=rewards
-        )
-        out.append((prob, traj))
-    return out
+    paths = _walk_paths(mdp, policy_matrix(mdp, policy, theta))
+    blocks = iter(lambda: list(itertools.islice(paths, PATH_BLOCK)), [])
+    return (tuple(np.array(column) for column in zip(*block)) for block in blocks)
+
+
+def _score_table(mdp: EnumerableMdp, policy, theta: np.ndarray) -> np.ndarray:
+    """(S, A, m) scores of the policy at every state and action."""
+    states, actions = range(mdp.n_states), range(mdp.n_actions)
+    return np.stack([[policy.score(theta, s, a) for a in actions] for s in states])
+
+
+def _returns(mdp: EnumerableMdp, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """(n,) discounted returns of a block of paths, each summed in time order."""
+    discounted = mdp.spec.gamma ** np.arange(mdp.spec.horizon) * mdp.reward[states, actions]
+    return np.cumsum(discounted, axis=1)[:, -1]
 
 
 def enumerated_performance(
     mdp: EnumerableMdp, policy, theta: np.ndarray, budget: int = DEFAULT_PATH_BUDGET
 ) -> float:
     """J(theta) as a probability-weighted sum over all paths; equals the DP value."""
-    _check_budget(mdp, budget)
-    probs = policy_matrix(mdp, policy, theta)
-    discounts = mdp.spec.gamma ** np.arange(mdp.spec.horizon)
     total = 0.0
-    for prob, states, actions in _walk_paths(mdp, probs):
-        ret = sum(
-            d * mdp.reward[s, a] for d, s, a in zip(discounts, states, actions)
-        )
-        total += prob * ret
+    for probs, states, actions in path_blocks(mdp, policy, theta, budget):
+        total = running_sums(total, probs * _returns(mdp, states, actions))[-1]
     return total
 
 
@@ -138,61 +152,46 @@ def exact_gradient(
     """Likelihood-ratio gradient summed over all paths.
 
     grad J = sum_tau p(tau) * G(tau) * sum_t score(s_t, a_t); exact because
-    the sum runs over every path.
+    the sum runs over every path.  Paths are added in walk order and each
+    path's return and score in time order.
     """
-    _check_budget(mdp, budget)
-    probs = policy_matrix(mdp, policy, theta)
-    scores = np.stack(
-        [
-            [policy.score(theta, s, a) for a in range(mdp.n_actions)]
-            for s in range(mdp.n_states)
-        ]
-    )
-    discounts = mdp.spec.gamma ** np.arange(mdp.spec.horizon)
-    j = 0.0
-    grad = np.zeros(scores.shape[-1])
-    for prob, states, actions in _walk_paths(mdp, probs):
-        ret = 0.0
-        score_sum = np.zeros_like(grad)
-        for d, s, a in zip(discounts, states, actions):
-            ret += d * mdp.reward[s, a]
-            score_sum += scores[s, a]
-        j += prob * ret
-        grad += (prob * ret) * score_sum
+    scores = _score_table(mdp, policy, theta)
+    j, grad = 0.0, np.zeros(scores.shape[-1])
+    for probs, states, actions in path_blocks(mdp, policy, theta, budget):
+        weighted = probs * _returns(mdp, states, actions)
+        score_sums = np.cumsum(scores[states, actions], axis=1)[:, -1]
+        j = running_sums(j, weighted)[-1]
+        grad = running_sums(grad, weighted[:, None] * score_sums)[-1]
     return ExactGradient(j=j, grad=grad)
 
 
-def fd_gradient(mdp: EnumerableMdp, policy, theta: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of the exact performance."""
+def fd_gradient(mdp: EnumerableMdp, policy, theta: np.ndarray) -> np.ndarray:
+    """Central finite differences of the exact performance, step ``_FD_STEP``."""
     theta = np.asarray(theta, dtype=float)
     grad = np.zeros_like(theta)
     for i in range(theta.size):
         bump = np.zeros_like(theta)
-        bump[i] = h
+        bump[i] = _FD_STEP
         grad[i] = (
             exact_performance(mdp, policy, theta + bump)
             - exact_performance(mdp, policy, theta - bump)
-        ) / (2.0 * h)
+        ) / (2.0 * _FD_STEP)
     return grad
 
 
 def exact_hessian(
-    mdp: EnumerableMdp,
-    policy,
-    theta: np.ndarray,
-    h: float = 1e-4,
-    budget: int = DEFAULT_PATH_BUDGET,
+    mdp: EnumerableMdp, policy, theta: np.ndarray, budget: int = DEFAULT_PATH_BUDGET
 ) -> np.ndarray:
-    """Central finite differences of the exact gradient, symmetrized."""
+    """Central finite differences of the exact gradient, step ``_HESSIAN_STEP``, symmetrized."""
     theta = np.asarray(theta, dtype=float)
     m = theta.size
     hess = np.zeros((m, m))
     for j in range(m):
         bump = np.zeros(m)
-        bump[j] = h
+        bump[j] = _HESSIAN_STEP
         plus = exact_gradient(mdp, policy, theta + bump, budget).grad
         minus = exact_gradient(mdp, policy, theta - bump, budget).grad
-        hess[:, j] = (plus - minus) / (2.0 * h)
+        hess[:, j] = (plus - minus) / (2.0 * _HESSIAN_STEP)
     asymmetry = float(np.max(np.abs(hess - hess.T)))
     if asymmetry > 1e-6:
         raise NumericError(f"finite-difference Hessian asymmetry {asymmetry} exceeds 1e-6")
@@ -214,8 +213,9 @@ def expected_gradient_estimate(
     estimate of the baseline would be degenerate).
     """
     acc = GradientAccumulator(policy, theta, mdp.spec.gamma, kind, baseline)
-    for prob, traj in enumerate_trajectories(mdp, policy, theta, budget):
-        acc.add_trajectory(traj, weight=prob)
+    scores = _score_table(mdp, policy, theta)
+    for probs, states, actions in path_blocks(mdp, policy, theta, budget):
+        acc.add_block(mdp.reward[states, actions], scores[states, actions], probs)
     return acc.finalize().vector
 
 

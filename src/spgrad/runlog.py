@@ -54,7 +54,7 @@ def render_run_csv(result: RunResult, config_echo: dict) -> str:
                 ("psi", result.constants.psi),
                 ("kappa", result.constants.kappa),
                 ("xi", result.constants.xi),
-                ("L", result.lipschitz.value),
+                ("L", result.lipschitz),
                 ("nu2", result.variance.nu_squared),
                 ("eps_delta", result.error.eps_delta),
             )

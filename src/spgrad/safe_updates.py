@@ -42,18 +42,6 @@ from .rng import substream, uniform_rows
 
 
 @dataclass(frozen=True)
-class LipschitzConstant:
-    """Gradient Lipschitz constant of J together with its provenance."""
-
-    value: float
-    psi: float
-    kappa: float
-    xi: float
-    r_max: float
-    gamma: float
-
-
-@dataclass(frozen=True)
 class MetaParams:
     alpha: float
     batch_size: int
@@ -65,53 +53,32 @@ class MetaParams:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-@dataclass(frozen=True)
-class ImprovementBound:
-    value: float
-    confidence: float
-
-
-def lipschitz_constant(sc: SmoothingConstants, spec) -> LipschitzConstant:
+def lipschitz_constant(sc: SmoothingConstants, spec) -> float:
     """L such that J is L-smooth, from the policy constants and the MDP scalars."""
     gamma, r = spec.gamma, spec.r_max
-    value = r / (1.0 - gamma) ** 2 * (2.0 * gamma * sc.psi**2 / (1.0 - gamma) + sc.kappa + sc.xi)
-    return LipschitzConstant(
-        value=value, psi=sc.psi, kappa=sc.kappa, xi=sc.xi, r_max=r, gamma=gamma
-    )
+    return r / (1.0 - gamma) ** 2 * (2.0 * gamma * sc.psi**2 / (1.0 - gamma) + sc.kappa + sc.xi)
 
 
-def _l_value(lip: "LipschitzConstant | float") -> float:
-    return lip.value if isinstance(lip, LipschitzConstant) else float(lip)
-
-
-def exact_improvement_bound(
-    alpha: float, grad_norm: float, lip: "LipschitzConstant | float"
-) -> ImprovementBound:
+def exact_improvement_bound(alpha: float, grad_norm: float, lip: float) -> float:
     """Guaranteed improvement of an exact-gradient update of step alpha (elementwise on arrays)."""
     if np.any(alpha < 0) or np.any(grad_norm < 0):
         raise ValueError("alpha and grad_norm must be non-negative")
-    l = _l_value(lip)
-    value = alpha * grad_norm**2 - alpha**2 * (l / 2.0) * grad_norm**2
-    return ImprovementBound(value=value, confidence=1.0)
+    return alpha * grad_norm**2 - alpha**2 * (lip / 2.0) * grad_norm**2
 
 
-def optimal_step_exact(lip: "LipschitzConstant | float") -> MetaParams:
+def optimal_step_exact(lip: float) -> float:
     """The step maximizing the exact improvement bound: alpha = 1/L."""
-    l = _l_value(lip)
-    if l <= 0:
-        raise ConfigurationError(f"Lipschitz constant must be positive, got {l}")
-    return MetaParams(alpha=1.0 / l, batch_size=1)
+    if lip <= 0:
+        raise ConfigurationError(f"Lipschitz constant must be positive, got {lip}")
+    return 1.0 / lip
 
 
 def stochastic_improvement_bound(
-    alpha: float,
-    grad_est_norm: float,
-    eps_delta: float,
-    batch_size: float,
-    lip: "LipschitzConstant | float",
-    delta: float,
-) -> ImprovementBound:
-    """Improvement bound of a stochastic update, holding with probability 1 - delta.
+    alpha: float, grad_est_norm: float, eps_delta: float, batch_size: float, lip: float
+) -> float:
+    """Improvement bound of a stochastic update, holding on the event
+    ||grad_est - grad J|| <= eps_delta/sqrt(N) (probability 1 - delta for the
+    Chebyshev eps_delta of ``error_bound``).
 
     The max term keeps the bound valid on both sides of the estimation
     error: its first argument applies when the estimated norm exceeds
@@ -120,11 +87,9 @@ def stochastic_improvement_bound(
     """
     if any(np.any(x < 0) for x in (alpha, grad_est_norm, eps_delta)) or np.any(batch_size < 1):
         raise ValueError("inputs must be non-negative with batch_size >= 1")
-    l = _l_value(lip)
     err = eps_delta / np.sqrt(batch_size)
     anticipated = np.maximum(grad_est_norm, (grad_est_norm + err) / 2.0)
-    value = alpha * (grad_est_norm - err) * anticipated - alpha**2 * l * grad_est_norm**2 / 2.0
-    return ImprovementBound(value=value, confidence=1.0 - delta)
+    return alpha * (grad_est_norm - err) * anticipated - alpha**2 * lip * grad_est_norm**2 / 2.0
 
 
 def required_batch_size(grad_est_norm: float, eps_delta: float) -> "int | None":
@@ -134,9 +99,7 @@ def required_batch_size(grad_est_norm: float, eps_delta: float) -> "int | None":
     return max(1, math.ceil(4.0 * eps_delta**2 / grad_est_norm**2))
 
 
-def optimal_step_and_batch(
-    grad_est_norm: float, eps_delta: float, lip: "LipschitzConstant | float"
-) -> MetaParams:
+def optimal_step_and_batch(grad_est_norm: float, eps_delta: float, lip: float) -> MetaParams:
     """Jointly optimal (alpha, N) for improvement per trajectory.
 
     alpha = 1/(2L) and N = ceil(4 eps^2 / ||grad||^2) guarantee an
@@ -146,11 +109,10 @@ def optimal_step_and_batch(
         raise ValueError("zero gradient estimate: no batch size can be certified")
     if eps_delta <= 0.0:
         raise ValueError(f"eps_delta must be positive, got {eps_delta}")
-    l = _l_value(lip)
-    if l <= 0:
-        raise ConfigurationError(f"Lipschitz constant must be positive, got {l}")
+    if lip <= 0:
+        raise ConfigurationError(f"Lipschitz constant must be positive, got {lip}")
     batch = required_batch_size(grad_est_norm, eps_delta)
-    return MetaParams(alpha=1.0 / (2.0 * l), batch_size=batch)
+    return MetaParams(alpha=1.0 / (2.0 * lip), batch_size=batch)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +147,7 @@ class RunResult:
     records: "list[RunRecord]"
     thetas: "list[np.ndarray]"  # parameter vector before/after each iteration
     constants: SmoothingConstants
-    lipschitz: LipschitzConstant
+    lipschitz: float
     variance: VarianceBound
     error: ErrorBound
     estimator_kind: EstimatorKind
@@ -338,10 +300,10 @@ def spg_run(
     err = error_bound(var, delta)
     if fixed is not None:
         alpha = fixed.alpha
-    elif lip.value <= 0:
+    elif lip <= 0:
         raise ConfigurationError("Lipschitz constant is zero; no certified step exists")
     else:
-        alpha = 1.0 / (2.0 * lip.value)
+        alpha = 1.0 / (2.0 * lip)
     gamma = env.spec.gamma
     stop = None if fixed is not None else _first_certified(err.eps_delta)
 
@@ -378,7 +340,7 @@ def spg_run(
         guaranteed = 0.0
         if not stalled:
             if fixed is None:
-                guaranteed = estimate.norm**2 / (8.0 * lip.value)
+                guaranteed = estimate.norm**2 / (8.0 * lip)
             theta = theta + alpha * estimate.vector
             if not np.all(np.isfinite(theta)):
                 raise NumericError("parameter update produced non-finite values")

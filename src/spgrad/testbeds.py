@@ -19,7 +19,6 @@ from .mdp import (
     MdpSpec,
     make_bandit,
     make_chain,
-    make_lqg1d,
 )
 from .policies import (
     ActionIndicatorFeatures,
@@ -117,6 +116,6 @@ def binned_gaussian_instance() -> DiscreteInstance:
 
 def lqg_instance(sigma: float = 0.5, gamma: float = 0.9, horizon: int = 10) -> tuple[Lqg1dEnv, GaussianPolicy]:
     """Bounded 1-D LQG with phi(s) = [s]; feature norm is bounded by s_max = 1."""
-    env = make_lqg1d(Lqg1dConfig(gamma=gamma, horizon=horizon))
+    env = Lqg1dEnv(Lqg1dConfig(gamma=gamma, horizon=horizon))
     policy = GaussianPolicy(PolynomialFeatures(degree=1), feature_bound=1.0, sigma=sigma)
     return env, policy

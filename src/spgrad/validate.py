@@ -41,6 +41,7 @@ from .estimators import (
 from .mdp import sample_trajectory
 from .policies import GaussianPolicy, PolynomialFeatures, SmoothingConstants
 from .oracle import (
+    DEFAULT_PATH_BUDGET,
     enumerated_performance,
     exact_gradient,
     exact_hessian,
@@ -62,7 +63,6 @@ from .safe_updates import (
 )
 from .testbeds import binned_gaussian_instance, chain_instance, lqg_instance, two_state_instance
 
-DEFAULT_BUDGET = 1_000_000
 # trajectories the sampled checks score and sum at once
 _CHUNK = 512
 
@@ -166,7 +166,7 @@ def check_quadratic_bound(
     name, tol = "quadratic-bound", "deviation <= (L/2)||dtheta||^2 + 1e-9"
     inst = two_state_instance()
     lip = lipschitz_constant(inst.policy.smoothing_constants(), inst.mdp.spec)
-    l_used = lip.value * lipschitz_scale
+    l_used = lip * lipschitz_scale
     rng = substream(seed, 5)
     worst = -np.inf
     try:
@@ -194,7 +194,7 @@ def check_hessian_bound(
     try:
         for idx, inst in enumerate((two_state_instance(), binned_gaussian_instance())):
             lip = lipschitz_constant(inst.policy.smoothing_constants(), inst.mdp.spec)
-            l_used = lip.value * lipschitz_scale
+            l_used = lip * lipschitz_scale
             rng = substream(seed, 6, idx)
             for _ in range(n_points):
                 theta = _random_theta(rng, inst.policy.dim)
@@ -209,7 +209,7 @@ def check_exact_step(budget: int, seed: int, n_points: int = 50) -> CheckResult:
     name, tol = "exact-step-guarantee", "improvement >= ||grad||^2/(2L) - 1e-9"
     inst = two_state_instance()
     lip = lipschitz_constant(inst.policy.smoothing_constants(), inst.mdp.spec)
-    alpha = optimal_step_exact(lip).alpha
+    alpha = optimal_step_exact(lip)
     rng = substream(seed, 7)
     worst = np.inf
     try:
@@ -219,9 +219,7 @@ def check_exact_step(budget: int, seed: int, n_points: int = 50) -> CheckResult:
             improvement = exact_performance(
                 inst.mdp, inst.oracle_policy, theta + alpha * grad
             ) - exact_performance(inst.mdp, inst.oracle_policy, theta)
-            worst = min(
-                worst, improvement - float(np.dot(grad, grad)) / (2.0 * lip.value)
-            )
+            worst = min(worst, improvement - float(np.dot(grad, grad)) / (2.0 * lip))
     except OracleBudgetError:
         return _skip(name, tol)
     return _result(name, worst >= -1e-9, tol, f"min margin = {worst:.3e}")
@@ -230,17 +228,17 @@ def check_exact_step(budget: int, seed: int, n_points: int = 50) -> CheckResult:
 def check_step_grid() -> CheckResult:
     name, tol = "step-size-grid-optimality", "closed form within 1% of grid value"
     lip, grad_norm = 2.0, 1.0
-    alpha_star = optimal_step_exact(lip).alpha
+    alpha_star = optimal_step_exact(lip)
     best = grad_norm**2 / (2.0 * lip)
     _, _, grid_val = grid_maximize(
-        lambda a: exact_improvement_bound(a, grad_norm, lip).value, (0.0, 3.0 / lip)
+        lambda a: exact_improvement_bound(a, grad_norm, lip), (0.0, 3.0 / lip)
     )
     gap_exact = abs(grid_val - best) / best
 
     eps, n = 1.0, 16.0
     adaptive_best = (grad_norm - eps / math.sqrt(n)) ** 2 / (2.0 * lip)
     _, _, grid_adaptive = grid_maximize(
-        lambda a: stochastic_improvement_bound(a, grad_norm, eps, n, lip, 0.5).value,
+        lambda a: stochastic_improvement_bound(a, grad_norm, eps, n, lip),
         (0.0, 3.0 / lip),
     )
     gap_adaptive = abs(grid_adaptive - adaptive_best) / adaptive_best
@@ -256,10 +254,9 @@ def check_joint_grid() -> CheckResult:
     upsilon_star = grad_norm**4 / (32.0 * lip * eps**2)
     upsilon_rejected = grad_norm**4 / (54.0 * lip * eps**2)
     _, _, grid_val = grid_maximize(
-        lambda a, n: stochastic_improvement_bound(a, grad_norm, eps, n, lip, 0.5).value / n,
+        lambda a, n: stochastic_improvement_bound(a, grad_norm, eps, n, lip) / n,
         (0.0, 1.0 / lip),
         (1.0, 10.0 * meta.batch_size),
-        resolution=1001,
     )
     gap = abs(grid_val - upsilon_star) / upsilon_star
     # the rejected stationary point of the averaged branch of the bound
@@ -292,7 +289,7 @@ def check_constants_closed_forms(seed: int) -> CheckResult:
         spec_like = type("S", (), {"gamma": gamma, "r_max": r})
         gauss = lipschitz_constant(
             GaussianPolicy(PolynomialFeatures(1), bound, sigma).smoothing_constants(), spec_like
-        ).value
+        )
         gauss_table = (
             2.0 * bound**2 * r / (sigma**2 * (1 - gamma) ** 2)
             * (1.0 + 2.0 * gamma / (math.pi * (1.0 - gamma)))
@@ -300,7 +297,7 @@ def check_constants_closed_forms(seed: int) -> CheckResult:
         soft = lipschitz_constant(
             SmoothingConstants(2 * bound / tau, 4 * bound**2 / tau**2, 2 * bound**2 / tau**2),
             spec_like,
-        ).value
+        )
         soft_table = (
             2.0 * bound**2 * r / (tau**2 * (1 - gamma) ** 2)
             * (3.0 + 4.0 * gamma / (1.0 - gamma))
@@ -451,7 +448,7 @@ def check_runlog_roundtrip(seed: int) -> CheckResult:
 
 
 def run_validation(
-    budget: int = DEFAULT_BUDGET,
+    budget: int = DEFAULT_PATH_BUDGET,
     seed: int = 20240,
     mc_samples: int = 20_000,
     chebyshev_estimates: int = 1_000,

@@ -14,10 +14,9 @@ import yaml
 
 from spgrad.cli import EXIT_OK, main
 from spgrad.estimators import EstimatorKind
-from spgrad.oracle import exact_performance
+from spgrad.oracle import DEFAULT_PATH_BUDGET, exact_performance
 from spgrad.safe_updates import spg_run
 from spgrad.validate import (
-    DEFAULT_BUDGET,
     chebyshev_violations,
     check_estimator_unbiasedness,
     check_exact_step,
@@ -50,8 +49,8 @@ def test_01_estimator_unbiasedness():
     # the oracle itself is checked by an independent route: finite differences of the DP value
     report_checks(
         "01",
-        check_estimator_unbiasedness(DEFAULT_BUDGET, SEED),
-        check_gradient_crosscheck(DEFAULT_BUDGET, SEED),
+        check_estimator_unbiasedness(DEFAULT_PATH_BUDGET, SEED),
+        check_gradient_crosscheck(DEFAULT_PATH_BUDGET, SEED),
     )
 
 
@@ -72,7 +71,7 @@ def test_02_variance_bounds(label, stream):
 
 
 def test_03_chebyshev_coverage():
-    rates = chebyshev_violations(DEFAULT_BUDGET, SEED, 10_000, tuple(EstimatorKind), 4)
+    rates = chebyshev_violations(DEFAULT_PATH_BUDGET, SEED, 10_000, tuple(EstimatorKind), 4)
     shown = {f"{kind.value}@{delta}": rate for (kind, delta), rate in rates.items()}
     report(
         "03 chebyshev-coverage",
@@ -82,16 +81,16 @@ def test_03_chebyshev_coverage():
 
 
 def test_04_quadratic_bound():
-    report_checks("04", check_quadratic_bound(DEFAULT_BUDGET, SEED, 1.0, n_points=200))
+    report_checks("04", check_quadratic_bound(DEFAULT_PATH_BUDGET, SEED, 1.0, n_points=200))
 
 
 def test_05_hessian_spectral_bound():
     # both policy classes: the two-state Softmax and the binned Gaussian
-    report_checks("05", check_hessian_bound(DEFAULT_BUDGET, SEED, 1.0, n_points=50))
+    report_checks("05", check_hessian_bound(DEFAULT_PATH_BUDGET, SEED, 1.0, n_points=50))
 
 
 def test_06_exact_step_guarantee():
-    report_checks("06", check_exact_step(DEFAULT_BUDGET, SEED, n_points=100))
+    report_checks("06", check_exact_step(DEFAULT_PATH_BUDGET, SEED, n_points=100))
 
 
 def test_07_kkt_optima():

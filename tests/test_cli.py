@@ -74,6 +74,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="policy.theta0"):
             build_experiment(parse_config(data))
 
+    @pytest.mark.parametrize("seed", ["abc", True, 1.5, -1, 2**64])
+    def test_bad_seed_named(self, tmp_path, seed):
+        data = chain_config(tmp_path, seed=seed)
+        with pytest.raises(ConfigurationError, match=r"^seed: "):
+            parse_config(data)
+
     def test_build_experiment_shapes(self, tmp_path):
         built = build_experiment(parse_config(chain_config(tmp_path)))
         assert built.policy.dim == 4
@@ -148,6 +154,17 @@ class TestRunCommand:
         assert main(["run", "--config", path, "--seed", "8", "--out", str(out_b)]) == EXIT_OK
         log = read_run_csv(os.path.join(str(out_b), "run.csv"))
         assert '"seed":8' in log.metadata["config"].replace(" ", "")
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("seed", [-5, 2**64])
+    def test_bad_seed_override_exits_without_output(self, tmp_path, capsys, command, seed):
+        path = write_config(tmp_path, chain_config(tmp_path / "from-config"))
+        argv = [command, "--config", path, "--seed", str(seed), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--schedule", "spg"]
+        assert main(argv) == EXIT_CONFIG
+        assert "seed: must be an unsigned 64-bit integer" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.yaml"]
 
 
 class TestConstantsCommand:

@@ -15,7 +15,6 @@ from spgrad.mdp import (
     Trajectory,
     make_bandit,
     make_chain,
-    make_lqg1d,
     row_draws,
     sample_block,
     sample_trajectory,
@@ -122,32 +121,32 @@ class TestSampleTrajectory:
 
 class TestLqg1d:
     def test_origin_is_cost_free(self):
-        env = make_lqg1d(Lqg1dConfig(q=1.0, c=1.0))
+        env = Lqg1dEnv(Lqg1dConfig(q=1.0, c=1.0))
         _, reward = env.step(0.0, 0.0, substream(0, 0))
         assert reward == 0.0
 
     def test_reward_clipping(self):
-        env = make_lqg1d(Lqg1dConfig(q=1.0, c=1.0, r_max=5.0))
+        env = Lqg1dEnv(Lqg1dConfig(q=1.0, c=1.0, r_max=5.0))
         _, reward = env.step(10.0, 10.0, substream(0, 0))
         assert reward == -5.0
 
     def test_bad_r_max_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_lqg1d(Lqg1dConfig(r_max=0.0))
+            Lqg1dEnv(Lqg1dConfig(r_max=0.0))
 
     @pytest.mark.parametrize("s_max", [0.0, -1.0, math.inf, math.nan])
     def test_bad_s_max_rejected(self, s_max):
         with pytest.raises(ConfigurationError, match="s_max"):
-            make_lqg1d(Lqg1dConfig(s_max=s_max))
+            Lqg1dEnv(Lqg1dConfig(s_max=s_max))
 
     @pytest.mark.parametrize("action", [math.nan, math.inf, -math.inf])
     def test_non_finite_action_raises(self, action):
-        env = make_lqg1d(Lqg1dConfig())
+        env = Lqg1dEnv(Lqg1dConfig())
         with pytest.raises(NumericError, match="non-finite action"):
             env.step(0.5, action, substream(0, 0))
 
     def test_rewards_bounded_over_random_steps(self):
-        env = make_lqg1d(Lqg1dConfig())
+        env = Lqg1dEnv(Lqg1dConfig())
         rng = substream(7, 0)
         states = rng.uniform(-1.0, 1.0, size=100_000)
         actions = 2.0 * rng.standard_normal(100_000)

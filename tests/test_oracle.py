@@ -1,24 +1,30 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spgrad.errors import OracleBudgetError
+from spgrad.estimators import BaselineKind, EstimatorKind, GradientAccumulator
 from spgrad.mdp import make_bandit
 from spgrad.oracle import (
-    enumerate_trajectories,
+    PATH_BLOCK,
+    _walk_paths,
     enumerated_performance,
     exact_gradient,
     exact_hessian,
     exact_performance,
     exact_values,
+    expected_gradient_estimate,
     fd_gradient,
     grid_maximize,
+    path_blocks,
     policy_matrix,
 )
 from spgrad.policies import ActionIndicatorFeatures, SoftmaxPolicy
 from spgrad.rng import substream
 from spgrad.safe_updates import lipschitz_constant
+from spgrad.testbeds import DiscreteInstance, chain_instance
 
 from conftest import random_theta
 
@@ -115,7 +121,7 @@ class TestExactHessian:
             theta = random_theta(rng, chain.policy.dim)
             hess = exact_hessian(chain.mdp, chain.policy, theta)
             np.testing.assert_allclose(hess, hess.T, atol=1e-12)
-            assert np.linalg.norm(hess, 2) <= lip.value * (1 + 1e-6)
+            assert np.linalg.norm(hess, 2) <= lip * (1 + 1e-6)
 
 
 class TestBudget:
@@ -124,15 +130,112 @@ class TestBudget:
         with pytest.raises(OracleBudgetError):
             exact_gradient(two_state.mdp, two_state.policy, theta, budget=10)
         with pytest.raises(OracleBudgetError):
-            enumerate_trajectories(two_state.mdp, two_state.policy, theta, budget=10)
+            # raised by the call itself, before any block is taken
+            path_blocks(two_state.mdp, two_state.policy, theta, budget=10)
         # dynamic programming does not enumerate paths and stays available
         exact_performance(two_state.mdp, two_state.policy, theta)
 
     def test_path_count_matches_combinatorics(self, two_state):
         # 2 states * 2 actions over T=3 gives 64 paths, all positive here
-        pairs = enumerate_trajectories(two_state.mdp, two_state.policy, np.zeros(4))
-        assert len(pairs) == 64
-        assert sum(p for p, _ in pairs) == pytest.approx(1.0, abs=1e-12)
+        blocks = list(path_blocks(two_state.mdp, two_state.policy, np.zeros(4)))
+        assert len(blocks) == 1
+        probs, states, actions = blocks[0]
+        assert probs.shape == (64,) and states.shape == actions.shape == (64, 3)
+        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+
+
+def long_bandit(horizon: int) -> DiscreteInstance:
+    """A two-armed bandit with 2 ** horizon paths and one parameter."""
+    mdp = make_bandit([0.9, -0.7], gamma=0.9, horizon=horizon)
+    policy = uniform_policy()
+    return DiscreteInstance(mdp=mdp, env=None, policy=policy, oracle_policy=policy)
+
+
+def reference_path_sums(mdp, policy, theta):
+    """(J, exact gradient, {(kind, baseline): expected estimate}) summed one
+    path at a time, each path's return and score in time order, and each path
+    a weighted one-row batch of the accumulator, scored step by step."""
+    probs = policy_matrix(mdp, policy, theta)
+    scores = np.stack(
+        [[policy.score(theta, s, a) for a in range(mdp.n_actions)] for s in range(mdp.n_states)]
+    )
+    discounts = mdp.spec.gamma ** np.arange(mdp.spec.horizon)
+    accs = {
+        (kind, baseline): GradientAccumulator(policy, theta, mdp.spec.gamma, kind, baseline)
+        for kind in EstimatorKind
+        for baseline in BaselineKind
+    }
+    total, j, grad = 0.0, 0.0, np.zeros(scores.shape[-1])
+    for prob, states, actions in _walk_paths(mdp, probs):
+        total += prob * sum(d * mdp.reward[s, a] for d, s, a in zip(discounts, states, actions))
+        ret, score_sum = 0.0, np.zeros_like(grad)
+        for d, s, a in zip(discounts, states, actions):
+            ret += d * mdp.reward[s, a]
+            score_sum += scores[s, a]
+        j += prob * ret
+        grad += (prob * ret) * score_sum
+        rewards = np.array([[mdp.reward[s, a] for s, a in zip(states, actions)]])
+        path_scores = np.stack([policy.score(theta, s, a) for s, a in zip(states, actions)])
+        weight = None if prob == 1.0 else np.array([float(prob)])
+        for acc in accs.values():
+            acc.add_block(rewards, path_scores[None], weight)
+    return total, (j, grad), {key: acc.finalize().vector for key, acc in accs.items()}
+
+
+def bits(value) -> bytes:
+    return np.asarray(value).dtype.str.encode() + np.asarray(value).tobytes()
+
+
+class TestBlockedPathSums:
+    """The path sums over blocks of paths equal the one-path-at-a-time sums
+    bit for bit, for path counts below, at a multiple of and past the block size."""
+
+    @pytest.mark.parametrize(
+        "name, n_paths",
+        [("two_state", 64), ("binned_gaussian", 216), ("chain", 232), ("bandit-T10", 1024),
+         ("chain-2x7", 1458)],
+    )
+    def test_bit_identical_to_per_path_sums(self, request, name, n_paths):
+        if name == "bandit-T10":
+            inst = long_bandit(10)
+        elif name == "chain-2x7":
+            inst = chain_instance(n_states=2, horizon=7)
+        else:
+            inst = request.getfixturevalue(name)
+        mdp, policy = inst.mdp, inst.oracle_policy
+        rng = substream(34, n_paths)
+        for _ in range(3):
+            theta = random_theta(rng, policy.dim)
+            sizes = [len(block[0]) for block in path_blocks(mdp, policy, theta)]
+            assert sum(sizes) == n_paths and max(sizes) <= PATH_BLOCK
+            total, (j, grad), estimates = reference_path_sums(mdp, policy, theta)
+            assert bits(enumerated_performance(mdp, policy, theta)) == bits(total)
+            exact = exact_gradient(mdp, policy, theta)
+            assert bits(exact.j) == bits(j) and bits(exact.grad) == bits(grad)
+            for (kind, baseline), vector in estimates.items():
+                blocked = expected_gradient_estimate(mdp, policy, theta, kind, baseline)
+                assert bits(blocked) == bits(vector), (kind, baseline)
+
+    def test_memory_stays_flat_in_the_path_count(self):
+        # 2 ** 14 paths: one object per path held at once would take ~14 MiB,
+        # a block of them takes ~1 MiB
+        inst = long_bandit(14)
+        mdp, policy, theta = inst.mdp, inst.policy, np.array([0.3])
+        sums = {
+            "enumerated_performance": lambda: enumerated_performance(mdp, policy, theta),
+            "exact_gradient": lambda: exact_gradient(mdp, policy, theta),
+            "expected_gradient_estimate": lambda: expected_gradient_estimate(
+                mdp, policy, theta, EstimatorKind.GPOMDP, BaselineKind.PETERS
+            ),
+        }
+        for name, path_sum in sums.items():
+            tracemalloc.start()
+            try:
+                path_sum()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, f"{name} peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestGridMaximize:
