@@ -209,14 +209,10 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(limits_sec, dict):
         _fail("limits", "expected a mapping")
     _check_keys(limits_sec, "limits", _SECTION_KEYS["limits"])
-    per_iter = _get(
-        limits_sec, "limits", "max_trajectories_per_iteration", int, default=100_000
-    )
-    total = _get(limits_sec, "limits", "max_total_trajectories", int, default=10_000_000)
+    # keys left out take the RunLimits defaults
+    given = {key: _get(limits_sec, "limits", key, int) for key in limits_sec}
     try:
-        limits = RunLimits(
-            max_trajectories_per_iteration=per_iter, max_total_trajectories=total
-        )
+        limits = RunLimits(**given)
     except ConfigurationError as exc:
         _fail("limits", str(exc))
 

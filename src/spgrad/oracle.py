@@ -23,12 +23,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, OracleBudgetError
-from .estimators import BaselineKind, EstimatorKind, GradientAccumulator, running_sums
+from .estimators import BLOCK_ROWS, BaselineKind, EstimatorKind, GradientAccumulator, running_sums
 from .mdp import EnumerableMdp
 
 DEFAULT_PATH_BUDGET = 1_000_000
-# paths per block of the path sums, each block a few (n, T, m) arrays
-PATH_BLOCK = 512
 # central-difference steps of fd_gradient (on J) and exact_hessian (on grad J)
 _FD_STEP = 1e-6
 _HESSIAN_STEP = 1e-4
@@ -40,12 +38,6 @@ class ValueTable:
 
     v: np.ndarray
     q: np.ndarray
-
-
-@dataclass
-class ExactGradient:
-    j: float
-    grad: np.ndarray
 
 
 def policy_matrix(mdp: EnumerableMdp, policy, theta: np.ndarray) -> np.ndarray:
@@ -80,8 +72,21 @@ def exact_performance(mdp: EnumerableMdp, policy, theta: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_budget(mdp: EnumerableMdp, budget: int) -> None:
-    total = (mdp.n_states * mdp.n_actions) ** mdp.spec.horizon
+def _check_budget(mdp: EnumerableMdp, probs: np.ndarray, budget: int) -> None:
+    """Raise unless the paths over the supports of ``initial``, ``probs`` and
+    ``transition`` fit the budget.
+
+    The count runs forward in Python integers, so it cannot overflow.  It is
+    never below the number of paths ``_walk_paths`` visits, which skips the
+    same zero entries and also a path whose probability underflows to zero.
+    """
+    allowed = probs > 0.0
+    # edges[s][s2]: the allowed actions at s that can lead to s2
+    edges = (allowed[:, :, None] & (mdp.transition > 0.0)).sum(axis=1).tolist()
+    counts = [int(p > 0.0) for p in mdp.initial]  # paths so far, by current state
+    for _ in range(mdp.spec.horizon - 1):
+        counts = [sum(c * row[s2] for c, row in zip(counts, edges)) for s2 in range(mdp.n_states)]
+    total = sum(c * n for c, n in zip(counts, allowed.sum(axis=1).tolist()))
     if total > budget:
         raise OracleBudgetError(
             f"{total} paths exceed the enumeration budget of {budget}"
@@ -113,14 +118,15 @@ def _walk_paths(mdp: EnumerableMdp, probs: np.ndarray):
 
 
 def path_blocks(mdp: EnumerableMdp, policy, theta: np.ndarray, budget: int = DEFAULT_PATH_BUDGET):
-    """The paths of ``_walk_paths`` in walk order, in blocks of at most ``PATH_BLOCK``:
+    """The paths of ``_walk_paths`` in walk order, in blocks of at most ``BLOCK_ROWS``:
     (probabilities (n,), states (n, T), actions (n, T)) per block.
 
     The budget is checked by this call, before any path is walked.
     """
-    _check_budget(mdp, budget)
-    paths = _walk_paths(mdp, policy_matrix(mdp, policy, theta))
-    blocks = iter(lambda: list(itertools.islice(paths, PATH_BLOCK)), [])
+    probs = policy_matrix(mdp, policy, theta)
+    _check_budget(mdp, probs, budget)
+    paths = _walk_paths(mdp, probs)
+    blocks = iter(lambda: list(itertools.islice(paths, BLOCK_ROWS)), [])
     return (tuple(np.array(column) for column in zip(*block)) for block in blocks)
 
 
@@ -148,7 +154,7 @@ def enumerated_performance(
 
 def exact_gradient(
     mdp: EnumerableMdp, policy, theta: np.ndarray, budget: int = DEFAULT_PATH_BUDGET
-) -> ExactGradient:
+) -> np.ndarray:
     """Likelihood-ratio gradient summed over all paths.
 
     grad J = sum_tau p(tau) * G(tau) * sum_t score(s_t, a_t); exact because
@@ -156,13 +162,12 @@ def exact_gradient(
     path's return and score in time order.
     """
     scores = _score_table(mdp, policy, theta)
-    j, grad = 0.0, np.zeros(scores.shape[-1])
+    grad = np.zeros(scores.shape[-1])
     for probs, states, actions in path_blocks(mdp, policy, theta, budget):
         weighted = probs * _returns(mdp, states, actions)
         score_sums = np.cumsum(scores[states, actions], axis=1)[:, -1]
-        j = running_sums(j, weighted)[-1]
         grad = running_sums(grad, weighted[:, None] * score_sums)[-1]
-    return ExactGradient(j=j, grad=grad)
+    return grad
 
 
 def fd_gradient(mdp: EnumerableMdp, policy, theta: np.ndarray) -> np.ndarray:
@@ -189,8 +194,8 @@ def exact_hessian(
     for j in range(m):
         bump = np.zeros(m)
         bump[j] = _HESSIAN_STEP
-        plus = exact_gradient(mdp, policy, theta + bump, budget).grad
-        minus = exact_gradient(mdp, policy, theta - bump, budget).grad
+        plus = exact_gradient(mdp, policy, theta + bump, budget)
+        minus = exact_gradient(mdp, policy, theta - bump, budget)
         hess[:, j] = (plus - minus) / (2.0 * _HESSIAN_STEP)
     asymmetry = float(np.max(np.abs(hess - hess.T)))
     if asymmetry > 1e-6:

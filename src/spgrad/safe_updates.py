@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .estimators import (
+    BLOCK_ROWS,
     BaselineKind,
     ErrorBound,
     EstimatorKind,
@@ -180,15 +181,6 @@ def check_schedule(
         )
 
 
-# Rows per sampled block: the rule's current shortfall, clamped to these
-# bounds and to both trajectory caps.  Records do not depend on them.  A
-# block holds a few (rows, T, m) arrays; at 512 rows the chain config's
-# peak RSS grows by ~1 MB over one-at-a-time sampling, at 4096 by ~6 MB,
-# at the same speed.
-_MIN_BLOCK = 64
-_MAX_BLOCK = 512
-
-
 def _rollout(env, policy, theta: np.ndarray, seed: int, k: int):
     """(first, n) -> (rewards (n, T), scores (n, T, m)) for trajectories
     first .. first+n-1 of iteration k.
@@ -238,18 +230,6 @@ def _first_certified(eps_delta: float):
     return stop
 
 
-def _block_size(acc: GradientAccumulator, eps_delta: float) -> int:
-    """Rows to sample next: the rule's shortfall at the current estimate."""
-    shortfall = _MAX_BLOCK
-    if acc.count == 0:
-        shortfall = _MIN_BLOCK
-    else:
-        norm = acc.finalize().norm
-        if norm > 0.0 and eps_delta / norm < 1e6:
-            shortfall = math.ceil(4.0 * (eps_delta / norm) ** 2) - acc.count
-    return min(max(shortfall, _MIN_BLOCK), _MAX_BLOCK)
-
-
 def spg_run(
     env: Environment,
     policy,
@@ -264,12 +244,12 @@ def spg_run(
 ) -> RunResult:
     """Safe policy gradient: the adaptive rule, or a fixed (alpha, N) for comparison.
 
-    With ``fixed=None`` each iteration samples blocks of trajectories
-    (trajectory i of iteration k depends only on (seed, k, i); see
-    ``_rollout``) and stops at the first prefix with
-    N >= ceil(4 eps^2 / ||grad_est||^2), the estimate taken over that
-    prefix; rows past it are dropped and not counted.  It
-    then updates theta with the constant step 1/(2L).  The records are
+    With ``fixed=None`` each iteration samples blocks of ``BLOCK_ROWS``
+    trajectories, fewer where a cap leaves less room (trajectory i of
+    iteration k depends only on (seed, k, i); see ``_rollout``), and stops
+    at the first prefix with N >= ceil(4 eps^2 / ||grad_est||^2), the
+    estimate taken over that prefix; rows past it are dropped and not
+    counted.  It then updates theta with the constant step 1/(2L).  The records are
     those of checking the rule after every trajectory, whatever the block
     sizes.  An iteration that hits ``max_trajectories_per_iteration`` before
     satisfying the rule stalls: theta is left unchanged (a safe no-op) and
@@ -324,12 +304,11 @@ def spg_run(
             if room <= 0:
                 stalled = True
                 break
-            if fixed is None:
-                size = _block_size(acc, err.eps_delta)
-            else:
-                size = min(fixed.batch_size - acc.count, _MAX_BLOCK)
+            size = min(BLOCK_ROWS, room)
+            if fixed is not None:
+                size = min(size, fixed.batch_size - acc.count)
             first = acc.count
-            met = acc.add_block(*rollout(first, min(size, room)), stop=stop)
+            met = acc.add_block(*rollout(first, size), stop=stop)
             total += acc.count - first
             if met or (fixed is not None and acc.count >= fixed.batch_size):
                 break

@@ -11,9 +11,10 @@ CLI runs them at its default sizes, the acceptance tests at larger ones
 (``n_points``, ``n_samples``, ``n_estimates``).  The sampled criteria are
 split into a ``check_*`` wrapper and a helper taking the stream key, so the
 tests can draw their own streams.  The helpers draw each trajectory with one
-``sample_trajectory`` call and score chunks of at most ``_CHUNK`` of them at
-once; per-trajectory estimates come from ``estimators.trajectory_terms`` and
-are summed in row order, so every statistic equals the one-at-a-time sum.
+``sample_trajectory`` call and score chunks of at most ``estimators.BLOCK_ROWS``
+of them at once (whole batches of 25 in the Chebyshev check); per-trajectory
+estimates come from ``estimators.trajectory_terms`` and are summed in row
+order, so every statistic equals the one-at-a-time sum.
 
 ``check_quadratic_bound`` and ``check_hessian_bound`` take a
 ``lipschitz_scale`` that multiplies the smoothness constant; shrinking it
@@ -30,6 +31,7 @@ import numpy as np
 
 from .errors import OracleBudgetError
 from .estimators import (
+    BLOCK_ROWS,
     BaselineKind,
     EstimatorKind,
     error_bound,
@@ -62,9 +64,6 @@ from .safe_updates import (
     stochastic_improvement_bound,
 )
 from .testbeds import binned_gaussian_instance, chain_instance, lqg_instance, two_state_instance
-
-# trajectories the sampled checks score and sum at once
-_CHUNK = 512
 
 
 @dataclass
@@ -115,7 +114,7 @@ def check_gradient_crosscheck(budget: int, seed: int) -> CheckResult:
     try:
         for _ in range(20):
             theta = _random_theta(rng, inst.policy.dim)
-            grad = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget).grad
+            grad = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget)
             fd = fd_gradient(inst.mdp, inst.oracle_policy, theta)
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             worst = max(worst, rel)
@@ -129,7 +128,7 @@ def check_estimator_unbiasedness(budget: int, seed: int) -> CheckResult:
     inst = two_state_instance()
     theta = _random_theta(substream(seed, 3), inst.policy.dim)
     try:
-        exact = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget).grad
+        exact = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget)
         worst = 0.0
         for kind in EstimatorKind:
             mean = expected_gradient_estimate(
@@ -174,7 +173,7 @@ def check_quadratic_bound(
             theta = _random_theta(rng, inst.policy.dim)
             step = rng.standard_normal(inst.policy.dim)
             step *= rng.uniform(0.05, 1.0) / np.linalg.norm(step)
-            grad = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget).grad
+            grad = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget)
             deviation = abs(
                 exact_performance(inst.mdp, inst.oracle_policy, theta + step)
                 - exact_performance(inst.mdp, inst.oracle_policy, theta)
@@ -215,7 +214,7 @@ def check_exact_step(budget: int, seed: int, n_points: int = 50) -> CheckResult:
     try:
         for _ in range(n_points):
             theta = _random_theta(rng, inst.policy.dim)
-            grad = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget).grad
+            grad = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget)
             improvement = exact_performance(
                 inst.mdp, inst.oracle_policy, theta + alpha * grad
             ) - exact_performance(inst.mdp, inst.oracle_policy, theta)
@@ -339,9 +338,9 @@ def variance_ratios(setup: tuple, seed: int, n_samples: int, *key: int) -> "dict
     actor = policy.actor(theta, getattr(env, "n_states", None))
     sums = {kind: np.zeros(policy.dim) for kind in EstimatorKind}
     sq_sums = {kind: 0.0 for kind in EstimatorKind}
-    for first in range(0, n_samples, _CHUNK):
+    for first in range(0, n_samples, BLOCK_ROWS):
         trajs = []
-        for i in range(first, min(first + _CHUNK, n_samples)):
+        for i in range(first, min(first + BLOCK_ROWS, n_samples)):
             trajs.append(sample_trajectory(env, policy, theta, substream(seed, *key, i)))
             rewards = trajs[-1].rewards
             if len(rewards) != spec.horizon or not np.max(np.abs(rewards)) <= spec.r_max + 1e-12:
@@ -385,7 +384,7 @@ def chebyshev_violations(
     theta = np.zeros(inst.policy.dim)
     actor = inst.policy.actor(theta, inst.env.n_states)
     batch = 25
-    exact = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget).grad
+    exact = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget)
     gamma = inst.mdp.spec.gamma
     kappa = inst.policy.smoothing_constants().kappa
     radius = {
@@ -395,7 +394,7 @@ def chebyshev_violations(
         for delta in (0.1, 0.5)
     }
     violations = {pair: 0 for pair in radius}
-    per_chunk = _CHUNK // batch
+    per_chunk = BLOCK_ROWS // batch
     for first in range(0, n_estimates, per_chunk):
         trajs = [
             sample_trajectory(inst.env, inst.policy, theta, substream(seed, *key, i, j))

@@ -45,6 +45,19 @@ class TestConfigParsing:
         assert config.iterations == 5
         assert config.seed == 7
 
+    def test_omitted_limits_keep_the_default_caps(self, tmp_path):
+        data = chain_config(tmp_path)
+        del data["limits"]
+        limits = parse_config(data).limits
+        assert (limits.max_trajectories_per_iteration, limits.max_total_trajectories) == (
+            100_000, 10_000_000
+        )
+        data["limits"] = {"max_total_trajectories": 5000}
+        limits = parse_config(data).limits
+        assert (limits.max_trajectories_per_iteration, limits.max_total_trajectories) == (
+            100_000, 5000
+        )
+
     def test_unknown_key_rejected(self, tmp_path):
         data = chain_config(tmp_path)
         data["environment"]["slp"] = 0.1
@@ -292,7 +305,7 @@ class TestValidateSampling:
         setups = list(validate.variance_setups().values())
         env, policy, theta = setups[1]
         setups.append((ResetStepOnly(env), policy, theta))
-        assert validate._CHUNK < 600 < 2 * validate._CHUNK
+        assert validate.BLOCK_ROWS < 600 < 2 * validate.BLOCK_ROWS
         for n, (idx, (env, policy, theta)) in itertools.product((30, 600), enumerate(setups)):
             sums = {kind: np.zeros(policy.dim) for kind in EstimatorKind}
             sq_sums = {kind: 0.0 for kind in EstimatorKind}
@@ -320,10 +333,10 @@ class TestValidateSampling:
         monkeypatch.setattr(validate, "error_bound", lambda vb, delta: ErrorBound(delta, 2 * delta))
         inst = two_state_instance()
         theta = np.zeros(inst.policy.dim)
-        exact = exact_gradient(inst.mdp, inst.oracle_policy, theta).grad
+        exact = exact_gradient(inst.mdp, inst.oracle_policy, theta)
         # two full chunks of 20 estimates and one of a single estimate
         kinds, n, gamma = tuple(EstimatorKind), 41, inst.mdp.spec.gamma
-        assert validate._CHUNK // 25 == 20
+        assert validate.BLOCK_ROWS // 25 == 20
         violations = {(kind, delta): 0 for kind in kinds for delta in (0.1, 0.5)}
         for i in range(n):
             accs = {kind: GradientAccumulator(inst.policy, theta, gamma, kind) for kind in kinds}
@@ -338,6 +351,24 @@ class TestValidateSampling:
         assert all(0.0 < rate < 1.0 for rate in expected.values())
         assert validate.chebyshev_violations(10**6, 5, n, kinds, 10) == expected
         assert sampled["calls"] == 25 * n
+
+    @pytest.mark.parametrize("rows", [50, 4096])
+    def test_block_size_does_not_change_statistics(self, monkeypatch, rows):
+        import spgrad.validate as validate
+
+        monkeypatch.setattr(validate, "error_bound", lambda vb, delta: ErrorBound(delta, 2 * delta))
+        setups = list(validate.variance_setups().values())
+        kinds = tuple(EstimatorKind)
+
+        def statistics():
+            # 600 samples and 41 estimates of 25 trajectories cross the default block
+            ratios = [validate.variance_ratios(s, 5, 600, 9, i) for i, s in enumerate(setups)]
+            return ratios, validate.chebyshev_violations(10**6, 5, 41, kinds, 10)
+
+        default = statistics()
+        assert all(0.0 < rate < 1.0 for rate in default[1].values())
+        monkeypatch.setattr(validate, "BLOCK_ROWS", rows)
+        assert statistics() == default
 
 
 class TestSweepCommand:

@@ -227,7 +227,7 @@ class TestVarianceBound:
 class TestUnbiasedness:
     def test_enumeration_mean_equals_exact_gradient(self, two_state):
         theta = random_theta(substream(22, 0), two_state.policy.dim)
-        exact = exact_gradient(two_state.mdp, two_state.policy, theta).grad
+        exact = exact_gradient(two_state.mdp, two_state.policy, theta)
         for kind in EstimatorKind:
             mean = expected_gradient_estimate(two_state.mdp, two_state.policy, theta, kind)
             assert np.max(np.abs(mean - exact)) <= 1e-10

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from spgrad.errors import OracleBudgetError
-from spgrad.estimators import BaselineKind, EstimatorKind, GradientAccumulator
+import spgrad.oracle as oracle
+from spgrad.estimators import BLOCK_ROWS, BaselineKind, EstimatorKind, GradientAccumulator
 from spgrad.mdp import make_bandit
 from spgrad.oracle import (
-    PATH_BLOCK,
     _walk_paths,
     enumerated_performance,
     exact_gradient,
@@ -80,25 +80,25 @@ class TestValueTables:
 
 class TestExactGradient:
     def test_bandit_sigmoid_derivative(self, bandit):
-        result = exact_gradient(bandit.mdp, bandit.policy, np.zeros(1))
-        np.testing.assert_allclose(result.grad, [0.25], atol=1e-14)
+        grad = exact_gradient(bandit.mdp, bandit.policy, np.zeros(1))
+        np.testing.assert_allclose(grad, [0.25], atol=1e-14)
         rng = substream(32, 0)
         for _ in range(10):
             theta = random_theta(rng, 1, scale=2.0)
             s = sigmoid(theta[0])
-            result = exact_gradient(bandit.mdp, bandit.policy, theta)
-            assert result.grad[0] == pytest.approx(s * (1 - s), rel=1e-12)
+            grad = exact_gradient(bandit.mdp, bandit.policy, theta)
+            assert grad[0] == pytest.approx(s * (1 - s), rel=1e-12)
 
     def test_constant_rewards_zero_gradient(self):
         mdp = make_bandit([0.7, 0.7], gamma=0.5, horizon=3)
-        result = exact_gradient(mdp, uniform_policy(), np.array([0.3]))
-        np.testing.assert_allclose(result.grad, [0.0], atol=1e-15)
+        grad = exact_gradient(mdp, uniform_policy(), np.array([0.3]))
+        np.testing.assert_allclose(grad, [0.0], atol=1e-15)
 
     def test_matches_finite_differences(self, two_state):
         rng = substream(32, 1)
         for _ in range(100):
             theta = random_theta(rng, two_state.policy.dim)
-            grad = exact_gradient(two_state.mdp, two_state.policy, theta).grad
+            grad = exact_gradient(two_state.mdp, two_state.policy, theta)
             fd = fd_gradient(two_state.mdp, two_state.policy, theta)
             assert np.linalg.norm(grad - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-12)
 
@@ -135,6 +135,37 @@ class TestBudget:
         # dynamic programming does not enumerate paths and stays available
         exact_performance(two_state.mdp, two_state.policy, theta)
 
+    def test_chain_is_charged_its_positive_probability_paths(self, chain):
+        # (S*A)^T = 6^5 = 7,776 state-action sequences, of which 232 have
+        # positive probability
+        theta = np.zeros(chain.policy.dim)
+        assert enumerated_performance(chain.mdp, chain.oracle_policy, theta, budget=232) > 0.0
+        message = "^232 paths exceed the enumeration budget of 231$"
+        with pytest.raises(OracleBudgetError, match=message):
+            enumerated_performance(chain.mdp, chain.oracle_policy, theta, budget=231)
+
+    @pytest.mark.parametrize("name", ["two_state", "binned_gaussian", "chain-2x7", "underflow"])
+    def test_charge_is_never_below_the_paths_walked(self, request, name):
+        if name == "underflow":
+            # one arm has probability ~1e-304, so the path pulling it twice
+            # underflows to zero: it is charged but not walked
+            mdp, policy = make_bandit([0.9, -0.7], gamma=0.9, horizon=2), uniform_policy()
+            theta = np.array([-700.0])
+        else:
+            if name == "chain-2x7":
+                inst = chain_instance(n_states=2, horizon=7)
+            else:
+                inst = request.getfixturevalue(name)
+            mdp, policy = inst.mdp, inst.oracle_policy
+            theta = random_theta(substream(35, 0), policy.dim)
+        walked = sum(len(block[0]) for block in path_blocks(mdp, policy, theta))
+        with pytest.raises(OracleBudgetError) as error:
+            path_blocks(mdp, policy, theta, budget=0)
+        charged = int(str(error.value).split()[0])
+        assert charged >= walked
+        assert (charged > walked) == (name == "underflow")
+        path_blocks(mdp, policy, theta, budget=charged)
+
     def test_path_count_matches_combinatorics(self, two_state):
         # 2 states * 2 actions over T=3 gives 64 paths, all positive here
         blocks = list(path_blocks(two_state.mdp, two_state.policy, np.zeros(4)))
@@ -165,21 +196,20 @@ def reference_path_sums(mdp, policy, theta):
         for kind in EstimatorKind
         for baseline in BaselineKind
     }
-    total, j, grad = 0.0, 0.0, np.zeros(scores.shape[-1])
+    total, grad = 0.0, np.zeros(scores.shape[-1])
     for prob, states, actions in _walk_paths(mdp, probs):
         total += prob * sum(d * mdp.reward[s, a] for d, s, a in zip(discounts, states, actions))
         ret, score_sum = 0.0, np.zeros_like(grad)
         for d, s, a in zip(discounts, states, actions):
             ret += d * mdp.reward[s, a]
             score_sum += scores[s, a]
-        j += prob * ret
         grad += (prob * ret) * score_sum
         rewards = np.array([[mdp.reward[s, a] for s, a in zip(states, actions)]])
         path_scores = np.stack([policy.score(theta, s, a) for s, a in zip(states, actions)])
         weight = None if prob == 1.0 else np.array([float(prob)])
         for acc in accs.values():
             acc.add_block(rewards, path_scores[None], weight)
-    return total, (j, grad), {key: acc.finalize().vector for key, acc in accs.items()}
+    return total, grad, {key: acc.finalize().vector for key, acc in accs.items()}
 
 
 def bits(value) -> bytes:
@@ -207,14 +237,36 @@ class TestBlockedPathSums:
         for _ in range(3):
             theta = random_theta(rng, policy.dim)
             sizes = [len(block[0]) for block in path_blocks(mdp, policy, theta)]
-            assert sum(sizes) == n_paths and max(sizes) <= PATH_BLOCK
-            total, (j, grad), estimates = reference_path_sums(mdp, policy, theta)
+            assert sum(sizes) == n_paths and max(sizes) <= BLOCK_ROWS
+            total, grad, estimates = reference_path_sums(mdp, policy, theta)
             assert bits(enumerated_performance(mdp, policy, theta)) == bits(total)
-            exact = exact_gradient(mdp, policy, theta)
-            assert bits(exact.j) == bits(j) and bits(exact.grad) == bits(grad)
+            assert bits(exact_gradient(mdp, policy, theta)) == bits(grad)
             for (kind, baseline), vector in estimates.items():
                 blocked = expected_gradient_estimate(mdp, policy, theta, kind, baseline)
                 assert bits(blocked) == bits(vector), (kind, baseline)
+
+    @pytest.mark.parametrize("name", ["chain", "chain-2x7"])
+    def test_block_size_does_not_change_sums(self, chain, name, monkeypatch):
+        inst = chain if name == "chain" else chain_instance(n_states=2, horizon=7)
+        mdp, policy = inst.mdp, inst.oracle_policy
+        theta = random_theta(substream(36, 0), policy.dim)
+
+        def sums():
+            values = [enumerated_performance(mdp, policy, theta)]
+            values += [exact_gradient(mdp, policy, theta)]
+            values += [
+                expected_gradient_estimate(mdp, policy, theta, kind, baseline)
+                for kind in EstimatorKind
+                for baseline in BaselineKind
+            ]
+            return [bits(value) for value in values]
+
+        default = sums()
+        for rows in (1, 7):
+            monkeypatch.setattr(oracle, "BLOCK_ROWS", rows)
+            sizes = [len(block[0]) for block in path_blocks(mdp, policy, theta)]
+            assert max(sizes) == rows
+            assert sums() == default
 
     def test_memory_stays_flat_in_the_path_count(self):
         # 2 ** 14 paths: one object per path held at once would take ~14 MiB,

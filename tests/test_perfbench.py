@@ -1,11 +1,15 @@
-"""The benchmark's tracer patches spgrad names by attribute; a rename or
-deletion of one of them must fail here, not only under ``--trace 1``."""
+"""The benchmark reads spgrad by name: its tracer patches attributes and its
+workloads call public functions.  A rename or deletion of one of them must
+fail here, not only when the benchmark runs."""
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_tracer_installs_and_restores_every_target():
@@ -16,3 +20,32 @@ def test_tracer_installs_and_restores_every_target():
             assert owner.__dict__[attr] is not original
     for (owner, attr, _), original in zip(targets, originals):
         assert owner.__dict__[attr] is original
+
+
+def test_audit_pass_runs_without_problems(tmp_path):
+    result = workloads.run_pass(ROOT, workloads.WORKLOADS["audit"], 5, tmp_path)
+    assert result.problems == []
+    assert result.updates >= 1 and result.trajectories > 0 and result.output
+
+
+def test_variance_over_nu2_on_audit():
+    ratio = workloads.variance_over_nu2(ROOT, workloads.WORKLOADS["audit"], 5)
+    assert 0.0 < ratio < 1.0
+
+
+def test_validate_pass_counts_every_sampled_trajectory(monkeypatch):
+    monkeypatch.setattr(workloads, "VALIDATE_MC_SAMPLES", 40)
+    monkeypatch.setattr(workloads, "VALIDATE_CHEBYSHEV_ESTIMATES", 8)
+    result = workloads._validate_pass(5)
+    assert result.problems == []
+    # two variance setups of 40 trajectories, and 8 estimates of 25
+    assert result.trajectories == 2 * 40 + 8 * 25
+
+
+def test_setup_probe_on_chain():
+    done = subprocess.run(
+        [sys.executable, "perfbench/setup_probe.py", "src", "configs/chain.yaml"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
+    )
+    seconds, reference = map(float, done.stdout.split())
+    assert seconds > 0.0 and reference > 0.0

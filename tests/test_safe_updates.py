@@ -429,18 +429,24 @@ class TestBlockSamplingIsExact:
         assert 0 < records[-1].batch_size < 3000
         assert_same_run(spg_run(*args[:5], limits=limits, seed=8), records, thetas)
 
-    @pytest.mark.parametrize("name", ["bandit", "lqg"])
+    @pytest.mark.parametrize("name", ["bandit", "chain", "lqg"])
     def test_block_bound_does_not_change_records(self, name, monkeypatch):
+        # REINFORCE at delta = 0.9 certifies every bandit update and one lqg
+        # update inside a block; chain stalls at the per-iteration cap
         env, policy = INSTANCES[name]()
         limits = RunLimits(max_trajectories_per_iteration=2000, max_total_trajectories=5000)
         runs = []
-        for bound in (1, 7, 4096):
-            monkeypatch.setattr(safe_updates, "_MAX_BLOCK", bound)
+        for bound in (1, 7, 512, 4096):
+            monkeypatch.setattr(safe_updates, "BLOCK_ROWS", bound)
             runs.append(
-                spg_run(env, policy, np.full(policy.dim, 0.2), 3, 0.5, limits=limits, seed=21)
+                spg_run(
+                    env, policy, np.full(policy.dim, 0.2), 3, 0.9,
+                    estimator_kind=EstimatorKind.REINFORCE, limits=limits, seed=21,
+                )
             )
         for other in runs[1:]:
             assert_same_run(other, runs[0].records, runs[0].thetas)
+        assert any(not r.stalled for r in runs[0].records) == (name != "chain")
 
     def test_scalar_only_objects_fall_back_to_sample_trajectory(self):
         env, policy = INSTANCES["chain"]()
