@@ -4,12 +4,13 @@ Every draw is addressed by the master seed plus integer keys, so the same
 address always yields the same numbers, whatever order draws are made in
 and however they are split up.
 
-* ``uniform_rows(seed, k, first, n, width)``: rows ``first .. first+n-1`` of
-  iteration ``k``'s array of uniforms, one row per trajectory.  Iteration
+* ``UniformRows(seed, k, width).take(first, n)``: rows ``first .. first+n-1``
+  of iteration ``k``'s array of uniforms, one row per trajectory.  Iteration
   ``k`` has one Philox key, ``(seed, k)``, and row ``i`` lives at a fixed
   counter offset (Salmon et al., "Parallel random numbers: as easy as 1, 2,
   3", SC'11), so one array draw returns a whole block and row ``i`` depends
-  only on ``(seed, k, i)``.
+  only on ``(seed, k, i)``.  ``uniform_rows(seed, k, first, n, width)`` is
+  the one-shot form.
 * ``substream(seed, *path)``: a generator per key path, for code that draws
   one value at a time through ``np.random.Generator`` methods.
 
@@ -44,20 +45,41 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def uniform_rows(master_seed: int, iteration: int, first: int, n: int, width: int) -> np.ndarray:
-    """Rows ``first .. first+n-1`` of ``iteration``'s uniforms in [0, 1), shape (n, width).
+class UniformRows:
+    """Iteration ``k``'s uniforms in [0, 1), read as rows of ``width``.
 
-    The rows are those of ``Generator(Philox(key=[seed, iteration])).random``
-    drawn as one (rows, W) array, W being ``width`` padded to a multiple of
-    four, then cut to ``width`` columns.  Row i starts at counter step
-    ``i * W / 4``, so advancing the counter there reproduces it: any split of
-    the rows into blocks gives the same numbers.
+    The rows are those of ``Generator(Philox(key=[seed, k])).random`` drawn
+    as one (rows, W) array, W being ``width`` padded to a multiple of four,
+    then cut to ``width`` columns.  Row i starts at counter step ``i * W / 4``
+    and leaves no words in the buffer, so reading on from where the last
+    read ended needs no positioning, and any split of the rows into reads
+    gives the same numbers.  The one Philox is built once: numpy seeds an
+    unused ``SeedSequence`` from OS entropy on every build.
     """
-    seed, (iteration, first) = _check_address(master_seed, (iteration, first))
-    padded = -(-width // _PHILOX_WORDS) * _PHILOX_WORDS
-    bits = np.random.Philox(key=np.array([seed, iteration], dtype=np.uint64))
-    bits.advance(first * padded // _PHILOX_WORDS)
-    return np.random.Generator(bits).random((n, padded))[:, :width]
+
+    def __init__(self, master_seed: int, iteration: int, width: int) -> None:
+        seed, (iteration,) = _check_address(master_seed, (iteration,))
+        self._width = width
+        self._padded = -(-width // _PHILOX_WORDS) * _PHILOX_WORDS
+        self._bits = np.random.Philox(key=np.array([seed, iteration], dtype=np.uint64))
+        self._random = np.random.Generator(self._bits).random
+        self._next = 0
+
+    def take(self, first: int, n: int) -> np.ndarray:
+        """Rows ``first .. first+n-1``, shape (n, width)."""
+        _, (first,) = _check_address(0, (first,))
+        if first != self._next:
+            # the counter has 256 bits, so a move back is an advance modulo 2**256
+            steps = (first - self._next) * self._padded // _PHILOX_WORDS
+            self._bits.advance(steps % 2**256)
+        self._next = first + n
+        return self._random((n, self._padded))[:, : self._width]
+
+
+def uniform_rows(master_seed: int, iteration: int, first: int, n: int, width: int) -> np.ndarray:
+    """Rows ``first .. first+n-1`` of ``iteration``'s uniforms, shape (n, width):
+    ``UniformRows(master_seed, iteration, width).take(first, n)``."""
+    return UniformRows(master_seed, iteration, width).take(first, n)
 
 
 def box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:

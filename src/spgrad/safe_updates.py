@@ -39,7 +39,7 @@ from .estimators import (
 )
 from .mdp import Environment, row_draws, sample_block, sample_trajectory
 from .policies import SmoothingConstants
-from .rng import substream, uniform_rows
+from .rng import UniformRows, substream
 
 
 @dataclass(frozen=True)
@@ -186,16 +186,16 @@ def _rollout(env, policy, theta: np.ndarray, seed: int, k: int):
     first .. first+n-1 of iteration k.
 
     Environments and policies with array methods are stepped as a block on
-    rows of ``uniform_rows(seed, k, ...)``; any other pair falls back to
-    ``sample_trajectory`` one row at a time, trajectory i on
-    ``substream(seed, k, i)``.  Either way row i depends only on (seed, k, i).
+    rows of iteration k's one ``UniformRows(seed, k, width)``; any other
+    pair falls back to ``sample_trajectory`` one row at a time, trajectory i
+    on ``substream(seed, k, i)``.  Either way row i depends only on (seed, k, i).
     """
     actor = None
     if hasattr(env, "step_batch") and hasattr(policy, "actor"):
         actor = policy.actor(theta, env.n_states)
     if actor is not None:
-        width = row_draws(env, actor)
-        return lambda first, n: sample_block(env, actor, uniform_rows(seed, k, first, n, width))
+        rows = UniformRows(seed, k, row_draws(env, actor))
+        return lambda first, n: sample_block(env, actor, rows.take(first, n))
 
     def one_at_a_time(first, n):
         trajs = [

@@ -26,7 +26,7 @@ from spgrad.policies import (
     SoftmaxPolicy,
     StateTabularFeatures,
 )
-from spgrad.rng import box_muller, substream, uniform_rows
+from spgrad.rng import UniformRows, box_muller, substream, uniform_rows
 from spgrad.testbeds import (
     bandit_instance,
     binned_gaussian_instance,
@@ -279,6 +279,14 @@ class TestUniformRows:
         edges = [0, 1, 7, 513, n]
         uneven = [uniform_rows(5, 3, a, b - a, width) for a, b in zip(edges, edges[1:])]
         np.testing.assert_array_equal(np.concatenate(uneven), whole)
+
+    @pytest.mark.parametrize("width", list(WIDTHS.values()), ids=list(WIDTHS))
+    def test_one_source_read_in_any_order(self, width):
+        whole = uniform_rows(5, 3, 0, 1100, width)
+        rows = UniformRows(5, 3, width)
+        # on from the last read, a jump forward, a move back, a re-read, an empty read
+        for first, n in [(0, 7), (7, 513), (1000, 100), (3, 20), (3, 20), (23, 0), (23, 2)]:
+            np.testing.assert_array_equal(rows.take(first, n), whole[first : first + n])
 
     @pytest.mark.parametrize("width", list(WIDTHS.values()), ids=list(WIDTHS))
     def test_row_is_the_generator_advanced_to_it(self, width):

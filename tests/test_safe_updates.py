@@ -448,6 +448,26 @@ class TestBlockSamplingIsExact:
             assert_same_run(other, runs[0].records, runs[0].thetas)
         assert any(not r.stalled for r in runs[0].records) == (name != "chain")
 
+    def test_one_row_source_per_iteration(self, monkeypatch):
+        # every block of an iteration reads on from the iteration's one Philox
+        built, reads = [], []
+
+        class Counting(safe_updates.UniformRows):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+            def take(self, first, n):
+                reads.append(first)
+                return super().take(first, n)
+
+        monkeypatch.setattr(safe_updates, "UniformRows", Counting)
+        env, policy = INSTANCES["bandit"]()
+        result = spg_run(env, policy, np.zeros(policy.dim), 3, 0.5, seed=8)
+        assert [args[:2] for args in built] == [(8, 0), (8, 1), (8, 2)]
+        assert len(reads) > len(built)
+        assert all(not r.stalled for r in result.records)
+
     def test_scalar_only_objects_fall_back_to_sample_trajectory(self):
         env, policy = INSTANCES["chain"]()
 
