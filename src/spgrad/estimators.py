@@ -10,9 +10,11 @@ average sum_k (r_k - b_k) c_k: REINFORCE is the one-step case (K = 1, the
 discounted return and the summed score), GPOMDP has K = T.  That term form
 is computed in one place, ``trajectory_terms``: ``GradientAccumulator``
 sums it for certified runs and the exact oracle, and the sampled validate
-checks read its per-trajectory estimates directly.  The baseline
-is zero or the component-wise variance-minimizing one of Peters & Schaal,
-b_k = E[r_k c_k^2] / E[c_k^2], estimated from the batch.  Single-trajectory
+checks read its per-trajectory estimates directly.  It adds in the order
+of numpy's whole-array expressions, but over (n, m) slices, one per step,
+where it can keep that order.  The baseline is zero or the component-wise
+variance-minimizing one of Peters & Schaal, b_k = E[r_k c_k^2] / E[c_k^2],
+estimated from the batch.  Single-trajectory
 variance is bounded by a closed-form nu^2 (so Var <= nu^2 / N), which a
 Chebyshev argument turns into the high-probability estimation error
 eps_delta = sqrt(nu^2 / delta).
@@ -111,27 +113,44 @@ def trajectory_terms(
     rewards: np.ndarray,
     scores: np.ndarray,
     weights: "np.ndarray | None" = None,
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+) -> "tuple[np.ndarray, list[np.ndarray], np.ndarray]":
     """The term form of a block of trajectories: (w r, c, g).
 
     ``rewards`` is (n, T) and ``scores`` (n, T, m), row i holding trajectory
-    i.  Reward terms r are (n, K) and score terms c (n, K, m): REINFORCE has
-    K = 1, the discounted return (one ``np.dot`` per row, as a matrix
-    product may order the sum differently) and the summed score; GPOMDP has
-    K = T, the discounted rewards gamma^t r_t and the cumulative scores.
-    Row i's estimate is g_i = sum_k w_i r_ik c_ik (n, m), with the weight
-    w_i (1 when ``weights`` is None) applied to the reward terms.
+    i.  Reward terms r are (n, K) and score terms c a list of K arrays
+    (n, m): REINFORCE has K = 1, the discounted return (one ``np.dot`` per
+    row, as a matrix product may order the sum differently) and the summed
+    score; GPOMDP has K = T, the discounted rewards gamma^t r_t and the
+    cumulative scores.  Row i's estimate is g_i = sum_k w_i r_ik c_ik (n, m),
+    with the weight w_i applied to the reward terms (no multiply when
+    ``weights`` is None: every w_i is 1).
+
+    The sums add as ``np.cumsum(scores, axis=1)`` and ``(r[:, :, None] *
+    c).sum(axis=1)`` over C-ordered arrays do: step by step from 0.0, which
+    GPOMDP with m > 1 repeats in a loop over the T steps on (n, m) slices.
+    With m = 1 numpy sums over the steps pairwise for T >= 8, so that shape
+    and REINFORCE keep those expressions, on C-ordered ``scores``: numpy
+    orders a reduction by memory layout.
     """
-    discount = gamma ** np.arange(rewards.shape[1])
-    if EstimatorKind(kind) is EstimatorKind.REINFORCE:
-        r = np.array([[float(np.dot(discount, row))] for row in rewards])
-        c = scores.sum(axis=1, keepdims=True)
-    else:
+    horizon, m = scores.shape[1:]
+    discount = gamma ** np.arange(horizon)
+    gpomdp = EstimatorKind(kind) is EstimatorKind.GPOMDP
+    if gpomdp:
         r = discount * rewards
-        c = np.cumsum(scores, axis=1)
+    else:
+        r = np.array([[float(np.dot(discount, row))] for row in rewards])
     if weights is not None:
         r = weights[:, None] * r
-    return r, c, (r[:, :, None] * c).sum(axis=1)
+    if not gpomdp or m == 1:
+        scores = np.ascontiguousarray(scores)
+        c = np.cumsum(scores, axis=1) if gpomdp else scores.sum(axis=1, keepdims=True)
+        return r, list(c.swapaxes(0, 1)), (r[:, :, None] * c).sum(axis=1)
+    c = [scores[:, 0]]
+    g = 0.0 + r[:, :1] * c[0]
+    for t in range(1, horizon):
+        c.append(c[-1] + scores[:, t])
+        g += r[:, t : t + 1] * c[-1]
+    return r, c, g
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +220,7 @@ class GradientAccumulator:
         when an estimate is not finite.
         """
         n, horizon = rewards.shape
-        if weights is None:
-            weights = np.ones(n)
-        elif not np.all((weights > 0.0) & (weights < math.inf)):
+        if weights is not None and not np.all((weights > 0.0) & (weights < math.inf)):
             raise ValueError(f"trajectory weights must be positive and finite, got {weights}")
         if self.horizon is None:
             self.horizon = horizon
@@ -212,8 +229,11 @@ class GradientAccumulator:
                 f"trajectory has horizon {horizon}, accumulator expects {self.horizon}"
             )
         wr, c, g = trajectory_terms(self.kind, self.gamma, rewards, scores, weights)
+        if weights is None:
+            weights = np.ones(n)
         terms = {"weight_sum": weights, "return_sum": wr.sum(axis=1), "_sum_g": g}
         if self.baseline is BaselineKind.PETERS:
+            c = np.stack(c, axis=1)
             w, wr3, c2 = weights[:, None, None], wr[:, :, None], c**2
             terms.update(_sum_rc=wr3 * c, _sum_c=w * c, _sum_rc2=wr3 * c2, _sum_c2=w * c2)
         running = {name: running_sums(getattr(self, name), term) for name, term in terms.items()}
@@ -259,8 +279,9 @@ def running_sums(total, terms: np.ndarray) -> np.ndarray:
     """
     if len(terms) == 1:
         return total + terms
-    start = np.broadcast_to(total, terms.shape[1:])[None]
-    return np.cumsum(np.concatenate((start, terms)), axis=0)[1:]
+    sums = np.empty((len(terms) + 1, *terms.shape[1:]))
+    sums[0], sums[1:] = total, terms
+    return np.cumsum(sums, axis=0, out=sums)[1:]
 
 
 # ---------------------------------------------------------------------------

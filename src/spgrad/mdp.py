@@ -18,7 +18,12 @@ The shipped environments also step arrays of episodes at once for
 :func:`sample_block`: ``reset_batch(u)`` and ``step_batch(states, actions,
 u)`` take an (n, k) array of uniforms in [0, 1), k being the count the
 environment declares as ``reset_draws`` / ``step_draws``, and ``n_states``
-is the size of a finite state space (None when it is continuous).
+is the size of a finite state space (None when it is continuous).  Their
+numpy calls run over whole columns of n episodes: an enumerable
+environment reads each (state, action) pair at its flat index
+s * n_actions + a, one ``take`` per column of its transition CDFs and one
+for the reward, and draws the next state with ``rng.inverse_cdf``, a count
+over those columns, as ``np.searchsorted(..., side="right")`` finds it.
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ from typing import Any, Protocol
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .rng import box_muller
+from .rng import box_muller, inverse_cdf
 
 _STOCHASTIC_ATOL = 1e-12
 
@@ -144,8 +149,9 @@ def sample_block(env, actor, draws: np.ndarray) -> "tuple[np.ndarray, np.ndarray
         actions.append(action)
         state, reward = env.step_batch(state, action, draws[:, col + a : col + a + s])
         rewards.append(reward)
-    # scores after the whole episode, as add_trajectory takes them
-    scores = actor.score(np.stack(states, axis=1), np.stack(actions, axis=1))
+    # scores after the whole episode, as add_trajectory takes them, laid out
+    # step by step: scores[:, t] is one contiguous (n, m) block
+    scores = actor.score(np.stack(states), np.stack(actions)).swapaxes(0, 1)
     return np.stack(rewards, axis=1), scores
 
 
@@ -218,12 +224,16 @@ class EnumerableEnv:
                 )
             if np.any(np.diff(self.bin_edges) <= 0):
                 raise ConfigurationError("bin edges must be strictly increasing")
-        self._cum_initial = np.cumsum(mdp.initial)
-        self._cum_next = np.cumsum(mdp.transition, axis=-1)
         self.n_states = mdp.n_states
+        self._cum_initial = np.cumsum(mdp.initial)
+        cum_next = np.cumsum(mdp.transition, axis=-1)
+        # step_batch reads (s, a) at the flat index s * n_actions + a: column
+        # s' of the transition CDFs and the rewards, each one contiguous table
+        self._next_columns = list(cum_next.reshape(-1, self.n_states).T.copy())
+        self._flat_reward = mdp.reward.ravel()
         # the same tables as Python lists for the scalar reset and step
         self._initial_cdf = self._cum_initial.tolist()
-        self._next_cdf = self._cum_next.tolist()
+        self._next_cdf = cum_next.tolist()
         self._reward = mdp.reward.tolist()
         self._edges = None if self.bin_edges is None else self.bin_edges.tolist()
 
@@ -262,10 +272,9 @@ class EnumerableEnv:
             bad = (a < 0) | (a >= self.mdp.n_actions)
             if bad.any():
                 raise ValueError(f"action {a[bad][0]} out of range [0, {self.mdp.n_actions})")
-        cum = self._cum_next[states, a]
-        # searchsorted(cum[i], u[i], side="right") for every row i
-        next_states = np.minimum((cum <= u).sum(axis=1), self.n_states - 1)
-        return next_states, self.mdp.reward[states, a]
+        flat = states * self.mdp.n_actions + a
+        next_states = inverse_cdf([column.take(flat) for column in self._next_columns], u[:, 0])
+        return next_states, self._flat_reward.take(flat)
 
 
 @dataclass(frozen=True)

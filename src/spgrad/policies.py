@@ -28,7 +28,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .rng import box_muller
+from .rng import box_muller, inverse_cdf
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -366,10 +366,11 @@ class SoftmaxPolicy:
 class SoftmaxActor:
     """A Softmax policy frozen at theta, acting on arrays of integer states.
 
-    The (S, A) table of action probabilities and the (S, A, m) table of
-    scores are the policy's own ``action_probabilities`` and ``score`` at
-    every state, so a rollout is table lookups.  ``sample`` draws for row i
-    the action ``sample_action`` draws from uniform i.
+    Its tables are the policy's own ``action_probabilities`` and ``score``
+    at every state, so a rollout is table lookups: column a of the
+    cumulative probabilities over the S states, and the (S * A, m) scores
+    at the flat index s * A + a, each read with one ``take``.  ``sample``
+    draws for row i the action ``sample_action`` draws from uniform i.
     """
 
     draws = 1
@@ -377,18 +378,20 @@ class SoftmaxActor:
     def __init__(self, policy: SoftmaxPolicy, theta: np.ndarray, n_states: int):
         states, actions = range(n_states), range(policy.n_actions)
         probs = np.stack([policy.action_probabilities(theta, s) for s in states])
-        self.cum = np.cumsum(probs, axis=1)
-        self.scores = np.stack([[policy.score(theta, s, a) for a in actions] for s in states])
+        self.cdf = list(np.cumsum(probs, axis=1).T.copy())
+        scores = np.stack([[policy.score(theta, s, a) for a in actions] for s in states])
+        self.n_actions = policy.n_actions
+        self.scores = scores.reshape(n_states * policy.n_actions, -1)
 
     def sample(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Actions at ``states`` (n,) from uniforms ``u`` (n, 1)."""
-        cum = self.cum[states]
+        cdf = [column.take(states) for column in self.cdf]
         # searchsorted(cum, u * cum[-1], side="right") on every row at once
-        return np.minimum((cum <= u * cum[:, -1:]).sum(axis=1), cum.shape[1] - 1)
+        return inverse_cdf(cdf, u[:, 0] * cdf[-1])
 
     def score(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Scores, shape states.shape + (m,), of ``actions`` at ``states``."""
-        return self.scores[states, actions]
+        return self.scores.take(states * self.n_actions + actions, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ and however they are split up.
 
 Normal variates for array draws come from ``box_muller``, which spends
 exactly two uniforms per normal; a fixed count is what keeps every row at
-its counter offset.
+its counter offset.  Draws from tables of discrete distributions come from
+``inverse_cdf``, one uniform each.
 """
 from __future__ import annotations
 
@@ -89,3 +90,18 @@ def box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     at u1 = 0.
     """
     return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
+
+
+def inverse_cdf(cdf: "list[np.ndarray]", u: np.ndarray) -> np.ndarray:
+    """Draw i is ``np.searchsorted(row_i, u[i], side="right")`` clamped to the
+    last index, row_i being draw i's cumulative distribution: entry j of it
+    is ``cdf[j][i]``.
+
+    The draw counts the entries of row_i at or below u[i], which is what
+    side="right" finds on a non-decreasing row, one column of all the rows
+    per call.
+    """
+    count = (cdf[0] <= u).astype(np.intp)
+    for column in cdf[1:]:
+        count += column <= u
+    return np.minimum(count, len(cdf) - 1, out=count)

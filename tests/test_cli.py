@@ -236,6 +236,18 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "SKIP" in out
 
+    def test_negative_budget_is_a_configuration_error(self, monkeypatch, capsys):
+        import spgrad.cli as cli
+
+        def no_checks(budget, seed):
+            raise AssertionError("no check may run on a negative budget")
+
+        monkeypatch.setattr(cli, "run_validation", no_checks)
+        assert main(["validate", "--budget", "-3"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--budget" in captured.err
+
     def test_corrupted_lipschitz_constant_fails_bound_checks(self):
         # The closed-form L dominates the true curvature by about four
         # orders of magnitude on the desk instances, so the sensitivity

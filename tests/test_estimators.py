@@ -8,6 +8,7 @@ from spgrad.estimators import (
     GradientAccumulator,
     error_bound,
     trajectory_scores,
+    trajectory_terms,
     variance_bound,
 )
 from spgrad.mdp import MdpSpec, Trajectory, sample_trajectory
@@ -189,6 +190,98 @@ class TestAccumulator:
         acc.add_trajectory(bandit_trajectory(0, float("inf")))
         with pytest.raises(NumericError):
             acc.finalize()
+
+
+def numpy_terms(kind, gamma, rewards, scores, weights):
+    """The term form as numpy expressions over whole (n, K, m) arrays."""
+    discount = gamma ** np.arange(rewards.shape[1])
+    if kind is EstimatorKind.REINFORCE:
+        r = np.array([[float(np.dot(discount, row))] for row in rewards])
+        c = scores.sum(axis=1, keepdims=True)
+    else:
+        r = discount * rewards
+        c = np.cumsum(scores, axis=1)
+    if weights is not None:
+        r = weights[:, None] * r
+    return r, c, (r[:, :, None] * c).sum(axis=1)
+
+
+def numpy_totals(kind, baseline, gamma, blocks) -> dict:
+    """The accumulator's totals after ``blocks`` of (rewards, scores, weights),
+    each total continued over a block's rows by ``np.cumsum``."""
+    totals = {}
+    for rewards, scores, weights in blocks:
+        w = np.ones(len(rewards)) if weights is None else weights
+        r, c, g = numpy_terms(kind, gamma, rewards, scores, w)
+        terms = {"weight_sum": w, "return_sum": r.sum(axis=1), "_sum_g": g}
+        if baseline is BaselineKind.PETERS:
+            w3, r3, c2 = w[:, None, None], r[:, :, None], c**2
+            terms.update(_sum_rc=r3 * c, _sum_c=w3 * c, _sum_rc2=r3 * c2, _sum_c2=w3 * c2)
+        for name, term in terms.items():
+            start = np.broadcast_to(totals.get(name, 0.0), term.shape[1:])[None]
+            totals[name] = np.cumsum(np.concatenate((start, term)), axis=0)[-1]
+    return totals
+
+
+def term_inputs(seed: int, n: int, horizon: int, m: int):
+    """Rewards (n, T), scores (n, T, m) and weights (n,) spread over many
+    orders of magnitude, so that a sum taken in another order differs; a
+    third of the rewards are 0, whose products with negative scores are -0.0."""
+    rng = substream(24, seed, horizon, m)
+    base = rng.choice([0.0, 1.0, -0.5], size=(n, horizon))
+    rewards = base * 10.0 ** rng.uniform(-3, 3, (n, horizon))
+    scores = rng.standard_normal((n, horizon, m)) * 10.0 ** rng.uniform(-8, 8, (n, horizon, m))
+    return rewards, scores, rng.uniform(0.1, 2.0, n)
+
+
+def step_major(scores: np.ndarray) -> np.ndarray:
+    """The same scores laid out step by step in memory, as ``sample_block`` returns them."""
+    return np.ascontiguousarray(scores.swapaxes(0, 1)).swapaxes(0, 1)
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class TestTermFormMatchesNumpyExpressions:
+    """``trajectory_terms`` and ``add_block`` give, bit for bit, what the
+    numpy expressions over whole arrays give: ``np.cumsum(scores, axis=1)``,
+    ``(r[:, :, None] * c).sum(axis=1)`` and ``scores.sum(axis=1,
+    keepdims=True)``.  With m = 1 and T >= 8 numpy sums pairwise, so a
+    step-order loop would differ there."""
+
+    SHAPES = [(m, horizon) for m in (1, 2, 6) for horizon in (1, 5, 8, 10, 17)]
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("m, horizon", SHAPES)
+    def test_trajectory_terms(self, kind, m, horizon):
+        rewards, scores, weights = term_inputs(0, 40, horizon, m)
+        for w in (None, weights):
+            want_r, want_c, want_g = numpy_terms(kind, 0.9, rewards, scores, w)
+            for layout in (scores, step_major(scores)):
+                r, c, g = trajectory_terms(kind, 0.9, rewards, layout, w)
+                assert same_bits(r, want_r)
+                assert same_bits(np.stack(c, axis=1), want_c)
+                assert same_bits(g, want_g)
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("m, horizon", SHAPES)
+    def test_add_block(self, kind, m, horizon):
+        rewards, scores, weights = term_inputs(1, 40, horizon, m)
+        policy = SoftmaxPolicy(ActionIndicatorFeatures(), feature_bound=1.0, tau=1.0, n_actions=2)
+        for baseline in BaselineKind:
+            for w in (None, weights):
+                blocks = [
+                    (rewards[rows], scores[rows], None if w is None else w[rows])
+                    for rows in (slice(0, 25), slice(25, 40))
+                ]
+                acc = GradientAccumulator(policy, np.zeros(1), 0.9, kind, baseline)
+                for r, c, block_w in blocks:
+                    acc.add_block(r, step_major(c), block_w)
+                want = numpy_totals(kind, baseline, 0.9, blocks)
+                for name, total in want.items():
+                    assert same_bits(getattr(acc, name), total), (baseline, w is None, name)
 
 
 class TestVarianceBound:

@@ -25,9 +25,11 @@ from spgrad.policies import (
     GaussianPolicy,
     SoftmaxPolicy,
     StateTabularFeatures,
+    TabularFeatures,
 )
 from spgrad.rng import UniformRows, box_muller, substream, uniform_rows
 from spgrad.testbeds import (
+    DiscreteInstance,
     bandit_instance,
     binned_gaussian_instance,
     chain_instance,
@@ -355,6 +357,98 @@ class TestBlockMatchesScalarPath:
         actor = inst.policy.actor(np.zeros(inst.policy.dim), inst.env.n_states)
         with pytest.raises(ValueError, match="expected"):
             sample_block(inst.env, actor, uniform_rows(0, 0, 0, 4, 10))
+
+
+def searchsorted_draw(cum, u) -> int:
+    """``np.searchsorted(cum, u, side="right")``, clamped to the last index."""
+    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+
+
+def short_row_instance() -> DiscreteInstance:
+    """Two states whose initial and transition CDFs end 5e-13 below 1, so a
+    uniform above the end counts every state and is clamped to the last."""
+    gap = 5e-13
+    transition = np.array(
+        [[[0.25, 0.75 - gap], [0.5, 0.5 - gap]], [[0.75, 0.25 - gap], [1.0 - gap, 0.0]]]
+    )
+    mdp = EnumerableMdp(
+        n_states=2,
+        n_actions=2,
+        transition=transition,
+        reward=np.array([[0.1, -0.2], [0.3, -0.4]]),
+        initial=np.array([0.5, 0.5 - gap]),
+        spec=MdpSpec(gamma=0.9, r_max=1.0, horizon=3),
+    )
+    policy = SoftmaxPolicy(TabularFeatures(2, 2), feature_bound=1.0, tau=1.0, n_actions=2)
+    return DiscreteInstance(mdp=mdp, env=EnumerableEnv(mdp), policy=policy, oracle_policy=policy)
+
+
+class TestBlockDrawsOnCdfSteps:
+    """Uniforms equal to a cumulative probability, uniforms above a CDF's
+    end, and actions on a bin edge give, in the block path, the index that a
+    per-row ``np.searchsorted(..., side="right")`` clamped to the last index
+    gives."""
+
+    SETUPS = {
+        "two-state": two_state_instance,
+        "bandit": bandit_instance,
+        "chain": chain_instance,
+        "short-rows": short_row_instance,
+    }
+    TOP = 1.0 - 2.0**-53  # the largest uniform in [0, 1)
+
+    @pytest.mark.parametrize("name", list(SETUPS))
+    def test_sample_block_rows(self, name):
+        inst = self.SETUPS[name]()
+        env, policy, mdp = inst.env, inst.policy, inst.mdp
+        theta = np.zeros(policy.dim)  # probabilities 1/2, whose CDF ends at 1 exactly
+        actor = policy.actor(theta, env.n_states)
+        cum_initial = np.cumsum(mdp.initial)
+        cum_next = np.cumsum(mdp.transition, axis=-1)
+        cum_pi = [np.cumsum(policy.action_probabilities(theta, s)) for s in range(env.n_states)]
+        steps = {u for c in [cum_initial, cum_next, *cum_pi] for u in c.ravel().tolist()}
+        uniforms = sorted({u for u in steps if u < 1.0} | {0.0, self.TOP})
+        width, size = row_draws(env, actor), len(uniforms)
+        # every column meets every uniform, next to a different one in each pass
+        draws = np.array(
+            [
+                [uniforms[(i + j * (1 + i // size)) % size] for j in range(width)]
+                for i in range(4 * size)
+            ]
+        )
+        rewards, scores = sample_block(env, actor, draws)
+        hits = {"action": 0, "transition": 0}
+        for i, row in enumerate(draws):
+            state = searchsorted_draw(cum_initial, row[0])
+            for t in range(mdp.spec.horizon):
+                u_action, u_next = row[1 + 2 * t], row[2 + 2 * t]
+                cum = cum_pi[state]
+                action = searchsorted_draw(cum, u_action * cum[-1])
+                # (state, action) is pinned down by the score: each pair has its own
+                np.testing.assert_array_equal(scores[i, t], policy.score(theta, state, action))
+                assert rewards[i, t] == mdp.reward[state, action]
+                hits["action"] += u_action * cum[-1] in cum
+                hits["transition"] += u_next in cum_next[state, action]
+                state = searchsorted_draw(cum_next[state, action], u_next)
+        assert hits["action"] > 0
+        assert hits["transition"] > 0 or env.n_states == 1  # one state has no step
+
+    def test_step_batch_on_bin_edges(self):
+        inst = binned_gaussian_instance()
+        env, mdp = inst.env, inst.mdp
+        cum_next = np.cumsum(mdp.transition, axis=-1)
+        uniforms = sorted({u for u in cum_next.ravel().tolist() if u < 1.0} | {0.0, self.TOP})
+        edges = env.bin_edges.tolist()
+        below = [math.nextafter(e, -math.inf) for e in edges]
+        above = [math.nextafter(e, math.inf) for e in edges]
+        values = edges + below + above + [-2.0, 0.0, 2.0]
+        grid = list(itertools.product(range(mdp.n_states), values, uniforms))
+        states, actions, u = (np.array(column) for column in zip(*grid))
+        next_states, rewards = env.step_batch(states, actions, u[:, None])
+        for i, (state, action, v) in enumerate(grid):
+            a = int(np.searchsorted(env.bin_edges, action, side="right"))
+            assert rewards[i] == mdp.reward[state, a]
+            assert next_states[i] == searchsorted_draw(cum_next[state, a], v)
 
 
 # The scalar steps as numpy calls on one value each, written out here as the

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -24,6 +26,14 @@ def test_tracer_installs_and_restores_every_target():
 
 def test_audit_pass_runs_without_problems(tmp_path):
     result = workloads.run_pass(ROOT, workloads.WORKLOADS["audit"], 5, tmp_path)
+    assert result.problems == []
+    assert result.updates >= 1 and result.trajectories > 0 and result.output
+
+
+@pytest.mark.parametrize("name", ["chain", "lqg"])
+def test_certified_pass_runs_without_problems(tmp_path, name):
+    # one certified update; check_run_log finds no problem in its run log
+    result = workloads.run_pass(ROOT, workloads.WORKLOADS[name], 5, tmp_path)
     assert result.problems == []
     assert result.updates >= 1 and result.trajectories > 0 and result.output
 
