@@ -93,6 +93,7 @@ def cmd_constants(args) -> int:
 def cmd_validate(args) -> int:
     if args.budget < 0:
         raise ConfigurationError(f"--budget must be a non-negative path count, got {args.budget}")
+    check_seed(args.seed)
     results = run_validation(budget=args.budget, seed=args.seed)
     width = max(len(r.name) for r in results)
     for r in results:

@@ -1,9 +1,12 @@
 """Run-log CSV emission and parsing.
 
 Format contract: comma separation, '.' decimal point, LF line endings, one
-header row after '#'-prefixed metadata lines, floats printed with 17
-significant digits so values round-trip bit-exactly.  Given the same config
-and seed, the emitted bytes are identical across invocations.
+header row after '#'-prefixed metadata lines, then one row per iteration.
+``_COLUMNS`` declares the rows once, as (column, RunRecord field, type); the
+header, the writer and the reader all come from it.  Ints are printed with
+``str``, floats with 17 significant digits so values round-trip
+bit-exactly, and bools as 1/0.  Given the same config and seed, the emitted
+bytes are identical across invocations.
 """
 from __future__ import annotations
 
@@ -12,35 +15,29 @@ from dataclasses import dataclass
 
 from .safe_updates import RunRecord, RunResult
 
-RUN_CSV_COLUMNS = (
-    "iteration",
-    "batch_size",
-    "alpha",
-    "grad_norm",
-    "J_hat",
-    "guaranteed_improvement",
-    "cum_trajectories",
-    "stalled",
-)
-
 
 def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
+# run.csv's rows: (column, RunRecord field, type)
+_COLUMNS = (
+    ("iteration", "iteration", int),
+    ("batch_size", "batch_size", int),
+    ("alpha", "alpha", float),
+    ("grad_norm", "grad_norm", float),
+    ("J_hat", "j_hat", float),
+    ("guaranteed_improvement", "guaranteed_improvement", float),
+    ("cum_trajectories", "cum_trajectories", int),
+    ("stalled", "stalled", bool),
+)
+RUN_CSV_COLUMNS = tuple(column for column, _, _ in _COLUMNS)
+_WRITE = {int: str, float: format_float, bool: lambda flag: "1" if flag else "0"}
+_READ = {int: int, float: float, bool: lambda text: text == "1"}
+
+
 def _record_row(record: RunRecord) -> str:
-    return ",".join(
-        (
-            str(record.iteration),
-            str(record.batch_size),
-            format_float(record.alpha),
-            format_float(record.grad_norm),
-            format_float(record.j_hat),
-            format_float(record.guaranteed_improvement),
-            str(record.cum_trajectories),
-            "1" if record.stalled else "0",
-        )
-    )
+    return ",".join(_WRITE[kind](getattr(record, name)) for _, name, kind in _COLUMNS)
 
 
 def render_run_csv(result: RunResult, config_echo: dict) -> str:
@@ -103,18 +100,8 @@ def read_run_csv(path: str) -> ParsedRunLog:
             parts = line.split(",")
             if len(parts) != len(RUN_CSV_COLUMNS):
                 raise ValueError(f"malformed CSV row: {line}")
-            records.append(
-                RunRecord(
-                    iteration=int(parts[0]),
-                    batch_size=int(parts[1]),
-                    alpha=float(parts[2]),
-                    grad_norm=float(parts[3]),
-                    j_hat=float(parts[4]),
-                    guaranteed_improvement=float(parts[5]),
-                    cum_trajectories=int(parts[6]),
-                    stalled=parts[7] == "1",
-                )
-            )
+            fields = {name: _READ[kind](text) for (_, name, kind), text in zip(_COLUMNS, parts)}
+            records.append(RunRecord(**fields))
     if not header_seen:
         raise ValueError(f"{path} contains no CSV header")
     return ParsedRunLog(metadata=metadata, records=records)

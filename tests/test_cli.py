@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import os
@@ -64,6 +65,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="environment.slp"):
             parse_config(data)
 
+    def test_unknown_keys_of_mixed_types_rejected(self, tmp_path):
+        # YAML keys need not be strings; the first unknown one is named, not compared
+        data = chain_config(tmp_path)
+        data["environment"].update({1: 2, "x": 3})
+        with pytest.raises(ConfigurationError, match=r"^environment\.1: unknown key"):
+            parse_config(data)
+        data = chain_config(tmp_path)
+        data.update({2: {}, "extras": {}})
+        with pytest.raises(ConfigurationError, match=r"^2: unknown top-level key"):
+            parse_config(data)
+
     def test_unknown_section_rejected(self, tmp_path):
         data = chain_config(tmp_path)
         data["extras"] = {}
@@ -98,6 +110,140 @@ class TestConfigParsing:
         assert built.policy.dim == 4
         assert built.theta0.shape == (4,)
         assert built.mdp.n_states == 2
+
+
+REQUIRED = "required"
+# Every documented key: (section, kind, key, type, default).  kind is None
+# for the sections without one; theta0 defaults to zeros of the policy's dim.
+DOCUMENTED_KEYS = [
+    ("environment", None, "kind", str, REQUIRED),
+    ("environment", "chain", "gamma", float, 0.9),
+    ("environment", "chain", "horizon", int, 10),
+    ("environment", "chain", "n_states", int, REQUIRED),
+    ("environment", "chain", "slip", float, 0.0),
+    ("environment", "chain", "goal_reward", float, 1.0),
+    ("environment", "chain", "step_reward", float, 0.0),
+    ("environment", "bandit", "gamma", float, 0.9),
+    ("environment", "bandit", "horizon", int, 10),
+    ("environment", "bandit", "arm_rewards", list, REQUIRED),
+    ("environment", "lqg1d", "gamma", float, 0.9),
+    ("environment", "lqg1d", "horizon", int, 10),
+    ("environment", "lqg1d", "a_dyn", float, 1.0),
+    ("environment", "lqg1d", "b_dyn", float, 1.0),
+    ("environment", "lqg1d", "noise_std", float, 0.2),
+    ("environment", "lqg1d", "q", float, 0.5),
+    ("environment", "lqg1d", "c", float, 0.5),
+    ("environment", "lqg1d", "s_max", float, 1.0),
+    ("environment", "lqg1d", "r_max", float, 1.0),
+    ("policy", None, "kind", str, REQUIRED),
+    ("policy", "softmax", "tau", float, 1.0),
+    ("policy", "softmax", "features", str, "tabular"),
+    ("policy", "softmax", "feature_bound", float, 1.0),
+    ("policy", "softmax", "theta0", list, "zeros"),
+    ("policy", "gaussian", "sigma", float, REQUIRED),
+    ("policy", "gaussian", "features", str, "polynomial"),
+    ("policy", "gaussian", "degree", int, 1),
+    ("policy", "gaussian", "scale", float, 1.0),
+    ("policy", "gaussian", "feature_bound", float, 1.0),
+    ("policy", "gaussian", "theta0", list, "zeros"),
+    ("estimator", None, "kind", str, "gpomdp"),
+    ("estimator", None, "baseline", str, "zero"),
+    ("safety", None, "delta", float, REQUIRED),
+    ("safety", None, "iterations", int, REQUIRED),
+    ("limits", None, "max_trajectories_per_iteration", int, 100_000),
+    ("limits", None, "max_total_trajectories", int, 10_000_000),
+    ("output", None, "directory", str, "runs"),
+]
+# a second valid value of each string default, to show the key is read
+# (polynomial is the gaussian policy's only feature family)
+OTHER_STRINGS = {
+    "tabular": "action_indicator",
+    "gpomdp": "reinforce",
+    "zero": "peters",
+    "runs": "elsewhere",
+    "polynomial": None,
+}
+WRONG_TYPE = {int: 1.5, float: "x", str: 5, list: 5}
+KEY_PARAMS = [pytest.param(*row, id=f"{row[0]}-{row[1]}-{row[2]}") for row in DOCUMENTED_KEYS]
+
+
+def keyed_config(kind):
+    """A config of every section, on the environment that ``kind`` names or needs."""
+    environment = {
+        "bandit": {"kind": "bandit", "arm_rewards": [1.0, 0.0]},
+        "lqg1d": {"kind": "lqg1d"},
+        "gaussian": {"kind": "lqg1d"},
+    }.get(kind, {"kind": "chain", "n_states": 3})
+    policy = {"kind": "gaussian", "sigma": 0.5} if environment["kind"] == "lqg1d" else {"kind": "softmax"}
+    return {
+        "environment": environment,
+        "policy": policy,
+        "estimator": {},
+        "safety": {"delta": 0.5, "iterations": 2},
+        "limits": {},
+        "output": {},
+    }
+
+
+def observed(data):
+    """What a config builds to, through build_experiment and the parsed fields."""
+    config = parse_config(data)
+    built = build_experiment(config)
+    policy, mdp = built.policy, built.mdp
+    return {
+        "config": (config.estimator_kind, config.baseline_kind, config.limits, config.output_dir),
+        "spec": built.env.spec,
+        "lqg": getattr(built.env, "config", None),
+        "mdp": None if mdp is None else (mdp.transition.tolist(), mdp.reward.tolist()),
+        "features": type(policy.features).__name__,
+        "polynomial": (getattr(policy.features, "degree", None), getattr(policy.features, "scale", None)),
+        "dim": policy.dim,
+        "policy": (policy.feature_bound, getattr(policy, "tau", None), getattr(policy, "sigma", None)),
+        "theta0": built.theta0.tolist(),
+    }
+
+
+class TestDocumentedKeys:
+    @pytest.mark.parametrize("section, kind, key, kind_of, default", KEY_PARAMS)
+    def test_omitted_key_takes_its_default(self, tmp_path, capsys, section, kind, key, kind_of, default):
+        data = keyed_config(kind)
+        data[section].pop(key, None)
+        if default == REQUIRED:
+            path = write_config(tmp_path, data)
+            assert main(["constants", "--config", path]) == EXIT_CONFIG
+            assert f"{section}.{key}: missing required key" in capsys.readouterr().err
+            return
+        omitted = observed(data)
+        if default == "zeros":
+            default = [0.0] * omitted["dim"]
+            assert omitted["theta0"] == default
+            other = [0.5] * omitted["dim"]
+        elif kind_of is str:
+            other = OTHER_STRINGS[default]
+        elif kind_of is int:
+            other = default + 1
+        else:
+            other = default / 2 if default else 0.5
+        explicit = copy.deepcopy(data)
+        explicit[section][key] = default
+        assert observed(explicit) == omitted
+        if other is not None:
+            explicit[section][key] = other
+            assert observed(explicit) != omitted
+
+    @pytest.mark.parametrize("section, kind, key, kind_of, default", KEY_PARAMS)
+    def test_wrong_type_names_the_key(self, tmp_path, capsys, section, kind, key, kind_of, default):
+        out = tmp_path / "out"
+        data = keyed_config(kind)
+        data[section][key] = WRONG_TYPE[kind_of]
+        path = write_config(tmp_path, data)
+        assert main(["run", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_omitted_seed_is_zero(self):
+        data = keyed_config(None)
+        assert "seed" not in data and parse_config(data).seed == 0
 
 
 class TestRunCommand:
@@ -160,6 +306,27 @@ class TestRunCommand:
         assert main(["run", "--config", path]) == EXIT_CONFIG
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, line, key",
+        [
+            pytest.param(
+                "seed: 1\nenvironment: {kind: chain, n_states: 2}\nseed: 2\n", 3, "seed", id="top-level"
+            ),
+            pytest.param(
+                "safety:\n  delta: 0.05\n  iterations: 2\n  delta: 0.9\n", 4, "delta", id="nested"
+            ),
+        ],
+    )
+    def test_duplicate_key_exits_without_output(self, tmp_path, capsys, text, line, key):
+        # YAML would keep the last value, so a run would certify at a delta it was not given
+        path = tmp_path / "config.yaml"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err and f"duplicate key {key!r}" in err and f"line {line}," in err
+        assert os.listdir(tmp_path) == ["config.yaml"]
 
     def test_seed_override_changes_echo(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -247,6 +414,19 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--budget" in captured.err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_bad_seed_is_checked_before_any_check(self, monkeypatch, capsys, seed):
+        import spgrad.cli as cli
+
+        def no_checks(budget, seed):
+            raise AssertionError("no check may run on a bad seed")
+
+        monkeypatch.setattr(cli, "run_validation", no_checks)
+        assert main(["validate", "--seed", str(seed)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed: must be an unsigned 64-bit integer" in captured.err
 
     def test_corrupted_lipschitz_constant_fails_bound_checks(self):
         # The closed-form L dominates the true curvature by about four

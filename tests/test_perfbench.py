@@ -52,9 +52,11 @@ def test_validate_pass_counts_every_sampled_trajectory(monkeypatch):
     assert result.trajectories == 2 * 40 + 8 * 25
 
 
-def test_setup_probe_on_chain():
+@pytest.mark.parametrize("name", ["chain", "lqg", "bandit"])
+def test_setup_probe_on_config(name):
+    # the load-and-build path that setup_s times, on each shipped config
     done = subprocess.run(
-        [sys.executable, "perfbench/setup_probe.py", "src", "configs/chain.yaml"],
+        [sys.executable, "perfbench/setup_probe.py", "src", f"configs/{name}.yaml"],
         cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
     )
     seconds, reference = map(float, done.stdout.split())

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -26,7 +27,7 @@ from spgrad.mdp import (
 from spgrad.oracle import grid_maximize
 from spgrad.policies import GaussianPolicy, PolynomialFeatures, SmoothingConstants, TabularFeatures, SoftmaxPolicy
 from spgrad.rng import substream, uniform_rows
-from spgrad.runlog import render_run_csv
+from spgrad.runlog import RUN_CSV_COLUMNS, read_run_csv, render_run_csv, write_run_csv
 from spgrad.safe_updates import (
     MetaParams,
     RunLimits,
@@ -219,6 +220,48 @@ class TestSpgRun:
                     record.grad_norm**2 / (8 * lip)
                 )
                 assert record.guaranteed_improvement > 0.0
+
+    def test_run_csv_round_trips_edge_values(self, bandit, tmp_path):
+        result = spg_run(bandit.env, bandit.policy, np.zeros(1), n_iterations=1, delta=0.2, seed=17)
+        edges = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+        # each edge value in each float column, and both values of stalled
+        result.records = [
+            RunRecord(
+                iteration=k,
+                batch_size=k + 1,
+                alpha=edges[k],
+                grad_norm=edges[k - 1],
+                j_hat=edges[k - 2],
+                guaranteed_improvement=edges[k - 3],
+                cum_trajectories=2**63 + k,
+                stalled=k % 2 == 1,
+            )
+            for k in range(len(edges))
+        ]
+        path = tmp_path / "run.csv"
+        write_run_csv(str(path), result, {"seed": 17})
+        read = read_run_csv(str(path)).records
+        assert len(read) == len(result.records)
+        for written, parsed in zip(result.records, read):
+            for name in (f.name for f in dataclasses.fields(RunRecord)):
+                expected, got = getattr(written, name), getattr(parsed, name)
+                assert type(got) is type(expected), name
+                # hex tells -0.0 from 0.0 and shows every bit
+                assert (got.hex() == expected.hex()) if type(got) is float else got == expected
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            pytest.param("iteration,batch_size\n", "unexpected CSV header", id="wrong-header"),
+            pytest.param(",".join(RUN_CSV_COLUMNS) + "\n1,2,3\n", "malformed CSV row", id="short-row"),
+            pytest.param("", "contains no CSV header", id="no-header"),
+        ],
+    )
+    def test_read_run_csv_rejects_malformed_logs(self, tmp_path, body, message):
+        path = tmp_path / "run.csv"
+        path.write_text("# config: {}\n" + body, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            read_run_csv(str(path))
 
     def test_total_cap_stops_run(self, bandit):
         result = spg_run(
