@@ -113,10 +113,12 @@ def _parse_schedule(text: str) -> "MetaParams | None":
     if text.startswith("fixed:"):
         fields = {}
         for part in text[len("fixed:"):].split(","):
-            key, sep, value = part.partition("=")
+            key, sep, value = (side.strip() for side in part.partition("="))
             if not sep:
                 raise ConfigurationError(f"schedule {text!r}: expected key=value, got {part!r}")
-            fields[key.strip()] = value.strip()
+            if key in fields:
+                raise ConfigurationError(f"schedule {text!r}: field {key!r} given twice")
+            fields[key] = value
         unknown = set(fields) - {"alpha", "n"}
         if unknown:
             raise ConfigurationError(f"schedule {text!r}: unknown field {sorted(unknown)[0]!r}")

@@ -15,10 +15,11 @@ calls, and giving the same values, as the numpy forms
 (``np.searchsorted(..., side="right")``, ``np.clip``, ``rng.uniform``) would.
 
 The shipped environments also step arrays of episodes at once for
-:func:`sample_block`: ``reset_batch(u)`` and ``step_batch(states, actions,
-u)`` take an (n, k) array of uniforms in [0, 1), k being the count the
-environment declares as ``reset_draws`` / ``step_draws``, and ``n_states``
-is the size of a finite state space (None when it is continuous).  Their
+:func:`sample_block`, the one rollout of ``safe_updates.spg_run``:
+``reset_batch(u)`` and ``step_batch(states, actions, u)`` take an (n, k)
+array of uniforms in [0, 1), k being the count the environment declares as
+``reset_draws`` / ``step_draws``, and ``n_states`` is the size of a finite
+state space (None when it is continuous).  Their
 numpy calls run over whole columns of n episodes: an enumerable
 environment reads each (state, action) pair at its flat index
 s * n_actions + a, one ``take`` per column of its transition CDFs and one
@@ -28,6 +29,7 @@ over those columns, as ``np.searchsorted(..., side="right")`` finds it.
 from __future__ import annotations
 
 import math
+import reprlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Protocol
@@ -38,6 +40,7 @@ from .errors import ConfigurationError, NumericError
 from .rng import box_muller, inverse_cdf
 
 _STOCHASTIC_ATOL = 1e-12
+_INTP_MAX = np.iinfo(np.intp).max  # numpy's largest dimension and array byte size
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,10 @@ class MdpSpec:
             raise ConfigurationError(f"gamma must be in (0, 1), got {self.gamma}")
         if not self.r_max > 0.0:
             raise ConfigurationError(f"r_max must be positive, got {self.r_max}")
-        if self.horizon < 1:
-            raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
+        if not 1 <= self.horizon <= _INTP_MAX:
+            raise ConfigurationError(
+                f"horizon must be in [1, {_INTP_MAX}], got {reprlib.repr(self.horizon)}"
+            )
 
 
 @dataclass
@@ -306,6 +311,10 @@ class Lqg1dEnv:
             raise ConfigurationError(f"s_max must be positive and finite, got {config.s_max}")
         if config.noise_std < 0:
             raise ConfigurationError(f"noise_std must be non-negative, got {config.noise_std}")
+        # a negative cost weight pays rewards above 0, past r_max; an infinite one NaN at 0
+        for name, weight in (("q", config.q), ("c", config.c)):
+            if not 0 <= weight < math.inf:
+                raise ConfigurationError(f"{name} must be finite and non-negative, got {weight}")
         # MdpSpec rejects r_max <= 0.
         self.spec = MdpSpec(gamma=config.gamma, r_max=config.r_max, horizon=config.horizon)
         self.config = config
@@ -371,6 +380,9 @@ def make_chain(config: ChainConfig) -> EnumerableMdp:
         raise ConfigurationError(f"chain needs at least 2 states, got {n}")
     if not 0.0 <= config.slip < 1.0:
         raise ConfigurationError(f"slip must be in [0, 1), got {config.slip}")
+    # the (n, 2, n) float table against numpy's size limit, checked before allocating
+    if n * 2 * n * 8 > _INTP_MAX:
+        raise ConfigurationError(f"n_states = {n} makes a transition table too large for numpy")
     transition = np.zeros((n, 2, n))
     for s in range(n):
         for a, move in ((LEFT, -1), (RIGHT, +1)):

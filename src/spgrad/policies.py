@@ -203,10 +203,10 @@ class GaussianActor:
 
     ``sample`` and ``score`` repeat ``sample_action`` (given the standard
     normal ``box_muller`` makes of a row's two uniforms) and ``score`` state
-    by state, float for float: features row by row, the mean summed feature
-    by feature as ``_linear_mean`` does, and the same typed errors.
-    Arithmetic that overflows gives inf as Python floats do, with no numpy
-    warning.
+    by state, float for float: features from the map's ``batch``, the mean
+    summed feature by feature as ``_linear_mean`` does, and the same typed
+    errors.  Arithmetic that overflows gives inf as Python floats do, with no
+    numpy warning.
     """
 
     draws = 2  # uniforms per action: one standard normal by ``box_muller``
@@ -217,11 +217,7 @@ class GaussianActor:
 
     def _phi_and_mean(self, states: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         policy = self.policy
-        batch = getattr(policy.features, "batch", None)
-        if batch is None:
-            phi = np.stack([np.asarray(policy.features(s), dtype=float) for s in states])
-        else:
-            phi = np.asarray(batch(states), dtype=float)
+        phi = np.asarray(policy.features.batch(states), dtype=float)
         # np.linalg.norm per row may differ from the scalar norm in the last
         # bit; rows near the bound are re-checked by the scalar check
         near = np.linalg.norm(phi, axis=1) > (policy.feature_bound + 1e-9) * (1.0 - 1e-12)
@@ -350,9 +346,9 @@ class SoftmaxPolicy:
         second = rows.T @ (probs[:, None] * rows)
         return (np.outer(mean, mean) - second) / (self.tau**2)
 
-    def actor(self, theta: np.ndarray, n_states: "int | None" = None) -> "SoftmaxActor | None":
-        """The policy frozen at theta over states 0..n_states-1; None without a state count."""
-        return None if n_states is None else SoftmaxActor(self, theta, n_states)
+    def actor(self, theta: np.ndarray, n_states: int) -> "SoftmaxActor":
+        """The policy frozen at theta over states 0..n_states-1."""
+        return SoftmaxActor(self, theta, n_states)
 
     def smoothing_constants(self) -> SmoothingConstants:
         b = self.feature_bound

@@ -34,10 +34,10 @@ from .estimators import (
     GradientAccumulator,
     VarianceBound,
     error_bound,
-    stack_trajectories,
     variance_bound,
 )
-from .mdp import Environment, row_draws, sample_block, sample_trajectory
+# sample_trajectory and substream stay bound here: perfbench patches them by name
+from .mdp import row_draws, sample_block, sample_trajectory
 from .policies import SmoothingConstants
 from .rng import UniformRows, substream
 
@@ -185,26 +185,14 @@ def _rollout(env, policy, theta: np.ndarray, seed: int, k: int):
     """(first, n) -> (rewards (n, T), scores (n, T, m)) for trajectories
     first .. first+n-1 of iteration k.
 
-    Environments and policies with array methods are stepped as a block on
-    rows of iteration k's one ``UniformRows(seed, k, width)``; any other
-    pair falls back to ``sample_trajectory`` one row at a time, trajectory i
-    on ``substream(seed, k, i)``.  Either way row i depends only on (seed, k, i).
+    The environment steps them as a block (``mdp.sample_block``) with the
+    policy frozen at theta, ``policy.actor(theta, env.n_states)``, on rows of
+    iteration k's one ``UniformRows(seed, k, width)``, so row i depends only
+    on (seed, k, i).
     """
-    actor = None
-    if hasattr(env, "step_batch") and hasattr(policy, "actor"):
-        actor = policy.actor(theta, env.n_states)
-    if actor is not None:
-        rows = UniformRows(seed, k, row_draws(env, actor))
-        return lambda first, n: sample_block(env, actor, rows.take(first, n))
-
-    def one_at_a_time(first, n):
-        trajs = [
-            sample_trajectory(env, policy, theta, substream(seed, k, i))
-            for i in range(first, first + n)
-        ]
-        return stack_trajectories(trajs, policy, theta)
-
-    return one_at_a_time
+    actor = policy.actor(theta, env.n_states)
+    rows = UniformRows(seed, k, row_draws(env, actor))
+    return lambda first, n: sample_block(env, actor, rows.take(first, n))
 
 
 def _first_certified(eps_delta: float):
@@ -231,7 +219,7 @@ def _first_certified(eps_delta: float):
 
 
 def spg_run(
-    env: Environment,
+    env,
     policy,
     theta0: np.ndarray,
     n_iterations: int,

@@ -38,7 +38,6 @@ from .estimators import (
     EstimatorKind,
     error_bound,
     running_sums,
-    stack_trajectories,
     trajectory_terms,
     variance_bound,
 )
@@ -307,14 +306,12 @@ def check_constants_closed_forms(seed: int) -> CheckResult:
     return _result(name, worst <= 1e-12, tol, f"max relative gap = {worst:.3e}")
 
 
-def _score_chunk(trajs: list, policy, theta: np.ndarray, actor, gamma: float, kinds) -> dict:
-    """Kind -> per-trajectory zero-baseline estimates (n, m) of equal-length ``trajs``.
-
-    The chunk is scored once: through ``actor``, ``policy.actor(theta,
-    n_states)``, or step by step by the policy when there is none (no state
-    count).
-    """
-    rewards, scores = stack_trajectories(trajs, policy, theta, actor)
+def _score_chunk(trajs: list, actor, gamma: float, kinds) -> dict:
+    """Kind -> per-trajectory zero-baseline estimates (n, m) of equal-length
+    ``trajs``, stacked and scored once through ``actor``, the policy frozen
+    at theta (``policy.actor(theta, env.n_states)``)."""
+    rewards = np.stack([t.rewards for t in trajs])
+    scores = actor.score(np.stack([t.states for t in trajs]), np.stack([t.actions for t in trajs]))
     return {kind: trajectory_terms(kind, gamma, rewards, scores)[2] for kind in kinds}
 
 
@@ -338,7 +335,7 @@ def variance_ratios(setup: tuple, seed: int, n_samples: int, *key: int) -> "dict
     """
     env, policy, theta = setup
     spec = env.spec
-    actor = policy.actor(theta, getattr(env, "n_states", None))
+    actor = policy.actor(theta, env.n_states)
     sums = {kind: np.zeros(policy.dim) for kind in EstimatorKind}
     sq_sums = {kind: 0.0 for kind in EstimatorKind}
     rng = substream(seed, *key)
@@ -349,7 +346,7 @@ def variance_ratios(setup: tuple, seed: int, n_samples: int, *key: int) -> "dict
             rewards = trajs[-1].rewards
             if len(rewards) != spec.horizon or not np.max(np.abs(rewards)) <= spec.r_max + 1e-12:
                 return None
-        estimates = _score_chunk(trajs, policy, theta, actor, spec.gamma, EstimatorKind)
+        estimates = _score_chunk(trajs, actor, spec.gamma, EstimatorKind)
         for kind, g in estimates.items():
             sums[kind] = running_sums(sums[kind], g)[-1]
             for row in g:
@@ -406,7 +403,7 @@ def chebyshev_violations(
             sample_trajectory(inst.env, inst.policy, theta, rng)
             for _ in range(batch * (min(first + per_chunk, n_estimates) - first))
         ]
-        for kind, g in _score_chunk(trajs, inst.policy, theta, actor, gamma, kinds).items():
+        for kind, g in _score_chunk(trajs, actor, gamma, kinds).items():
             for rows in np.split(g, len(g) // batch):
                 err = np.linalg.norm(running_sums(0.0, rows)[-1] / batch - exact)
                 for delta in (0.1, 0.5):

@@ -380,6 +380,23 @@ class TestConstantsCommand:
         assert table["eps_delta_reinforce"] == "65.1322"
         assert table["eps_delta_gpomdp"] == "80.7045"
 
+    @pytest.mark.parametrize(
+        "environment, message",
+        [
+            pytest.param({"kind": "lqg1d", "q": -1.0}, "q must be finite and non-negative", id="q"),
+            pytest.param({"kind": "lqg1d", "c": -2.0}, "c must be finite and non-negative", id="c"),
+            pytest.param({"kind": "lqg1d", "horizon": 10**400}, "horizon must be in [1, ", id="horizon"),
+            pytest.param({"kind": "chain", "n_states": 2**64}, f"n_states = {2**64} ", id="n_states"),
+        ],
+    )
+    def test_out_of_range_environment_names_the_key(self, tmp_path, capsys, environment, message):
+        data = keyed_config(environment["kind"])
+        data["environment"].update(environment)
+        path = write_config(tmp_path, data)
+        assert main(["constants", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+
 
 class TestValidateCommand:
     def test_zero_budget_skips_oracle_checks(self):
@@ -442,6 +459,7 @@ class TestValidateCommand:
             """One state; every step pays ``reward`` against a declared r_max of 1."""
 
             spec = MdpSpec(gamma=0.9, r_max=1.0, horizon=2)
+            n_states = 1
 
             def __init__(self, reward):
                 self.reward = reward
@@ -512,15 +530,7 @@ class TestValidateSampling:
     def test_variance_ratios_match_reference(self, sampled):
         import spgrad.validate as validate
 
-        class ResetStepOnly:
-            """An environment with no state count, so the policy scores step by step."""
-
-            def __init__(self, env):
-                self.spec, self.reset, self.step = env.spec, env.reset, env.step
-
         setups = list(validate.variance_setups().values())
-        env, policy, theta = setups[1]
-        setups.append((ResetStepOnly(env), policy, theta))
         assert validate.BLOCK_ROWS < 600 < 2 * validate.BLOCK_ROWS
         for n, (idx, (env, policy, theta)) in itertools.product((30, 600), enumerate(setups)):
             sums = {kind: np.zeros(policy.dim) for kind in EstimatorKind}
@@ -635,6 +645,8 @@ class TestSweepCommand:
                 id="duplicate-fixed-label",
             ),
             pytest.param(["spg", "spg"], id="duplicate-spg"),
+            pytest.param(["fixed:alpha=0.1,alpha=5,n=3"], id="repeated-alpha"),
+            pytest.param(["fixed:alpha=0.1,n=3,n=4"], id="repeated-n"),
         ],
     )
     def test_bad_schedule_rejected(self, tmp_path, schedules):

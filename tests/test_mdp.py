@@ -141,6 +141,13 @@ class TestLqg1d:
         with pytest.raises(ConfigurationError, match="s_max"):
             Lqg1dEnv(Lqg1dConfig(s_max=s_max))
 
+    @pytest.mark.parametrize("value", [-2.0, -1e-300, math.nan, math.inf])
+    @pytest.mark.parametrize("weight", ["q", "c"])
+    def test_bad_cost_weight_rejected(self, weight, value):
+        # c = -2 would pay step(0.9, 1.5) a reward of +4.095 against r_max = 1
+        with pytest.raises(ConfigurationError, match=f"^{weight} must be finite and non-negative"):
+            Lqg1dEnv(Lqg1dConfig(**{weight: value}))
+
     @pytest.mark.parametrize("action", [math.nan, math.inf, -math.inf])
     def test_non_finite_action_raises(self, action):
         env = Lqg1dEnv(Lqg1dConfig())

@@ -437,9 +437,6 @@ class TestActors:
         scores = [policy.score(theta, s, a) for s, a in zip(states, actions)]
         np.testing.assert_array_equal(actor.score(states, actions), scores)
 
-    def test_softmax_needs_a_state_count(self):
-        assert bandit_softmax().actor(np.zeros(1)) is None
-
 
 class TestActionProbabilityMemo:
     def test_memo_follows_theta_and_is_read_only(self):

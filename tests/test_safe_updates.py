@@ -22,7 +22,6 @@ from spgrad.mdp import (
     make_bandit,
     row_draws,
     sample_block,
-    sample_trajectory,
 )
 from spgrad.oracle import grid_maximize
 from spgrad.policies import GaussianPolicy, PolynomialFeatures, SmoothingConstants, TabularFeatures, SoftmaxPolicy
@@ -328,14 +327,6 @@ def block_rows(env, policy, theta, seed, k):
     )
 
 
-def substream_rows(env, policy, theta, seed, k):
-    """add(acc, i): trajectory i of iteration k from ``sample_trajectory`` on
-    ``substream(seed, k, i)``, added with ``add_trajectory``."""
-    return lambda acc, i: acc.add_trajectory(
-        sample_trajectory(env, policy, theta, substream(seed, k, i))
-    )
-
-
 def one_at_a_time(
     env, policy, theta0, n_iterations, delta, kind, limits, seed, fixed=None, baseline="zero",
     rows=block_rows,
@@ -510,23 +501,6 @@ class TestBlockSamplingIsExact:
         assert [args[:2] for args in built] == [(8, 0), (8, 1), (8, 2)]
         assert len(reads) > len(built)
         assert all(not r.stalled for r in result.records)
-
-    def test_scalar_only_objects_fall_back_to_sample_trajectory(self):
-        env, policy = INSTANCES["chain"]()
-
-        class ScalarEnv:  # reset/step only: no array methods
-            spec = env.spec
-            reset = env.reset
-            step = env.step
-
-        limits = RunLimits(max_trajectories_per_iteration=800, max_total_trajectories=2000)
-        theta0 = np.zeros(policy.dim)
-        records, thetas = one_at_a_time(
-            ScalarEnv(), policy, theta0, 2, 0.5, EstimatorKind.GPOMDP, limits, 4,
-            rows=substream_rows,
-        )
-        fallback = spg_run(ScalarEnv(), policy, theta0, 2, 0.5, limits=limits, seed=4)
-        assert_same_run(fallback, records, thetas)
 
 
 class TestBlockPathErrors:
