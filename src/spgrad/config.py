@@ -282,7 +282,7 @@ def build_experiment(config: ExperimentConfig) -> BuiltExperiment:
     p = config.policy
     features = _FEATURES[p["kind"]][p["features"]](p, mdp)
     if p["kind"] == "softmax":
-        policy = SoftmaxPolicy(features, p["feature_bound"], tau=p["tau"], n_actions=mdp.n_actions)
+        policy = SoftmaxPolicy(features, p["feature_bound"], p["tau"], mdp.n_actions, mdp.n_states)
     else:
         policy = GaussianPolicy(features, p["feature_bound"], sigma=p["sigma"])
     theta0 = np.zeros(policy.dim) if p["theta0"] is None else np.asarray(p["theta0"], dtype=float)

@@ -18,9 +18,9 @@ The shipped environments also step arrays of episodes at once for
 :func:`sample_block`, the one rollout of ``safe_updates.spg_run``:
 ``reset_batch(u)`` and ``step_batch(states, actions, u)`` take an (n, k)
 array of uniforms in [0, 1), k being the count the environment declares as
-``reset_draws`` / ``step_draws``, and ``n_states`` is the size of a finite
-state space (None when it is continuous).  Their
-numpy calls run over whole columns of n episodes: an enumerable
+``reset_draws`` / ``step_draws``.  The policy's side of a block is
+``policy.actor(theta)``, so the contract has no state count.  The batch
+methods' numpy calls run over whole columns of n episodes: an enumerable
 environment reads each (state, action) pair at its flat index
 s * n_actions + a, one ``take`` per column of its transition CDFs and one
 for the reward, and draws the next state with ``rng.inverse_cdf``, a count
@@ -304,7 +304,7 @@ class Lqg1dConfig:
 
 class Lqg1dEnv:
     # a uniform initial state; a standard normal (two uniforms) of noise per step
-    reset_draws, step_draws, n_states = 1, 2, None
+    reset_draws, step_draws = 1, 2
 
     def __init__(self, config: Lqg1dConfig):
         if not 0 < config.s_max < math.inf:

@@ -1,11 +1,11 @@
 """Smoothing parametric policies: linear-mean Gaussian and linear Softmax.
 
 Both classes expose the same surface: ``sample_action`` (one action, in
-Python floats and lists: a Softmax draw is ``bisect_right`` on cumulative
-probabilities memoised with the probabilities, as ``np.searchsorted`` on
-``np.cumsum`` would find it), ``log_pdf``, ``score`` (gradient of the
-log-density in theta), ``observed_information`` (its Hessian), ``actor``
-(the policy frozen at theta, acting on arrays of states), and
+Python floats and lists: a Softmax draw is ``bisect_right`` on a row of
+cumulative probabilities, as ``np.searchsorted`` on ``np.cumsum`` would find
+it), ``log_pdf``, ``score`` (gradient of the log-density in theta),
+``observed_information`` (its Hessian), ``actor(theta)`` (the policy frozen
+at theta, acting on arrays of states), and
 ``smoothing_constants`` returning the class constants (psi, kappa, xi)
 that bound, uniformly over states and theta,
 
@@ -17,13 +17,17 @@ with the expectation over actions drawn from the policy itself.  The
 constants depend only on the feature-norm bound and sigma (Gaussian) or
 tau (Softmax), never on theta, which is what makes adaptive safe updates
 computable before any data is seen.
+
+On its finite state space a Softmax policy at theta is one table, pi(. | s),
+its cumulative sums and the score at every (s, a): the policy's one memo,
+built at the last theta seen, which its methods and its actor read.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,7 +190,7 @@ class GaussianPolicy:
         phi = self._phi(state)
         return -np.outer(phi, phi) / (self.sigma**2)
 
-    def actor(self, theta: np.ndarray, n_states: "int | None" = None) -> "GaussianActor":
+    def actor(self, theta: np.ndarray) -> "GaussianActor":
         return GaussianActor(self, theta)
 
     def smoothing_constants(self) -> SmoothingConstants:
@@ -253,80 +257,80 @@ class GaussianActor:
 # ---------------------------------------------------------------------------
 
 
-class SoftmaxPolicy:
-    """Discrete-action Softmax: pi(a|s) proportional to exp(theta . phi(s,a) / tau)."""
+class _SoftmaxTable(NamedTuple):
+    """A Softmax policy at one theta, at every state and action."""
 
-    def __init__(self, features, feature_bound: float, tau: float, n_actions: int):
+    probs: list  # S read-only (A,) rows of pi(. | s)
+    cdf: np.ndarray  # (S, A) np.cumsum of the rows
+    cum: list  # the same rows as Python lists, for ``bisect_right``
+    scores: np.ndarray  # (S, A, m) read-only
+
+
+class SoftmaxPolicy:
+    """Discrete-action Softmax: pi(a|s) proportional to exp(theta . phi(s,a) / tau)
+    on states 0 .. n_states-1 (a state is read as ``int(state)``).  The features
+    are evaluated once, and their bound checked, when the first table is built.
+    """
+
+    def __init__(self, features, feature_bound: float, tau: float, n_actions: int, n_states: int):
         if not 0 < tau < math.inf:
             raise ConfigurationError(f"tau must be positive and finite, got {tau}")
         if not 0 <= feature_bound < math.inf:
             raise ConfigurationError(f"feature_bound must be finite and >= 0, got {feature_bound}")
         if n_actions < 2:
             raise ConfigurationError(f"need at least 2 actions, got {n_actions}")
+        if n_states < 1:
+            raise ConfigurationError(f"n_states must be >= 1, got {n_states}")
         self.features = features
         self.feature_bound = feature_bound
         self.tau = tau
         self.n_actions = n_actions
-        self._matrix_cache: dict = {}
-        # (action probabilities, their cumulative sums) at the last theta
-        # seen, by int state
-        self._probs_theta: "bytes | None" = None
-        self._probs_memo: "dict[int, tuple[np.ndarray, list[float]]]" = {}
+        self.n_states = n_states
+        self._phi: "np.ndarray | None" = None
+        self._theta: "bytes | None" = None
+        self._memo: "_SoftmaxTable | None" = None
 
     @property
     def dim(self) -> int:
         return self.features.dim
 
-    def _feature_matrix(self, state) -> np.ndarray:
-        key = int(state) if isinstance(state, (int, np.integer)) else None
-        if key is not None:
-            cached = self._matrix_cache.get(key)
-            if cached is not None:
-                return cached
-        rows = np.stack(
-            [np.asarray(self.features(state, a), dtype=float) for a in range(self.n_actions)]
-        )
-        worst = float(np.max(np.linalg.norm(rows, axis=1)))
-        if worst > self.feature_bound + 1e-9:
-            raise ConfigurationError(
-                f"||phi(state, action)|| = {worst} exceeds feature_bound {self.feature_bound}"
-            )
-        if key is not None:
-            self._matrix_cache[key] = rows
-        return rows
+    def _feature_table(self) -> np.ndarray:
+        """(S, A, m) features phi(s, a), evaluated on first use."""
+        if self._phi is None:
+            states, actions = range(self.n_states), range(self.n_actions)
+            phi = np.array([[self.features(s, a) for a in actions] for s in states], dtype=float)
+            worst = float(np.max(np.linalg.norm(phi, axis=2)))
+            if worst > self.feature_bound + 1e-9:
+                raise ConfigurationError(
+                    f"||phi(state, action)|| = {worst} exceeds feature_bound {self.feature_bound}"
+                )
+            self._phi = phi
+        return self._phi
 
     def _log_probabilities(self, theta: np.ndarray, state) -> np.ndarray:
-        rows = self._feature_matrix(state)
-        z = rows @ np.asarray(theta, dtype=float) / self.tau
+        z = self._feature_table()[int(state)] @ np.asarray(theta, dtype=float) / self.tau
         z = z - np.max(z)  # max subtraction keeps exp finite for any finite theta
         return z - math.log(float(np.sum(np.exp(z))))
 
-    def _probabilities_and_cdf(self, theta: np.ndarray, state) -> "tuple[np.ndarray, list[float]]":
-        """pi(. | state) at theta and its cumulative sums, as ``np.cumsum`` adds them.
-
-        Sampling and scoring ask for the same (theta, state) in turn, so
-        integer states are memoised at the last theta seen, both in one entry.
-        """
-        if not isinstance(state, (int, np.integer)):
-            probs = np.exp(self._log_probabilities(theta, state))
-            return probs, list(accumulate(probs.tolist()))
+    def _table(self, theta: np.ndarray) -> _SoftmaxTable:
+        """The memo at theta, rebuilt when theta differs from the last one seen."""
         key = np.asarray(theta, dtype=float).tobytes()
-        if key != self._probs_theta:
-            self._probs_theta = key
-            self._probs_memo = {}
-        entry = self._probs_memo.get(int(state))
-        if entry is None:
-            probs = np.exp(self._log_probabilities(theta, state))
-            probs.flags.writeable = False
-            entry = self._probs_memo[int(state)] = (probs, list(accumulate(probs.tolist())))
-        return entry
+        if key != self._theta:
+            phi, states = self._feature_table(), range(self.n_states)
+            probs = np.stack([np.exp(self._log_probabilities(theta, s)) for s in states])
+            scores = np.stack([(phi[s] - probs[s] @ phi[s]) / self.tau for s in states])
+            cdf = np.cumsum(probs, axis=1)
+            for table in (probs, cdf, scores):
+                table.flags.writeable = False
+            self._memo, self._theta = _SoftmaxTable(list(probs), cdf, cdf.tolist(), scores), key
+        return self._memo
 
     def action_probabilities(self, theta: np.ndarray, state) -> np.ndarray:
-        """pi(. | state) at theta, read-only at integer states (memoised)."""
-        return self._probabilities_and_cdf(theta, state)[0]
+        """pi(. | state) at theta, read-only."""
+        return self._table(theta).probs[int(state)]
 
     def sample_action(self, theta: np.ndarray, state, rng: np.random.Generator) -> int:
-        cum = self._probabilities_and_cdf(theta, state)[1]
+        cum = self._table(theta).cum[int(state)]
         # np.searchsorted(cum, u * cum[-1], side="right"), the last action at the top
         return min(bisect_right(cum, rng.random() * cum[-1]), self.n_actions - 1)
 
@@ -334,21 +338,19 @@ class SoftmaxPolicy:
         return float(self._log_probabilities(theta, state)[int(action)])
 
     def score(self, theta: np.ndarray, state, action) -> np.ndarray:
-        rows = self._feature_matrix(state)
-        probs = self.action_probabilities(theta, state)
-        return (rows[int(action)] - probs @ rows) / self.tau
+        """The score at (state, action), read-only."""
+        return self._table(theta).scores[int(state), int(action)]
 
     def observed_information(self, theta: np.ndarray, state, action) -> np.ndarray:
         # Action-independent: mean mean^T - E[phi phi^T], scaled by 1/tau^2.
-        rows = self._feature_matrix(state)
-        probs = self.action_probabilities(theta, state)
+        probs = self._table(theta).probs[int(state)]
+        rows = self._phi[int(state)]
         mean = probs @ rows
         second = rows.T @ (probs[:, None] * rows)
         return (np.outer(mean, mean) - second) / (self.tau**2)
 
-    def actor(self, theta: np.ndarray, n_states: int) -> "SoftmaxActor":
-        """The policy frozen at theta over states 0..n_states-1."""
-        return SoftmaxActor(self, theta, n_states)
+    def actor(self, theta: np.ndarray) -> "SoftmaxActor":
+        return SoftmaxActor(self, theta)
 
     def smoothing_constants(self) -> SmoothingConstants:
         b = self.feature_bound
@@ -360,24 +362,20 @@ class SoftmaxPolicy:
 
 
 class SoftmaxActor:
-    """A Softmax policy frozen at theta, acting on arrays of integer states.
-
-    Its tables are the policy's own ``action_probabilities`` and ``score``
-    at every state, so a rollout is table lookups: column a of the
-    cumulative probabilities over the S states, and the (S * A, m) scores
-    at the flat index s * A + a, each read with one ``take``.  ``sample``
-    draws for row i the action ``sample_action`` draws from uniform i.
+    """A Softmax policy frozen at theta, acting on arrays of integer states:
+    a view of the policy's table at theta.  A rollout reads column a of the
+    cumulative probabilities over the S states and the (S * A, m) scores at
+    the flat index s * A + a, each with one ``take``; ``sample`` draws for
+    row i the action ``sample_action`` draws from uniform i.
     """
 
     draws = 1
 
-    def __init__(self, policy: SoftmaxPolicy, theta: np.ndarray, n_states: int):
-        states, actions = range(n_states), range(policy.n_actions)
-        probs = np.stack([policy.action_probabilities(theta, s) for s in states])
-        self.cdf = list(np.cumsum(probs, axis=1).T.copy())
-        scores = np.stack([[policy.score(theta, s, a) for a in actions] for s in states])
+    def __init__(self, policy: SoftmaxPolicy, theta: np.ndarray):
+        table = policy._table(theta)
         self.n_actions = policy.n_actions
-        self.scores = scores.reshape(n_states * policy.n_actions, -1)
+        self.cdf = list(table.cdf.T.copy())
+        self.scores = table.scores.reshape(-1, table.scores.shape[-1])
 
     def sample(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Actions at ``states`` (n,) from uniforms ``u`` (n, 1)."""

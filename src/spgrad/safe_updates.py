@@ -186,11 +186,10 @@ def _rollout(env, policy, theta: np.ndarray, seed: int, k: int):
     first .. first+n-1 of iteration k.
 
     The environment steps them as a block (``mdp.sample_block``) with the
-    policy frozen at theta, ``policy.actor(theta, env.n_states)``, on rows of
-    iteration k's one ``UniformRows(seed, k, width)``, so row i depends only
-    on (seed, k, i).
+    policy frozen at theta, ``policy.actor(theta)``, on rows of iteration k's
+    one ``UniformRows(seed, k, width)``, so row i depends only on (seed, k, i).
     """
-    actor = policy.actor(theta, env.n_states)
+    actor = policy.actor(theta)
     rows = UniformRows(seed, k, row_draws(env, actor))
     return lambda first, n: sample_block(env, actor, rows.take(first, n))
 

@@ -57,7 +57,7 @@ def two_state_instance() -> DiscreteInstance:
         spec=MdpSpec(gamma=0.9, r_max=1.0, horizon=3),
     )
     policy = SoftmaxPolicy(
-        TabularFeatures(2, 2), feature_bound=1.0, tau=1.0, n_actions=2
+        TabularFeatures(2, 2), feature_bound=1.0, tau=1.0, n_actions=2, n_states=2
     )
     return DiscreteInstance(mdp=mdp, env=EnumerableEnv(mdp), policy=policy, oracle_policy=policy)
 
@@ -66,7 +66,7 @@ def bandit_instance(gamma: float = 0.5) -> DiscreteInstance:
     """Two-armed bandit with rewards 1 and 0; J(theta) is the sigmoid of theta."""
     mdp = make_bandit([1.0, 0.0], gamma=gamma, horizon=1)
     policy = SoftmaxPolicy(
-        ActionIndicatorFeatures(active=0), feature_bound=1.0, tau=1.0, n_actions=2
+        ActionIndicatorFeatures(active=0), feature_bound=1.0, tau=1.0, n_actions=2, n_states=1
     )
     return DiscreteInstance(mdp=mdp, env=EnumerableEnv(mdp), policy=policy, oracle_policy=policy)
 
@@ -78,7 +78,7 @@ def chain_instance(
         ChainConfig(n_states=n_states, slip=slip, gamma=gamma, horizon=horizon)
     )
     policy = SoftmaxPolicy(
-        TabularFeatures(n_states, 2), feature_bound=1.0, tau=tau, n_actions=2
+        TabularFeatures(n_states, 2), feature_bound=1.0, tau=tau, n_actions=2, n_states=n_states
     )
     return DiscreteInstance(mdp=mdp, env=EnumerableEnv(mdp), policy=policy, oracle_policy=policy)
 

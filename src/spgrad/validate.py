@@ -3,8 +3,10 @@
 Each check compares an implementation path against an independent route:
 dynamic programming vs path enumeration, closed forms vs grid search,
 analytic constants vs finite differences, sampled statistics vs their
-bounds.  Checks that need path enumeration respect the ``budget`` argument
-and report as skipped when it is too small.
+bounds.  A check returns (ok, observed) and is declared with ``_check(name,
+tolerance)``, which builds its ``CheckResult``.  Checks that need path
+enumeration respect the ``budget`` argument; ``_check`` reports one as
+skipped when the budget is too small.
 
 These checks are the only implementation of the acceptance criteria: the
 CLI runs them at its default sizes, the acceptance tests at larger ones
@@ -24,6 +26,7 @@ enough must flip them, which guards against the checks passing vacuously.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import tempfile
@@ -79,154 +82,140 @@ class CheckResult:
         return self.status == "pass"
 
 
-def _result(name: str, ok: bool, tolerance: str, observed: str) -> CheckResult:
-    return CheckResult(name, "pass" if ok else "fail", tolerance, observed)
+def _check(name: str, tolerance: str):
+    """Decorator for a check returning (ok, observed): the wrapped check
+    returns its ``CheckResult``, a skip when the enumeration budget is
+    exceeded."""
 
+    def decorate(fn):
+        @functools.wraps(fn)
+        def check(*args, **kwargs) -> CheckResult:
+            try:
+                ok, observed = fn(*args, **kwargs)
+            except OracleBudgetError:
+                return CheckResult(name, "skip", tolerance, "enumeration budget exceeded")
+            return CheckResult(name, "pass" if ok else "fail", tolerance, observed)
 
-def _skip(name: str, tolerance: str) -> CheckResult:
-    return CheckResult(name, "skip", tolerance, "enumeration budget exceeded")
+        return check
+
+    return decorate
 
 
 def _random_theta(rng: np.random.Generator, dim: int, scale: float = 0.5) -> np.ndarray:
     return scale * rng.standard_normal(dim)
 
 
-def check_dp_enumeration(budget: int, seed: int) -> CheckResult:
-    name, tol = "dp-enumeration-consistency", "<= 1e-10"
+@_check("dp-enumeration-consistency", "<= 1e-10")
+def check_dp_enumeration(budget: int, seed: int):
     inst = two_state_instance()
     rng = substream(seed, 1)
     worst = 0.0
-    try:
-        for _ in range(10):
-            theta = _random_theta(rng, inst.policy.dim)
-            j_dp = exact_performance(inst.mdp, inst.oracle_policy, theta)
-            j_enum = enumerated_performance(inst.mdp, inst.oracle_policy, theta, budget)
-            worst = max(worst, abs(j_dp - j_enum))
-    except OracleBudgetError:
-        return _skip(name, tol)
-    return _result(name, worst <= 1e-10, tol, f"max |J_dp - J_enum| = {worst:.3e}")
+    for _ in range(10):
+        theta = _random_theta(rng, inst.policy.dim)
+        j_dp = exact_performance(inst.mdp, inst.oracle_policy, theta)
+        j_enum = enumerated_performance(inst.mdp, inst.oracle_policy, theta, budget)
+        worst = max(worst, abs(j_dp - j_enum))
+    return worst <= 1e-10, f"max |J_dp - J_enum| = {worst:.3e}"
 
 
-def check_gradient_crosscheck(budget: int, seed: int) -> CheckResult:
-    name, tol = "gradient-fd-crosscheck", "rel <= 1e-6"
+@_check("gradient-fd-crosscheck", "rel <= 1e-6")
+def check_gradient_crosscheck(budget: int, seed: int):
     inst = two_state_instance()
     rng = substream(seed, 2)
     worst = 0.0
-    try:
-        for _ in range(20):
-            theta = _random_theta(rng, inst.policy.dim)
-            grad = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget)
-            fd = fd_gradient(inst.mdp, inst.oracle_policy, theta)
-            rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
-            worst = max(worst, rel)
-    except OracleBudgetError:
-        return _skip(name, tol)
-    return _result(name, worst <= 1e-6, tol, f"max relative gap = {worst:.3e}")
+    for _ in range(20):
+        theta = _random_theta(rng, inst.policy.dim)
+        grad = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget)
+        fd = fd_gradient(inst.mdp, inst.oracle_policy, theta)
+        rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
+        worst = max(worst, rel)
+    return worst <= 1e-6, f"max relative gap = {worst:.3e}"
 
 
-def check_estimator_unbiasedness(budget: int, seed: int) -> CheckResult:
-    name, tol = "estimator-unbiasedness", "<= 1e-10 per component"
+@_check("estimator-unbiasedness", "<= 1e-10 per component")
+def check_estimator_unbiasedness(budget: int, seed: int):
     inst = two_state_instance()
     theta = _random_theta(substream(seed, 3), inst.policy.dim)
-    try:
-        exact = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget)
-        worst = 0.0
-        for kind in EstimatorKind:
-            mean = expected_gradient_estimate(
-                inst.mdp, inst.oracle_policy, theta, kind, BaselineKind.ZERO, budget
-            )
-            worst = max(worst, float(np.max(np.abs(mean - exact))))
-    except OracleBudgetError:
-        return _skip(name, tol)
-    return _result(name, worst <= 1e-10, tol, f"max component gap = {worst:.3e}")
+    exact = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget)
+    worst = 0.0
+    for kind in EstimatorKind:
+        mean = expected_gradient_estimate(
+            inst.mdp, inst.oracle_policy, theta, kind, BaselineKind.ZERO, budget
+        )
+        worst = max(worst, float(np.max(np.abs(mean - exact))))
+    return worst <= 1e-10, f"max component gap = {worst:.3e}"
 
 
-def check_baseline_invariance(budget: int, seed: int) -> CheckResult:
-    name, tol = "baseline-mean-invariance", "<= 1e-10 per component"
+@_check("baseline-mean-invariance", "<= 1e-10 per component")
+def check_baseline_invariance(budget: int, seed: int):
     inst = two_state_instance()
     theta = _random_theta(substream(seed, 4), inst.policy.dim)
     worst = 0.0
-    try:
-        for kind in EstimatorKind:
-            zero = expected_gradient_estimate(
-                inst.mdp, inst.oracle_policy, theta, kind, BaselineKind.ZERO, budget
-            )
-            peters = expected_gradient_estimate(
-                inst.mdp, inst.oracle_policy, theta, kind, BaselineKind.PETERS, budget
-            )
-            worst = max(worst, float(np.max(np.abs(zero - peters))))
-    except OracleBudgetError:
-        return _skip(name, tol)
-    return _result(name, worst <= 1e-10, tol, f"max component gap = {worst:.3e}")
+    for kind in EstimatorKind:
+        zero = expected_gradient_estimate(
+            inst.mdp, inst.oracle_policy, theta, kind, BaselineKind.ZERO, budget
+        )
+        peters = expected_gradient_estimate(
+            inst.mdp, inst.oracle_policy, theta, kind, BaselineKind.PETERS, budget
+        )
+        worst = max(worst, float(np.max(np.abs(zero - peters))))
+    return worst <= 1e-10, f"max component gap = {worst:.3e}"
 
 
-def check_quadratic_bound(
-    budget: int, seed: int, lipschitz_scale: float, n_points: int = 100
-) -> CheckResult:
-    name, tol = "quadratic-bound", "deviation <= (L/2)||dtheta||^2 + 1e-9"
+@_check("quadratic-bound", "deviation <= (L/2)||dtheta||^2 + 1e-9")
+def check_quadratic_bound(budget: int, seed: int, lipschitz_scale: float, n_points: int = 100):
     inst = two_state_instance()
     lip = lipschitz_constant(inst.policy.smoothing_constants(), inst.mdp.spec)
     l_used = lip * lipschitz_scale
     rng = substream(seed, 5)
     worst = -np.inf
-    try:
+    for _ in range(n_points):
+        theta = _random_theta(rng, inst.policy.dim)
+        step = rng.standard_normal(inst.policy.dim)
+        step *= rng.uniform(0.05, 1.0) / np.linalg.norm(step)
+        grad = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget)
+        deviation = abs(
+            exact_performance(inst.mdp, inst.oracle_policy, theta + step)
+            - exact_performance(inst.mdp, inst.oracle_policy, theta)
+            - float(np.dot(step, grad))
+        )
+        worst = max(worst, deviation - (l_used / 2.0) * float(np.dot(step, step)))
+    return worst <= 1e-9, f"max excess = {worst:.3e}"
+
+
+@_check("hessian-spectral-bound", "||H||_2 <= L (1 + 1e-6)")
+def check_hessian_bound(budget: int, seed: int, lipschitz_scale: float, n_points: int = 10):
+    worst_ratio = 0.0
+    for idx, inst in enumerate((two_state_instance(), binned_gaussian_instance())):
+        lip = lipschitz_constant(inst.policy.smoothing_constants(), inst.mdp.spec)
+        l_used = lip * lipschitz_scale
+        rng = substream(seed, 6, idx)
         for _ in range(n_points):
             theta = _random_theta(rng, inst.policy.dim)
-            step = rng.standard_normal(inst.policy.dim)
-            step *= rng.uniform(0.05, 1.0) / np.linalg.norm(step)
-            grad = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget)
-            deviation = abs(
-                exact_performance(inst.mdp, inst.oracle_policy, theta + step)
-                - exact_performance(inst.mdp, inst.oracle_policy, theta)
-                - float(np.dot(step, grad))
-            )
-            worst = max(worst, deviation - (l_used / 2.0) * float(np.dot(step, step)))
-    except OracleBudgetError:
-        return _skip(name, tol)
-    return _result(name, worst <= 1e-9, tol, f"max excess = {worst:.3e}")
+            hess = exact_hessian(inst.mdp, inst.oracle_policy, theta, budget=budget)
+            worst_ratio = max(worst_ratio, float(np.linalg.norm(hess, 2)) / l_used)
+    return worst_ratio <= 1.0 + 1e-6, f"max ||H||/L = {worst_ratio:.3e}"
 
 
-def check_hessian_bound(
-    budget: int, seed: int, lipschitz_scale: float, n_points: int = 10
-) -> CheckResult:
-    name, tol = "hessian-spectral-bound", "||H||_2 <= L (1 + 1e-6)"
-    worst_ratio = 0.0
-    try:
-        for idx, inst in enumerate((two_state_instance(), binned_gaussian_instance())):
-            lip = lipschitz_constant(inst.policy.smoothing_constants(), inst.mdp.spec)
-            l_used = lip * lipschitz_scale
-            rng = substream(seed, 6, idx)
-            for _ in range(n_points):
-                theta = _random_theta(rng, inst.policy.dim)
-                hess = exact_hessian(inst.mdp, inst.oracle_policy, theta, budget=budget)
-                worst_ratio = max(worst_ratio, float(np.linalg.norm(hess, 2)) / l_used)
-    except OracleBudgetError:
-        return _skip(name, tol)
-    return _result(name, worst_ratio <= 1.0 + 1e-6, tol, f"max ||H||/L = {worst_ratio:.3e}")
-
-
-def check_exact_step(budget: int, seed: int, n_points: int = 50) -> CheckResult:
-    name, tol = "exact-step-guarantee", "improvement >= ||grad||^2/(2L) - 1e-9"
+@_check("exact-step-guarantee", "improvement >= ||grad||^2/(2L) - 1e-9")
+def check_exact_step(budget: int, seed: int, n_points: int = 50):
     inst = two_state_instance()
     lip = lipschitz_constant(inst.policy.smoothing_constants(), inst.mdp.spec)
     alpha = optimal_step_exact(lip)
     rng = substream(seed, 7)
     worst = np.inf
-    try:
-        for _ in range(n_points):
-            theta = _random_theta(rng, inst.policy.dim)
-            grad = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget)
-            improvement = exact_performance(
-                inst.mdp, inst.oracle_policy, theta + alpha * grad
-            ) - exact_performance(inst.mdp, inst.oracle_policy, theta)
-            worst = min(worst, improvement - float(np.dot(grad, grad)) / (2.0 * lip))
-    except OracleBudgetError:
-        return _skip(name, tol)
-    return _result(name, worst >= -1e-9, tol, f"min margin = {worst:.3e}")
+    for _ in range(n_points):
+        theta = _random_theta(rng, inst.policy.dim)
+        grad = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget)
+        improvement = exact_performance(
+            inst.mdp, inst.oracle_policy, theta + alpha * grad
+        ) - exact_performance(inst.mdp, inst.oracle_policy, theta)
+        worst = min(worst, improvement - float(np.dot(grad, grad)) / (2.0 * lip))
+    return worst >= -1e-9, f"min margin = {worst:.3e}"
 
 
-def check_step_grid() -> CheckResult:
-    name, tol = "step-size-grid-optimality", "closed form within 1% of grid value"
+@_check("step-size-grid-optimality", "closed form within 1% of grid value")
+def check_step_grid():
     lip, grad_norm = 2.0, 1.0
     alpha_star = optimal_step_exact(lip)
     best = grad_norm**2 / (2.0 * lip)
@@ -243,12 +232,11 @@ def check_step_grid() -> CheckResult:
     )
     gap_adaptive = abs(grid_adaptive - adaptive_best) / adaptive_best
     worst = max(gap_exact, gap_adaptive)
-    ok = worst <= 0.01 and abs(alpha_star - 0.5) < 1e-12
-    return _result(name, ok, tol, f"max value gap = {worst:.3e}")
+    return worst <= 0.01 and abs(alpha_star - 0.5) < 1e-12, f"max value gap = {worst:.3e}"
 
 
-def check_joint_grid() -> CheckResult:
-    name, tol = "joint-step-batch-grid", "closed form within 1% of grid; kept branch wins"
+@_check("joint-step-batch-grid", "closed form within 1% of grid; kept branch wins")
+def check_joint_grid():
     lip, eps, grad_norm = 2.0, 10.0, 2.0
     meta = optimal_step_and_batch(grad_norm, eps, lip)
     upsilon_star = grad_norm**4 / (32.0 * lip * eps**2)
@@ -273,11 +261,11 @@ def check_joint_grid() -> CheckResult:
         and meta.alpha == 1.0 / (2.0 * lip)
         and meta.batch_size == 100
     )
-    return _result(name, ok, tol, f"value gap = {gap:.3e}")
+    return ok, f"value gap = {gap:.3e}"
 
 
-def check_constants_closed_forms(seed: int) -> CheckResult:
-    name, tol = "constants-closed-forms", "generic vs per-class formula, rel <= 1e-12"
+@_check("constants-closed-forms", "generic vs per-class formula, rel <= 1e-12")
+def check_constants_closed_forms(seed: int):
     rng = substream(seed, 8)
     worst = 0.0
     for _ in range(50):
@@ -303,13 +291,13 @@ def check_constants_closed_forms(seed: int) -> CheckResult:
             * (3.0 + 4.0 * gamma / (1.0 - gamma))
         )
         worst = max(worst, abs(gauss - gauss_table) / gauss_table, abs(soft - soft_table) / soft_table)
-    return _result(name, worst <= 1e-12, tol, f"max relative gap = {worst:.3e}")
+    return worst <= 1e-12, f"max relative gap = {worst:.3e}"
 
 
 def _score_chunk(trajs: list, actor, gamma: float, kinds) -> dict:
     """Kind -> per-trajectory zero-baseline estimates (n, m) of equal-length
     ``trajs``, stacked and scored once through ``actor``, the policy frozen
-    at theta (``policy.actor(theta, env.n_states)``)."""
+    at theta (``policy.actor(theta)``)."""
     rewards = np.stack([t.rewards for t in trajs])
     scores = actor.score(np.stack([t.states for t in trajs]), np.stack([t.actions for t in trajs]))
     return {kind: trajectory_terms(kind, gamma, rewards, scores)[2] for kind in kinds}
@@ -335,7 +323,7 @@ def variance_ratios(setup: tuple, seed: int, n_samples: int, *key: int) -> "dict
     """
     env, policy, theta = setup
     spec = env.spec
-    actor = policy.actor(theta, env.n_states)
+    actor = policy.actor(theta)
     sums = {kind: np.zeros(policy.dim) for kind in EstimatorKind}
     sq_sums = {kind: 0.0 for kind in EstimatorKind}
     rng = substream(seed, *key)
@@ -360,15 +348,15 @@ def variance_ratios(setup: tuple, seed: int, n_samples: int, *key: int) -> "dict
     return ratios
 
 
-def check_variance_bound(seed: int, n_samples: int) -> CheckResult:
-    name, tol = "variance-bound-empirical", "trace variance <= nu^2"
+@_check("variance-bound-empirical", "trace variance <= nu^2")
+def check_variance_bound(seed: int, n_samples: int):
     worst_ratio = 0.0
     for idx, setup in enumerate(variance_setups().values()):
         ratios = variance_ratios(setup, seed, n_samples, 9, idx)
         if ratios is None:
-            return _result(name, False, tol, "a trajectory breaks the horizon or r_max contract")
+            return False, "a trajectory breaks the horizon or r_max contract"
         worst_ratio = max(worst_ratio, *ratios.values())
-    return _result(name, worst_ratio <= 1.0, tol, f"max variance/nu^2 = {worst_ratio:.3e}")
+    return worst_ratio <= 1.0, f"max variance/nu^2 = {worst_ratio:.3e}"
 
 
 def chebyshev_violations(
@@ -384,7 +372,7 @@ def chebyshev_violations(
     """
     inst = two_state_instance()
     theta = np.zeros(inst.policy.dim)
-    actor = inst.policy.actor(theta, inst.env.n_states)
+    actor = inst.policy.actor(theta)
     batch = 25
     exact = exact_gradient(inst.mdp, inst.oracle_policy, theta, budget)
     gamma = inst.mdp.spec.gamma
@@ -411,18 +399,15 @@ def chebyshev_violations(
     return {pair: count / n_estimates for pair, count in violations.items()}
 
 
-def check_chebyshev(budget: int, seed: int, n_estimates: int) -> CheckResult:
-    name, tol = "chebyshev-coverage", "violation rate <= delta"
-    try:
-        rates = chebyshev_violations(budget, seed, n_estimates, (EstimatorKind.GPOMDP,), 10)
-    except OracleBudgetError:
-        return _skip(name, tol)
+@_check("chebyshev-coverage", "violation rate <= delta")
+def check_chebyshev(budget: int, seed: int, n_estimates: int):
+    rates = chebyshev_violations(budget, seed, n_estimates, (EstimatorKind.GPOMDP,), 10)
     worst = max(rate - delta for (_, delta), rate in rates.items())
-    return _result(name, worst <= 0.0, tol, f"max rate-minus-delta = {worst:.3e}")
+    return worst <= 0.0, f"max rate-minus-delta = {worst:.3e}"
 
 
-def check_runlog_roundtrip(seed: int) -> CheckResult:
-    name, tol = "run-log-roundtrip", "schema parses; row invariants hold"
+@_check("run-log-roundtrip", "schema parses; row invariants hold")
+def check_runlog_roundtrip(seed: int):
     inst = chain_instance(n_states=2, gamma=0.5, horizon=3, tau=2.0)
     result = spg_run(
         inst.env,
@@ -435,7 +420,7 @@ def check_runlog_roundtrip(seed: int) -> CheckResult:
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.csv")
-        write_run_csv(path, result, config_echo={"check": name})
+        write_run_csv(path, result, config_echo={"check": "run-log-roundtrip"})
         parsed = read_run_csv(path)
     ok = len(parsed.records) == len(result.records)
     cum = 0
@@ -445,7 +430,7 @@ def check_runlog_roundtrip(seed: int) -> CheckResult:
         cum = rec.cum_trajectories
         if not rec.stalled:
             ok = ok and rec.guaranteed_improvement >= 0.0
-    return _result(name, ok, tol, f"{len(parsed.records)} rows round-tripped")
+    return ok, f"{len(parsed.records)} rows round-tripped"
 
 
 def run_validation(

@@ -459,7 +459,6 @@ class TestValidateCommand:
             """One state; every step pays ``reward`` against a declared r_max of 1."""
 
             spec = MdpSpec(gamma=0.9, r_max=1.0, horizon=2)
-            n_states = 1
 
             def __init__(self, reward):
                 self.reward = reward
@@ -470,7 +469,9 @@ class TestValidateCommand:
             def step(self, state, action, rng):
                 return 0, self.reward
 
-        policy = SoftmaxPolicy(TabularFeatures(1, 2), feature_bound=1.0, tau=1.0, n_actions=2)
+        policy = SoftmaxPolicy(
+            TabularFeatures(1, 2), feature_bound=1.0, tau=1.0, n_actions=2, n_states=1
+        )
         theta = np.zeros(policy.dim)
         assert validate.variance_ratios((ConstantRewardEnv(1.0), policy, theta), 0, 10, 9)
         breach = (ConstantRewardEnv(1.5), policy, theta)

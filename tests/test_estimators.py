@@ -25,7 +25,9 @@ def bandit_trajectory(action: int, reward: float) -> Trajectory:
 
 
 def bandit_policy() -> SoftmaxPolicy:
-    return SoftmaxPolicy(ActionIndicatorFeatures(), feature_bound=1.0, tau=1.0, n_actions=2)
+    return SoftmaxPolicy(
+        ActionIndicatorFeatures(), feature_bound=1.0, tau=1.0, n_actions=2, n_states=1
+    )
 
 
 def estimate(batch, policy, theta, gamma, kind, baseline=BaselineKind.ZERO) -> np.ndarray:
@@ -269,7 +271,9 @@ class TestTermFormMatchesNumpyExpressions:
     @pytest.mark.parametrize("m, horizon", SHAPES)
     def test_add_block(self, kind, m, horizon):
         rewards, scores, weights = term_inputs(1, 40, horizon, m)
-        policy = SoftmaxPolicy(ActionIndicatorFeatures(), feature_bound=1.0, tau=1.0, n_actions=2)
+        policy = SoftmaxPolicy(
+            ActionIndicatorFeatures(), feature_bound=1.0, tau=1.0, n_actions=2, n_states=1
+        )
         for baseline in BaselineKind:
             for w in (None, weights):
                 blocks = [

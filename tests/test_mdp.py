@@ -41,7 +41,9 @@ from conftest import random_theta
 
 
 def uniform_two_action_policy():
-    return SoftmaxPolicy(ActionIndicatorFeatures(), feature_bound=1.0, tau=1.0, n_actions=2)
+    return SoftmaxPolicy(
+        ActionIndicatorFeatures(), feature_bound=1.0, tau=1.0, n_actions=2, n_states=1
+    )
 
 
 class TestMdpSpec:
@@ -270,7 +272,7 @@ class TestUniformRows:
     def test_widths_of_the_chain_and_lqg_instances(self):
         chain = chain_instance()
         env, policy = lqg_instance()
-        actor = chain.policy.actor(np.zeros(chain.policy.dim), chain.env.n_states)
+        actor = chain.policy.actor(np.zeros(chain.policy.dim))
         assert row_draws(chain.env, actor) == 11
         assert row_draws(env, policy.actor(np.zeros(policy.dim))) == 41
 
@@ -349,7 +351,7 @@ class TestBlockMatchesScalarPath:
         inst = self.SETUPS[name]()
         env, policy = inst.env, inst.policy
         theta = random_theta(substream(62, 0), policy.dim, scale=2.0)
-        actor = policy.actor(theta, env.n_states)
+        actor = policy.actor(theta)
         width = row_draws(env, actor)
         seed, k, first, n = 9, 2, 30, 200
         rewards, scores = sample_block(env, actor, uniform_rows(seed, k, first, n, width))
@@ -361,7 +363,7 @@ class TestBlockMatchesScalarPath:
 
     def test_wrong_width_rejected(self):
         inst = chain_instance()
-        actor = inst.policy.actor(np.zeros(inst.policy.dim), inst.env.n_states)
+        actor = inst.policy.actor(np.zeros(inst.policy.dim))
         with pytest.raises(ValueError, match="expected"):
             sample_block(inst.env, actor, uniform_rows(0, 0, 0, 4, 10))
 
@@ -386,7 +388,9 @@ def short_row_instance() -> DiscreteInstance:
         initial=np.array([0.5, 0.5 - gap]),
         spec=MdpSpec(gamma=0.9, r_max=1.0, horizon=3),
     )
-    policy = SoftmaxPolicy(TabularFeatures(2, 2), feature_bound=1.0, tau=1.0, n_actions=2)
+    policy = SoftmaxPolicy(
+        TabularFeatures(2, 2), feature_bound=1.0, tau=1.0, n_actions=2, n_states=2
+    )
     return DiscreteInstance(mdp=mdp, env=EnumerableEnv(mdp), policy=policy, oracle_policy=policy)
 
 
@@ -409,7 +413,7 @@ class TestBlockDrawsOnCdfSteps:
         inst = self.SETUPS[name]()
         env, policy, mdp = inst.env, inst.policy, inst.mdp
         theta = np.zeros(policy.dim)  # probabilities 1/2, whose CDF ends at 1 exactly
-        actor = policy.actor(theta, env.n_states)
+        actor = policy.actor(theta)
         cum_initial = np.cumsum(mdp.initial)
         cum_next = np.cumsum(mdp.transition, axis=-1)
         cum_pi = [np.cumsum(policy.action_probabilities(theta, s)) for s in range(env.n_states)]

@@ -34,7 +34,9 @@ def sigmoid(x: float) -> float:
 
 
 def uniform_policy():
-    return SoftmaxPolicy(ActionIndicatorFeatures(), feature_bound=1.0, tau=1.0, n_actions=2)
+    return SoftmaxPolicy(
+        ActionIndicatorFeatures(), feature_bound=1.0, tau=1.0, n_actions=2, n_states=1
+    )
 
 
 class TestExactPerformance:

@@ -20,7 +20,9 @@ from conftest import random_theta
 
 def bandit_softmax():
     # phi(s, a0) = [1], phi(s, a1) = [0]
-    return SoftmaxPolicy(ActionIndicatorFeatures(), feature_bound=1.0, tau=1.0, n_actions=2)
+    return SoftmaxPolicy(
+        ActionIndicatorFeatures(), feature_bound=1.0, tau=1.0, n_actions=2, n_states=1
+    )
 
 
 def scalar_gaussian(sigma=1.0, bound=1.0):
@@ -42,7 +44,9 @@ class TestSampling:
         assert draws.mean() == pytest.approx(2.0, abs=0.02)
 
     def test_softmax_uniform_frequencies(self):
-        policy = SoftmaxPolicy(TabularFeatures(1, 4), feature_bound=1.0, tau=1.0, n_actions=4)
+        policy = SoftmaxPolicy(
+            TabularFeatures(1, 4), feature_bound=1.0, tau=1.0, n_actions=4, n_states=1
+        )
         rng = substream(0, 2)
         n = 10_000
         counts = np.bincount(
@@ -102,7 +106,9 @@ class TestSmoothingConstants:
         assert sc.xi == 4.0
 
     def test_softmax_values(self):
-        policy = SoftmaxPolicy(TabularFeatures(1, 2), feature_bound=1.0, tau=2.0, n_actions=2)
+        policy = SoftmaxPolicy(
+            TabularFeatures(1, 2), feature_bound=1.0, tau=2.0, n_actions=2, n_states=1
+        )
         sc = policy.smoothing_constants()
         assert (sc.psi, sc.kappa, sc.xi) == (1.0, 1.0, 0.5)
 
@@ -120,14 +126,22 @@ class TestSmoothingConstants:
             with pytest.raises(ConfigurationError, match="sigma"):
                 GaussianPolicy(PolynomialFeatures(1), feature_bound=1.0, sigma=value)
             with pytest.raises(ConfigurationError, match="tau"):
-                SoftmaxPolicy(TabularFeatures(1, 2), feature_bound=1.0, tau=value, n_actions=2)
+                SoftmaxPolicy(
+                    TabularFeatures(1, 2), feature_bound=1.0, tau=value, n_actions=2, n_states=1
+                )
+
+    def test_bad_state_count_rejected(self):
+        with pytest.raises(ConfigurationError, match="n_states"):
+            SoftmaxPolicy(TabularFeatures(1, 2), feature_bound=1.0, tau=1.0, n_actions=2, n_states=0)
 
     def test_bad_feature_bound_rejected(self):
         for value in (-1.0, math.nan, math.inf):
             with pytest.raises(ConfigurationError, match="feature_bound"):
                 GaussianPolicy(PolynomialFeatures(1), feature_bound=value, sigma=1.0)
             with pytest.raises(ConfigurationError, match="feature_bound"):
-                SoftmaxPolicy(TabularFeatures(1, 2), feature_bound=value, tau=1.0, n_actions=2)
+                SoftmaxPolicy(
+                    TabularFeatures(1, 2), feature_bound=value, tau=1.0, n_actions=2, n_states=1
+                )
 
 
 class TestLogPdf:
@@ -181,7 +195,9 @@ def fd_hess(fn, theta, h=1e-3):
 
 def policy_cases(rng):
     gaussian = scalar_gaussian(sigma=0.6)
-    softmax = SoftmaxPolicy(TabularFeatures(2, 3), feature_bound=1.0, tau=0.8, n_actions=3)
+    softmax = SoftmaxPolicy(
+        TabularFeatures(2, 3), feature_bound=1.0, tau=0.8, n_actions=3, n_states=2
+    )
 
     def gaussian_case():
         theta = random_theta(rng, 1)
@@ -235,7 +251,9 @@ class TestDefinitionBounds:
         score_mean = phi * np.mean(actions - mean_action) / gaussian.sigma**2
         assert np.linalg.norm(score_mean) <= 5.0 * math.sqrt(kappa_g / n)
 
-        softmax = SoftmaxPolicy(TabularFeatures(2, 3), feature_bound=1.0, tau=0.8, n_actions=3)
+        softmax = SoftmaxPolicy(
+            TabularFeatures(2, 3), feature_bound=1.0, tau=0.8, n_actions=3, n_states=2
+        )
         theta_s = random_theta(rng, 6)
         probs = softmax.action_probabilities(theta_s, 1)
         counts = np.bincount(rng.choice(3, size=n, p=probs), minlength=3)
@@ -263,7 +281,9 @@ class TestDefinitionBounds:
 
     def test_softmax_moment_bounds(self):
         rng = substream(12, 2)
-        policy = SoftmaxPolicy(TabularFeatures(2, 3), feature_bound=1.0, tau=0.8, n_actions=3)
+        policy = SoftmaxPolicy(
+            TabularFeatures(2, 3), feature_bound=1.0, tau=0.8, n_actions=3, n_states=2
+        )
         sc = policy.smoothing_constants()
         n = 10_000
         for _ in range(20):
@@ -327,7 +347,7 @@ class TestFeatureBoundEnforcement:
 
     def test_softmax_violation_raises(self):
         features = TabularFeatures(1, 2)
-        policy = SoftmaxPolicy(features, feature_bound=0.5, tau=1.0, n_actions=2)
+        policy = SoftmaxPolicy(features, feature_bound=0.5, tau=1.0, n_actions=2, n_states=1)
         with pytest.raises(ConfigurationError):
             policy.action_probabilities(np.zeros(2), 0)
 
@@ -423,11 +443,13 @@ class TestActors:
         np.testing.assert_array_equal(actor.score(*grid), np.reshape(scores, (20, 10, policy.dim)))
 
     def test_softmax_actor_matches_scalar_methods(self):
-        policy = SoftmaxPolicy(TabularFeatures(3, 2), feature_bound=1.0, tau=0.7, n_actions=2)
+        policy = SoftmaxPolicy(
+            TabularFeatures(3, 2), feature_bound=1.0, tau=0.7, n_actions=2, n_states=3
+        )
         rng = substream(61, 0)
         theta = random_theta(rng, policy.dim, scale=2.0)
         states = rng.integers(0, 3, 300)
-        actor = policy.actor(theta, 3)
+        actor = policy.actor(theta)
         u = np.array([substream(61, 1, i).random() for i in range(300)])
         actions = actor.sample(states, u[:, None])
         expected = [
@@ -438,9 +460,21 @@ class TestActors:
         np.testing.assert_array_equal(actor.score(states, actions), scores)
 
 
+class CountingFeatures(TabularFeatures):
+    """Tabular features that count their calls."""
+
+    calls = 0
+
+    def __call__(self, state, action):
+        self.calls += 1
+        return super().__call__(state, action)
+
+
 class TestActionProbabilityMemo:
     def test_memo_follows_theta_and_is_read_only(self):
-        policy = SoftmaxPolicy(TabularFeatures(2, 3), feature_bound=1.0, tau=1.0, n_actions=3)
+        policy = SoftmaxPolicy(
+            TabularFeatures(2, 3), feature_bound=1.0, tau=1.0, n_actions=3, n_states=2
+        )
         theta = np.linspace(-1.0, 1.0, 6)
         first = policy.action_probabilities(theta, 1)
         assert policy.action_probabilities(theta.copy(), np.int64(1)) is first
@@ -450,12 +484,38 @@ class TestActionProbabilityMemo:
         assert moved is not first and not np.array_equal(moved, first)
         np.testing.assert_array_equal(policy.action_probabilities(theta, 1), first)
 
-    def test_non_integer_states_are_not_memoised(self):
+    def test_features_are_evaluated_once(self):
+        features = CountingFeatures(3, 2)
+        policy = SoftmaxPolicy(features, feature_bound=1.0, tau=1.0, n_actions=2, n_states=3)
+        theta = np.linspace(-1.0, 1.0, 6)
+        for t in (theta, 2.0 * theta):
+            policy.actor(t)
+            policy.score(t, 2, 1)
+            policy.sample_action(t, 1, substream(0, 0))
+            policy.observed_information(t, 0, 0)
+            policy.log_pdf(t, 1, 0)
+        assert features.calls == 3 * 2
+
+    def test_one_table_per_theta(self):
         policy = SoftmaxPolicy(
-            lambda s, a: np.array([s * (a == 0)]), feature_bound=1.0, tau=1.0, n_actions=2
+            TabularFeatures(3, 2), feature_bound=1.0, tau=1.0, n_actions=2, n_states=3
         )
-        policy.features.dim = 1
-        theta = np.ones(1)
-        low = policy.action_probabilities(theta, 0.25)
-        high = policy.action_probabilities(theta, 0.75)
-        assert low[0] < high[0]
+        theta = np.linspace(-1.0, 1.0, 6)
+        actor = policy.actor(theta)
+        table = policy._memo  # a rebuild would replace it
+        policy.score(theta, 2, 1)
+        policy.action_probabilities(theta.copy(), 0)
+        policy.sample_action(theta, 1, substream(0, 0))
+        policy.actor(theta)
+        assert policy._memo is table and actor.scores.base is table.scores
+        policy.actor(2.0 * theta)
+        assert policy._memo is not table
+
+    def test_score_and_probability_rows_are_read_only(self):
+        policy = SoftmaxPolicy(
+            TabularFeatures(2, 2), feature_bound=1.0, tau=1.0, n_actions=2, n_states=2
+        )
+        theta = np.linspace(-1.0, 1.0, 4)
+        for row in (policy.score(theta, 1, 0), policy.action_probabilities(theta, 0)):
+            with pytest.raises(ValueError):
+                row[0] = 0.5

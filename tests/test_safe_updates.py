@@ -58,7 +58,9 @@ class TestLipschitzConstant:
         assert lip == pytest.approx(13.0929582, rel=1e-8)
 
     def test_softmax_closed_form(self):
-        policy = SoftmaxPolicy(TabularFeatures(1, 2), feature_bound=1.0, tau=1.0, n_actions=2)
+        policy = SoftmaxPolicy(
+            TabularFeatures(1, 2), feature_bound=1.0, tau=1.0, n_actions=2, n_states=1
+        )
         spec = MdpSpec(gamma=0.9, r_max=1.0, horizon=5)
         lip = lipschitz_constant(policy.smoothing_constants(), spec)
         assert lip == pytest.approx(7800.0, rel=1e-12)
@@ -182,7 +184,7 @@ class TestSpgRun:
     def test_constant_reward_stalls_without_update(self):
         mdp = make_bandit([0.5, 0.5], gamma=0.5, horizon=1)
         inst_policy = SoftmaxPolicy(
-            TabularFeatures(1, 2), feature_bound=1.0, tau=1.0, n_actions=2
+            TabularFeatures(1, 2), feature_bound=1.0, tau=1.0, n_actions=2, n_states=1
         )
         theta0 = np.array([0.1, -0.2])
         result = spg_run(
@@ -291,7 +293,7 @@ class TestSpgRun:
 
     def test_zero_lipschitz_rejected(self, bandit):
         degenerate = SoftmaxPolicy(
-            TabularFeatures(1, 2), feature_bound=0.0, tau=1.0, n_actions=2
+            TabularFeatures(1, 2), feature_bound=0.0, tau=1.0, n_actions=2, n_states=1
         )
         with pytest.raises(ConfigurationError):
             spg_run(bandit.env, degenerate, np.zeros(2), n_iterations=1, delta=0.2, seed=0)
@@ -317,22 +319,12 @@ class TestFixedMetaRun:
         assert len(result.records) == 2
 
 
-def block_rows(env, policy, theta, seed, k):
-    """add(acc, i): trajectory i of iteration k, one row through ``sample_block``
-    on row i of ``uniform_rows``, added with ``add_block``."""
-    actor = policy.actor(theta, env.n_states)
-    width = row_draws(env, actor)
-    return lambda acc, i: acc.add_block(
-        *sample_block(env, actor, uniform_rows(seed, k, i, 1, width))
-    )
-
-
 def one_at_a_time(
-    env, policy, theta0, n_iterations, delta, kind, limits, seed, fixed=None, baseline="zero",
-    rows=block_rows,
+    env, policy, theta0, n_iterations, delta, kind, limits, seed, fixed=None, baseline="zero"
 ):
-    """(records, thetas) of the rule checked after every single trajectory,
-    each trajectory added by ``rows(env, policy, theta, seed, k)``."""
+    """(records, thetas) of the rule checked after every single trajectory:
+    trajectory i of iteration k is one row through ``sample_block`` on row i
+    of ``uniform_rows``, added with ``add_block``."""
     theta = np.asarray(theta0, dtype=float).copy()
     constants = policy.smoothing_constants()
     lip = lipschitz_constant(constants, env.spec)
@@ -343,7 +335,8 @@ def one_at_a_time(
         if fixed is not None and total + fixed.batch_size > limits.max_total_trajectories:
             break
         acc = GradientAccumulator(policy, theta, env.spec.gamma, kind, baseline)
-        add = rows(env, policy, theta, seed, k)
+        actor = policy.actor(theta)
+        width = row_draws(env, actor)
         stalled = False
         while True:
             if (
@@ -352,7 +345,7 @@ def one_at_a_time(
             ):
                 stalled = True
                 break
-            add(acc, acc.count)
+            acc.add_block(*sample_block(env, actor, uniform_rows(seed, k, acc.count, 1, width)))
             total += 1
             if fixed is None:
                 needed = required_batch_size(acc.finalize().norm, eps)
