@@ -31,11 +31,10 @@ from .errors import ConfigurationError, NumericError
 from .mdp import MdpSpec, Trajectory
 
 _PETERS_DENOM_FLOOR = 1e-12
-# Rows per block wherever trajectories or enumerated paths are processed in
-# blocks: the rollouts of ``safe_updates.spg_run``, ``oracle.path_blocks`` and
-# the sampled checks of ``validate``.  No output depends on it.  A block holds
-# a few (rows, T, m) arrays; at 512 rows the chain config's peak RSS grows by
-# ~1 MB over one-at-a-time sampling, at 4096 by ~6 MB, at the same speed.
+# Rows per block of ``oracle.path_blocks`` and of the scoring chunks of
+# ``validate``'s sampled checks.  No output depends on it.  A path block holds
+# its rows as Python tuples, so the block size bounds the enumeration's memory.
+# (``spg_run``'s rollouts have their own size, ``safe_updates.ROLLOUT_ROWS``.)
 BLOCK_ROWS = 512
 
 

@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spgrad.safe_updates as safe_updates
+from spgrad.config import build_experiment, load_config
 from spgrad.errors import ConfigurationError, NumericError
 from spgrad.estimators import (
     BaselineKind,
@@ -46,6 +49,8 @@ from spgrad.testbeds import (
     lqg_instance,
     two_state_instance,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestLipschitzConstant:
@@ -459,12 +464,13 @@ class TestBlockSamplingIsExact:
     @pytest.mark.parametrize("name", ["bandit", "chain", "lqg"])
     def test_block_bound_does_not_change_records(self, name, monkeypatch):
         # REINFORCE at delta = 0.9 certifies every bandit update and one lqg
-        # update inside a block; chain stalls at the per-iteration cap
+        # update inside a block; chain stalls at the per-iteration cap, which
+        # the default 2048-row block and 4096 both cross
         env, policy = INSTANCES[name]()
         limits = RunLimits(max_trajectories_per_iteration=2000, max_total_trajectories=5000)
         runs = []
-        for bound in (1, 7, 512, 4096):
-            monkeypatch.setattr(safe_updates, "BLOCK_ROWS", bound)
+        for bound in (1, 7, 512, 2048, 4096):
+            monkeypatch.setattr(safe_updates, "ROLLOUT_ROWS", bound)
             runs.append(
                 spg_run(
                     env, policy, np.full(policy.dim, 0.2), 3, 0.9,
@@ -494,6 +500,26 @@ class TestBlockSamplingIsExact:
         assert [args[:2] for args in built] == [(8, 0), (8, 1), (8, 2)]
         assert len(reads) > len(built)
         assert all(not r.stalled for r in result.records)
+
+    @pytest.mark.parametrize("name", ["bandit", "chain", "lqg"])
+    def test_certified_update_memory_is_bounded(self, name):
+        # one certified update of each shipped config holds one rollout block
+        # of ROLLOUT_ROWS rows at a time, however many rows the stop needs
+        # (1.9k / 30k / 12k): at 2048 rows the peak is ~0.3 / 1.4 / 2.1 MiB,
+        # in one block of the per-iteration cap 11 / 34 / 52 MiB
+        config = load_config(str(CONFIGS / f"{name}.yaml"))
+        built = build_experiment(config)
+        tracemalloc.start()
+        try:
+            result = spg_run(
+                built.env, built.policy, built.theta0, 1, config.delta,
+                estimator_kind=config.estimator_kind, limits=config.limits, seed=config.seed,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not result.records[0].stalled
+        assert peak < 4 * 2**20, f"{name} peaked at {peak / 2**20:.2f} MiB"
 
 
 class TestBlockPathErrors:
