@@ -10,14 +10,13 @@ average sum_k (r_k - b_k) c_k: REINFORCE is the one-step case (K = 1, the
 discounted return and the summed score), GPOMDP has K = T.  That term form
 is computed in one place, ``trajectory_terms``: ``GradientAccumulator``
 sums it for certified runs and the exact oracle, and the sampled validate
-checks read its per-trajectory estimates directly.  It adds in the order
-of numpy's whole-array expressions, but over (n, m) slices, one per step,
-where it can keep that order.  The baseline is zero or the component-wise
+checks read its per-trajectory estimates directly.  Every sum over a
+trajectory's steps runs in time order, one (n, m) slice per step, whatever
+the memory layout.  The baseline is zero or the component-wise
 variance-minimizing one of Peters & Schaal, b_k = E[r_k c_k^2] / E[c_k^2],
-estimated from the batch.  Single-trajectory
-variance is bounded by a closed-form nu^2 (so Var <= nu^2 / N), which a
-Chebyshev argument turns into the high-probability estimation error
-eps_delta = sqrt(nu^2 / delta).
+estimated from the batch.  Single-trajectory variance is bounded by a
+closed-form nu^2 (so Var <= nu^2 / N), which a Chebyshev argument turns
+into the high-probability estimation error eps_delta = sqrt(nu^2 / delta).
 """
 from __future__ import annotations
 
@@ -94,44 +93,38 @@ def trajectory_terms(
     rewards: np.ndarray,
     scores: np.ndarray,
     weights: "np.ndarray | None" = None,
-) -> "tuple[np.ndarray, list[np.ndarray], np.ndarray]":
-    """The term form of a block of trajectories: (w r, c, g).
+) -> "tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]":
+    """The term form of a block of trajectories: (w R, w r, c, g).
 
     ``rewards`` is (n, T) and ``scores`` (n, T, m), row i holding trajectory
     i.  Reward terms r are (n, K) and score terms c a list of K arrays
-    (n, m): REINFORCE has K = 1, the discounted return (one ``np.dot`` per
-    row, as a matrix product may order the sum differently) and the summed
-    score; GPOMDP has K = T, the discounted rewards gamma^t r_t and the
-    cumulative scores.  Row i's estimate is g_i = sum_k w_i r_ik c_ik (n, m),
-    with the weight w_i applied to the reward terms (no multiply when
-    ``weights`` is None: every w_i is 1).
+    (n, m).  GPOMDP has K = T, the weighted discounted rewards w_i gamma^t
+    r_t and the cumulative scores c_t = score_0 + ... + score_t; REINFORCE
+    has K = 1, their totals: the weighted discounted return w_i R_i (n,),
+    which is returned for both kinds, and c_{T-1}.  Row i's estimate is
+    g_i = sum_k w_i r_ik c_ik (n, m); every w_i is 1 when ``weights`` is
+    None.
 
-    The sums add as ``np.cumsum(scores, axis=1)`` and ``(r[:, :, None] *
-    c).sum(axis=1)`` over C-ordered arrays do: step by step from 0.0, which
-    GPOMDP with m > 1 repeats in a loop over the T steps on (n, m) slices.
-    With m = 1 numpy sums over the steps pairwise for T >= 8, so that shape
-    and REINFORCE keep those expressions, on C-ordered ``scores``: numpy
-    orders a reduction by memory layout.
+    Every sum over a trajectory's steps runs in time order, one (n, m) slice
+    per step: the return and g from 0.0, c_t from score_0.  So the bits do
+    not depend on the memory layout of ``scores``.
     """
-    horizon, m = scores.shape[1:]
-    discount = gamma ** np.arange(horizon)
+    horizon = rewards.shape[1]
     gpomdp = EstimatorKind(kind) is EstimatorKind.GPOMDP
-    if gpomdp:
-        r = discount * rewards
-    else:
-        r = np.array([[float(np.dot(discount, row))] for row in rewards])
+    r = gamma ** np.arange(horizon) * rewards
     if weights is not None:
         r = weights[:, None] * r
-    if not gpomdp or m == 1:
-        scores = np.ascontiguousarray(scores)
-        c = np.cumsum(scores, axis=1) if gpomdp else scores.sum(axis=1, keepdims=True)
-        return r, list(c.swapaxes(0, 1)), (r[:, :, None] * c).sum(axis=1)
-    c = [scores[:, 0]]
-    g = 0.0 + r[:, :1] * c[0]
-    for t in range(1, horizon):
-        c.append(c[-1] + scores[:, t])
-        g += r[:, t : t + 1] * c[-1]
-    return r, c, g
+    ret = g = 0.0
+    c = []
+    for t in range(horizon):
+        ret += r[:, t]
+        c.append(scores[:, t] if t == 0 else c[-1] + scores[:, t])
+        if gpomdp:
+            g += r[:, t, None] * c[t]
+    if not gpomdp:
+        r, c = ret[:, None], c[-1:]
+        g = 0.0 + r * c[0]
+    return ret, r, c, g
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +202,10 @@ class GradientAccumulator:
             raise ValueError(
                 f"trajectory has horizon {horizon}, accumulator expects {self.horizon}"
             )
-        wr, c, g = trajectory_terms(self.kind, self.gamma, rewards, scores, weights)
+        ret, wr, c, g = trajectory_terms(self.kind, self.gamma, rewards, scores, weights)
         if weights is None:
             weights = np.ones(n)
-        terms = {"weight_sum": weights, "return_sum": wr.sum(axis=1), "_sum_g": g}
+        terms = {"weight_sum": weights, "return_sum": ret, "_sum_g": g}
         if self.baseline is BaselineKind.PETERS:
             c = np.stack(c, axis=1)
             w, wr3, c2 = weights[:, None, None], wr[:, :, None], c**2

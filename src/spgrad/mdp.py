@@ -227,8 +227,11 @@ class EnumerableEnv:
                     f"{mdp.n_actions} actions require {mdp.n_actions - 1} bin edges, "
                     f"got {self.bin_edges.size}"
                 )
-            if np.any(np.diff(self.bin_edges) <= 0):
-                raise ConfigurationError("bin edges must be strictly increasing")
+            edges = self.bin_edges
+            if not (np.all(np.abs(edges) < math.inf) and np.all(np.diff(edges) > 0)):
+                raise ConfigurationError(
+                    f"bin edges must be finite and strictly increasing, got {edges}"
+                )
         self.n_states = mdp.n_states
         self._cum_initial = np.cumsum(mdp.initial)
         cum_next = np.cumsum(mdp.transition, axis=-1)

@@ -308,8 +308,11 @@ class SoftmaxPolicy:
         return self._phi
 
     def _log_probabilities(self, theta: np.ndarray, state) -> np.ndarray:
-        z = self._feature_table()[int(state)] @ np.asarray(theta, dtype=float) / self.tau
-        z = z - np.max(z)  # max subtraction keeps exp finite for any finite theta
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = self._feature_table()[int(state)] @ np.asarray(theta, dtype=float) / self.tau
+            if not np.all(np.abs(z) < math.inf):
+                raise NumericError(f"non-finite Softmax logit {z[~np.isfinite(z)][0]}")
+            z = z - np.max(z)  # finite logits: exp(z) in [0, 1], the largest 1
         return z - math.log(float(np.sum(np.exp(z))))
 
     def _table(self, theta: np.ndarray) -> _SoftmaxTable:
@@ -415,8 +418,8 @@ class BinnedGaussianPolicy:
         edges = np.asarray(edges, dtype=float)
         if edges.ndim != 1 or edges.size < 1:
             raise ConfigurationError("need at least one bin edge")
-        if np.any(np.diff(edges) <= 0):
-            raise ConfigurationError("bin edges must be strictly increasing")
+        if not (np.all(np.abs(edges) < math.inf) and np.all(np.diff(edges) > 0)):
+            raise ConfigurationError(f"bin edges must be finite and strictly increasing, got {edges}")
         self.gaussian = gaussian
         self.edges = edges
         self.n_actions = edges.size + 1

@@ -300,7 +300,7 @@ def _score_chunk(trajs: list, actor, gamma: float, kinds) -> dict:
     at theta (``policy.actor(theta)``)."""
     rewards = np.stack([t.rewards for t in trajs])
     scores = actor.score(np.stack([t.states for t in trajs]), np.stack([t.actions for t in trajs]))
-    return {kind: trajectory_terms(kind, gamma, rewards, scores)[2] for kind in kinds}
+    return {kind: trajectory_terms(kind, gamma, rewards, scores)[3] for kind in kinds}
 
 
 def variance_setups() -> "dict[str, tuple]":
@@ -337,8 +337,7 @@ def variance_ratios(setup: tuple, seed: int, n_samples: int, *key: int) -> "dict
         estimates = _score_chunk(trajs, actor, spec.gamma, EstimatorKind)
         for kind, g in estimates.items():
             sums[kind] = running_sums(sums[kind], g)[-1]
-            for row in g:
-                sq_sums[kind] += float(np.dot(row, row))
+            sq_sums[kind] = float(running_sums(sq_sums[kind], (g * g).sum(axis=1))[-1])
     kappa = policy.smoothing_constants().kappa
     ratios = {}
     for kind in EstimatorKind:

@@ -1,7 +1,9 @@
 import copy
+import hashlib
 import itertools
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from spgrad.rng import substream
 from spgrad.runlog import read_run_csv
 from spgrad.testbeds import two_state_instance
 from spgrad.validate import check_hessian_bound, check_quadratic_bound, run_validation
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def chain_config(out_dir, delta=0.5, seed=7, cap=300):
@@ -543,7 +547,7 @@ class TestValidateSampling:
                     acc = GradientAccumulator(policy, theta, env.spec.gamma, kind)
                     g = acc.add_trajectory(traj).finalize().vector
                     sums[kind] += g
-                    sq_sums[kind] += float(np.dot(g, g))
+                    sq_sums[kind] += float((g * g).sum())
             kappa = policy.smoothing_constants().kappa
             expected = {}
             for kind in EstimatorKind:
@@ -658,3 +662,22 @@ class TestSweepCommand:
             argv += ["--schedule", schedule]
         assert main(argv) == EXIT_CONFIG
         assert not out.exists()
+
+
+class TestShippedRunLogs:
+    """The run.csv of every shipped config, pinned by its sha256: a change to
+    any byte of a run log has to be made deliberately, with the new digest."""
+
+    DIGESTS = {
+        "bandit": "4b209d3d7a78807ee3009859484cc6d7d323969216d81c25b7c1ee8421a3cc5d",
+        "chain": "706d9558e66fc841b59ad121bfb9ca1204b45e668f99ad5764ae2a511523f23f",
+        "lqg": "3d55fbd2f4856ddde3d5c74dd6c908e7b5750caebf5cf92afb06b220067f31fa",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_run_csv_digest(self, tmp_path, name):
+        out = tmp_path / name
+        config = str(CONFIGS / f"{name}.yaml")
+        assert main(["run", "--config", config, "--out", str(out)]) == EXIT_OK
+        digest = hashlib.sha256((out / "run.csv").read_bytes()).hexdigest()
+        assert digest == self.DIGESTS[name]

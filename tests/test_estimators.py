@@ -194,34 +194,47 @@ class TestAccumulator:
             acc.finalize()
 
 
-def numpy_terms(kind, gamma, rewards, scores, weights):
-    """The term form as numpy expressions over whole (n, K, m) arrays."""
-    discount = gamma ** np.arange(rewards.shape[1])
-    if kind is EstimatorKind.REINFORCE:
-        r = np.array([[float(np.dot(discount, row))] for row in rewards])
-        c = scores.sum(axis=1, keepdims=True)
-    else:
-        r = discount * rewards
-        c = np.cumsum(scores, axis=1)
-    if weights is not None:
-        r = weights[:, None] * r
-    return r, c, (r[:, :, None] * c).sum(axis=1)
+def python_terms(kind, gamma, rewards, scores, weights):
+    """The term form (w R, w r, c, g) row by row in plain Python floats,
+    every sum over a row's steps added in time order: the return and g from
+    0.0, the cumulative scores from the first step's score.  The discount
+    factors are numpy's ``gamma ** t``, which may round unlike Python's."""
+    discount = (gamma ** np.arange(rewards.shape[1])).tolist()
+    rows = []
+    for i, row in enumerate(rewards.tolist()):
+        w = 1.0 if weights is None else float(weights[i])
+        r = [w * (d * x) for d, x in zip(discount, row)]
+        c = []
+        for step in scores[i].tolist():
+            c.append(step if not c else [a + b for a, b in zip(c[-1], step)])
+        ret = 0.0
+        for x in r:
+            ret += x
+        if kind is EstimatorKind.REINFORCE:
+            r, c = [ret], c[-1:]
+        g = [0.0] * scores.shape[2]
+        for rk, ck in zip(r, c):
+            g = [gj + rk * cj for gj, cj in zip(g, ck)]
+        rows.append((ret, r, c, g))
+    return tuple(np.array(column) for column in zip(*rows))
 
 
-def numpy_totals(kind, baseline, gamma, blocks) -> dict:
+def python_totals(kind, baseline, gamma, blocks) -> dict:
     """The accumulator's totals after ``blocks`` of (rewards, scores, weights),
-    each total continued over a block's rows by ``np.cumsum``."""
+    each total continued from 0.0 one row after another."""
     totals = {}
     for rewards, scores, weights in blocks:
+        ret, r, c, g = python_terms(kind, gamma, rewards, scores, weights)
         w = np.ones(len(rewards)) if weights is None else weights
-        r, c, g = numpy_terms(kind, gamma, rewards, scores, w)
-        terms = {"weight_sum": w, "return_sum": r.sum(axis=1), "_sum_g": g}
+        terms = {"weight_sum": w, "return_sum": ret, "_sum_g": g}
         if baseline is BaselineKind.PETERS:
-            w3, r3, c2 = w[:, None, None], r[:, :, None], c**2
+            w3, r3, c2 = w[:, None, None], r[:, :, None], c * c
             terms.update(_sum_rc=r3 * c, _sum_c=w3 * c, _sum_rc2=r3 * c2, _sum_c2=w3 * c2)
-        for name, term in terms.items():
-            start = np.broadcast_to(totals.get(name, 0.0), term.shape[1:])[None]
-            totals[name] = np.cumsum(np.concatenate((start, term)), axis=0)[-1]
+        for name, rows in terms.items():
+            total = totals.get(name, 0.0)
+            for row in rows:
+                total = total + row
+            totals[name] = total
     return totals
 
 
@@ -248,10 +261,9 @@ def same_bits(got, want) -> bool:
 
 class TestTermFormMatchesNumpyExpressions:
     """``trajectory_terms`` and ``add_block`` give, bit for bit, what the
-    numpy expressions over whole arrays give: ``np.cumsum(scores, axis=1)``,
-    ``(r[:, :, None] * c).sum(axis=1)`` and ``scores.sum(axis=1,
-    keepdims=True)``.  With m = 1 and T >= 8 numpy sums pairwise, so a
-    step-order loop would differ there."""
+    plain-Python reference gives row by row, summing every trajectory's
+    steps in time order and the rows in row order, for C-ordered and
+    step-major ``scores`` alike."""
 
     SHAPES = [(m, horizon) for m in (1, 2, 6) for horizon in (1, 5, 8, 10, 17)]
 
@@ -260,9 +272,10 @@ class TestTermFormMatchesNumpyExpressions:
     def test_trajectory_terms(self, kind, m, horizon):
         rewards, scores, weights = term_inputs(0, 40, horizon, m)
         for w in (None, weights):
-            want_r, want_c, want_g = numpy_terms(kind, 0.9, rewards, scores, w)
+            want_ret, want_r, want_c, want_g = python_terms(kind, 0.9, rewards, scores, w)
             for layout in (scores, step_major(scores)):
-                r, c, g = trajectory_terms(kind, 0.9, rewards, layout, w)
+                ret, r, c, g = trajectory_terms(kind, 0.9, rewards, layout, w)
+                assert same_bits(ret, want_ret)
                 assert same_bits(r, want_r)
                 assert same_bits(np.stack(c, axis=1), want_c)
                 assert same_bits(g, want_g)
@@ -283,7 +296,7 @@ class TestTermFormMatchesNumpyExpressions:
                 acc = GradientAccumulator(policy, np.zeros(1), 0.9, kind, baseline)
                 for r, c, block_w in blocks:
                     acc.add_block(r, step_major(c), block_w)
-                want = numpy_totals(kind, baseline, 0.9, blocks)
+                want = python_totals(kind, baseline, 0.9, blocks)
                 for name, total in want.items():
                     assert same_bits(getattr(acc, name), total), (baseline, w is None, name)
 

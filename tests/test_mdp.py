@@ -227,6 +227,11 @@ class TestEnumerableMdp:
         with pytest.raises(ConfigurationError):
             EnumerableEnv(binned_gaussian.mdp, bin_edges=np.array([0.0]))
 
+    @pytest.mark.parametrize("edges", [[-0.5, math.nan], [-math.inf, 0.5], [-0.5, math.inf]])
+    def test_binned_env_rejects_non_finite_edges(self, binned_gaussian, edges):
+        with pytest.raises(ConfigurationError, match="finite and strictly increasing"):
+            EnumerableEnv(binned_gaussian.mdp, bin_edges=np.array(edges))
+
     @pytest.mark.parametrize("action", [-1, 2, 7])
     def test_action_out_of_range_raises(self, chain, action):
         with pytest.raises(ValueError, match=f"action {action} out of range"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,22 @@ class TestFeatureBoundEnforcement:
         with pytest.raises(NumericError):
             policy.score(theta, 0.85, 0.0)
 
+    def test_overflowing_softmax_logit_raises_numeric_error(self):
+        from spgrad.errors import NumericError
+        from spgrad.oracle import exact_performance
+        from spgrad.testbeds import two_state_instance
+
+        mdp = two_state_instance().mdp
+        theta = np.array([1e308, 0.0, 0.0, 0.0])  # phi . theta / tau = 2e308 overflows
+        for build in (exact_performance, lambda mdp, policy, theta: policy.actor(theta)):
+            policy = SoftmaxPolicy(
+                TabularFeatures(2, 2), feature_bound=1.0, tau=0.5, n_actions=2, n_states=2
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericError, match="non-finite Softmax logit inf"):
+                    build(mdp, policy, theta)
+
     def test_softmax_violation_raises(self):
         features = TabularFeatures(1, 2)
         policy = SoftmaxPolicy(features, feature_bound=0.5, tau=1.0, n_actions=2, n_states=1)
@@ -377,6 +394,11 @@ class TestBinnedGaussian:
             assert np.linalg.norm(analytic - numeric) <= 1e-6 * max(
                 1.0, np.linalg.norm(numeric)
             )
+
+    @pytest.mark.parametrize("edges", [[-0.5, math.nan], [-math.inf, 0.5], [-0.5, math.inf]])
+    def test_non_finite_edges_rejected(self, edges):
+        with pytest.raises(ConfigurationError, match="finite and strictly increasing"):
+            BinnedGaussianPolicy(scalar_gaussian(), edges)
 
     def test_bins_match_env_binning(self, binned_gaussian):
         assert isinstance(binned_gaussian.oracle_policy, BinnedGaussianPolicy)
