@@ -19,7 +19,10 @@ The shipped environments also step arrays of episodes at once for
 ``reset_batch(u)`` and ``step_batch(states, actions, u)`` take an (n, k)
 array of uniforms in [0, 1), k being the count the environment declares as
 ``reset_draws`` / ``step_draws``.  The policy's side of a block is
-``policy.actor(theta)``, so the contract has no state count.  The batch
+``policy.actor(theta)``, so the contract has no state count; its one call
+per step, ``sample(states, u, scores)``, draws the actions and scores them
+in the same pass, and ``sample_block`` writes each step's rewards and
+scores straight into buffers laid out step by step.  The batch
 methods' numpy calls run over whole columns of n episodes: an enumerable
 environment reads each (state, action) pair at its flat index
 s * n_actions + a, one ``take`` per column of its transition CDFs and one
@@ -129,35 +132,39 @@ def row_draws(env, actor) -> int:
     return env.reset_draws + env.spec.horizon * (actor.draws + env.step_draws)
 
 
-def sample_block(env, actor, draws: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+def sample_block(env, actor, draws: np.ndarray, out=None) -> "tuple[np.ndarray, np.ndarray]":
     """Roll out one episode per row of ``draws``, stepping all of them together.
 
-    ``actor`` is a policy frozen at theta (``policy.actor``) with
-    ``sample(states, u)`` and ``score(states, actions)``.  ``draws`` holds
-    uniforms in [0, 1), shape (n, ``row_draws(env, actor)``); each row is
-    read left to right, in the order ``sample_trajectory`` draws (reset,
+    ``actor`` is a policy frozen at theta (``policy.actor``) with ``draws``,
+    ``dim`` (m) and ``sample(states, u, scores)``, which returns the actions
+    and writes their scores into the (n, m) array ``scores``.  ``draws``
+    holds uniforms in [0, 1), shape (n, ``row_draws(env, actor)``); each row
+    is read left to right, in the order ``sample_trajectory`` draws (reset,
     then action and transition at every step), each component taking the
     count of columns it declares.  Returns the rewards, shape (n, T), and
     the per-step scores, shape (n, T, m).
+
+    ``out``, if given, is a pair of buffers, (T, N) for the rewards and
+    (T, N, m) for the scores with N >= n, that the rollout writes into in
+    place of new ones; the arrays returned are then views of their first n
+    columns, valid until the buffers are written again.
     """
     horizon = env.spec.horizon
     width = row_draws(env, actor)
     if draws.ndim != 2 or draws.shape[1] != width:
         raise ValueError(f"draws have shape {draws.shape}, expected (n, {width})")
     r, a, s = env.reset_draws, actor.draws, env.step_draws
-    states, actions, rewards = [], [], []
+    n = len(draws)
+    if out is None:
+        out = np.empty((horizon, n)), np.empty((horizon, n, actor.dim))
+    # laid out step by step: each step writes one contiguous (n,) and (n, m) slice
+    rewards, scores = out[0][:, :n], out[1][:, :n]
     state = env.reset_batch(draws[:, :r])
     for t in range(horizon):
         col = r + t * (a + s)
-        action = actor.sample(state, draws[:, col : col + a])
-        states.append(state)
-        actions.append(action)
-        state, reward = env.step_batch(state, action, draws[:, col + a : col + a + s])
-        rewards.append(reward)
-    # scores after the whole episode, as add_trajectory takes them, laid out
-    # step by step: scores[:, t] is one contiguous (n, m) block
-    scores = actor.score(np.stack(states), np.stack(actions)).swapaxes(0, 1)
-    return np.stack(rewards, axis=1), scores
+        action = actor.sample(state, draws[:, col : col + a], scores[t])
+        state, rewards[t] = env.step_batch(state, action, draws[:, col + a : col + a + s])
+    return rewards.T, scores.swapaxes(0, 1)
 
 
 @dataclass

@@ -142,6 +142,12 @@ class GaussianPolicy:
         self.features = features
         self.feature_bound = feature_bound
         self.sigma = sigma
+        # sigma**2 as Python's pow rounds it (sigma * sigma may differ in the
+        # last bit), and inf where pow raises OverflowError
+        try:
+            self.variance = sigma**2
+        except OverflowError:
+            self.variance = math.inf
 
     @property
     def dim(self) -> int:
@@ -184,11 +190,11 @@ class GaussianPolicy:
     def score(self, theta: np.ndarray, state, action) -> np.ndarray:
         phi = self._phi(state)
         m = self._linear_mean(theta, phi)
-        return phi * (float(action) - m) / (self.sigma**2)
+        return phi * (float(action) - m) / self.variance
 
     def observed_information(self, theta: np.ndarray, state, action) -> np.ndarray:
         phi = self._phi(state)
-        return -np.outer(phi, phi) / (self.sigma**2)
+        return -np.outer(phi, phi) / self.variance
 
     def actor(self, theta: np.ndarray) -> "GaussianActor":
         return GaussianActor(self, theta)
@@ -205,18 +211,21 @@ class GaussianPolicy:
 class GaussianActor:
     """A Gaussian policy frozen at theta, acting on arrays of states.
 
-    ``sample`` and ``score`` repeat ``sample_action`` (given the standard
-    normal ``box_muller`` makes of a row's two uniforms) and ``score`` state
-    by state, float for float: features from the map's ``batch``, the mean
-    summed feature by feature as ``_linear_mean`` does, and the same typed
-    errors.  Arithmetic that overflows gives inf as Python floats do, with no
-    numpy warning.
+    ``sample`` repeats ``sample_action`` (given the standard normal
+    ``box_muller`` makes of a row's two uniforms) and ``score`` repeats the
+    scalar ``score``, state by state and float for float: features from the
+    map's ``batch``, the mean summed feature by feature as ``_linear_mean``
+    does, and the same typed errors.  ``sample`` also writes the scores of
+    the actions it draws, from the features and mean of the draw, so a
+    rollout evaluates the policy once per state.  Arithmetic that overflows
+    gives inf as Python floats do, with no numpy warning.
     """
 
     draws = 2  # uniforms per action: one standard normal by ``box_muller``
 
     def __init__(self, policy: GaussianPolicy, theta: np.ndarray):
         self.policy = policy
+        self.dim = policy.dim
         self.theta = np.asarray(theta, dtype=float).tolist()
 
     def _phi_and_mean(self, states: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -236,20 +245,28 @@ class GaussianActor:
             raise NumericError(f"non-finite policy mean {mean[bad][0]}")
         return phi, mean
 
-    def sample(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def _score(
+        self, phi: np.ndarray, mean: np.ndarray, actions: np.ndarray, out: "np.ndarray | None" = None
+    ) -> np.ndarray:
+        # the scalar score, row by row
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.divide(phi * (actions - mean)[:, None], self.policy.variance, out=out)
+
+    def sample(self, states: np.ndarray, u: np.ndarray, scores: np.ndarray) -> np.ndarray:
         """Actions at ``states`` (n,) from uniforms ``u`` (n, 2): the mean plus
-        sigma times the standard normal ``box_muller`` makes of each row."""
+        sigma times the standard normal ``box_muller`` makes of each row.
+        Their scores are written to ``scores`` (n, m)."""
         z = box_muller(u[:, 0], u[:, 1])
-        _, mean = self._phi_and_mean(states)
+        phi, mean = self._phi_and_mean(states)
         with np.errstate(over="ignore"):
-            return mean + self.policy.sigma * z
+            actions = mean + self.policy.sigma * z
+        self._score(phi, mean, actions, out=scores)
+        return actions
 
     def score(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Scores, shape states.shape + (m,), of ``actions`` at ``states``."""
         phi, mean = self._phi_and_mean(states.ravel())
-        with np.errstate(over="ignore", invalid="ignore"):
-            scores = phi * (actions.ravel() - mean)[:, None] / (self.policy.sigma**2)
-        return scores.reshape(*states.shape, -1)
+        return self._score(phi, mean, actions.ravel()).reshape(*states.shape, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +383,11 @@ class SoftmaxPolicy:
 
 class SoftmaxActor:
     """A Softmax policy frozen at theta, acting on arrays of integer states:
-    a view of the policy's table at theta.  A rollout reads column a of the
-    cumulative probabilities over the S states and the (S * A, m) scores at
-    the flat index s * A + a, each with one ``take``; ``sample`` draws for
-    row i the action ``sample_action`` draws from uniform i.
+    a view of the policy's table at theta.  ``sample`` draws for row i the
+    action ``sample_action`` draws from uniform i, reading column a of the
+    cumulative probabilities over the S states with one ``take`` each, and
+    writes its score, the row of the (S * A, m) scores at the flat index
+    s * A + a, with one more.
     """
 
     draws = 1
@@ -377,14 +395,20 @@ class SoftmaxActor:
     def __init__(self, policy: SoftmaxPolicy, theta: np.ndarray):
         table = policy._table(theta)
         self.n_actions = policy.n_actions
+        self.dim = policy.dim
         self.cdf = list(table.cdf.T.copy())
         self.scores = table.scores.reshape(-1, table.scores.shape[-1])
 
-    def sample(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Actions at ``states`` (n,) from uniforms ``u`` (n, 1)."""
+    def sample(self, states: np.ndarray, u: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        """Actions at ``states`` (n,) from uniforms ``u`` (n, 1); their scores
+        are written to ``scores`` (n, m)."""
         cdf = [column.take(states) for column in self.cdf]
         # searchsorted(cum, u * cum[-1], side="right") on every row at once
-        return inverse_cdf(cdf, u[:, 0] * cdf[-1])
+        actions = inverse_cdf(cdf, u[:, 0] * cdf[-1])
+        # states and actions are in range, so "clip" never moves an index; the
+        # default "raise" would buffer the take into ``out``
+        self.scores.take(states * self.n_actions + actions, axis=0, out=scores, mode="clip")
+        return actions
 
     def score(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Scores, shape states.shape + (m,), of ``actions`` at ``states``."""

@@ -45,7 +45,7 @@ from .rng import UniformRows, substream
 # and numpy calls whatever its size (cProfile: ~270 on the chain config, T = 5,
 # and ~970 on lqg, T = 10).  Of 512 to 8192 rows, 2048 and 3072 ran fastest on
 # the chain and lqg configs, and 4096 up slowed again; at 2048 one certified
-# lqg update peaks at ~2 MiB.
+# lqg update peaks at ~1.1 MiB.
 ROLLOUT_ROWS = 2048
 
 
@@ -195,10 +195,15 @@ def _rollout(env, policy, theta: np.ndarray, seed: int, k: int):
     The environment steps them as a block (``mdp.sample_block``) with the
     policy frozen at theta, ``policy.actor(theta)``, on rows of iteration k's
     one ``UniformRows(seed, k, width)``, so row i depends only on (seed, k, i).
+    Every block is written into one pair of buffers of ``ROLLOUT_ROWS`` rows:
+    ``add_block`` copies what it keeps, and memory written once per iteration
+    is not handed back to the system and faulted in again for every block.
     """
     actor = policy.actor(theta)
     rows = UniformRows(seed, k, row_draws(env, actor))
-    return lambda first, n: sample_block(env, actor, rows.take(first, n))
+    horizon = env.spec.horizon
+    out = np.empty((horizon, ROLLOUT_ROWS)), np.empty((horizon, ROLLOUT_ROWS, actor.dim))
+    return lambda first, n: sample_block(env, actor, rows.take(first, n), out)
 
 
 def _first_certified(eps_delta: float):

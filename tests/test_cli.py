@@ -664,6 +664,35 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+class TestHugeSigma:
+    """configs/lqg at a sigma whose square passes the float range: every
+    score is 0, so a fixed schedule runs and a certified run has no step."""
+
+    @staticmethod
+    def lqg_config(tmp_path, sigma):
+        data = yaml.safe_load((CONFIGS / "lqg.yaml").read_text(encoding="utf-8"))
+        data["policy"]["sigma"] = sigma
+        data["output"]["directory"] = str(tmp_path / "out")
+        return write_config(tmp_path, data)
+
+    def test_fixed_schedule_runs(self, tmp_path):
+        path = self.lqg_config(tmp_path, 1.0e200)
+        argv = ["sweep", "--config", path, "--schedule", "fixed:alpha=0.1,n=50"]
+        assert main(argv) == EXIT_OK
+        log = read_run_csv(str(tmp_path / "out" / "sweep_fixed_a0.1_n50.csv"))
+        assert len(log.records) == 5
+        # every |action| is past the cost cap, so each step pays -r_max
+        for record in log.records:
+            assert record.grad_norm == 0.0
+            assert record.j_hat == pytest.approx(-(1.0 - 0.9**10) / 0.1, rel=1e-12)
+
+    def test_certified_run_is_a_configuration_error(self, tmp_path, capsys):
+        path = self.lqg_config(tmp_path, 1.0e200)
+        assert main(["run", "--config", path]) == EXIT_CONFIG
+        assert "Lipschitz constant is zero" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run.csv").exists()
+
+
 class TestShippedRunLogs:
     """The run.csv of every shipped config, pinned by its sha256: a change to
     any byte of a run log has to be made deliberately, with the new digest."""

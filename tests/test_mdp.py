@@ -23,6 +23,7 @@ from spgrad.estimators import trajectory_scores
 from spgrad.policies import (
     ActionIndicatorFeatures,
     GaussianPolicy,
+    PolynomialFeatures,
     SoftmaxPolicy,
     StateTabularFeatures,
     TabularFeatures,
@@ -366,11 +367,88 @@ class TestBlockMatchesScalarPath:
             np.testing.assert_array_equal(rewards[i], traj.rewards)
             np.testing.assert_array_equal(scores[i], trajectory_scores(traj, policy, theta))
 
+    @pytest.mark.parametrize("name", ["chain", "lqg"])
+    def test_rows_written_into_larger_buffers(self, name):
+        if name == "lqg":
+            env, policy = lqg_instance()
+        else:
+            inst = chain_instance()
+            env, policy = inst.env, inst.policy
+        actor = policy.actor(random_theta(substream(64, 0), policy.dim, scale=2.0))
+        draws = uniform_rows(5, 0, 0, 50, row_draws(env, actor))
+        T, m = env.spec.horizon, policy.dim
+        out = np.full((T, 80), np.nan), np.full((T, 80, m), np.nan)
+        rewards, scores = sample_block(env, actor, draws, out)
+        assert np.shares_memory(rewards, out[0]) and np.shares_memory(scores, out[1])
+        expected = sample_block(env, actor, draws)
+        for got, want in zip((rewards, scores), expected):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert np.isnan(out[0][:, 50:]).all() and np.isnan(out[1][:, 50:]).all()
+
     def test_wrong_width_rejected(self):
         inst = chain_instance()
         actor = inst.policy.actor(np.zeros(inst.policy.dim))
         with pytest.raises(ValueError, match="expected"):
             sample_block(inst.env, actor, uniform_rows(0, 0, 0, 4, 10))
+
+
+class CountingPolynomialFeatures(PolynomialFeatures):
+    """Polynomial features that record the length of every ``batch`` call."""
+
+    def __init__(self, degree=1):
+        super().__init__(degree)
+        self.batch_sizes = []
+
+    def batch(self, states):
+        self.batch_sizes.append(len(states))
+        return super().batch(states)
+
+
+class TestGaussianBlockMatchesPerStepLoop:
+    """Row i of ``sample_block`` with a Gaussian policy is the episode that a
+    per-step loop of ``env.reset``/``step`` and the scalar ``sample_action``
+    and ``score`` gives, bit for bit, on a stand-in generator that serves
+    row i's uniforms and the normals ``box_muller`` makes of its column pairs."""
+
+    SETUPS = {"lqg": lqg_instance, "binned-gaussian": binned_gaussian_instance}
+
+    @pytest.mark.parametrize("name", list(SETUPS))
+    def test_rows_equal_per_step_episodes(self, name):
+        built = self.SETUPS[name]()
+        env, policy = built if name == "lqg" else (built.env, built.policy)
+        theta = random_theta(substream(63, 0), policy.dim, scale=2.0)
+        actor = policy.actor(theta)
+        draws = uniform_rows(11, 1, 40, 300, row_draws(env, actor))
+        rewards, scores = sample_block(env, actor, draws)
+        # the block's normals, one box_muller call per column pair as the block makes them
+        normal_cols = []
+        uniform_cols = list(range(env.reset_draws))
+        for t in range(env.spec.horizon):
+            col = env.reset_draws + t * (actor.draws + env.step_draws)
+            normal_cols.append(col)
+            if env.step_draws == 2:
+                normal_cols.append(col + 2)
+            else:
+                uniform_cols.append(col + 2)
+        normals = np.stack([box_muller(draws[:, c], draws[:, c + 1]) for c in normal_cols], 1)
+        assert rewards.shape == (300, env.spec.horizon)
+        assert scores.shape == (300, env.spec.horizon, policy.dim)
+        for i in range(300):
+            rng = Scripted(draws[i, uniform_cols].tolist(), normals[i].tolist())
+            state = env.reset(rng)
+            for t in range(env.spec.horizon):
+                action = policy.sample_action(theta, state, rng)
+                np.testing.assert_array_equal(scores[i, t], policy.score(theta, state, action))
+                state, reward = env.step(state, action, rng)
+                assert rewards[i, t] == reward
+
+    def test_one_feature_pass_per_step(self):
+        env, _ = lqg_instance()
+        features = CountingPolynomialFeatures()
+        actor = GaussianPolicy(features, feature_bound=1.0, sigma=0.5).actor(np.array([0.4]))
+        sample_block(env, actor, uniform_rows(3, 0, 0, 64, row_draws(env, actor)))
+        assert features.batch_sizes == [64] * env.spec.horizon
 
 
 def searchsorted_draw(cum, u) -> int:

@@ -66,6 +66,31 @@ class TestScore:
         theta = np.array([1.3])
         assert policy.score(theta, 1.0, 1.3) == pytest.approx([0.0], abs=1e-15)
 
+    def test_gaussian_divides_by_python_pow(self):
+        # at this sigma, sigma**2 (Python's pow) and sigma * sigma differ in
+        # the last bit with some libms; the scalar and array scores divide by
+        # the former
+        sigma = 1.0000210734110846
+        policy = scalar_gaussian(sigma=sigma)
+        expected = (np.array([0.8]) * 0.3 / sigma**2).tobytes()
+        assert policy.score(np.zeros(1), 0.8, 0.3).tobytes() == expected
+        actor = policy.actor(np.zeros(1))
+        assert actor.score(np.array([0.8]), np.array([0.3])).tobytes() == expected
+
+    def test_gaussian_variance_past_the_float_range(self):
+        # Python's sigma**2 raises OverflowError here; the variance is inf
+        # and every score of a finite action is 0, with no numpy warning
+        policy = scalar_gaussian(sigma=1e200)
+        assert policy.variance == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert policy.score(np.zeros(1), 0.8, 0.3).tolist() == [0.0]
+            assert policy.observed_information(np.zeros(1), 0.8, 0.3).tolist() == [[0.0]]
+            actor = policy.actor(np.zeros(1))
+            scores = np.full((3, 1), np.nan)
+            actions = actor.sample(np.array([0.8, 0.0, -0.5]), np.full((3, 2), 0.25), scores)
+            assert np.all(np.isfinite(actions)) and scores.tolist() == [[0.0]] * 3
+
     def test_softmax_uniform_case(self):
         policy = bandit_softmax()
         assert policy.score(np.zeros(1), 0, 0) == pytest.approx([0.5])
@@ -455,13 +480,15 @@ class TestActors:
         states = draw_states(rng, 200)
         actor = policy.actor(theta)
         u = np.stack([substream(60, 1, i).random(2) for i in range(200)])
-        actions = actor.sample(states, u)
+        sampled_scores = np.full((200, policy.dim), np.nan)
+        actions = actor.sample(states, u, sampled_scores)
         # sample_action given the standard normal the actor makes of each row
         z = box_muller(u[:, 0], u[:, 1])
         expected = [policy.sample_action(theta, s, NextNormal(z[i])) for i, s in enumerate(states)]
         np.testing.assert_array_equal(actions, expected)
         grid = (states.reshape(20, 10), actions.reshape(20, 10))
         scores = [policy.score(theta, s, a) for s, a in zip(states, actions)]
+        np.testing.assert_array_equal(sampled_scores, scores)
         np.testing.assert_array_equal(actor.score(*grid), np.reshape(scores, (20, 10, policy.dim)))
 
     def test_softmax_actor_matches_scalar_methods(self):
@@ -473,12 +500,14 @@ class TestActors:
         states = rng.integers(0, 3, 300)
         actor = policy.actor(theta)
         u = np.array([substream(61, 1, i).random() for i in range(300)])
-        actions = actor.sample(states, u[:, None])
+        sampled_scores = np.full((300, policy.dim), np.nan)
+        actions = actor.sample(states, u[:, None], sampled_scores)
         expected = [
             policy.sample_action(theta, s, substream(61, 1, i)) for i, s in enumerate(states)
         ]
         np.testing.assert_array_equal(actions, expected)
         scores = [policy.score(theta, s, a) for s, a in zip(states, actions)]
+        np.testing.assert_array_equal(sampled_scores, scores)
         np.testing.assert_array_equal(actor.score(states, actions), scores)
 
 
