@@ -33,7 +33,8 @@ _PETERS_DENOM_FLOOR = 1e-12
 # Rows per block of ``oracle.path_blocks`` and of the scoring chunks of
 # ``validate``'s sampled checks.  No output depends on it.  A path block holds
 # its rows as Python tuples, so the block size bounds the enumeration's memory.
-# (``spg_run``'s rollouts have their own size, ``safe_updates.ROLLOUT_ROWS``.)
+# (``spg_run`` sizes its rollout blocks itself: a pilot, then what the stop rule
+# forecasts, at most ``safe_updates.ROLLOUT_ROWS``.)
 BLOCK_ROWS = 512
 
 
@@ -93,7 +94,8 @@ def trajectory_terms(
     rewards: np.ndarray,
     scores: np.ndarray,
     weights: "np.ndarray | None" = None,
-) -> "tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]":
+    keep_scores: bool = True,
+) -> "tuple[np.ndarray, np.ndarray, list[np.ndarray] | None, np.ndarray]":
     """The term form of a block of trajectories: (w R, w r, c, g).
 
     ``rewards`` is (n, T) and ``scores`` (n, T, m), row i holding trajectory
@@ -108,6 +110,9 @@ def trajectory_terms(
     Every sum over a trajectory's steps runs in time order, one (n, m) slice
     per step: the return and g from 0.0, c_t from score_0.  So the bits do
     not depend on the memory layout of ``scores``.
+
+    With ``keep_scores`` False, c is None and only the running c_t is held,
+    not the list: the zero-baseline sums read g alone.
     """
     horizon = rewards.shape[1]
     gpomdp = EstimatorKind(kind) is EstimatorKind.GPOMDP
@@ -115,15 +120,18 @@ def trajectory_terms(
     if weights is not None:
         r = weights[:, None] * r
     ret = g = 0.0
-    c = []
+    c = [] if keep_scores else None
     for t in range(horizon):
         ret += r[:, t]
-        c.append(scores[:, t] if t == 0 else c[-1] + scores[:, t])
+        ct = scores[:, t] if t == 0 else ct + scores[:, t]
+        if keep_scores:
+            c.append(ct)
         if gpomdp:
-            g += r[:, t, None] * c[t]
+            g += r[:, t, None] * ct
     if not gpomdp:
-        r, c = ret[:, None], c[-1:]
-        g = 0.0 + r * c[0]
+        r = ret[:, None]
+        c = [ct] if keep_scores else None
+        g = 0.0 + r * ct
     return ret, r, c, g
 
 
@@ -202,11 +210,14 @@ class GradientAccumulator:
             raise ValueError(
                 f"trajectory has horizon {horizon}, accumulator expects {self.horizon}"
             )
-        ret, wr, c, g = trajectory_terms(self.kind, self.gamma, rewards, scores, weights)
+        peters = self.baseline is BaselineKind.PETERS
+        ret, wr, c, g = trajectory_terms(
+            self.kind, self.gamma, rewards, scores, weights, keep_scores=peters
+        )
         if weights is None:
             weights = np.ones(n)
         terms = {"weight_sum": weights, "return_sum": ret, "_sum_g": g}
-        if self.baseline is BaselineKind.PETERS:
+        if peters:
             c = np.stack(c, axis=1)
             w, wr3, c2 = weights[:, None, None], wr[:, :, None], c**2
             terms.update(_sum_rc=wr3 * c, _sum_c=w * c, _sum_rc2=wr3 * c2, _sum_c2=w * c2)
@@ -267,6 +278,7 @@ def variance_bound(kind: EstimatorKind, spec: MdpSpec, kappa: float) -> Variance
     """Closed-form nu^2 such that the N-sample trace variance is <= nu^2 / N.
 
     REINFORCE grows linearly with the horizon; GPOMDP stays bounded in T.
+    Raises ConfigurationError when nu^2 overflows.
     """
     if kappa < 0:
         raise ValueError(f"kappa must be non-negative, got {kappa}")
@@ -276,6 +288,11 @@ def variance_bound(kind: EstimatorKind, spec: MdpSpec, kappa: float) -> Variance
         nu2 = t * kappa * r * r * truncation**2 / (1.0 - gamma) ** 2
     else:
         nu2 = kappa * r * r * truncation / (1.0 - gamma) ** 3
+    if not math.isfinite(nu2):
+        raise ConfigurationError(
+            f"the {EstimatorKind(kind).value} variance bound nu^2 overflows at kappa = {kappa:g},"
+            f" r_max = {r}, gamma = {gamma}, horizon = {t}"
+        )
     return VarianceBound(nu_squared=nu2)
 
 
@@ -283,4 +300,7 @@ def error_bound(vb: VarianceBound, delta: float) -> ErrorBound:
     """Chebyshev: with probability 1 - delta, ||error|| <= sqrt(nu^2 / delta) / sqrt(N)."""
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must be in (0, 1), got {delta}")
-    return ErrorBound(delta=delta, eps_delta=float(np.sqrt(vb.nu_squared / delta)))
+    eps_delta = float(np.sqrt(vb.nu_squared / delta))
+    if not math.isfinite(eps_delta):
+        raise ConfigurationError(f"eps_delta overflows at nu^2 = {vb.nu_squared:g}, delta = {delta}")
+    return ErrorBound(delta=delta, eps_delta=eps_delta)

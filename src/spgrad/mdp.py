@@ -283,7 +283,7 @@ class EnumerableEnv:
         if self.bin_edges is not None:
             a = np.searchsorted(self.bin_edges, actions, side="right")
         else:
-            a = np.asarray(actions).astype(int)
+            a = np.asarray(actions).astype(np.intp, copy=False)
             bad = (a < 0) | (a >= self.mdp.n_actions)
             if bad.any():
                 raise ValueError(f"action {a[bad][0]} out of range [0, {self.mdp.n_actions})")

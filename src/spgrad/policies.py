@@ -48,6 +48,25 @@ class SmoothingConstants:
             raise ConfigurationError("smoothing constants must be non-negative")
 
 
+def _square(x: float) -> float:
+    """x**2 as Python's pow rounds it (x * x may differ in the last bit), and
+    inf where pow raises OverflowError; a square that underflows is 0."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def _finite_constants(key: str, value: float, **constants: float) -> SmoothingConstants:
+    """The constants, or a ConfigurationError naming ``key`` if one overflows."""
+    for name, constant in constants.items():
+        if not math.isfinite(constant):
+            raise ConfigurationError(
+                f"{key} = {value} makes the smoothing constant {name} overflow"
+            )
+    return SmoothingConstants(**constants)
+
+
 # ---------------------------------------------------------------------------
 # Feature maps
 # ---------------------------------------------------------------------------
@@ -142,12 +161,7 @@ class GaussianPolicy:
         self.features = features
         self.feature_bound = feature_bound
         self.sigma = sigma
-        # sigma**2 as Python's pow rounds it (sigma * sigma may differ in the
-        # last bit), and inf where pow raises OverflowError
-        try:
-            self.variance = sigma**2
-        except OverflowError:
-            self.variance = math.inf
+        self.variance = _square(sigma)
 
     @property
     def dim(self) -> int:
@@ -201,10 +215,9 @@ class GaussianPolicy:
 
     def smoothing_constants(self) -> SmoothingConstants:
         b = self.feature_bound
-        return SmoothingConstants(
-            psi=2.0 * b / (_SQRT_2PI * self.sigma),
-            kappa=(b / self.sigma) ** 2,
-            xi=(b / self.sigma) ** 2,
+        ratio2 = _square(b / self.sigma)
+        return _finite_constants(
+            "sigma", self.sigma, psi=2.0 * b / (_SQRT_2PI * self.sigma), kappa=ratio2, xi=ratio2
         )
 
 
@@ -374,10 +387,13 @@ class SoftmaxPolicy:
 
     def smoothing_constants(self) -> SmoothingConstants:
         b = self.feature_bound
-        return SmoothingConstants(
-            psi=2.0 * b / self.tau,
-            kappa=4.0 * b * b / (self.tau**2),
-            xi=2.0 * b * b / (self.tau**2),
+        tau2 = _square(self.tau)
+        if tau2 == 0.0:
+            raise ConfigurationError(
+                f"tau = {self.tau} is too small: tau^2 underflows to 0, and kappa and xi divide by it"
+            )
+        return _finite_constants(
+            "tau", self.tau, psi=2.0 * b / self.tau, kappa=4.0 * b * b / tau2, xi=2.0 * b * b / tau2
         )
 
 

@@ -40,13 +40,19 @@ from .mdp import row_draws, sample_block, sample_trajectory
 from .policies import SmoothingConstants
 from .rng import UniformRows, substream
 
-# Rows per rollout block of ``spg_run``.  No record depends on it (row i of
-# iteration k is addressed by its counter).  Each block makes the same Python
-# and numpy calls whatever its size (cProfile: ~270 on the chain config, T = 5,
-# and ~970 on lqg, T = 10).  Of 512 to 8192 rows, 2048 and 3072 ran fastest on
-# the chain and lqg configs, and 4096 up slowed again; at 2048 one certified
-# lqg update peaks at ~1.1 MiB.
-ROLLOUT_ROWS = 2048
+# Rows per rollout block of ``spg_run``, at most.  No record depends on the
+# block sizes (row i of iteration k is addressed by its counter).  Each block
+# makes the same Python and numpy calls whatever its size (cProfile: ~270 on
+# the chain config, T = 5, and ~970 on lqg, T = 10), so fewer, larger blocks
+# cost less; but every row of the last block is rolled out, also past the
+# stop.  A certified iteration therefore draws a pilot of ROLLOUT_ROWS // 2
+# rows (one block for the bandit config's ~1.9k), then sizes each block to
+# what the stop rule forecasts from the estimate in hand: FORECAST_MARGIN
+# times the rows it still asks for, at least FORECAST_FLOOR.  At 4096 rows
+# one certified update peaks at ~2.1 MiB on the chain config, ~2.3 on lqg.
+ROLLOUT_ROWS = 4096
+FORECAST_MARGIN = 1.05
+FORECAST_FLOOR = 256
 
 
 @dataclass(frozen=True)
@@ -62,9 +68,21 @@ class MetaParams:
 
 
 def lipschitz_constant(sc: SmoothingConstants, spec) -> float:
-    """L such that J is L-smooth, from the policy constants and the MDP scalars."""
+    """L such that J is L-smooth, from the policy constants and the MDP scalars.
+
+    Raises ConfigurationError when L overflows.
+    """
     gamma, r = spec.gamma, spec.r_max
-    return r / (1.0 - gamma) ** 2 * (2.0 * gamma * sc.psi**2 / (1.0 - gamma) + sc.kappa + sc.xi)
+    try:
+        lip = r / (1.0 - gamma) ** 2 * (2.0 * gamma * sc.psi**2 / (1.0 - gamma) + sc.kappa + sc.xi)
+    except OverflowError:
+        lip = math.inf
+    if not math.isfinite(lip):
+        raise ConfigurationError(
+            f"the Lipschitz constant L overflows at psi = {sc.psi:g}, kappa = {sc.kappa:g},"
+            f" xi = {sc.xi:g}, gamma = {gamma}, r_max = {r}"
+        )
+    return lip
 
 
 def exact_improvement_bound(alpha: float, grad_norm: float, lip: float) -> float:
@@ -195,9 +213,10 @@ def _rollout(env, policy, theta: np.ndarray, seed: int, k: int):
     The environment steps them as a block (``mdp.sample_block``) with the
     policy frozen at theta, ``policy.actor(theta)``, on rows of iteration k's
     one ``UniformRows(seed, k, width)``, so row i depends only on (seed, k, i).
-    Every block is written into one pair of buffers of ``ROLLOUT_ROWS`` rows:
-    ``add_block`` copies what it keeps, and memory written once per iteration
-    is not handed back to the system and faulted in again for every block.
+    n is at most ``ROLLOUT_ROWS``, and every block is written into one pair of
+    buffers of that many rows: ``add_block`` copies what it keeps, and memory
+    written once per iteration is not handed back to the system and faulted
+    in again for every block.
     """
     actor = policy.actor(theta)
     rows = UniformRows(seed, k, row_draws(env, actor))
@@ -229,6 +248,22 @@ def _first_certified(eps_delta: float):
     return stop
 
 
+def _forecast_rows(norm: float, eps_delta: float, count: int) -> int:
+    """Rows for the next block of a certified iteration that has ``count``
+    rows and an estimate of norm ``norm``: FORECAST_MARGIN times the rows the
+    stop rule still asks for, ``required_batch_size(norm, eps_delta) - count``,
+    and at least FORECAST_FLOOR; ``ROLLOUT_ROWS`` where the rule asks for no
+    finite batch.  The caller caps it at ``ROLLOUT_ROWS`` and the room left.
+    """
+    try:
+        needed = required_batch_size(norm, eps_delta)
+    except OverflowError:  # 4 eps^2 / norm^2 is inf
+        needed = None
+    if needed is None:
+        return ROLLOUT_ROWS
+    return max(FORECAST_FLOOR, math.ceil(FORECAST_MARGIN * (needed - count)))
+
+
 def spg_run(
     env,
     policy,
@@ -243,21 +278,25 @@ def spg_run(
 ) -> RunResult:
     """Safe policy gradient: the adaptive rule, or a fixed (alpha, N) for comparison.
 
-    With ``fixed=None`` each iteration samples blocks of ``ROLLOUT_ROWS``
-    trajectories, fewer where a cap leaves less room (trajectory i of
-    iteration k depends only on (seed, k, i); see ``_rollout``), and stops
-    at the first prefix with N >= ceil(4 eps^2 / ||grad_est||^2), the
-    estimate taken over that prefix; rows past it are dropped and not
-    counted.  It then updates theta with the constant step 1/(2L).  The records are
-    those of checking the rule after every trajectory, whatever the block
-    sizes.  An iteration that hits ``max_trajectories_per_iteration`` before
+    With ``fixed=None`` each iteration samples blocks of trajectories
+    (trajectory i of iteration k depends only on (seed, k, i); see
+    ``_rollout``) and stops at the first prefix with
+    N >= ceil(4 eps^2 / ||grad_est||^2), the estimate taken over that
+    prefix; rows past it are dropped and not counted.  It then updates theta
+    with the constant step 1/(2L).  The first block is a pilot of
+    ``ROLLOUT_ROWS // 2`` rows; each later one has the rows the rule
+    forecasts from the estimate so far (``_forecast_rows``), at most
+    ``ROLLOUT_ROWS`` and fewer where a cap leaves less room.  The records
+    are those of checking the rule after every trajectory, whatever the
+    block sizes.  An iteration that hits ``max_trajectories_per_iteration`` before
     satisfying the rule stalls: theta is left unchanged (a safe no-op) and
     the run moves on.  Hitting ``max_total_trajectories`` ends the run.
     Certified updates use the zero baseline, for which the error bound is
     proven.
 
     With ``fixed`` given, every iteration takes exactly ``fixed.batch_size``
-    trajectories and the step ``fixed.alpha``, estimated with ``baseline``.
+    trajectories, in blocks of ``ROLLOUT_ROWS``, and the step
+    ``fixed.alpha``, estimated with ``baseline``.
     An iteration whose batch would cross ``max_total_trajectories`` is not
     started.  Nothing is certified, so the guaranteed improvement is logged
     as zero.
@@ -295,6 +334,7 @@ def spg_run(
         acc = GradientAccumulator(policy, theta, gamma, kind, baseline)
         rollout = _rollout(env, policy, theta, seed, k)
         stalled = False
+        want = ROLLOUT_ROWS if stop is None else max(1, ROLLOUT_ROWS // 2)
         while True:
             room = min(
                 limits.max_trajectories_per_iteration - acc.count,
@@ -303,7 +343,7 @@ def spg_run(
             if room <= 0:
                 stalled = True
                 break
-            size = min(ROLLOUT_ROWS, room)
+            size = min(ROLLOUT_ROWS, room, want)
             if fixed is not None:
                 size = min(size, fixed.batch_size - acc.count)
             first = acc.count
@@ -311,6 +351,8 @@ def spg_run(
             total += acc.count - first
             if met or (fixed is not None and acc.count >= fixed.batch_size):
                 break
+            if stop is not None:
+                want = _forecast_rows(acc.finalize().norm, err.eps_delta, acc.count)
         if acc.count == 0:
             # total cap exhausted before this iteration could sample anything
             break

@@ -300,7 +300,10 @@ def _score_chunk(trajs: list, actor, gamma: float, kinds) -> dict:
     at theta (``policy.actor(theta)``)."""
     rewards = np.stack([t.rewards for t in trajs])
     scores = actor.score(np.stack([t.states for t in trajs]), np.stack([t.actions for t in trajs]))
-    return {kind: trajectory_terms(kind, gamma, rewards, scores)[3] for kind in kinds}
+    return {
+        kind: trajectory_terms(kind, gamma, rewards, scores, keep_scores=False)[3]
+        for kind in kinds
+    }
 
 
 def variance_setups() -> "dict[str, tuple]":

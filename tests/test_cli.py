@@ -402,6 +402,51 @@ class TestConstantsCommand:
         assert err.startswith("configuration error: ") and message in err
 
 
+class TestExtremeSigmaAndTau:
+    """A smoothing constant that underflows is 0; one that overflows, or that
+    would divide by zero, is a configuration error naming what overflowed."""
+
+    @staticmethod
+    def shipped(tmp_path, name, key, value):
+        data = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text(encoding="utf-8"))
+        data["policy"][key] = value
+        data["output"] = {"directory": str(tmp_path / "out")}
+        return write_config(tmp_path, data)
+
+    def test_huge_tau_underflows_to_zero_constants(self, tmp_path, capsys):
+        path = self.shipped(tmp_path, "chain", "tau", 1.0e200)
+        assert main(["constants", "--config", path]) == EXIT_OK
+        lines = capsys.readouterr().out.strip().splitlines()
+        table = {line.split()[0]: float(line.split()[1]) for line in lines}
+        assert table["kappa"] == table["xi"] == table["L"] == table["nu2_gpomdp"] == 0.0
+        assert main(["run", "--config", path]) == EXIT_CONFIG
+        assert "Lipschitz constant is zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, key, value, message",
+        [
+            pytest.param(
+                "lqg", "sigma", 1.0e-200, "sigma = 1e-200 makes the smoothing constant kappa",
+                id="sigma-overflows",
+            ),
+            pytest.param(
+                "chain", "tau", 1.0e-200, "tau = 1e-200 is too small: tau^2 underflows to 0",
+                id="tau-divides-by-zero",
+            ),
+            pytest.param(
+                "lqg", "sigma", 1.0e-153, "the Lipschitz constant L overflows",
+                id="lipschitz-overflows",
+            ),
+        ],
+    )
+    def test_overflow_is_a_configuration_error(self, tmp_path, capsys, name, key, value, message):
+        path = self.shipped(tmp_path, name, key, value)
+        for command in ("constants", "run"):
+            assert main([command, "--config", path]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: ") and message in err
+
+
 class TestValidateCommand:
     def test_zero_budget_skips_oracle_checks(self):
         results = run_validation(budget=0, mc_samples=500, chebyshev_estimates=50)

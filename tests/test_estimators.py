@@ -316,6 +316,15 @@ class TestVarianceBound:
         for kind in EstimatorKind:
             assert variance_bound(kind, self.SPEC, kappa=0.0).nu_squared == 0.0
 
+    def test_overflow_is_a_configuration_error(self):
+        from spgrad.estimators import VarianceBound
+
+        for kind in EstimatorKind:
+            with pytest.raises(ConfigurationError, match="nu\\^2 overflows"):
+                variance_bound(kind, self.SPEC, kappa=1e307)
+        with pytest.raises(ConfigurationError, match="eps_delta overflows"):
+            error_bound(VarianceBound(1e308), 0.1)
+
     def test_error_bound_values(self):
         r = variance_bound(EstimatorKind.REINFORCE, self.SPEC, kappa=1.0)
         g = variance_bound(EstimatorKind.GPOMDP, self.SPEC, kappa=1.0)

@@ -207,6 +207,20 @@ class TestSpgRun:
         assert record.guaranteed_improvement == 0.0
         np.testing.assert_array_equal(result.theta_final, theta0)
 
+    def test_tiny_estimate_forecasts_no_finite_batch(self):
+        # at theta = (360, 0) the scores are ~1e-157, so 4 eps^2 / ||g||^2
+        # overflows: the blocks after the pilot take ROLLOUT_ROWS rows up to the cap
+        mdp = make_bandit([1.0, 0.0], gamma=0.5, horizon=1)
+        policy = SoftmaxPolicy(
+            TabularFeatures(1, 2), feature_bound=1.0, tau=1.0, n_actions=2, n_states=1
+        )
+        result = spg_run(
+            EnumerableEnv(mdp), policy, np.array([360.0, 0.0]), n_iterations=1, delta=0.5,
+            limits=RunLimits(max_trajectories_per_iteration=5000), seed=5,
+        )
+        assert 0.0 < result.records[0].grad_norm < 1e-150
+        assert result.records[0].stalled and result.records[0].batch_size == 5000
+
     def test_loop_postcondition_and_certified_rows(self, bandit):
         result = spg_run(
             bandit.env, bandit.policy, np.zeros(1), n_iterations=4, delta=0.2, seed=17
@@ -504,9 +518,9 @@ class TestBlockSamplingIsExact:
     @pytest.mark.parametrize("name", ["bandit", "chain", "lqg"])
     def test_certified_update_memory_is_bounded(self, name):
         # one certified update of each shipped config holds one rollout block
-        # of ROLLOUT_ROWS rows at a time, however many rows the stop needs
-        # (1.9k / 30k / 12k): at 2048 rows the peak is ~0.3 / 1.4 / 2.1 MiB,
-        # in one block of the per-iteration cap 11 / 34 / 52 MiB
+        # of at most ROLLOUT_ROWS rows at a time, however many rows the stop
+        # needs (1.9k / 30k / 12k): at 4096 rows the peak is ~0.26 / 2.1 /
+        # 2.3 MiB, in one block of the per-iteration cap 11 / 34 / 52 MiB
         config = load_config(str(CONFIGS / f"{name}.yaml"))
         built = build_experiment(config)
         tracemalloc.start()
@@ -520,6 +534,31 @@ class TestBlockSamplingIsExact:
             tracemalloc.stop()
         assert not result.records[0].stalled
         assert peak < 4 * 2**20, f"{name} peaked at {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize(
+        "name, delta", [("bandit", 0.5), ("bandit", 0.2), ("chain", None), ("lqg", None)]
+    )
+    def test_blocks_follow_the_stop_rule_forecast(self, name, delta, monkeypatch):
+        # a pilot of ROLLOUT_ROWS // 2 rows, then blocks of the rows the stop
+        # rule forecasts: none longer than ROLLOUT_ROWS, and few rows rolled
+        # out past the stops of a whole shipped run
+        sizes = []
+
+        def counting(env, actor, draws, out=None):
+            sizes.append(len(draws))
+            return sample_block(env, actor, draws, out)
+
+        monkeypatch.setattr(safe_updates, "sample_block", counting)
+        config = load_config(str(CONFIGS / f"{name}.yaml"))
+        built = build_experiment(config)
+        result = spg_run(
+            built.env, built.policy, built.theta0, config.iterations, delta or config.delta,
+            estimator_kind=config.estimator_kind, limits=config.limits, seed=config.seed,
+        )
+        assert not any(r.stalled for r in result.records)
+        assert sizes[0] == safe_updates.ROLLOUT_ROWS // 2
+        assert max(sizes) <= safe_updates.ROLLOUT_ROWS
+        assert sum(sizes) <= 1.10 * result.records[-1].cum_trajectories
 
 
 class TestBlockPathErrors:
