@@ -45,11 +45,12 @@ from .rng import UniformRows, substream
 # makes the same Python and numpy calls whatever its size (cProfile: ~270 on
 # the chain config, T = 5, and ~970 on lqg, T = 10), so fewer, larger blocks
 # cost less; but every row of the last block is rolled out, also past the
-# stop.  A certified iteration therefore draws a pilot of ROLLOUT_ROWS // 2
-# rows (one block for the bandit config's ~1.9k), then sizes each block to
-# what the stop rule forecasts from the estimate in hand: FORECAST_MARGIN
-# times the rows it still asks for, at least FORECAST_FLOOR.  At 4096 rows
-# one certified update peaks at ~2.1 MiB on the chain config, ~2.3 on lqg.
+# stop.  Every iteration therefore draws a first block of ROLLOUT_ROWS // 2
+# rows (one block for the bandit config's ~1.9k; a fixed schedule keeps
+# that size), then a certified one sizes each block to what the stop rule
+# forecasts from the estimate in hand: FORECAST_MARGIN times the rows it
+# still asks for, at least FORECAST_FLOOR.  At 4096 rows one certified
+# update peaks at ~2.1 MiB on the chain config, ~2.3 on lqg.
 ROLLOUT_ROWS = 4096
 FORECAST_MARGIN = 1.05
 FORECAST_FLOOR = 256
@@ -118,11 +119,18 @@ def stochastic_improvement_bound(
     return alpha * (grad_est_norm - err) * anticipated - alpha**2 * lip * grad_est_norm**2 / 2.0
 
 
+def _batch_bound(grad_est_norm: float, eps_delta: float) -> float:
+    """4 eps^2 / ||grad||^2, not rounded, for a norm > 0; inf where the
+    square underflows to 0."""
+    square = grad_est_norm**2
+    return 4.0 * eps_delta**2 / square if square > 0.0 else math.inf
+
+
 def required_batch_size(grad_est_norm: float, eps_delta: float) -> "int | None":
     """ceil(4 eps^2 / ||grad||^2); None when the estimate vanishes."""
     if grad_est_norm <= 0.0:
         return None
-    return max(1, math.ceil(4.0 * eps_delta**2 / grad_est_norm**2))
+    return max(1, math.ceil(_batch_bound(grad_est_norm, eps_delta)))
 
 
 def optimal_step_and_batch(grad_est_norm: float, eps_delta: float, lip: float) -> MetaParams:
@@ -213,16 +221,23 @@ def _rollout(env, policy, theta: np.ndarray, seed: int, k: int):
     The environment steps them as a block (``mdp.sample_block``) with the
     policy frozen at theta, ``policy.actor(theta)``, on rows of iteration k's
     one ``UniformRows(seed, k, width)``, so row i depends only on (seed, k, i).
-    n is at most ``ROLLOUT_ROWS``, and every block is written into one pair of
-    buffers of that many rows: ``add_block`` copies what it keeps, and memory
-    written once per iteration is not handed back to the system and faulted
-    in again for every block.
+    Every block is written into one pair of buffers, made anew only when a
+    block is longer than any before it: ``add_block`` copies what it keeps,
+    and memory written once per iteration is not handed back to the system
+    and faulted in again for every block.
     """
     actor = policy.actor(theta)
     rows = UniformRows(seed, k, row_draws(env, actor))
     horizon = env.spec.horizon
-    out = np.empty((horizon, ROLLOUT_ROWS)), np.empty((horizon, ROLLOUT_ROWS, actor.dim))
-    return lambda first, n: sample_block(env, actor, rows.take(first, n), out)
+    out = np.empty((horizon, 0)), np.empty((horizon, 0, actor.dim))
+
+    def block(first: int, n: int):
+        nonlocal out
+        if n > out[0].shape[1]:
+            out = np.empty((horizon, n)), np.empty((horizon, n, actor.dim))
+        return sample_block(env, actor, rows.take(first, n), out)
+
+    return block
 
 
 def _first_certified(eps_delta: float):
@@ -251,17 +266,17 @@ def _first_certified(eps_delta: float):
 def _forecast_rows(norm: float, eps_delta: float, count: int) -> int:
     """Rows for the next block of a certified iteration that has ``count``
     rows and an estimate of norm ``norm``: FORECAST_MARGIN times the rows the
-    stop rule still asks for, ``required_batch_size(norm, eps_delta) - count``,
-    and at least FORECAST_FLOOR; ``ROLLOUT_ROWS`` where the rule asks for no
-    finite batch.  The caller caps it at ``ROLLOUT_ROWS`` and the room left.
+    stop rule still asks for, ceil(4 eps^2 / norm^2) - count, and at least
+    FORECAST_FLOOR.  Where the rule asks for ``ROLLOUT_ROWS`` more rows or
+    no finite batch at all (a zero estimate, or one whose square underflows)
+    it is ``ROLLOUT_ROWS``.  The caller caps it at ``ROLLOUT_ROWS`` and the
+    room left.  It does not call ``required_batch_size``, whose calls
+    perfbench counts as stop checks.
     """
-    try:
-        needed = required_batch_size(norm, eps_delta)
-    except OverflowError:  # 4 eps^2 / norm^2 is inf
-        needed = None
-    if needed is None:
+    bound = _batch_bound(norm, eps_delta) if norm > 0.0 else math.inf
+    if bound >= count + ROLLOUT_ROWS:
         return ROLLOUT_ROWS
-    return max(FORECAST_FLOOR, math.ceil(FORECAST_MARGIN * (needed - count)))
+    return max(FORECAST_FLOOR, math.ceil(FORECAST_MARGIN * (math.ceil(bound) - count)))
 
 
 def spg_run(
@@ -295,7 +310,7 @@ def spg_run(
     proven.
 
     With ``fixed`` given, every iteration takes exactly ``fixed.batch_size``
-    trajectories, in blocks of ``ROLLOUT_ROWS``, and the step
+    trajectories, in blocks of ``ROLLOUT_ROWS // 2``, and the step
     ``fixed.alpha``, estimated with ``baseline``.
     An iteration whose batch would cross ``max_total_trajectories`` is not
     started.  Nothing is certified, so the guaranteed improvement is logged
@@ -334,7 +349,7 @@ def spg_run(
         acc = GradientAccumulator(policy, theta, gamma, kind, baseline)
         rollout = _rollout(env, policy, theta, seed, k)
         stalled = False
-        want = ROLLOUT_ROWS if stop is None else max(1, ROLLOUT_ROWS // 2)
+        want = max(1, ROLLOUT_ROWS // 2)
         while True:
             room = min(
                 limits.max_trajectories_per_iteration - acc.count,

@@ -207,19 +207,31 @@ class TestSpgRun:
         assert record.guaranteed_improvement == 0.0
         np.testing.assert_array_equal(result.theta_final, theta0)
 
-    def test_tiny_estimate_forecasts_no_finite_batch(self):
+    @pytest.mark.parametrize("theta", [360.0, 400.0])
+    def test_tiny_estimate_forecasts_no_finite_batch(self, theta):
         # at theta = (360, 0) the scores are ~1e-157, so 4 eps^2 / ||g||^2
-        # overflows: the blocks after the pilot take ROLLOUT_ROWS rows up to the cap
+        # overflows; at (400, 0) they are ~2e-174, and ||g||^2 underflows to 0
+        # and with it the norm (the sqrt of the square).  Either way the blocks
+        # after the pilot take ROLLOUT_ROWS rows and the iteration stalls at the cap
         mdp = make_bandit([1.0, 0.0], gamma=0.5, horizon=1)
         policy = SoftmaxPolicy(
             TabularFeatures(1, 2), feature_bound=1.0, tau=1.0, n_actions=2, n_states=1
         )
         result = spg_run(
-            EnumerableEnv(mdp), policy, np.array([360.0, 0.0]), n_iterations=1, delta=0.5,
+            EnumerableEnv(mdp), policy, np.array([theta, 0.0]), n_iterations=1, delta=0.5,
             limits=RunLimits(max_trajectories_per_iteration=5000), seed=5,
         )
-        assert 0.0 < result.records[0].grad_norm < 1e-150
+        assert result.records[0].grad_norm < 1e-150
         assert result.records[0].stalled and result.records[0].batch_size == 5000
+
+    def test_forecast_rows_at_extreme_norms(self):
+        rows = safe_updates.ROLLOUT_ROWS
+        # no finite batch: a zero norm, or one whose square underflows to 0
+        assert safe_updates._forecast_rows(0.0, 1.0, 10) == rows
+        assert safe_updates._forecast_rows(1e-170, 1.0, 10) == rows
+        # 4 eps^2 / ||g||^2 = 1e4 rows, 2e3 of them drawn
+        assert safe_updates._forecast_rows(0.02, 1.0, 2000) == rows
+        assert safe_updates._forecast_rows(0.02, 1.0, 8000) == 2100
 
     def test_loop_postcondition_and_certified_rows(self, bandit):
         result = spg_run(
@@ -519,7 +531,7 @@ class TestBlockSamplingIsExact:
     def test_certified_update_memory_is_bounded(self, name):
         # one certified update of each shipped config holds one rollout block
         # of at most ROLLOUT_ROWS rows at a time, however many rows the stop
-        # needs (1.9k / 30k / 12k): at 4096 rows the peak is ~0.26 / 2.1 /
+        # needs (1.9k / 30k / 12k): at 4096 rows the peak is ~0.23 / 2.1 /
         # 2.3 MiB, in one block of the per-iteration cap 11 / 34 / 52 MiB
         config = load_config(str(CONFIGS / f"{name}.yaml"))
         built = build_experiment(config)
