@@ -109,29 +109,36 @@ def trajectory_terms(
 
     Every sum over a trajectory's steps runs in time order, one (n, m) slice
     per step: the return and g from 0.0, c_t from score_0.  So the bits do
-    not depend on the memory layout of ``scores``.
+    not depend on the memory layout of ``scores``.  g and each product
+    r_k c_k are written in place, into one (n, m) array each.
 
-    With ``keep_scores`` False, c is None and only the running c_t is held,
-    not the list: the zero-baseline sums read g alone.
+    With ``keep_scores`` False, c is None and the running c_t is summed in
+    place, in one (n, m) array, not kept as a list: the zero-baseline sums
+    read g alone.
     """
     horizon = rewards.shape[1]
     gpomdp = EstimatorKind(kind) is EstimatorKind.GPOMDP
     r = gamma ** np.arange(horizon) * rewards
     if weights is not None:
         r = weights[:, None] * r
-    ret = g = 0.0
+    ret = 0.0
     c = [] if keep_scores else None
+    ct = scores[:, 0]
+    g, term = np.zeros(ct.shape), np.empty(ct.shape)
     for t in range(horizon):
         ret += r[:, t]
-        ct = scores[:, t] if t == 0 else ct + scores[:, t]
+        if t == 1 or (t > 1 and keep_scores):
+            ct = ct + scores[:, t]  # a new array: c_0 is a view of scores, and c keeps each c_t
+        elif t > 1:
+            ct += scores[:, t]
         if keep_scores:
             c.append(ct)
         if gpomdp:
-            g += r[:, t, None] * ct
+            g += np.multiply(r[:, t, None], ct, out=term)
     if not gpomdp:
         r = ret[:, None]
         c = [ct] if keep_scores else None
-        g = 0.0 + r * ct
+        g += np.multiply(r, ct, out=term)
     return ret, r, c, g
 
 
@@ -192,14 +199,19 @@ class GradientAccumulator:
         ``np.cumsum``, which adds in row order like the one-at-a-time sums
         (``np.sum`` may pair terms), so the statistics after row i are the
         ones that adding rows one at a time reaches, bit for bit, however
-        the rows are split into blocks.
+        the rows are split into blocks.  Where the weight so far is the row
+        count, the running weight of n unit-weight rows is that count plus
+        1, 2, ..., n: whole numbers, which the sums reach exactly below 2**53.
 
-        ``stop(counts, estimates)``, if given, sees the trajectory count and
-        the zero-baseline estimate after each row, both up to the first row
-        whose estimate is not finite, and returns the index of the row that
-        ends the block or None.  Rows past that row are dropped and True is
+        ``stop(counts, sums, weight_sums)``, if given, sees after each row
+        the trajectory count, the running zero-baseline sum S and the
+        running weight w (the estimate is S / w), up to the first row whose
+        estimate is not finite, and returns the index of the row that ends
+        the block or None.  Rows past that row are dropped and True is
         returned; otherwise every row is added, or NumericError is raised
-        when an estimate is not finite.
+        when an estimate is not finite.  Unit weights make w >= 1, so S / w
+        is finite where S is: one check over all the sums stands for the
+        per-row check, which runs only where it fails or weights are given.
         """
         n, horizon = rewards.shape
         if weights is not None and not np.all((weights > 0.0) & (weights < math.inf)):
@@ -214,20 +226,28 @@ class GradientAccumulator:
         ret, wr, c, g = trajectory_terms(
             self.kind, self.gamma, rewards, scores, weights, keep_scores=peters
         )
-        if weights is None:
+        unit = weights is None
+        if unit:
             weights = np.ones(n)
-        terms = {"weight_sum": weights, "return_sum": ret, "_sum_g": g}
+        terms = {"return_sum": ret, "_sum_g": g}
         if peters:
             c = np.stack(c, axis=1)
             w, wr3, c2 = weights[:, None, None], wr[:, :, None], c**2
             terms.update(_sum_rc=wr3 * c, _sum_c=w * c, _sum_rc2=wr3 * c2, _sum_c2=w * c2)
         running = {name: running_sums(getattr(self, name), term) for name, term in terms.items()}
+        if unit and self.weight_sum == self.count:
+            running["weight_sum"] = self.weight_sum + np.arange(1, n + 1)
+        else:
+            running["weight_sum"] = running_sums(self.weight_sum, weights)
         keep, stopped = n, False
         if stop is not None:
-            estimates = running["_sum_g"] / running["weight_sum"][:, None]
-            finite = np.isfinite(estimates).all(axis=1)
-            valid = n if finite.all() else int(np.argmin(finite))
-            end = stop(self.count + np.arange(1, valid + 1), estimates[:valid])
+            sums, weight_sums = running["_sum_g"], running["weight_sum"]
+            valid = n
+            if not (unit and np.isfinite(sums).all()):
+                finite = np.isfinite(sums / weight_sums[:, None]).all(axis=1)
+                valid = n if finite.all() else int(np.argmin(finite))
+            counts = self.count + np.arange(1, valid + 1)
+            end = stop(counts, sums[:valid], weight_sums[:valid])
             if end is not None:
                 keep, stopped = end + 1, True
             elif valid < n:

@@ -18,16 +18,20 @@ The shipped environments also step arrays of episodes at once for
 :func:`sample_block`, the one rollout of ``safe_updates.spg_run``:
 ``reset_batch(u)`` and ``step_batch(states, actions, u)`` take an (n, k)
 array of uniforms in [0, 1), k being the count the environment declares as
-``reset_draws`` / ``step_draws``.  The policy's side of a block is
-``policy.actor(theta)``, so the contract has no state count; its one call
-per step, ``sample(states, u, scores)``, draws the actions and scores them
-in the same pass, and ``sample_block`` writes each step's rewards and
-scores straight into buffers laid out step by step.  The batch
-methods' numpy calls run over whole columns of n episodes: an enumerable
-environment reads each (state, action) pair at its flat index
-s * n_actions + a, one ``take`` per column of its transition CDFs and one
-for the reward, and draws the next state with ``rng.inverse_cdf``, a count
-over those columns, as ``np.searchsorted(..., side="right")`` finds it.
+``reset_draws`` / ``step_draws``; ``reward_batch(states, actions)`` gives
+the rewards ``step_batch`` gives, after the same action checks, and no next
+state.  It takes the last step of every episode, so no state after the
+horizon is drawn, though each row keeps that step's columns.  The policy's
+side of a block is ``policy.actor(theta)``, so the contract has no state
+count; its one call per step, ``sample(states, u, scores)``, draws the
+actions and scores them in the same pass, and ``sample_block`` writes each
+step's rewards and scores straight into buffers laid out step by step.  The
+batch methods' numpy calls run over whole columns of n episodes: an
+enumerable environment reads each (state, action) pair at its flat index
+s * n_actions + a, one ``take`` per column of its transition CDFs but the
+last and one for the reward, and draws the next state with
+``rng.inverse_cdf``, a count over those columns, as
+``np.searchsorted(..., side="right")`` clamped to the last state finds it.
 """
 from __future__ import annotations
 
@@ -141,8 +145,11 @@ def sample_block(env, actor, draws: np.ndarray, out=None) -> "tuple[np.ndarray, 
     holds uniforms in [0, 1), shape (n, ``row_draws(env, actor)``); each row
     is read left to right, in the order ``sample_trajectory`` draws (reset,
     then action and transition at every step), each component taking the
-    count of columns it declares.  Returns the rewards, shape (n, T), and
-    the per-step scores, shape (n, T, m).
+    count of columns it declares.  Steps 0 .. T-2 go through
+    ``env.step_batch``; the last step takes its rewards from
+    ``env.reward_batch(states, actions)`` and draws no next state, though
+    its transition columns stay in the row.  Returns the rewards, shape
+    (n, T), and the per-step scores, shape (n, T, m).
 
     ``out``, if given, is a pair of buffers, (T, N) for the rewards and
     (T, N, m) for the scores with N >= n, that the rollout writes into in
@@ -163,7 +170,10 @@ def sample_block(env, actor, draws: np.ndarray, out=None) -> "tuple[np.ndarray, 
     for t in range(horizon):
         col = r + t * (a + s)
         action = actor.sample(state, draws[:, col : col + a], scores[t])
-        state, rewards[t] = env.step_batch(state, action, draws[:, col + a : col + a + s])
+        if t < horizon - 1:
+            state, rewards[t] = env.step_batch(state, action, draws[:, col + a : col + a + s])
+        else:  # no state follows the last step
+            rewards[t] = env.reward_batch(state, action)
     return rewards.T, scores.swapaxes(0, 1)
 
 
@@ -243,8 +253,9 @@ class EnumerableEnv:
         self._cum_initial = np.cumsum(mdp.initial)
         cum_next = np.cumsum(mdp.transition, axis=-1)
         # step_batch reads (s, a) at the flat index s * n_actions + a: column
-        # s' of the transition CDFs and the rewards, each one contiguous table
-        self._next_columns = list(cum_next.reshape(-1, self.n_states).T.copy())
+        # s' of the transition CDFs and the rewards, each one contiguous table;
+        # inverse_cdf never reads the last column, so it is not kept
+        self._next_columns = list(cum_next.reshape(-1, self.n_states).T[:-1].copy())
         self._flat_reward = mdp.reward.ravel()
         # the same tables as Python lists for the scalar reset and step
         self._initial_cdf = self._cum_initial.tolist()
@@ -277,9 +288,8 @@ class EnumerableEnv:
             np.searchsorted(self._cum_initial, u[:, 0], side="right"), self.n_states - 1
         )
 
-    def step_batch(
-        self, states: np.ndarray, actions: np.ndarray, u: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
+    def _flat_index(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """s * n_actions + a for every (state, action) pair, the actions checked."""
         if self.bin_edges is not None:
             a = np.searchsorted(self.bin_edges, actions, side="right")
         else:
@@ -287,7 +297,15 @@ class EnumerableEnv:
             bad = (a < 0) | (a >= self.mdp.n_actions)
             if bad.any():
                 raise ValueError(f"action {a[bad][0]} out of range [0, {self.mdp.n_actions})")
-        flat = states * self.mdp.n_actions + a
+        return states * self.mdp.n_actions + a
+
+    def reward_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        return self._flat_reward.take(self._flat_index(states, actions))
+
+    def step_batch(
+        self, states: np.ndarray, actions: np.ndarray, u: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        flat = self._flat_index(states, actions)
         next_states = inverse_cdf([column.take(flat) for column in self._next_columns], u[:, 0])
         return next_states, self._flat_reward.take(flat)
 
@@ -349,18 +367,23 @@ class Lqg1dEnv:
         low, high = -self.config.s_max, self.config.s_max
         return low + (high - low) * u[:, 0]
 
-    def step_batch(
-        self, states: np.ndarray, actions: np.ndarray, u: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
+    def reward_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         cfg = self.config
-        z = box_muller(u[:, 0], u[:, 1])
         s, a = states, actions
         bad = ~np.isfinite(a)
         if bad.any():
             raise NumericError(f"non-finite action {a[bad][0]}")
         with np.errstate(over="ignore", invalid="ignore"):
-            reward = -np.minimum(cfg.q * s * s + cfg.c * a * a, cfg.r_max)
-            drift = cfg.a_dyn * s + cfg.b_dyn * a + cfg.noise_std * z
+            return -np.minimum(cfg.q * s * s + cfg.c * a * a, cfg.r_max)
+
+    def step_batch(
+        self, states: np.ndarray, actions: np.ndarray, u: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        cfg = self.config
+        reward = self.reward_batch(states, actions)
+        z = box_muller(u[:, 0], u[:, 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            drift = cfg.a_dyn * states + cfg.b_dyn * actions + cfg.noise_std * z
         return np.clip(drift, -cfg.s_max, cfg.s_max), reward
 
 

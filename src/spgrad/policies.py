@@ -419,8 +419,9 @@ class SoftmaxActor:
         """Actions at ``states`` (n,) from uniforms ``u`` (n, 1); their scores
         are written to ``scores`` (n, m)."""
         cdf = [column.take(states) for column in self.cdf]
-        # searchsorted(cum, u * cum[-1], side="right") on every row at once
-        actions = inverse_cdf(cdf, u[:, 0] * cdf[-1])
+        # searchsorted(cum, u * cum[-1], side="right") on every row at once;
+        # the last column only scales u
+        actions = inverse_cdf(cdf[:-1], u[:, 0] * cdf[-1])
         # states and actions are in range, so "clip" never moves an index; the
         # default "raise" would buffer the take into ``out``
         self.scores.take(states * self.n_actions + actions, axis=0, out=scores, mode="clip")

@@ -94,14 +94,19 @@ def box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
 
 def inverse_cdf(cdf: "list[np.ndarray]", u: np.ndarray) -> np.ndarray:
     """Draw i is ``np.searchsorted(row_i, u[i], side="right")`` clamped to the
-    last index, row_i being draw i's cumulative distribution: entry j of it
-    is ``cdf[j][i]``.
+    last index A - 1, row_i being draw i's cumulative distribution over A
+    outcomes: entry j of it is ``cdf[j][i]`` for j < A - 1.  ``cdf`` holds
+    those first A - 1 columns only, so it is empty for A = 1.
 
     The draw counts the entries of row_i at or below u[i], which is what
     side="right" finds on a non-decreasing row, one column of all the rows
-    per call.
+    per call.  The last column is not needed: where it is at or below u[i],
+    so is every entry before it, the count over the others is A - 1, and
+    the clamp would take that column's count away again.
     """
+    if not cdf:
+        return np.zeros(len(u), dtype=np.intp)
     count = (cdf[0] <= u).astype(np.intp)
     for column in cdf[1:]:
         count += column <= u
-    return np.minimum(count, len(cdf) - 1, out=count)
+    return count

@@ -241,21 +241,27 @@ def _rollout(env, policy, theta: np.ndarray, seed: int, k: int):
 
 
 def _first_certified(eps_delta: float):
-    """stop(counts, estimates) for ``GradientAccumulator.add_block``: the first
-    row whose prefix meets N >= required_batch_size(||estimate||, eps_delta).
+    """stop(counts, sums, weight_sums) for ``GradientAccumulator.add_block``:
+    the first row whose prefix meets N >= required_batch_size(||S / w||,
+    eps_delta), S / w being the estimate after that row.
 
-    A vectorized screen with slack picks the candidate rows; each is then
-    decided by the rule itself on ``np.linalg.norm`` of the estimate, the
+    A vectorized screen with slack picks the candidate rows on
+    ``einsum(S, S) / w**2``, so no (n, m) array of estimates is formed; each
+    candidate is then decided by the rule itself on ``np.linalg.norm`` of
+    S_i / w_i, the division a row of the full array would make and the
     norm ``finalize`` reports, so the stop is the one a check after every
-    trajectory finds.
+    trajectory finds.  The screen relies on w >= 1, as sampled rows have:
+    then |S / w| <= |S|, and a square the screen sees as 0 is 0 for the
+    estimate too.
     """
     floor = 4.0 * eps_delta**2 * (1.0 - 1e-9)
 
-    def stop(counts: np.ndarray, estimates: np.ndarray) -> "int | None":
+    def stop(counts: np.ndarray, sums: np.ndarray, weight_sums: np.ndarray) -> "int | None":
         with np.errstate(over="ignore"):
-            squares = np.einsum("ij,ij->i", estimates, estimates)
+            squares = np.einsum("ij,ij->i", sums, sums) / weight_sums**2
         for i in np.flatnonzero((squares > 0.0) & (counts * squares >= floor)):
-            needed = required_batch_size(float(np.linalg.norm(estimates[i])), eps_delta)
+            norm = float(np.linalg.norm(sums[i] / weight_sums[i]))
+            needed = required_batch_size(norm, eps_delta)
             if needed is not None and counts[i] >= needed:
                 return int(i)
         return None

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spgrad.errors import ConfigurationError
+from spgrad.errors import ConfigurationError, NumericError
 from spgrad.estimators import (
     BaselineKind,
     EstimatorKind,
@@ -299,6 +299,96 @@ class TestTermFormMatchesNumpyExpressions:
                 want = python_totals(kind, baseline, 0.9, blocks)
                 for name, total in want.items():
                     assert same_bits(getattr(acc, name), total), (baseline, w is None, name)
+
+
+def stop_inputs(seed: int, n: int, inf_row: "int | None" = None):
+    """A block of positive rewards, so that an inf score at step 1 of row
+    ``inf_row`` makes that row's estimate and every later one +inf, never NaN."""
+    rewards, scores, weights = term_inputs(seed, n, 3, 2)
+    rewards = np.abs(rewards) + 1.0
+    if inf_row is not None:
+        scores[inf_row, 1, 0] = np.inf
+    return rewards, scores, weights
+
+
+def python_running(kind, rewards, scores, weights, sum_g, weight_sum):
+    """The running zero-baseline sum S and weight w after each row, continued
+    from (``sum_g``, ``weight_sum``) in plain Python floats."""
+    g = python_terms(kind, 0.9, rewards, scores, weights)[3].tolist()
+    w = [1.0] * len(rewards) if weights is None else weights.tolist()
+    sums, weight_sums = [], []
+    for gi, wi in zip(g, w):
+        sum_g = [a + b for a, b in zip(sum_g, gi)]
+        weight_sum = weight_sum + wi
+        sums.append(sum_g)
+        weight_sums.append(weight_sum)
+    return np.array(sums), np.array(weight_sums)
+
+
+class TestAddBlockStop:
+    """``add_block`` hands its stop the count, the running sum S and the
+    running weight w after each row, up to the first row whose estimate
+    S / w is not finite, through the flat finiteness check of unit weights
+    and through the per-row one."""
+
+    @staticmethod
+    def recorder(end=None):
+        seen = []
+
+        def stop(counts, sums, weight_sums):
+            seen.append((counts.copy(), sums.copy(), weight_sums.copy()))
+            return end
+
+        return seen, stop
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_stop_sees_the_rows_before_an_inf(self, kind, weighted):
+        first = stop_inputs(0, 4)
+        rewards, scores, weights = stop_inputs(1, 12, inf_row=7)
+        weights = weights if weighted else None
+        acc = GradientAccumulator(bandit_policy(), np.zeros(1), 0.9, kind)
+        acc.add_block(first[0], first[1], first[2] if weighted else None)
+        want_sums, want_w = python_running(
+            kind, rewards, scores, weights, acc._sum_g.tolist(), acc.weight_sum
+        )
+        seen, stop = self.recorder()
+        with pytest.raises(NumericError, match="gradient estimate is not finite"):
+            acc.add_block(rewards, scores, weights, stop=stop)
+        [(counts, sums, weight_sums)] = seen
+        assert counts.tolist() == list(range(5, 12))
+        assert same_bits(sums, want_sums[:7])
+        assert same_bits(weight_sums, want_w[:7])
+        assert np.isfinite(sums / weight_sums[:, None]).all()
+        # a stop that ends the block before the inf keeps the rows up to its end
+        seen, stop = self.recorder(end=3)
+        acc = GradientAccumulator(bandit_policy(), np.zeros(1), 0.9, kind)
+        assert acc.add_block(rewards, scores, weights, stop=stop)
+        assert acc.count == 4 and seen[0][0].tolist() == list(range(1, 8))
+        # with no stop the block is added and finalize raises the same error
+        acc = GradientAccumulator(bandit_policy(), np.zeros(1), 0.9, kind)
+        assert not acc.add_block(rewards, scores, weights)
+        assert acc.count == 12
+        with pytest.raises(NumericError, match="gradient estimate is not finite"):
+            acc.finalize()
+
+    def test_unit_rows_after_weighted_ones_sum_their_weights(self):
+        # a weight total that is not a whole number is continued row by row:
+        # 1e-3 + 1 + 1 + 1 + 1 rounds unlike 1e-3 + 4
+        kind = EstimatorKind.GPOMDP
+        first_rewards, first_scores, _ = stop_inputs(2, 1)
+        rewards, scores, _ = stop_inputs(3, 6)
+        acc = GradientAccumulator(bandit_policy(), np.zeros(1), 0.9, kind)
+        acc.add_block(first_rewards, first_scores, np.array([1e-3]))
+        want_sums, want_w = python_running(
+            kind, rewards, scores, None, acc._sum_g.tolist(), acc.weight_sum
+        )
+        seen, stop = self.recorder()
+        assert not acc.add_block(rewards, scores, stop=stop)
+        [(counts, sums, weight_sums)] = seen
+        assert counts.tolist() == list(range(2, 8))
+        assert same_bits(sums, want_sums) and same_bits(weight_sums, want_w)
+        assert acc.weight_sum == want_w[-1]
 
 
 class TestVarianceBound:

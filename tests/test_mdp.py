@@ -393,6 +393,35 @@ class TestBlockMatchesScalarPath:
             sample_block(inst.env, actor, uniform_rows(0, 0, 0, 4, 10))
 
 
+def scripted_rows(env, actor, draws) -> "list[Scripted]":
+    """One stand-in generator per row of ``draws``, serving the row as the
+    scalar path reads it: the uniform of each one-column draw, and the
+    standard normal that ``box_muller`` makes of each two-column draw, made
+    over the whole column pair as the block makes it."""
+    widths = [env.reset_draws] + [actor.draws, env.step_draws] * env.spec.horizon
+    starts = np.cumsum([0] + widths[:-1]).tolist()
+    uniform_cols = [c for c, w in zip(starts, widths) if w == 1]
+    normal_cols = [c for c, w in zip(starts, widths) if w == 2]
+    normals = [box_muller(draws[:, c], draws[:, c + 1]) for c in normal_cols]
+    return [
+        Scripted(draws[i, uniform_cols].tolist(), [float(z[i]) for z in normals])
+        for i in range(len(draws))
+    ]
+
+
+def assert_rows_equal_per_step_episodes(env, policy, theta, actor, draws, rewards, scores):
+    """Row i of a block's rewards and scores is, bit for bit, the episode
+    that a per-step loop of ``env.reset``/``step`` and the scalar
+    ``sample_action`` and ``score`` gives on row i's stand-in generator."""
+    for i, rng in enumerate(scripted_rows(env, actor, draws)):
+        state = env.reset(rng)
+        for t in range(env.spec.horizon):
+            action = policy.sample_action(theta, state, rng)
+            np.testing.assert_array_equal(scores[i, t], policy.score(theta, state, action))
+            state, reward = env.step(state, action, rng)
+            assert rewards[i, t] == reward
+
+
 class CountingPolynomialFeatures(PolynomialFeatures):
     """Polynomial features that record the length of every ``batch`` call."""
 
@@ -421,27 +450,9 @@ class TestGaussianBlockMatchesPerStepLoop:
         actor = policy.actor(theta)
         draws = uniform_rows(11, 1, 40, 300, row_draws(env, actor))
         rewards, scores = sample_block(env, actor, draws)
-        # the block's normals, one box_muller call per column pair as the block makes them
-        normal_cols = []
-        uniform_cols = list(range(env.reset_draws))
-        for t in range(env.spec.horizon):
-            col = env.reset_draws + t * (actor.draws + env.step_draws)
-            normal_cols.append(col)
-            if env.step_draws == 2:
-                normal_cols.append(col + 2)
-            else:
-                uniform_cols.append(col + 2)
-        normals = np.stack([box_muller(draws[:, c], draws[:, c + 1]) for c in normal_cols], 1)
         assert rewards.shape == (300, env.spec.horizon)
         assert scores.shape == (300, env.spec.horizon, policy.dim)
-        for i in range(300):
-            rng = Scripted(draws[i, uniform_cols].tolist(), normals[i].tolist())
-            state = env.reset(rng)
-            for t in range(env.spec.horizon):
-                action = policy.sample_action(theta, state, rng)
-                np.testing.assert_array_equal(scores[i, t], policy.score(theta, state, action))
-                state, reward = env.step(state, action, rng)
-                assert rewards[i, t] == reward
+        assert_rows_equal_per_step_episodes(env, policy, theta, actor, draws, rewards, scores)
 
     def test_one_feature_pass_per_step(self):
         env, _ = lqg_instance()
@@ -449,6 +460,55 @@ class TestGaussianBlockMatchesPerStepLoop:
         actor = GaussianPolicy(features, feature_bound=1.0, sigma=0.5).actor(np.array([0.4]))
         sample_block(env, actor, uniform_rows(3, 0, 0, 64, row_draws(env, actor)))
         assert features.batch_sizes == [64] * env.spec.horizon
+
+
+class CountingEnv:
+    """An environment that counts its ``step_batch`` and ``reward_batch``
+    calls and passes every other attribute through."""
+
+    def __init__(self, env):
+        self.env = env
+        self.calls = {"step_batch": 0, "reward_batch": 0}
+
+    def __getattr__(self, name):
+        return getattr(self.env, name)
+
+    def step_batch(self, states, actions, u):
+        self.calls["step_batch"] += 1
+        return self.env.step_batch(states, actions, u)
+
+    def reward_batch(self, states, actions):
+        self.calls["reward_batch"] += 1
+        return self.env.reward_batch(states, actions)
+
+
+class TestNoStateAfterTheHorizon:
+    """``sample_block`` draws a next state after steps 0 .. T-2 only; the
+    last step takes its rewards from ``reward_batch``.  The rows are still
+    the per-step episodes, which also step after the last action."""
+
+    SETUPS = {
+        "bandit": bandit_instance,
+        "chain": chain_instance,
+        "two-state": two_state_instance,
+        "binned-gaussian": binned_gaussian_instance,
+        "lqg": lqg_instance,
+    }
+
+    @pytest.mark.parametrize("name", list(SETUPS))
+    def test_last_step_draws_rewards_only(self, name):
+        built = self.SETUPS[name]()
+        env, policy = built if name == "lqg" else (built.env, built.policy)
+        counting = CountingEnv(env)
+        theta = random_theta(substream(65, 0), policy.dim, scale=2.0)
+        actor = policy.actor(theta)
+        draws = uniform_rows(13, 2, 7, 150, row_draws(env, actor))
+        rewards, scores = sample_block(counting, actor, draws)
+        horizon = env.spec.horizon
+        assert counting.calls == {"step_batch": horizon - 1, "reward_batch": 1}
+        if name == "bandit":
+            assert horizon == 1  # no transition at all
+        assert_rows_equal_per_step_episodes(env, policy, theta, actor, draws, rewards, scores)
 
 
 def searchsorted_draw(cum, u) -> int:
