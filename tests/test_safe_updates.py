@@ -207,12 +207,15 @@ class TestSpgRun:
         assert record.guaranteed_improvement == 0.0
         np.testing.assert_array_equal(result.theta_final, theta0)
 
-    @pytest.mark.parametrize("theta", [360.0, 400.0])
+    @pytest.mark.parametrize("theta", [360.0, 376.0, 400.0])
     def test_tiny_estimate_forecasts_no_finite_batch(self, theta):
         # at theta = (360, 0) the scores are ~1e-157, so 4 eps^2 / ||g||^2
         # overflows; at (400, 0) they are ~2e-174, and ||g||^2 underflows to 0
-        # and with it the norm (the sqrt of the square).  Either way the blocks
-        # after the pilot take ROLLOUT_ROWS rows and the iteration stalls at the cap
+        # and with it the norm (the sqrt of the square).  At (376, 0) the
+        # running sums S have S^2 > 0 on almost every row while the estimate's
+        # (S / w)^2 is 0, so the stop's screen must not certify them.  Each way
+        # the blocks after the pilot take ROLLOUT_ROWS rows and the iteration
+        # stalls at the cap
         mdp = make_bandit([1.0, 0.0], gamma=0.5, horizon=1)
         policy = SoftmaxPolicy(
             TabularFeatures(1, 2), feature_bound=1.0, tau=1.0, n_actions=2, n_states=1
