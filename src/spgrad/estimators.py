@@ -199,9 +199,7 @@ class GradientAccumulator:
         ``np.cumsum``, which adds in row order like the one-at-a-time sums
         (``np.sum`` may pair terms), so the statistics after row i are the
         ones that adding rows one at a time reaches, bit for bit, however
-        the rows are split into blocks.  Where the weight so far is the row
-        count, the running weight of n unit-weight rows is that count plus
-        1, 2, ..., n: whole numbers, which the sums reach exactly below 2**53.
+        the rows are split into blocks.
 
         ``stop(counts, sums, weight_sums)``, if given, sees after each row
         the trajectory count, the running zero-baseline sum S and the
@@ -209,11 +207,14 @@ class GradientAccumulator:
         estimate is not finite, and returns the index of the row that ends
         the block or None.  Rows past that row are dropped and True is
         returned; otherwise every row is added, or NumericError is raised
-        when an estimate is not finite.  Unit weights make w >= 1, so S / w
-        is finite where S is: one check over all the sums stands for the
-        per-row check, which runs only where it fails or weights are given.
+        when an estimate is not finite.  A stop takes unit-weight rows
+        only (ValueError otherwise): they make w >= 1, so S / w is finite
+        where S is, and one check over all the sums stands for the per-row
+        check, which runs only where it fails.
         """
         n, horizon = rewards.shape
+        if stop is not None and weights is not None:
+            raise ValueError("a stop takes unit-weight rows only")
         if weights is not None and not np.all((weights > 0.0) & (weights < math.inf)):
             raise ValueError(f"trajectory weights must be positive and finite, got {weights}")
         if self.horizon is None:
@@ -226,24 +227,19 @@ class GradientAccumulator:
         ret, wr, c, g = trajectory_terms(
             self.kind, self.gamma, rewards, scores, weights, keep_scores=peters
         )
-        unit = weights is None
-        if unit:
+        if weights is None:
             weights = np.ones(n)
-        terms = {"return_sum": ret, "_sum_g": g}
+        terms = {"weight_sum": weights, "return_sum": ret, "_sum_g": g}
         if peters:
             c = np.stack(c, axis=1)
             w, wr3, c2 = weights[:, None, None], wr[:, :, None], c**2
             terms.update(_sum_rc=wr3 * c, _sum_c=w * c, _sum_rc2=wr3 * c2, _sum_c2=w * c2)
         running = {name: running_sums(getattr(self, name), term) for name, term in terms.items()}
-        if unit and self.weight_sum == self.count:
-            running["weight_sum"] = self.weight_sum + np.arange(1, n + 1)
-        else:
-            running["weight_sum"] = running_sums(self.weight_sum, weights)
         keep, stopped = n, False
         if stop is not None:
             sums, weight_sums = running["_sum_g"], running["weight_sum"]
             valid = n
-            if not (unit and np.isfinite(sums).all()):
+            if not np.isfinite(sums).all():
                 finite = np.isfinite(sums / weight_sums[:, None]).all(axis=1)
                 valid = n if finite.all() else int(np.argmin(finite))
             counts = self.count + np.arange(1, valid + 1)

@@ -250,9 +250,9 @@ def _first_certified(eps_delta: float):
     candidate is then decided by the rule itself on ``np.linalg.norm`` of
     S_i / w_i, the division a row of the full array would make and the
     norm ``finalize`` reports, so the stop is the one a check after every
-    trajectory finds.  The screen relies on w >= 1, as sampled rows have:
-    then |S / w| <= |S|, and a square the screen sees as 0 is 0 for the
-    estimate too.
+    trajectory finds.  The screen relies on w >= 1, which the unit-weight
+    rows ``add_block`` hands a stop give: then |S / w| <= |S|, and a square
+    the screen sees as 0 is 0 for the estimate too.
     """
     floor = 4.0 * eps_delta**2 * (1.0 - 1e-9)
 

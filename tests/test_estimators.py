@@ -328,8 +328,7 @@ def python_running(kind, rewards, scores, weights, sum_g, weight_sum):
 class TestAddBlockStop:
     """``add_block`` hands its stop the count, the running sum S and the
     running weight w after each row, up to the first row whose estimate
-    S / w is not finite, through the flat finiteness check of unit weights
-    and through the per-row one."""
+    S / w is not finite; a stop takes unit-weight rows only."""
 
     @staticmethod
     def recorder(end=None):
@@ -342,19 +341,17 @@ class TestAddBlockStop:
         return seen, stop
 
     @pytest.mark.parametrize("kind", list(EstimatorKind))
-    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
-    def test_stop_sees_the_rows_before_an_inf(self, kind, weighted):
+    def test_stop_sees_the_rows_before_an_inf(self, kind):
         first = stop_inputs(0, 4)
-        rewards, scores, weights = stop_inputs(1, 12, inf_row=7)
-        weights = weights if weighted else None
+        rewards, scores, _ = stop_inputs(1, 12, inf_row=7)
         acc = GradientAccumulator(bandit_policy(), np.zeros(1), 0.9, kind)
-        acc.add_block(first[0], first[1], first[2] if weighted else None)
+        acc.add_block(first[0], first[1])
         want_sums, want_w = python_running(
-            kind, rewards, scores, weights, acc._sum_g.tolist(), acc.weight_sum
+            kind, rewards, scores, None, acc._sum_g.tolist(), acc.weight_sum
         )
         seen, stop = self.recorder()
         with pytest.raises(NumericError, match="gradient estimate is not finite"):
-            acc.add_block(rewards, scores, weights, stop=stop)
+            acc.add_block(rewards, scores, stop=stop)
         [(counts, sums, weight_sums)] = seen
         assert counts.tolist() == list(range(5, 12))
         assert same_bits(sums, want_sums[:7])
@@ -363,32 +360,22 @@ class TestAddBlockStop:
         # a stop that ends the block before the inf keeps the rows up to its end
         seen, stop = self.recorder(end=3)
         acc = GradientAccumulator(bandit_policy(), np.zeros(1), 0.9, kind)
-        assert acc.add_block(rewards, scores, weights, stop=stop)
+        assert acc.add_block(rewards, scores, stop=stop)
         assert acc.count == 4 and seen[0][0].tolist() == list(range(1, 8))
         # with no stop the block is added and finalize raises the same error
         acc = GradientAccumulator(bandit_policy(), np.zeros(1), 0.9, kind)
-        assert not acc.add_block(rewards, scores, weights)
+        assert not acc.add_block(rewards, scores)
         assert acc.count == 12
         with pytest.raises(NumericError, match="gradient estimate is not finite"):
             acc.finalize()
 
-    def test_unit_rows_after_weighted_ones_sum_their_weights(self):
-        # a weight total that is not a whole number is continued row by row:
-        # 1e-3 + 1 + 1 + 1 + 1 rounds unlike 1e-3 + 4
-        kind = EstimatorKind.GPOMDP
-        first_rewards, first_scores, _ = stop_inputs(2, 1)
-        rewards, scores, _ = stop_inputs(3, 6)
-        acc = GradientAccumulator(bandit_policy(), np.zeros(1), 0.9, kind)
-        acc.add_block(first_rewards, first_scores, np.array([1e-3]))
-        want_sums, want_w = python_running(
-            kind, rewards, scores, None, acc._sum_g.tolist(), acc.weight_sum
-        )
+    def test_stop_refuses_weighted_rows(self):
+        rewards, scores, weights = stop_inputs(2, 6)
+        acc = GradientAccumulator(bandit_policy(), np.zeros(1), 0.9, EstimatorKind.GPOMDP)
         seen, stop = self.recorder()
-        assert not acc.add_block(rewards, scores, stop=stop)
-        [(counts, sums, weight_sums)] = seen
-        assert counts.tolist() == list(range(2, 8))
-        assert same_bits(sums, want_sums) and same_bits(weight_sums, want_w)
-        assert acc.weight_sum == want_w[-1]
+        with pytest.raises(ValueError, match="unit-weight rows only"):
+            acc.add_block(rewards, scores, weights, stop=stop)
+        assert seen == [] and acc.count == 0 and acc.weight_sum == 0.0
 
 
 class TestVarianceBound:

@@ -28,7 +28,7 @@ from spgrad.policies import (
     StateTabularFeatures,
     TabularFeatures,
 )
-from spgrad.rng import UniformRows, box_muller, substream, uniform_rows
+from spgrad.rng import UniformRows, box_muller, inverse_cdf, substream, uniform_rows
 from spgrad.testbeds import (
     DiscreteInstance,
     bandit_instance,
@@ -260,6 +260,12 @@ class TestRngContract:
     def test_seed_range_checked(self):
         with pytest.raises(ConfigurationError):
             substream(-1, 0)
+
+    def test_inverse_cdf_of_one_outcome_is_always_index_zero(self):
+        u = np.array([0.0, 0.3, 1.0 - 2.0**-53, 2.0])
+        got = inverse_cdf([], u)
+        assert got.dtype == np.intp
+        assert got.tolist() == [0, 0, 0, 0]
 
 
 def philox_row(seed, k, i, width):

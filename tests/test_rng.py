@@ -54,9 +54,3 @@ class TestInverseCdf:
         ]
         assert got.dtype == np.intp
         assert got.tolist() == want
-
-    def test_one_outcome_is_always_index_zero(self):
-        u = np.array([0.0, 0.3, 1.0 - 2.0**-53, 2.0])
-        got = inverse_cdf([], u)
-        assert got.dtype == np.intp
-        assert got.tolist() == [0, 0, 0, 0]
