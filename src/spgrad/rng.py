@@ -1,22 +1,23 @@
-"""Counter-based randomness addressed by one master seed.
+"""Randomness addressed by one master seed.
 
 Every draw is addressed by the master seed plus integer keys, so the same
 address always yields the same numbers, whatever order draws are made in
-and however they are split up.
+and however they are split up (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11).
 
 * ``UniformRows(seed, k, width).take(first, n)``: rows ``first .. first+n-1``
   of iteration ``k``'s array of uniforms, one row per trajectory.  Iteration
-  ``k`` has one Philox key, ``(seed, k)``, and row ``i`` lives at a fixed
-  counter offset (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-  3", SC'11), so one array draw returns a whole block and row ``i`` depends
-  only on ``(seed, k, i)``.  ``uniform_rows(seed, k, first, n, width)`` is
-  the one-shot form.
+  ``k`` has one PCG64DXSM stream (O'Neill, HMC-CS-2014-0905) and row ``i``
+  is its ``width`` outputs from ``i * width`` on, reached by ``advance`` in
+  O(log i) steps, so one array draw returns a whole block and row ``i``
+  depends only on ``(seed, k, i)``.  ``uniform_rows(seed, k, first, n,
+  width)`` is the one-shot form.
 * ``substream(seed, *path)``: a generator per key path, for code that draws
   one value at a time through ``np.random.Generator`` methods.
 
 Normal variates for array draws come from ``box_muller``, which spends
 exactly two uniforms per normal; a fixed count is what keeps every row at
-its counter offset.  Draws from tables of discrete distributions come from
+its offset.  Draws from tables of discrete distributions come from
 ``inverse_cdf``, one uniform each.
 """
 from __future__ import annotations
@@ -28,7 +29,9 @@ import numpy as np
 from .errors import ConfigurationError
 
 _MAX_SEED = 2**64 - 1
-_PHILOX_WORDS = 4  # 64-bit outputs per Philox counter step; random() takes one per uniform
+# substream's SeedSequence entropy is the seed's 32-bit words, at most two,
+# zero-padded to four before a path: no path sets the third word, as this does
+_ROWS_TAG = 1 << 64
 
 
 def _check_address(master_seed: int, path: "tuple[int, ...]") -> "tuple[int, tuple[int, ...]]":
@@ -49,20 +52,18 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
 class UniformRows:
     """Iteration ``k``'s uniforms in [0, 1), read as rows of ``width``.
 
-    The rows are those of ``Generator(Philox(key=[seed, k])).random`` drawn
-    as one (rows, W) array, W being ``width`` padded to a multiple of four,
-    then cut to ``width`` columns.  Row i starts at counter step ``i * W / 4``
-    and leaves no words in the buffer, so reading on from where the last
-    read ended needs no positioning, and any split of the rows into reads
-    gives the same numbers.  The one Philox is built once: numpy seeds an
-    unused ``SeedSequence`` from OS entropy on every build.
+    The rows are those of ``Generator(PCG64DXSM(s)).random`` drawn as one
+    (rows, width) array, ``s`` being ``SeedSequence(_ROWS_TAG | seed, spawn_key=(k,))``.
+    Each uniform takes one 64-bit output, so row i starts at output
+    ``i * width``: reading on from the last read needs no positioning, any
+    other read is one ``advance``, and any split of the rows gives the same numbers.
     """
 
     def __init__(self, master_seed: int, iteration: int, width: int) -> None:
         seed, (iteration,) = _check_address(master_seed, (iteration,))
         self._width = width
-        self._padded = -(-width // _PHILOX_WORDS) * _PHILOX_WORDS
-        self._bits = np.random.Philox(key=np.array([seed, iteration], dtype=np.uint64))
+        address = np.random.SeedSequence(_ROWS_TAG | seed, spawn_key=(iteration,))
+        self._bits = np.random.PCG64DXSM(address)
         self._random = np.random.Generator(self._bits).random
         self._next = 0
 
@@ -70,11 +71,10 @@ class UniformRows:
         """Rows ``first .. first+n-1``, shape (n, width)."""
         _, (first,) = _check_address(0, (first,))
         if first != self._next:
-            # the counter has 256 bits, so a move back is an advance modulo 2**256
-            steps = (first - self._next) * self._padded // _PHILOX_WORDS
-            self._bits.advance(steps % 2**256)
+            # the state has 128 bits, so a move back is an advance modulo 2**128
+            self._bits.advance(((first - self._next) * self._width) % 2**128)
         self._next = first + n
-        return self._random((n, self._padded))[:, : self._width]
+        return self._random((n, self._width))
 
 
 def uniform_rows(master_seed: int, iteration: int, first: int, n: int, width: int) -> np.ndarray:

@@ -41,7 +41,7 @@ from .policies import SmoothingConstants
 from .rng import UniformRows, substream
 
 # Rows per rollout block of ``spg_run``, at most.  No record depends on the
-# block sizes (row i of iteration k is addressed by its counter).  Each block
+# block sizes (row i of iteration k is addressed by its offset).  Each block
 # makes the same Python and numpy calls whatever its size (cProfile: ~270 on
 # the chain config, T = 5, and ~970 on lqg, T = 10), so fewer, larger blocks
 # cost less; but every row of the last block is rolled out, also past the

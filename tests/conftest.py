@@ -38,3 +38,12 @@ def lqg():
 
 def random_theta(rng: np.random.Generator, dim: int, scale: float = 0.5) -> np.ndarray:
     return scale * rng.standard_normal(dim)
+
+
+def iteration_generator(seed: int, k: int) -> np.random.Generator:
+    """Iteration k's uniform rows from their start, as documented: a PCG64DXSM
+    on the ``SeedSequence`` of entropy ``2**64 + seed`` and spawn key ``(k,)``.
+    Drawing ``random((rows, width))`` from it in order gives rows 0 .. rows-1,
+    with no ``advance``."""
+    address = np.random.SeedSequence(2**64 + seed, spawn_key=(k,))
+    return np.random.Generator(np.random.PCG64DXSM(address))

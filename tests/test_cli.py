@@ -743,9 +743,9 @@ class TestShippedRunLogs:
     any byte of a run log has to be made deliberately, with the new digest."""
 
     DIGESTS = {
-        "bandit": "4b209d3d7a78807ee3009859484cc6d7d323969216d81c25b7c1ee8421a3cc5d",
-        "chain": "706d9558e66fc841b59ad121bfb9ca1204b45e668f99ad5764ae2a511523f23f",
-        "lqg": "3d55fbd2f4856ddde3d5c74dd6c908e7b5750caebf5cf92afb06b220067f31fa",
+        "bandit": "727b72973aef2184515cd8fe208b34553b9231099779aee1cd9064d8ede11221",
+        "chain": "e8fa852148455a96bce0fa66a2f5044550ac6c8b4d67a2bf08a73b8c5aa6be92",
+        "lqg": "c26527a29bdade1e64176def167c3a4c103065be03ffaf6528e0ee40d378fe7c",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))

@@ -38,7 +38,7 @@ from spgrad.testbeds import (
     two_state_instance,
 )
 
-from conftest import random_theta
+from conftest import iteration_generator, random_theta
 
 
 def uniform_two_action_policy():
@@ -268,13 +268,13 @@ class TestRngContract:
         assert got.tolist() == [0, 0, 0, 0]
 
 
-def philox_row(seed, k, i, width):
-    """A generator positioned at row i of iteration k's uniforms: Philox keyed
-    (seed, k), its counter advanced past i rows of ``width`` padded to a
-    multiple of four (one counter step gives four 64-bit words)."""
-    bits = np.random.Philox(key=np.array([seed, k], dtype=np.uint64))
-    bits.advance(i * (-(-width // 4)))
-    return np.random.Generator(bits)
+def generator_at(seed, k, i, width):
+    """A generator at row i of iteration k's uniforms, reached without
+    ``advance``: iteration k's generator from its start, its first i rows of
+    ``width`` drawn in order and dropped."""
+    rng = iteration_generator(seed, k)
+    rng.random((i, width))
+    return rng
 
 
 class TestUniformRows:
@@ -314,8 +314,9 @@ class TestUniformRows:
     @pytest.mark.parametrize("width", list(WIDTHS.values()), ids=list(WIDTHS))
     def test_row_is_the_generator_advanced_to_it(self, width):
         rows = uniform_rows(2**64 - 1, 6, 40, 3, width)
+        drawn_in_order = iteration_generator(2**64 - 1, 6).random((43, width))
         for j, row in enumerate(rows):
-            np.testing.assert_array_equal(row, philox_row(2**64 - 1, 6, 40 + j, width).random(width))
+            np.testing.assert_array_equal(row, drawn_in_order[40 + j])
 
     def test_distinct_addresses_differ(self):
         addresses = [(0, 0), (0, 1), (1, 0), (1, 1), (7, 3), (3, 7), (2**64 - 1, 0)]
@@ -323,6 +324,22 @@ class TestUniformRows:
         for a in range(len(rows)):
             for b in range(a + 1, len(rows)):
                 assert not np.any(rows[a] == rows[b]), (addresses[a], addresses[b])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2020, 2**64 - 1])
+    def test_rows_share_no_value_with_substreams(self, seed):
+        # the substreams of spg_run's iterations and of validate's sampled
+        # checks: what they draw, and what iteration k's generator would give
+        # on their addresses, if a path could reach the rows' address
+        paths = [(k,) for k in range(4)] + [(9, idx) for idx in range(4)] + [(10,)]
+        drawn = []
+        for path in paths:
+            stream = substream(seed, *path)
+            aliased = np.random.PCG64DXSM(stream.bit_generator.seed_seq)
+            drawn += [stream.random(4096), np.random.Generator(aliased).random(4096)]
+        drawn = np.concatenate(drawn)
+        for k in range(4):
+            rows = uniform_rows(seed, k, 0, 400, 11)
+            assert not np.isin(rows, drawn).any(), k
 
     @pytest.mark.parametrize(
         "seed, k, first",
@@ -369,7 +386,7 @@ class TestBlockMatchesScalarPath:
         rewards, scores = sample_block(env, actor, uniform_rows(seed, k, first, n, width))
         assert rewards.shape == (n, env.spec.horizon)
         for i in range(n):
-            traj = sample_trajectory(env, policy, theta, philox_row(seed, k, first + i, width))
+            traj = sample_trajectory(env, policy, theta, generator_at(seed, k, first + i, width))
             np.testing.assert_array_equal(rewards[i], traj.rewards)
             np.testing.assert_array_equal(scores[i], trajectory_scores(traj, policy, theta))
 

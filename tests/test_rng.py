@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from spgrad.rng import inverse_cdf
+from spgrad.rng import UniformRows, inverse_cdf
+
+from conftest import iteration_generator
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -54,3 +56,45 @@ class TestInverseCdf:
         ]
         assert got.dtype == np.intp
         assert got.tolist() == want
+
+
+@st.composite
+def reads(draw):
+    """(first, n) reads of one ``UniformRows``: each one on from the last,
+    a jump forward, a move back to row 0, the last read again, or empty."""
+    plan, end, last = [], 0, (0, 0)
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["on", "forward", "start", "again", "empty"]))
+        n = draw(st.integers(0, 40))
+        if kind == "on":
+            first = end
+        elif kind == "forward":
+            first = end + draw(st.integers(1, 60))
+        elif kind == "start":
+            first = 0
+        elif kind == "again":
+            first, n = last
+        else:
+            first, n = draw(st.integers(0, 200)), 0
+        plan.append((first, n))
+        last, end = (first, n), first + n
+    return plan
+
+
+class TestUniformRowsTake:
+    """Any reads of one ``UniformRows`` are rows of one sequential draw of
+    the iteration's generator, taken from its start with no ``advance``."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from([1, 2, 11, 41]), st.sampled_from([0, 2**64 - 1]), st.integers(0, 3), reads()
+    )
+    @example(11, 0, 0, [(0, 7), (7, 5), (30, 3), (0, 2), (0, 2), (90, 0), (2, 1)])
+    @example(41, 2**64 - 1, 1, [(5, 0), (0, 0), (3, 4), (3, 4), (7, 40), (0, 1)])
+    def test_reads_are_rows_of_one_sequential_draw(self, width, seed, k, plan):
+        rows = UniformRows(seed, k, width)
+        whole = iteration_generator(seed, k).random((max(a + n for a, n in plan), width))
+        for first, n in plan:
+            got = rows.take(first, n)
+            assert got.shape == (n, width)
+            np.testing.assert_array_equal(got, whole[first : first + n])

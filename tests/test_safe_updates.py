@@ -511,7 +511,7 @@ class TestBlockSamplingIsExact:
         assert any(not r.stalled for r in runs[0].records) == (name != "chain")
 
     def test_one_row_source_per_iteration(self, monkeypatch):
-        # every block of an iteration reads on from the iteration's one Philox
+        # every block of an iteration reads on from the iteration's one generator
         built, reads = [], []
 
         class Counting(safe_updates.UniformRows):
