@@ -32,6 +32,8 @@ s * n_actions + a, one ``take`` per column of its transition CDFs but the
 last and one for the reward, and draws the next state with
 ``rng.inverse_cdf``, a count over those columns, as
 ``np.searchsorted(..., side="right")`` clamped to the last state finds it.
+Its initial state is drawn the same way, over the initial CDF's entries
+but the last.
 """
 from __future__ import annotations
 
@@ -250,7 +252,9 @@ class EnumerableEnv:
                     f"bin edges must be finite and strictly increasing, got {edges}"
                 )
         self.n_states = mdp.n_states
-        self._cum_initial = np.cumsum(mdp.initial)
+        cum_initial = np.cumsum(mdp.initial)
+        # the initial CDF's entries but the last, one column each for inverse_cdf
+        self._initial_columns = list(cum_initial[:-1])
         cum_next = np.cumsum(mdp.transition, axis=-1)
         # step_batch reads (s, a) at the flat index s * n_actions + a: column
         # s' of the transition CDFs and the rewards, each one contiguous table;
@@ -258,7 +262,7 @@ class EnumerableEnv:
         self._next_columns = list(cum_next.reshape(-1, self.n_states).T[:-1].copy())
         self._flat_reward = mdp.reward.ravel()
         # the same tables as Python lists for the scalar reset and step
-        self._initial_cdf = self._cum_initial.tolist()
+        self._initial_cdf = cum_initial.tolist()
         self._next_cdf = cum_next.tolist()
         self._reward = mdp.reward.tolist()
         self._edges = None if self.bin_edges is None else self.bin_edges.tolist()
@@ -284,9 +288,7 @@ class EnumerableEnv:
         return self._draw(self._next_cdf[s][a], rng), self._reward[s][a]
 
     def reset_batch(self, u: np.ndarray) -> np.ndarray:
-        return np.minimum(
-            np.searchsorted(self._cum_initial, u[:, 0], side="right"), self.n_states - 1
-        )
+        return inverse_cdf(self._initial_columns, u[:, 0])
 
     def _flat_index(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """s * n_actions + a for every (state, action) pair, the actions checked."""

@@ -1,12 +1,16 @@
 """Exact quantities on enumerable MDPs; the ground truth for every check.
 
-Performance J(theta) comes from finite-horizon backward induction, which is
-exact.  The gradient comes from likelihood-ratio summation over all T-step
-paths, cross-checkable against central finite differences of J.  The
-Hessian is the central finite difference of the exact gradient.  Any policy
-exposing ``action_probabilities(theta, state)`` (and ``score`` for gradient
-work) over the MDP's discrete actions can be used: the Softmax policy
-directly, the Gaussian one through its binned-action view.
+Performance J(theta) comes from finite-horizon backward induction and the
+gradient from one forward pass over the horizon (``exact_gradient``), both
+exact and both linear in T.  The Hessian is the central finite difference
+of that gradient.  Path enumeration stays as their judge on small
+instances: ``enumerated_performance`` and ``enumerated_gradient`` sum over
+every T-step path, and ``expected_gradient_estimate`` runs the estimator
+on every path.  Only these enumerate, and only they take a path budget.  A
+policy enters through its table at theta, ``policy.table(theta)``: (S, A)
+probabilities and (S, A, m) scores over the MDP's discrete actions.  The
+Softmax policy gives it directly, the Gaussian one through its binned-action
+view.
 
 The path sums take the paths in walk order in blocks (``path_blocks``) and
 carry their totals across blocks in path order, so each is the
@@ -25,11 +29,14 @@ import numpy as np
 from .errors import NumericError, OracleBudgetError
 from .estimators import BLOCK_ROWS, BaselineKind, EstimatorKind, GradientAccumulator, running_sums
 from .mdp import EnumerableMdp
+from .policies import PolicyTable
 
 DEFAULT_PATH_BUDGET = 1_000_000
 # central-difference steps of fd_gradient (on J) and exact_hessian (on grad J)
 _FD_STEP = 1e-6
 _HESSIAN_STEP = 1e-4
+# alphas per bound_fn call of a 2-D grid_maximize
+GRID_ROWS = 16
 
 
 @dataclass
@@ -40,15 +47,20 @@ class ValueTable:
     q: np.ndarray
 
 
+def policy_table(mdp: EnumerableMdp, policy, theta: np.ndarray) -> PolicyTable:
+    """The policy's table at theta, checked against the MDP's states and actions."""
+    table = policy.table(theta)
+    if table.probs.shape != (mdp.n_states, mdp.n_actions):
+        raise ValueError(
+            f"policy table has shape {table.probs.shape}, "
+            f"MDP has {mdp.n_states} states and {mdp.n_actions} actions"
+        )
+    return table
+
+
 def policy_matrix(mdp: EnumerableMdp, policy, theta: np.ndarray) -> np.ndarray:
     """(S, A) action probabilities of the policy on the MDP's states."""
-    rows = [policy.action_probabilities(theta, s) for s in range(mdp.n_states)]
-    matrix = np.stack(rows)
-    if matrix.shape != (mdp.n_states, mdp.n_actions):
-        raise ValueError(
-            f"policy yields {matrix.shape[1]} actions, MDP has {mdp.n_actions}"
-        )
-    return matrix
+    return policy_table(mdp, policy, theta).probs
 
 
 def exact_values(mdp: EnumerableMdp, policy, theta: np.ndarray) -> ValueTable:
@@ -130,12 +142,6 @@ def path_blocks(mdp: EnumerableMdp, policy, theta: np.ndarray, budget: int = DEF
     return (tuple(np.array(column) for column in zip(*block)) for block in blocks)
 
 
-def _score_table(mdp: EnumerableMdp, policy, theta: np.ndarray) -> np.ndarray:
-    """(S, A, m) scores of the policy at every state and action."""
-    states, actions = range(mdp.n_states), range(mdp.n_actions)
-    return np.stack([[policy.score(theta, s, a) for a in actions] for s in states])
-
-
 def _returns(mdp: EnumerableMdp, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """(n,) discounted returns of a block of paths, each summed in time order."""
     discounted = mdp.spec.gamma ** np.arange(mdp.spec.horizon) * mdp.reward[states, actions]
@@ -152,16 +158,48 @@ def enumerated_performance(
     return total
 
 
-def exact_gradient(
+def exact_gradient(mdp: EnumerableMdp, policy, theta: np.ndarray) -> np.ndarray:
+    """grad J by one forward pass over t = 0 .. T-1; exact, O(T S A (S + m)).
+
+    With c_t = score(s_0, a_0) + ... + score(s_t, a_t), grad J is the sum
+    over t of gamma^t E[r(s_t, a_t) c_t].  The pass carries, per state s,
+    p(s) = P(s_t = s) and e(s) = E[c_{t-1}; s_t = s], with c_{-1} = 0.  At
+    step t the pair (s, a) has probability p(s) pi(a|s), and
+    E[c_t; s_t = s, a_t = a] = pi(a|s) (e(s) + p(s) score(s, a)); the
+    rewards weigh these into the gradient and the transition tensor
+    carries both to s_{t+1}.  gamma^t is built by repeated multiplication.
+    """
+    table = policy_table(mdp, policy, theta)
+    probs, scores = table.probs, table.scores
+    n_pairs = mdp.n_states * mdp.n_actions
+    transition = mdp.transition.reshape(n_pairs, mdp.n_states)
+    reward = mdp.reward.ravel()
+    p = mdp.initial
+    e = np.zeros((mdp.n_states, scores.shape[-1]))
+    grad = np.zeros(scores.shape[-1])
+    discount = 1.0
+    for t in range(mdp.spec.horizon):
+        carried = (probs[:, :, None] * (e[:, None, :] + p[:, None, None] * scores)).reshape(
+            n_pairs, -1
+        )
+        grad += discount * (reward @ carried)
+        if t < mdp.spec.horizon - 1:
+            p = (p[:, None] * probs).ravel() @ transition
+            e = transition.T @ carried
+            discount *= mdp.spec.gamma
+    return grad
+
+
+def enumerated_gradient(
     mdp: EnumerableMdp, policy, theta: np.ndarray, budget: int = DEFAULT_PATH_BUDGET
 ) -> np.ndarray:
-    """Likelihood-ratio gradient summed over all paths.
+    """Likelihood-ratio gradient summed over all paths; the judge of ``exact_gradient``.
 
     grad J = sum_tau p(tau) * G(tau) * sum_t score(s_t, a_t); exact because
     the sum runs over every path.  Paths are added in walk order and each
     path's return and score in time order.
     """
-    scores = _score_table(mdp, policy, theta)
+    scores = policy_table(mdp, policy, theta).scores
     grad = np.zeros(scores.shape[-1])
     for probs, states, actions in path_blocks(mdp, policy, theta, budget):
         weighted = probs * _returns(mdp, states, actions)
@@ -184,9 +222,7 @@ def fd_gradient(mdp: EnumerableMdp, policy, theta: np.ndarray) -> np.ndarray:
     return grad
 
 
-def exact_hessian(
-    mdp: EnumerableMdp, policy, theta: np.ndarray, budget: int = DEFAULT_PATH_BUDGET
-) -> np.ndarray:
+def exact_hessian(mdp: EnumerableMdp, policy, theta: np.ndarray) -> np.ndarray:
     """Central finite differences of the exact gradient, step ``_HESSIAN_STEP``, symmetrized."""
     theta = np.asarray(theta, dtype=float)
     m = theta.size
@@ -194,8 +230,8 @@ def exact_hessian(
     for j in range(m):
         bump = np.zeros(m)
         bump[j] = _HESSIAN_STEP
-        plus = exact_gradient(mdp, policy, theta + bump, budget)
-        minus = exact_gradient(mdp, policy, theta - bump, budget)
+        plus = exact_gradient(mdp, policy, theta + bump)
+        minus = exact_gradient(mdp, policy, theta - bump)
         hess[:, j] = (plus - minus) / (2.0 * _HESSIAN_STEP)
     asymmetry = float(np.max(np.abs(hess - hess.T)))
     if asymmetry > 1e-6:
@@ -218,7 +254,7 @@ def expected_gradient_estimate(
     estimate of the baseline would be degenerate).
     """
     acc = GradientAccumulator(policy, theta, mdp.spec.gamma, kind, baseline)
-    scores = _score_table(mdp, policy, theta)
+    scores = policy_table(mdp, policy, theta).scores
     for probs, states, actions in path_blocks(mdp, policy, theta, budget):
         acc.add_block(mdp.reward[states, actions], scores[states, actions], probs)
     return acc.finalize().vector
@@ -238,10 +274,12 @@ def grid_maximize(
     """Brute-force argmax of a bound surface on a regular grid.
 
     With ``n_range`` given, ``bound_fn(alpha, n)`` is maximized over the 2-D
-    grid, called once per alpha with the array of every n; otherwise
-    ``bound_fn(alpha)`` is called once on the array of every alpha.  The
-    first maximum in row-major order wins.  Used to confirm closed-form
-    optimal meta-parameters against an independent search.
+    grid, called once per block of at most ``GRID_ROWS`` alphas, as a
+    column, with the row of every n; otherwise ``bound_fn(alpha)`` is called
+    once on the array of every alpha.  The first maximum in row-major order
+    wins, and a row whose first maximum is NaN is passed over, as a
+    row-by-row search comparing each row's maximum would do.  Used to
+    confirm closed-form optimal meta-parameters against an independent search.
     """
     lo, hi = alpha_range
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
@@ -260,10 +298,14 @@ def grid_maximize(
     best_val = -np.inf
     best_alpha = alphas[0]
     best_n = ns[0]
-    # row by row: the whole grid would hold resolution^2 values at once
-    for a in alphas:
-        row = np.broadcast_to(bound_fn(a, ns), ns.shape)
-        j = int(np.argmax(row))
-        if row[j] > best_val:
-            best_val, best_alpha, best_n = row[j], a, ns[j]
+    # in blocks of rows: the whole grid would hold resolution^2 values at once
+    for first in range(0, resolution, GRID_ROWS):
+        rows = alphas[first : first + GRID_ROWS]
+        block = np.broadcast_to(bound_fn(rows[:, None], ns), (rows.size, ns.size))
+        cols = np.argmax(block, axis=1)
+        tops = block[np.arange(rows.size), cols]
+        tops = np.where(np.isnan(tops), -np.inf, tops)
+        i = int(np.argmax(tops))
+        if tops[i] > best_val:
+            best_val, best_alpha, best_n = tops[i], rows[i], ns[cols[i]]
     return float(best_alpha), float(best_n), float(best_val)

@@ -18,9 +18,12 @@ constants depend only on the feature-norm bound and sigma (Gaussian) or
 tau (Softmax), never on theta, which is what makes adaptive safe updates
 computable before any data is seen.
 
-On its finite state space a Softmax policy at theta is one table, pi(. | s),
-its cumulative sums and the score at every (s, a): the policy's one memo,
-built at the last theta seen, which its methods and its actor read.
+On a finite state space a policy at theta is one table: ``table(theta)``
+gives the (S, A) probabilities pi(a | s) and the (S, A, m) scores, which
+is how the exact oracles read ``SoftmaxPolicy`` and ``BinnedGaussianPolicy``.
+A Softmax policy builds that table, with its cumulative sums, in one array
+pass over the states and keeps it as its one memo, at the last theta seen,
+which its methods and its actor read.
 """
 from __future__ import annotations
 
@@ -287,10 +290,18 @@ class GaussianActor:
 # ---------------------------------------------------------------------------
 
 
+class PolicyTable(NamedTuple):
+    """A policy at one theta on a finite state and action space."""
+
+    probs: np.ndarray  # (S, A) pi(a | s), read-only
+    scores: np.ndarray  # (S, A, m) grad_theta log pi(a | s), read-only
+
+
 class _SoftmaxTable(NamedTuple):
     """A Softmax policy at one theta, at every state and action."""
 
-    probs: list  # S read-only (A,) rows of pi(. | s)
+    probs: np.ndarray  # (S, A) pi(a | s), read-only
+    rows: list  # its S rows, the views ``action_probabilities`` returns
     cdf: np.ndarray  # (S, A) np.cumsum of the rows
     cum: list  # the same rows as Python lists, for ``bisect_right``
     scores: np.ndarray  # (S, A, m) read-only
@@ -346,21 +357,41 @@ class SoftmaxPolicy:
         return z - math.log(float(np.sum(np.exp(z))))
 
     def _table(self, theta: np.ndarray) -> _SoftmaxTable:
-        """The memo at theta, rebuilt when theta differs from the last one seen."""
-        key = np.asarray(theta, dtype=float).tobytes()
+        """The memo at theta, rebuilt when theta differs from the last one seen.
+
+        One array pass over the states, each value as ``_log_probabilities``
+        and a per-state score would give it: the stacked products compute
+        every state's row as its own product does, and the normalizer is
+        ``math.log`` of each state's sum.
+        """
+        theta = np.asarray(theta, dtype=float)
+        key = theta.tobytes()
         if key != self._theta:
-            phi, states = self._feature_table(), range(self.n_states)
-            probs = np.stack([np.exp(self._log_probabilities(theta, s)) for s in states])
-            scores = np.stack([(phi[s] - probs[s] @ phi[s]) / self.tau for s in states])
+            phi = self._feature_table()
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = phi @ theta / self.tau
+            finite = np.isfinite(z)
+            if not finite.all():
+                raise NumericError(f"non-finite Softmax logit {z[~finite][0]}")
+            z -= z.max(axis=1, keepdims=True)  # finite logits: exp(z) in [0, 1], the largest 1
+            norms = [math.log(total) for total in np.exp(z).sum(axis=1).tolist()]
+            probs = np.exp(z - np.array(norms)[:, None])
+            scores = (phi - np.matmul(probs[:, None, :], phi)) / self.tau
             cdf = np.cumsum(probs, axis=1)
             for table in (probs, cdf, scores):
                 table.flags.writeable = False
-            self._memo, self._theta = _SoftmaxTable(list(probs), cdf, cdf.tolist(), scores), key
+            memo = _SoftmaxTable(probs, list(probs), cdf, cdf.tolist(), scores)
+            self._memo, self._theta = memo, key
         return self._memo
+
+    def table(self, theta: np.ndarray) -> PolicyTable:
+        """The probabilities and scores at every state and action, read-only."""
+        memo = self._table(theta)
+        return PolicyTable(memo.probs, memo.scores)
 
     def action_probabilities(self, theta: np.ndarray, state) -> np.ndarray:
         """pi(. | state) at theta, read-only."""
-        return self._table(theta).probs[int(state)]
+        return self._table(theta).rows[int(state)]
 
     def sample_action(self, theta: np.ndarray, state, rng: np.random.Generator) -> int:
         cum = self._table(theta).cum[int(state)]
@@ -450,20 +481,23 @@ class BinnedGaussianPolicy:
 
     Action index j stands for the interval [edges[j-1], edges[j]) of the
     real line (with open ends at the extremes), matching the binning of
-    :class:`spgrad.mdp.EnumerableEnv`.  Probabilities and their exact score
-    come from Gaussian CDF differences, which lets the exact oracles run on
-    the Gaussian policy class.
+    :class:`spgrad.mdp.EnumerableEnv` on states 0 .. n_states-1.
+    Probabilities and their exact score come from Gaussian CDF differences,
+    which lets the exact oracles run on the Gaussian policy class.
     """
 
-    def __init__(self, gaussian: GaussianPolicy, edges: np.ndarray):
+    def __init__(self, gaussian: GaussianPolicy, edges: np.ndarray, n_states: int):
         edges = np.asarray(edges, dtype=float)
         if edges.ndim != 1 or edges.size < 1:
             raise ConfigurationError("need at least one bin edge")
         if not (np.all(np.abs(edges) < math.inf) and np.all(np.diff(edges) > 0)):
             raise ConfigurationError(f"bin edges must be finite and strictly increasing, got {edges}")
+        if n_states < 1:
+            raise ConfigurationError(f"n_states must be >= 1, got {n_states}")
         self.gaussian = gaussian
         self.edges = edges
         self.n_actions = edges.size + 1
+        self.n_states = n_states
 
     @property
     def dim(self) -> int:
@@ -487,3 +521,29 @@ class BinnedGaussianPolicy:
             raise NumericError(f"bin {a} has vanishing probability at the queried theta")
         phi = self.gaussian._phi(state)
         return phi * (pdf_lo - pdf_hi) / (sigma * prob)
+
+    def table(self, theta: np.ndarray) -> PolicyTable:
+        """The probabilities and scores at every state and bin, each as
+        ``action_probabilities`` and ``score`` give it, from one mean and one
+        set of edge CDFs and densities per state.  Raises the error ``score``
+        raises, at the first bin in state-major order of vanishing probability.
+        """
+        gaussian, sigma = self.gaussian, self.gaussian.sigma
+        probs = np.empty((self.n_states, self.n_actions))
+        scores = np.empty((self.n_states, self.n_actions, self.dim))
+        for s in range(self.n_states):
+            phi = gaussian._phi(s)
+            z = (self.edges - gaussian._linear_mean(theta, phi)) / sigma
+            probs[s] = np.diff([0.0, *(_normal_cdf(v) for v in z), 1.0])
+            vanishing = np.flatnonzero(probs[s] <= 0.0)
+            if vanishing.size:
+                raise NumericError(
+                    f"bin {vanishing[0]} has vanishing probability at the queried theta"
+                )
+            pdf = [_normal_pdf(v) for v in z]
+            # the density at each bin's lower edge minus that at its upper one
+            slopes = np.subtract([0.0, *pdf], [*pdf, 0.0])
+            scores[s] = phi * slopes[:, None] / (sigma * probs[s])[:, None]
+        for table in (probs, scores):
+            table.flags.writeable = False
+        return PolicyTable(probs, scores)

@@ -110,7 +110,7 @@ def binned_gaussian_instance() -> DiscreteInstance:
         mdp=mdp,
         env=EnumerableEnv(mdp, bin_edges=edges),
         policy=gaussian,
-        oracle_policy=BinnedGaussianPolicy(gaussian, edges),
+        oracle_policy=BinnedGaussianPolicy(gaussian, edges, n_states=2),
     )
 
 

@@ -50,7 +50,7 @@ def test_01_estimator_unbiasedness():
     report_checks(
         "01",
         check_estimator_unbiasedness(DEFAULT_PATH_BUDGET, SEED),
-        check_gradient_crosscheck(DEFAULT_PATH_BUDGET, SEED),
+        check_gradient_crosscheck(SEED),
     )
 
 
@@ -71,7 +71,7 @@ def test_02_variance_bounds(label, stream):
 
 
 def test_03_chebyshev_coverage():
-    rates = chebyshev_violations(DEFAULT_PATH_BUDGET, SEED, 10_000, tuple(EstimatorKind), 4)
+    rates = chebyshev_violations(SEED, 10_000, tuple(EstimatorKind), 4)
     shown = {f"{kind.value}@{delta}": rate for (kind, delta), rate in rates.items()}
     report(
         "03 chebyshev-coverage",
@@ -81,16 +81,16 @@ def test_03_chebyshev_coverage():
 
 
 def test_04_quadratic_bound():
-    report_checks("04", check_quadratic_bound(DEFAULT_PATH_BUDGET, SEED, 1.0, n_points=200))
+    report_checks("04", check_quadratic_bound(SEED, 1.0, n_points=200))
 
 
 def test_05_hessian_spectral_bound():
     # both policy classes: the two-state Softmax and the binned Gaussian
-    report_checks("05", check_hessian_bound(DEFAULT_PATH_BUDGET, SEED, 1.0, n_points=50))
+    report_checks("05", check_hessian_bound(SEED, 1.0, n_points=50))
 
 
 def test_06_exact_step_guarantee():
-    report_checks("06", check_exact_step(DEFAULT_PATH_BUDGET, SEED, n_points=100))
+    report_checks("06", check_exact_step(SEED, n_points=100))
 
 
 def test_07_kkt_optima():

@@ -9,7 +9,9 @@ import spgrad.oracle as oracle
 from spgrad.estimators import BLOCK_ROWS, BaselineKind, EstimatorKind, GradientAccumulator
 from spgrad.mdp import make_bandit
 from spgrad.oracle import (
+    GRID_ROWS,
     _walk_paths,
+    enumerated_gradient,
     enumerated_performance,
     exact_gradient,
     exact_hessian,
@@ -105,6 +107,44 @@ class TestExactGradient:
             assert np.linalg.norm(grad - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-12)
 
 
+class TestForwardGradient:
+    """The forward pass of ``exact_gradient`` against path enumeration where
+    paths can be enumerated, and against finite differences of the DP value
+    at a horizon where they cannot."""
+
+    @pytest.mark.parametrize(
+        "name", ["two_state", "binned_gaussian", "chain", "bandit-T10", "chain-2x7"]
+    )
+    def test_matches_enumerated_gradient(self, request, name):
+        if name == "bandit-T10":
+            inst = long_bandit(10)
+        elif name == "chain-2x7":
+            inst = chain_instance(n_states=2, horizon=7)
+        else:
+            inst = request.getfixturevalue(name)
+        mdp, policy = inst.mdp, inst.oracle_policy
+        rng = substream(37, len(name))
+        for _ in range(5):
+            theta = random_theta(rng, policy.dim, scale=1.0)
+            grad = exact_gradient(mdp, policy, theta)
+            enumerated = enumerated_gradient(mdp, policy, theta)
+            assert grad.shape == enumerated.shape
+            assert np.max(np.abs(grad - enumerated)) <= 1e-12
+
+    def test_long_horizon_beyond_enumeration(self):
+        inst = chain_instance(n_states=10, horizon=50)
+        mdp, policy = inst.mdp, inst.oracle_policy
+        rng = substream(37, 50)
+        for _ in range(3):
+            theta = random_theta(rng, policy.dim)
+            with pytest.raises(OracleBudgetError):
+                enumerated_gradient(mdp, policy, theta)
+            grad = exact_gradient(mdp, policy, theta)
+            fd = fd_gradient(mdp, policy, theta)
+            assert np.linalg.norm(fd) > 1e-3
+            assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
 class TestExactHessian:
     def test_bandit_inflection_at_zero(self, bandit):
         # second derivative of the sigmoid vanishes at theta = 0
@@ -130,7 +170,7 @@ class TestBudget:
     def test_enumeration_budget_enforced(self, two_state):
         theta = np.zeros(two_state.policy.dim)
         with pytest.raises(OracleBudgetError):
-            exact_gradient(two_state.mdp, two_state.policy, theta, budget=10)
+            enumerated_gradient(two_state.mdp, two_state.policy, theta, budget=10)
         with pytest.raises(OracleBudgetError):
             # raised by the call itself, before any block is taken
             path_blocks(two_state.mdp, two_state.policy, theta, budget=10)
@@ -242,7 +282,7 @@ class TestBlockedPathSums:
             assert sum(sizes) == n_paths and max(sizes) <= BLOCK_ROWS
             total, grad, estimates = reference_path_sums(mdp, policy, theta)
             assert bits(enumerated_performance(mdp, policy, theta)) == bits(total)
-            assert bits(exact_gradient(mdp, policy, theta)) == bits(grad)
+            assert bits(enumerated_gradient(mdp, policy, theta)) == bits(grad)
             for (kind, baseline), vector in estimates.items():
                 blocked = expected_gradient_estimate(mdp, policy, theta, kind, baseline)
                 assert bits(blocked) == bits(vector), (kind, baseline)
@@ -255,7 +295,7 @@ class TestBlockedPathSums:
 
         def sums():
             values = [enumerated_performance(mdp, policy, theta)]
-            values += [exact_gradient(mdp, policy, theta)]
+            values += [enumerated_gradient(mdp, policy, theta)]
             values += [
                 expected_gradient_estimate(mdp, policy, theta, kind, baseline)
                 for kind in EstimatorKind
@@ -277,7 +317,7 @@ class TestBlockedPathSums:
         mdp, policy, theta = inst.mdp, inst.policy, np.array([0.3])
         sums = {
             "enumerated_performance": lambda: enumerated_performance(mdp, policy, theta),
-            "exact_gradient": lambda: exact_gradient(mdp, policy, theta),
+            "enumerated_gradient": lambda: enumerated_gradient(mdp, policy, theta),
             "expected_gradient_estimate": lambda: expected_gradient_estimate(
                 mdp, policy, theta, EstimatorKind.GPOMDP, BaselineKind.PETERS
             ),
@@ -323,6 +363,30 @@ class TestGridMaximize:
         assert grid_maximize(surface, (0.0, 1.0), (1.0, 5.0), resolution=5) == (0.25, 3.0, 1.0)
         line = lambda a: np.where((a == 0.25) | (a == 0.75), 1.0, 0.0)
         assert grid_maximize(line, (0.0, 1.0), resolution=5) == (0.25, None, 1.0)
+
+    def test_tie_across_a_block_boundary_goes_to_the_first_in_row_major_order(self):
+        # alphas 0, 1, ..., 32 and ns 1, 2, ..., 33: rows 15 and 16 sit on
+        # either side of the first block boundary, and row 16's maximum comes
+        # first by column
+        assert GRID_ROWS == 16
+        shapes = []
+
+        def surface(a, n):
+            shapes.append(np.broadcast(a, n).shape)
+            top = (a == 15.0) & (n == 30.0) | (a == 16.0) & (n == 1.0) | (a == 32.0) & (n == 2.0)
+            return np.where(top, 1.0, 0.0)
+
+        assert grid_maximize(surface, (0.0, 32.0), (1.0, 33.0), resolution=33) == (15.0, 30.0, 1.0)
+        assert shapes == [(16, 33), (16, 33), (1, 33)]
+
+    def test_nan_row_is_passed_over(self):
+        # row 1 holds the largest value but its first maximum is NaN: a
+        # row-by-row search skips it, and so does the block search
+        def surface(a, n):
+            values = np.where((a == 0.5) & (n == 2.0), 5.0, a + n)
+            return np.where((a == 0.5) & (n == 1.0), np.nan, values)
+
+        assert grid_maximize(surface, (0.0, 1.0), (1.0, 3.0), resolution=3) == (1.0, 3.0, 4.0)
 
     def test_scalar_bound_accepted(self):
         assert grid_maximize(lambda a: 2.0, (0.0, 1.0)) == (0.0, None, 2.0)

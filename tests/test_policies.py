@@ -423,7 +423,7 @@ class TestBinnedGaussian:
     @pytest.mark.parametrize("edges", [[-0.5, math.nan], [-math.inf, 0.5], [-0.5, math.inf]])
     def test_non_finite_edges_rejected(self, edges):
         with pytest.raises(ConfigurationError, match="finite and strictly increasing"):
-            BinnedGaussianPolicy(scalar_gaussian(), edges)
+            BinnedGaussianPolicy(scalar_gaussian(), edges, n_states=1)
 
     def test_bins_match_env_binning(self, binned_gaussian):
         assert isinstance(binned_gaussian.oracle_policy, BinnedGaussianPolicy)
@@ -570,3 +570,80 @@ class TestActionProbabilityMemo:
         for row in (policy.score(theta, 1, 0), policy.action_probabilities(theta, 0)):
             with pytest.raises(ValueError):
                 row[0] = 0.5
+
+
+def bits(value) -> bytes:
+    return np.asarray(value).dtype.str.encode() + np.asarray(value).tobytes()
+
+
+def softmax_reference(policy, theta):
+    """(S, A) probabilities and (S, A, m) scores built state by state."""
+    actions = range(policy.n_actions)
+    probs, scores = [], []
+    for s in range(policy.n_states):
+        phi = np.array([policy.features(s, a) for a in actions], dtype=float)
+        z = phi @ theta / policy.tau
+        z = z - np.max(z)
+        p = np.exp(z - math.log(float(np.sum(np.exp(z)))))
+        probs.append(p)
+        scores.append((phi - p @ phi) / policy.tau)
+    return np.stack(probs), np.stack(scores)
+
+
+class TestPolicyTables:
+    @pytest.mark.parametrize("n_states, n_actions", [(1, 2), (2, 2), (2, 3), (3, 5), (7, 4)])
+    @pytest.mark.parametrize("kind", ["tabular", "indicator"])
+    def test_softmax_table_matches_per_state_build(self, kind, n_states, n_actions):
+        if kind == "tabular":
+            features = TabularFeatures(n_states, n_actions)
+        else:
+            features = ActionIndicatorFeatures(active=n_actions - 1)
+        rng = substream(82, n_states, n_actions)
+        for tau in (0.3, 1.0, 2.5):
+            policy = SoftmaxPolicy(features, 1.0, tau, n_actions=n_actions, n_states=n_states)
+            for _ in range(5):
+                theta = random_theta(rng, features.dim, scale=3.0)
+                table = policy.table(theta)
+                probs, scores = softmax_reference(policy, theta)
+                assert bits(table.probs) == bits(probs)
+                assert bits(table.scores) == bits(scores)
+                for s in range(n_states):
+                    assert bits(policy.action_probabilities(theta, s)) == bits(probs[s])
+                for array in table:
+                    with pytest.raises(ValueError):
+                        array[(0,) * array.ndim] = 0.5
+
+    def test_softmax_table_non_finite_logit(self):
+        from spgrad.errors import NumericError
+
+        policy = SoftmaxPolicy(
+            TabularFeatures(2, 2), feature_bound=1.0, tau=0.5, n_actions=2, n_states=2
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^non-finite Softmax logit inf$"):
+                policy.table(np.array([0.0, 0.0, 1e308, 0.0]))
+
+    def test_binned_table_matches_scalar_methods(self, binned_gaussian):
+        view = binned_gaussian.oracle_policy
+        rng = substream(83, 0)
+        for _ in range(20):
+            theta = random_theta(rng, view.dim, scale=1.0)
+            table = view.table(theta)
+            assert table.probs.shape == (2, 3) and table.scores.shape == (2, 3, view.dim)
+            for s in range(2):
+                assert bits(table.probs[s]) == bits(view.action_probabilities(theta, s))
+                for a in range(3):
+                    assert bits(table.scores[s, a]) == bits(view.score(theta, s, a))
+
+    def test_binned_table_vanishing_bin(self, binned_gaussian):
+        from spgrad.errors import NumericError
+
+        # a mean of 40 at state 0 leaves bins 0 and 1 no probability
+        view = binned_gaussian.oracle_policy
+        theta = np.array([40.0, 0.0])
+        message = "^bin 0 has vanishing probability at the queried theta$"
+        with pytest.raises(NumericError, match=message):
+            view.score(theta, 0, 0)
+        with pytest.raises(NumericError, match=message):
+            view.table(theta)
