@@ -8,11 +8,18 @@ and two pure sampling operations::
 
 ``step`` is stateless: identical inputs and rng stream yield identical
 outputs.  Episodes always run exactly ``spec.horizon`` steps; there are no
-absorbing states or early terminations.  The shipped environments do this
-per-step work in Python floats, ints and lists (``bisect_right`` for an
-inverse-CDF draw, ``min``/``max`` for a clamp), taking the same generator
-calls, and giving the same values, as the numpy forms
-(``np.searchsorted(..., side="right")``, ``np.clip``, ``rng.uniform``) would.
+absorbing states or early terminations.  Each operation draws one variate,
+by the ``np.random.Generator`` method named in ``reset_variate`` /
+``step_variate``, and passes it to its form in ``kernels()``: ``reset(v)``
+and ``step(state, action, v)``, the environment's constants bound once.  A
+policy's ``variate`` and ``action_kernel(theta)`` do the same for an action.
+:func:`sample_trajectory` draws an episode's 1 + 2T variates first, with one
+generator call per run of like ones: the values and the end state of one
+call per variate, though no longer the same calls.  It then runs the
+kernels in Python floats, ints and lists (``bisect_right`` for an
+inverse-CDF draw, ``min``/``max`` for a clamp), giving the values of the
+numpy forms (``np.searchsorted(..., side="right")``, ``np.clip``,
+``rng.uniform``).
 
 The shipped environments also step arrays of episodes at once for
 :func:`sample_block`, the one rollout of ``safe_updates.spg_run``:
@@ -37,11 +44,13 @@ but the last.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import reprlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Protocol
+from typing import Any, Callable, Protocol
 
 import numpy as np
 
@@ -96,10 +105,37 @@ class Trajectory:
 
 class Environment(Protocol):
     spec: MdpSpec
+    reset_variate: str  # the Generator method that draws the reset's variate
+    step_variate: str  # and a step's
+
+    def kernels(self) -> "tuple[Callable, Callable]":
+        """``reset(v)`` and ``step(state, action, v)``, each given its variate."""
 
     def reset(self, rng: np.random.Generator) -> Any: ...
 
     def step(self, state: Any, action: Any, rng: np.random.Generator) -> tuple[Any, float]: ...
+
+
+@functools.lru_cache(maxsize=64)
+def _draw_runs(reset: str, action: str, step: str, horizon: int) -> "tuple[tuple[str, int], ...]":
+    """(Generator method, count) for each run of like variates of an episode,
+    in draw order: the reset's, then an action's and a transition's per step."""
+    kinds = [reset] + [action, step] * horizon
+    return tuple((kind, sum(1 for _ in run)) for kind, run in itertools.groupby(kinds))
+
+
+def _draw_variates(rng: np.random.Generator, runs) -> "list[float]":
+    """The variates of ``runs``, one generator call per run; k draws of one
+    kind in a single call give the values, and leave the generator in the
+    state, of k scalar calls."""
+    values = []
+    for kind, count in runs:
+        draw = getattr(rng, kind)
+        if count == 1:
+            values.append(draw())
+        else:
+            values.extend(draw(count).tolist())
+    return values
 
 
 def sample_trajectory(
@@ -109,19 +145,23 @@ def sample_trajectory(
 
     The initial state is drawn from the environment, each action from
     ``policy`` at ``theta``, each transition from the environment kernel.
+    All of the episode's variates are drawn before the first step, so an
+    error raised on the way leaves ``rng`` past the whole episode's draws.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (policy.dim,):
         raise ConfigurationError(
             f"theta has shape {theta.shape}, policy expects ({policy.dim},)"
         )
-    horizon = env.spec.horizon
-    sample_action, step = policy.sample_action, env.step
+    runs = _draw_runs(env.reset_variate, policy.variate, env.step_variate, env.spec.horizon)
+    variates = iter(_draw_variates(rng, runs))
+    reset, step = env.kernels()
+    act = policy.action_kernel(theta)
     states, actions, rewards = [], [], []
-    state = env.reset(rng)
-    for _ in range(horizon):
-        action = sample_action(theta, state, rng)
-        next_state, reward = step(state, action, rng)
+    state = reset(next(variates))
+    for action_variate, step_variate in zip(variates, variates):
+        action = act(state, action_variate)
+        next_state, reward = step(state, action, step_variate)
         states.append(state)
         actions.append(action)
         rewards.append(reward)
@@ -235,6 +275,7 @@ class EnumerableEnv:
     """
 
     reset_draws = step_draws = 1  # one uniform per inverse-CDF draw
+    reset_variate = step_variate = "random"
 
     def __init__(self, mdp: EnumerableMdp, bin_edges: np.ndarray | None = None):
         self.mdp = mdp
@@ -267,10 +308,6 @@ class EnumerableEnv:
         self._reward = mdp.reward.tolist()
         self._edges = None if self.bin_edges is None else self.bin_edges.tolist()
 
-    def _draw(self, cum: "list[float]", rng: np.random.Generator) -> int:
-        # np.searchsorted(cum, u, side="right"), clamped to the last index
-        return min(bisect_right(cum, rng.random()), len(cum) - 1)
-
     def action_index(self, action: Any) -> int:
         if self._edges is not None:
             return bisect_right(self._edges, float(action))
@@ -279,13 +316,28 @@ class EnumerableEnv:
             raise ValueError(f"action {index} out of range [0, {self.mdp.n_actions})")
         return index
 
+    def kernels(self):
+        """``reset(u)`` and ``step(state, action, u)``, each an inverse-CDF
+        draw from its uniform u: ``np.searchsorted(cum, u, side="right")``,
+        clamped to the last state."""
+        initial, next_cdf, reward = self._initial_cdf, self._next_cdf, self._reward
+        action_index, last = self.action_index, self.n_states - 1
+
+        def reset(u: float) -> int:
+            return min(bisect_right(initial, u), last)
+
+        def step(state: int, action: Any, u: float) -> "tuple[int, float]":
+            s = int(state)
+            a = action_index(action)
+            return min(bisect_right(next_cdf[s][a], u), last), reward[s][a]
+
+        return reset, step
+
     def reset(self, rng: np.random.Generator) -> int:
-        return self._draw(self._initial_cdf, rng)
+        return self.kernels()[0](rng.random())
 
     def step(self, state: int, action: Any, rng: np.random.Generator) -> tuple[int, float]:
-        s = int(state)
-        a = self.action_index(action)
-        return self._draw(self._next_cdf[s][a], rng), self._reward[s][a]
+        return self.kernels()[1](state, action, rng.random())
 
     def reset_batch(self, u: np.ndarray) -> np.ndarray:
         return inverse_cdf(self._initial_columns, u[:, 0])
@@ -335,6 +387,7 @@ class Lqg1dConfig:
 class Lqg1dEnv:
     # a uniform initial state; a standard normal (two uniforms) of noise per step
     reset_draws, step_draws = 1, 2
+    reset_variate, step_variate = "random", "standard_normal"
 
     def __init__(self, config: Lqg1dConfig):
         if not 0 < config.s_max < math.inf:
@@ -349,21 +402,35 @@ class Lqg1dEnv:
         self.spec = MdpSpec(gamma=config.gamma, r_max=config.r_max, horizon=config.horizon)
         self.config = config
 
+    def kernels(self):
+        """``reset(u)`` from a uniform u and ``step(state, action, z)`` from a
+        standard normal z, the config's floats bound once."""
+        cfg = self.config
+        low, high, s_max = -cfg.s_max, cfg.s_max, cfg.s_max
+        q, c, r_max = cfg.q, cfg.c, cfg.r_max
+        a_dyn, b_dyn, noise_std = cfg.a_dyn, cfg.b_dyn, cfg.noise_std
+
+        def reset(u: float) -> float:
+            # Generator.uniform(low, high) is low + (high - low) * random()
+            return low + (high - low) * u
+
+        def step(state: float, action: float, z: float) -> "tuple[float, float]":
+            s = float(state)
+            a = float(action)
+            if not math.isfinite(a):
+                raise NumericError(f"non-finite action {a}")
+            reward = -min(q * s * s + c * a * a, r_max)
+            drift = a_dyn * s + b_dyn * a + noise_std * z
+            # np.clip(drift, -s_max, s_max); a NaN drift stays NaN, as there
+            return min(max(drift, -s_max), s_max), reward
+
+        return reset, step
+
     def reset(self, rng: np.random.Generator) -> float:
-        # Generator.uniform(low, high) is low + (high - low) * random()
-        low, high = -self.config.s_max, self.config.s_max
-        return low + (high - low) * rng.random()
+        return self.kernels()[0](rng.random())
 
     def step(self, state: float, action: float, rng: np.random.Generator) -> tuple[float, float]:
-        cfg = self.config
-        s = float(state)
-        a = float(action)
-        if not math.isfinite(a):
-            raise NumericError(f"non-finite action {a}")
-        reward = -min(cfg.q * s * s + cfg.c * a * a, cfg.r_max)
-        drift = cfg.a_dyn * s + cfg.b_dyn * a + cfg.noise_std * rng.standard_normal()
-        # np.clip(drift, -s_max, s_max); a NaN drift stays NaN, as there
-        return min(max(drift, -cfg.s_max), cfg.s_max), reward
+        return self.kernels()[1](state, action, rng.standard_normal())
 
     def reset_batch(self, u: np.ndarray) -> np.ndarray:
         low, high = -self.config.s_max, self.config.s_max

@@ -1,9 +1,12 @@
 """Smoothing parametric policies: linear-mean Gaussian and linear Softmax.
 
-Both classes expose the same surface: ``sample_action`` (one action, in
-Python floats and lists: a Softmax draw is ``bisect_right`` on a row of
-cumulative probabilities, as ``np.searchsorted`` on ``np.cumsum`` would find
-it), ``log_pdf``, ``score`` (gradient of the log-density in theta),
+Both classes expose the same surface: ``action_kernel(theta)`` (one
+action at a time from a given variate, of the ``np.random.Generator``
+method the class names as ``variate``, in Python floats and lists: a
+Softmax draw is ``bisect_right`` on a row of cumulative probabilities, as
+``np.searchsorted`` on ``np.cumsum`` would find it), ``sample_action`` (the
+same, drawing its variate from a generator), ``log_pdf``, ``score``
+(gradient of the log-density in theta),
 ``observed_information`` (its Hessian), ``actor(theta)`` (the policy frozen
 at theta, acting on arrays of states), and
 ``smoothing_constants`` returning the class constants (psi, kappa, xi)
@@ -60,6 +63,11 @@ def _square(x: float) -> float:
         return math.inf
 
 
+def _floats(theta: np.ndarray) -> "list[float]":
+    """theta as a list of Python floats."""
+    return np.asarray(theta, dtype=float).tolist()
+
+
 def _finite_constants(key: str, value: float, **constants: float) -> SmoothingConstants:
     """The constants, or a ConfigurationError naming ``key`` if one overflows."""
     for name, constant in constants.items():
@@ -85,9 +93,13 @@ class PolynomialFeatures:
         self.scale = scale
         self.dim = degree
 
-    def __call__(self, state) -> np.ndarray:
+    def values(self, state) -> "list[float]":
+        """phi(state) as Python floats."""
         x = float(state) * self.scale
-        return np.array([x**k for k in range(1, self.degree + 1)])
+        return [x**k for k in range(1, self.degree + 1)]
+
+    def __call__(self, state) -> np.ndarray:
+        return np.array(self.values(state))
 
     def batch(self, states: np.ndarray) -> np.ndarray:
         """(n, degree) rows equal to ``self(state)``; powers above 1 use Python's pow."""
@@ -108,6 +120,10 @@ class StateTabularFeatures:
 
     def __call__(self, state) -> np.ndarray:
         return self._eye[int(state)]
+
+    def values(self, state) -> "list[float]":
+        """phi(state) as Python floats."""
+        return self._eye[int(state)].tolist()
 
     def batch(self, states: np.ndarray) -> np.ndarray:
         return self._eye[np.asarray(states, dtype=int)]
@@ -153,8 +169,11 @@ class GaussianPolicy:
 
     ``feature_bound`` must dominate ||phi(s)|| for every state the policy is
     queried on; it is asserted online because the sup-norm of an arbitrary
-    feature map is not computable in general.
+    feature map is not computable in general.  The scalar methods read the
+    features as Python floats, through the map's ``values`` where it has one.
     """
+
+    variate = "standard_normal"  # the Generator method of an action's variate
 
     def __init__(self, features, feature_bound: float, sigma: float):
         if not 0 < sigma < math.inf:
@@ -165,17 +184,21 @@ class GaussianPolicy:
         self.feature_bound = feature_bound
         self.sigma = sigma
         self.variance = _square(sigma)
+        self._values = getattr(features, "values", None) or (
+            lambda state: np.asarray(features(state), dtype=float).tolist()
+        )
 
     @property
     def dim(self) -> int:
         return self.features.dim
 
-    def _phi(self, state) -> np.ndarray:
-        phi = np.asarray(self.features(state), dtype=float)
+    def _phi_values(self, state) -> "list[float]":
+        """phi(state) as Python floats, its norm checked against the bound."""
+        phi = self._values(state)
         bound = self.feature_bound + 1e-9
         # math.hypot may differ from np.linalg.norm in the last bits, so a
         # norm near the bound is decided, and reported, by np.linalg.norm
-        if math.hypot(*phi.tolist()) > bound * (1.0 - 1e-12):
+        if math.hypot(*phi) > bound * (1.0 - 1e-12):
             norm = float(np.linalg.norm(phi))
             if norm > bound:
                 raise ConfigurationError(
@@ -183,31 +206,45 @@ class GaussianPolicy:
                 )
         return phi
 
+    def _phi(self, state) -> np.ndarray:
+        return np.array(self._phi_values(state))
+
     @staticmethod
-    def _linear_mean(theta: np.ndarray, phi: np.ndarray) -> float:
+    def _linear_mean(theta: "list[float]", phi: "list[float]") -> float:
         # Python floats overflow to inf without numpy's RuntimeWarning; at
         # dim 1 the sum is exactly np.dot's
         m = 0.0
-        for t, p in zip(np.asarray(theta, dtype=float).tolist(), phi.tolist()):
+        for t, p in zip(theta, phi):
             m += t * p
         if not math.isfinite(m):
             raise NumericError(f"non-finite policy mean {m}")
         return m
 
     def mean(self, theta: np.ndarray, state) -> float:
-        return self._linear_mean(theta, self._phi(state))
+        return self._linear_mean(_floats(theta), self._phi_values(state))
+
+    def action_kernel(self, theta: np.ndarray):
+        """``act(state, z)``: the action at ``state`` for the standard normal
+        z, the mean plus sigma times z, with theta bound once as floats."""
+        theta, sigma = _floats(theta), self.sigma
+        phi, linear_mean = self._phi_values, self._linear_mean
+
+        def act(state, z: float) -> float:
+            return linear_mean(theta, phi(state)) + sigma * z
+
+        return act
 
     def sample_action(self, theta: np.ndarray, state, rng: np.random.Generator) -> float:
-        return self.mean(theta, state) + self.sigma * rng.standard_normal()
+        return self.action_kernel(theta)(state, rng.standard_normal())
 
     def log_pdf(self, theta: np.ndarray, state, action) -> float:
         z = (float(action) - self.mean(theta, state)) / self.sigma
         return -0.5 * z * z - math.log(_SQRT_2PI * self.sigma)
 
     def score(self, theta: np.ndarray, state, action) -> np.ndarray:
-        phi = self._phi(state)
-        m = self._linear_mean(theta, phi)
-        return phi * (float(action) - m) / self.variance
+        phi = self._phi_values(state)
+        m = self._linear_mean(_floats(theta), phi)
+        return np.array(phi) * (float(action) - m) / self.variance
 
     def observed_information(self, theta: np.ndarray, state, action) -> np.ndarray:
         phi = self._phi(state)
@@ -242,7 +279,7 @@ class GaussianActor:
     def __init__(self, policy: GaussianPolicy, theta: np.ndarray):
         self.policy = policy
         self.dim = policy.dim
-        self.theta = np.asarray(theta, dtype=float).tolist()
+        self.theta = _floats(theta)
 
     def _phi_and_mean(self, states: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         policy = self.policy
@@ -312,6 +349,8 @@ class SoftmaxPolicy:
     on states 0 .. n_states-1 (a state is read as ``int(state)``).  The features
     are evaluated once, and their bound checked, when the first table is built.
     """
+
+    variate = "random"  # the Generator method of an action's variate
 
     def __init__(self, features, feature_bound: float, tau: float, n_actions: int, n_states: int):
         if not 0 < tau < math.inf:
@@ -393,10 +432,20 @@ class SoftmaxPolicy:
         """pi(. | state) at theta, read-only."""
         return self._table(theta).rows[int(state)]
 
+    def action_kernel(self, theta: np.ndarray):
+        """``act(state, u)``: the action at ``state`` for the uniform u, from
+        the cumulative rows of the table at theta, looked up once."""
+        cum, last = self._table(theta).cum, self.n_actions - 1
+
+        def act(state, u: float) -> int:
+            row = cum[int(state)]
+            # np.searchsorted(row, u * row[-1], side="right"), the last action at the top
+            return min(bisect_right(row, u * row[-1]), last)
+
+        return act
+
     def sample_action(self, theta: np.ndarray, state, rng: np.random.Generator) -> int:
-        cum = self._table(theta).cum[int(state)]
-        # np.searchsorted(cum, u * cum[-1], side="right"), the last action at the top
-        return min(bisect_right(cum, rng.random() * cum[-1]), self.n_actions - 1)
+        return self.action_kernel(theta)(state, rng.random())
 
     def log_pdf(self, theta: np.ndarray, state, action) -> float:
         return float(self._log_probabilities(theta, state)[int(action)])
@@ -528,12 +577,12 @@ class BinnedGaussianPolicy:
         set of edge CDFs and densities per state.  Raises the error ``score``
         raises, at the first bin in state-major order of vanishing probability.
         """
-        gaussian, sigma = self.gaussian, self.gaussian.sigma
+        gaussian, sigma, theta = self.gaussian, self.gaussian.sigma, _floats(theta)
         probs = np.empty((self.n_states, self.n_actions))
         scores = np.empty((self.n_states, self.n_actions, self.dim))
         for s in range(self.n_states):
             phi = gaussian._phi(s)
-            z = (self.edges - gaussian._linear_mean(theta, phi)) / sigma
+            z = (self.edges - gaussian._linear_mean(theta, phi.tolist())) / sigma
             probs[s] = np.diff([0.0, *(_normal_cdf(v) for v in z), 1.0])
             vanishing = np.flatnonzero(probs[s] <= 0.0)
             if vanishing.size:

@@ -67,14 +67,21 @@ class UniformRows:
         self._random = np.random.Generator(self._bits).random
         self._next = 0
 
-    def take(self, first: int, n: int) -> np.ndarray:
-        """Rows ``first .. first+n-1``, shape (n, width)."""
+    def take(self, first: int, n: int, out: "np.ndarray | None" = None) -> np.ndarray:
+        """Rows ``first .. first+n-1``, shape (n, width).
+
+        ``out``, if given, is an (N, width) buffer with N >= n that the rows
+        are written into in place of a new array; the array returned is then
+        a view of its first n rows, valid until the buffer is written again.
+        """
         _, (first,) = _check_address(0, (first,))
         if first != self._next:
             # the state has 128 bits, so a move back is an advance modulo 2**128
             self._bits.advance(((first - self._next) * self._width) % 2**128)
         self._next = first + n
-        return self._random((n, self._width))
+        if out is None:
+            return self._random((n, self._width))
+        return self._random(out=out[:n])
 
 
 def uniform_rows(master_seed: int, iteration: int, first: int, n: int, width: int) -> np.ndarray:

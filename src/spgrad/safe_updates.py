@@ -221,21 +221,24 @@ def _rollout(env, policy, theta: np.ndarray, seed: int, k: int):
     The environment steps them as a block (``mdp.sample_block``) with the
     policy frozen at theta, ``policy.actor(theta)``, on rows of iteration k's
     one ``UniformRows(seed, k, width)``, so row i depends only on (seed, k, i).
-    Every block is written into one pair of buffers, made anew only when a
-    block is longer than any before it: ``add_block`` copies what it keeps,
-    and memory written once per iteration is not handed back to the system
-    and faulted in again for every block.
+    Every block's draws, rewards and scores are written into one set of
+    buffers, made anew only when a block is longer than any before it:
+    ``add_block`` copies what it keeps, and memory written once per iteration
+    is not handed back to the system and faulted in again for every block.
     """
     actor = policy.actor(theta)
-    rows = UniformRows(seed, k, row_draws(env, actor))
+    width = row_draws(env, actor)
+    rows = UniformRows(seed, k, width)
     horizon = env.spec.horizon
+    draws = np.empty((0, width))
     out = np.empty((horizon, 0)), np.empty((horizon, 0, actor.dim))
 
     def block(first: int, n: int):
-        nonlocal out
-        if n > out[0].shape[1]:
+        nonlocal draws, out
+        if n > len(draws):
+            draws = np.empty((n, width))
             out = np.empty((horizon, n)), np.empty((horizon, n, actor.dim))
-        return sample_block(env, actor, rows.take(first, n), out)
+        return sample_block(env, actor, rows.take(first, n, draws), out)
 
     return block
 

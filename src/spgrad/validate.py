@@ -182,12 +182,11 @@ def check_quadratic_bound(seed: int, lipschitz_scale: float, n_points: int = 100
         theta = _random_theta(rng, inst.policy.dim)
         step = rng.standard_normal(inst.policy.dim)
         step *= rng.uniform(0.05, 1.0) / np.linalg.norm(step)
+        # theta's values together, then the stepped theta's: one policy table each
         grad = exact_gradient(inst.mdp, inst.oracle_policy, theta)
-        deviation = abs(
-            exact_performance(inst.mdp, inst.oracle_policy, theta + step)
-            - exact_performance(inst.mdp, inst.oracle_policy, theta)
-            - float(np.dot(step, grad))
-        )
+        j_theta = exact_performance(inst.mdp, inst.oracle_policy, theta)
+        j_step = exact_performance(inst.mdp, inst.oracle_policy, theta + step)
+        deviation = abs(j_step - j_theta - float(np.dot(step, grad)))
         worst = max(worst, deviation - (l_used / 2.0) * float(np.dot(step, step)))
     return worst <= 1e-9, f"max excess = {worst:.3e}"
 
@@ -215,10 +214,11 @@ def check_exact_step(seed: int, n_points: int = 50):
     worst = np.inf
     for _ in range(n_points):
         theta = _random_theta(rng, inst.policy.dim)
+        # theta's values together, then the stepped theta's: one policy table each
         grad = exact_gradient(inst.mdp, inst.oracle_policy, theta)
-        improvement = exact_performance(
-            inst.mdp, inst.oracle_policy, theta + alpha * grad
-        ) - exact_performance(inst.mdp, inst.oracle_policy, theta)
+        j_theta = exact_performance(inst.mdp, inst.oracle_policy, theta)
+        j_step = exact_performance(inst.mdp, inst.oracle_policy, theta + alpha * grad)
+        improvement = j_step - j_theta
         worst = min(worst, improvement - float(np.dot(grad, grad)) / (2.0 * lip))
     return worst >= -1e-9, f"min margin = {worst:.3e}"
 
@@ -303,11 +303,11 @@ def check_constants_closed_forms(seed: int):
     return worst <= 1e-12, f"max relative gap = {worst:.3e}"
 
 
-def _score_chunk(trajs: list, actor, gamma: float, kinds) -> dict:
+def _score_chunk(trajs: list, rewards: np.ndarray, actor, gamma: float, kinds) -> dict:
     """Kind -> per-trajectory zero-baseline estimates (n, m) of equal-length
-    ``trajs``, stacked and scored once through ``actor``, the policy frozen
-    at theta (``policy.actor(theta)``)."""
-    rewards = np.stack([t.rewards for t in trajs])
+    ``trajs``, whose rewards the caller has stacked as ``rewards`` (n, T),
+    scored once through ``actor``, the policy frozen at theta
+    (``policy.actor(theta)``)."""
     scores = actor.score(np.stack([t.states for t in trajs]), np.stack([t.actions for t in trajs]))
     return {
         kind: trajectory_terms(kind, gamma, rewards, scores, keep_scores=False)[3]
@@ -331,7 +331,7 @@ def variance_ratios(setup: tuple, seed: int, n_samples: int, *key: int) -> "dict
     Trajectory i is the i-th rollout of the one stream
     ``substream(seed, *key)``.  Returns None when a trajectory breaks the
     contract the bound assumes: exactly ``horizon`` steps and every
-    |reward| <= r_max.
+    |reward| <= r_max, checked once per chunk of stacked rewards.
     """
     env, policy, theta = setup
     spec = env.spec
@@ -340,13 +340,16 @@ def variance_ratios(setup: tuple, seed: int, n_samples: int, *key: int) -> "dict
     sq_sums = {kind: 0.0 for kind in EstimatorKind}
     rng = substream(seed, *key)
     for first in range(0, n_samples, BLOCK_ROWS):
-        trajs = []
-        for _ in range(first, min(first + BLOCK_ROWS, n_samples)):
-            trajs.append(sample_trajectory(env, policy, theta, rng))
-            rewards = trajs[-1].rewards
-            if len(rewards) != spec.horizon or not np.max(np.abs(rewards)) <= spec.r_max + 1e-12:
-                return None
-        estimates = _score_chunk(trajs, actor, spec.gamma, EstimatorKind)
+        trajs = [
+            sample_trajectory(env, policy, theta, rng)
+            for _ in range(first, min(first + BLOCK_ROWS, n_samples))
+        ]
+        if any(len(t.rewards) != spec.horizon for t in trajs):
+            return None
+        rewards = np.stack([t.rewards for t in trajs])
+        if not np.max(np.abs(rewards)) <= spec.r_max + 1e-12:
+            return None
+        estimates = _score_chunk(trajs, rewards, actor, spec.gamma, EstimatorKind)
         for kind, g in estimates.items():
             sums[kind] = running_sums(sums[kind], g)[-1]
             sq_sums[kind] = float(running_sums(sq_sums[kind], (g * g).sum(axis=1))[-1])
@@ -401,7 +404,8 @@ def chebyshev_violations(
             sample_trajectory(inst.env, inst.policy, theta, rng)
             for _ in range(batch * (min(first + per_chunk, n_estimates) - first))
         ]
-        for kind, g in _score_chunk(trajs, actor, gamma, kinds).items():
+        rewards = np.stack([t.rewards for t in trajs])
+        for kind, g in _score_chunk(trajs, rewards, actor, gamma, kinds).items():
             for rows in np.split(g, len(g) // batch):
                 err = np.linalg.norm(running_sums(0.0, rows)[-1] / batch - exact)
                 for delta in (0.1, 0.5):

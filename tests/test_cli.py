@@ -511,15 +511,13 @@ class TestValidateCommand:
             """One state; every step pays ``reward`` against a declared r_max of 1."""
 
             spec = MdpSpec(gamma=0.9, r_max=1.0, horizon=2)
+            reset_variate = step_variate = "random"
 
             def __init__(self, reward):
                 self.reward = reward
 
-            def reset(self, rng):
-                return 0
-
-            def step(self, state, action, rng):
-                return 0, self.reward
+            def kernels(self):
+                return (lambda u: 0), (lambda state, action, u: (0, self.reward))
 
         policy = SoftmaxPolicy(
             TabularFeatures(1, 2), feature_bound=1.0, tau=1.0, n_actions=2, n_states=1

@@ -312,6 +312,22 @@ class TestUniformRows:
             np.testing.assert_array_equal(rows.take(first, n), whole[first : first + n])
 
     @pytest.mark.parametrize("width", list(WIDTHS.values()), ids=list(WIDTHS))
+    def test_rows_written_into_a_larger_buffer(self, width):
+        whole = uniform_rows(5, 3, 0, 1100, width)
+        rows = UniformRows(5, 3, width)
+        for first, n in [(0, 50), (50, 80), (1000, 30), (3, 0)]:
+            buffer = np.full((80, width), np.nan)
+            got = rows.take(first, n, buffer)
+            assert got.shape == (n, width) and got.base is buffer
+            np.testing.assert_array_equal(got, whole[first : first + n])
+            assert np.isnan(buffer[n:]).all()
+        # the default still allocates: an earlier result is not overwritten
+        kept = rows.take(0, 2)
+        rows.take(0, 2)
+        rows.take(0, 2, np.empty((2, width)))
+        np.testing.assert_array_equal(kept, whole[:2])
+
+    @pytest.mark.parametrize("width", list(WIDTHS.values()), ids=list(WIDTHS))
     def test_row_is_the_generator_advanced_to_it(self, width):
         rows = uniform_rows(2**64 - 1, 6, 40, 3, width)
         drawn_in_order = iteration_generator(2**64 - 1, 6).random((43, width))
@@ -690,16 +706,23 @@ def assert_same_episode(traj, reference):
 
 
 class Scripted:
-    """A stand-in generator that returns the given uniforms and normals in turn."""
+    """A stand-in generator that returns the given uniforms and normals in
+    turn: one at a time, or the next ``count`` of them as an array."""
 
     def __init__(self, uniforms, normals=(0.0,)):
         self._uniforms, self._normals = itertools.cycle(uniforms), itertools.cycle(normals)
 
-    def random(self):
-        return next(self._uniforms)
+    @staticmethod
+    def _next(values, count):
+        if count is None:
+            return next(values)
+        return np.array([next(values) for _ in range(count)])
 
-    def standard_normal(self):
-        return next(self._normals)
+    def random(self, count=None):
+        return self._next(self._uniforms, count)
+
+    def standard_normal(self, count=None):
+        return self._next(self._normals, count)
 
 
 class TestScalarRolloutMatchesNumpyReference:
@@ -729,6 +752,40 @@ class TestScalarRolloutMatchesNumpyReference:
         for i in range(200):
             traj = sample_trajectory(env, policy, theta, substream(71, i))
             assert_same_episode(traj, numpy_trajectory(env, policy, theta, substream(71, i)))
+
+    @pytest.mark.parametrize("name", list(SETUPS))
+    def test_generator_state_after_an_episode(self, name):
+        """The episode's variates drawn up front, a run of like ones per call,
+        leave the generator where drawing them one at a time leaves it; a
+        wrongly declared kind (binned-gaussian alternates normals and
+        uniforms) would not."""
+        env, policy = self.env_and_policy(name)
+        theta = 1.5 * np.linspace(-1.0, 0.6, policy.dim)
+        for i in range(100):
+            rng, reference = substream(73, i), substream(73, i)
+            sample_trajectory(env, policy, theta, rng)
+            numpy_trajectory(env, policy, theta, reference)
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_non_finite_action_raises_past_the_whole_episode(self):
+        """A Gaussian action that overflows still raises the environment's
+        NumericError; the generator is then past all 1 + 2T of the episode's
+        variates, as every episode leaves it."""
+        env, _ = lqg_instance()
+        # |sigma * z| overflows for |z| > 1.797, about one action in 14
+        policy = GaussianPolicy(PolynomialFeatures(1), feature_bound=1.0, sigma=1e308)
+        raised = 0
+        for i in range(20):
+            rng, reference = substream(74, i), substream(74, i)
+            try:
+                sample_trajectory(env, policy, np.zeros(1), rng)
+            except NumericError as error:
+                assert str(error).startswith("non-finite action")
+                raised += 1
+            reference.random()
+            reference.standard_normal(2 * env.spec.horizon)
+            assert rng.bit_generator.state == reference.bit_generator.state
+        assert raised > 0
 
     def test_alternating_thetas_from_the_same_state(self):
         # the chain starts in state 0, so each episode asks the memo for

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spgrad.rng import UniformRows, inverse_cdf
+from spgrad.rng import UniformRows, inverse_cdf, substream
 
 from conftest import iteration_generator
 
@@ -98,3 +98,29 @@ class TestUniformRowsTake:
             got = rows.take(first, n)
             assert got.shape == (n, width)
             np.testing.assert_array_equal(got, whole[first : first + n])
+
+
+class TestGeneratorArrayDraws:
+    """k draws of one kind in one generator call, as ``sample_trajectory``
+    takes a run of like variates, give the values of k scalar calls and
+    leave the generator in the state they leave it in; ``standard_normal``
+    spends a variable count of outputs per value (its ziggurat's tail and
+    wedges), so the end state checks that no output is skipped or shared."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(["random", "standard_normal"]),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 3),
+        st.integers(0, 300),
+    )
+    @example("standard_normal", 0, 0, 300)
+    @example("random", 2**64 - 1, 1, 1)
+    def test_one_call_is_k_scalar_calls(self, kind, seed, skip, k):
+        whole, one_by_one = (substream(seed, 0) for _ in range(2))
+        for rng in (whole, one_by_one):
+            rng.random(skip)  # start away from the stream's first output
+        values = getattr(whole, kind)(k)
+        scalars = [getattr(one_by_one, kind)() for _ in range(k)]
+        assert values.tolist() == scalars
+        assert whole.bit_generator.state == one_by_one.bit_generator.state

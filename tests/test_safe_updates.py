@@ -519,9 +519,9 @@ class TestBlockSamplingIsExact:
                 built.append(args)
                 super().__init__(*args)
 
-            def take(self, first, n):
+            def take(self, first, n, out=None):
                 reads.append(first)
-                return super().take(first, n)
+                return super().take(first, n, out)
 
         monkeypatch.setattr(safe_updates, "UniformRows", Counting)
         env, policy = INSTANCES["bandit"]()
