@@ -436,24 +436,35 @@ class Lqg1dEnv:
         low, high = -self.config.s_max, self.config.s_max
         return low + (high - low) * u[:, 0]
 
-    def reward_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    def _reward(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """The rewards, the actions checked.  The batch methods hold one
+        np.errstate per call, under which overflow gives inf as the scalar
+        step's Python floats do, with no numpy warning."""
         cfg = self.config
-        s, a = states, actions
-        bad = ~np.isfinite(a)
-        if bad.any():
-            raise NumericError(f"non-finite action {a[bad][0]}")
+        if not np.isfinite(a).all():
+            raise NumericError(f"non-finite action {a[~np.isfinite(a)][0]}")
+        return -np.minimum(cfg.q * s * s + cfg.c * a * a, cfg.r_max)
+
+    def reward_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            return -np.minimum(cfg.q * s * s + cfg.c * a * a, cfg.r_max)
+            return self._reward(states, actions)
 
     def step_batch(
         self, states: np.ndarray, actions: np.ndarray, u: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray]":
         cfg = self.config
-        reward = self.reward_batch(states, actions)
-        z = box_muller(u[:, 0], u[:, 1])
         with np.errstate(over="ignore", invalid="ignore"):
-            drift = cfg.a_dyn * states + cfg.b_dyn * actions + cfg.noise_std * z
-        return np.clip(drift, -cfg.s_max, cfg.s_max), reward
+            reward = self._reward(states, actions)
+            noise = box_muller(u[:, 0], u[:, 1])
+            # (a_dyn s + b_dyn a) + noise_std z, clipped as np.clip clips it,
+            # NaN and signed zeros included
+            drift = np.multiply(cfg.a_dyn, states)
+            drift += cfg.b_dyn * actions
+            noise *= cfg.noise_std
+            drift += noise
+            np.maximum(drift, -cfg.s_max, out=drift)
+            np.minimum(drift, cfg.s_max, out=drift)
+        return drift, reward
 
 
 @dataclass(frozen=True)

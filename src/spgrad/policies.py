@@ -103,9 +103,12 @@ class PolynomialFeatures:
 
     def batch(self, states: np.ndarray) -> np.ndarray:
         """(n, degree) rows equal to ``self(state)``; powers above 1 use Python's pow."""
-        x = np.asarray(states, dtype=float) * self.scale
-        powers = [np.array([v**k for v in x.tolist()]) for k in range(2, self.degree + 1)]
-        return np.stack([x, *powers], axis=1)
+        states = np.asarray(states, dtype=float)
+        phi = np.empty((len(states), self.degree))
+        np.multiply(states, self.scale, out=phi[:, 0])
+        for k in range(2, self.degree + 1):
+            phi[:, k - 1] = [v**k for v in phi[:, 0].tolist()]
+        return phi
 
 
 class StateTabularFeatures:
@@ -271,7 +274,9 @@ class GaussianActor:
     does, and the same typed errors.  ``sample`` also writes the scores of
     the actions it draws, from the features and mean of the draw, so a
     rollout evaluates the policy once per state.  Arithmetic that overflows
-    gives inf as Python floats do, with no numpy warning.
+    gives inf as Python floats do, with no numpy warning: each public
+    method holds one ``np.errstate`` for the whole call, and the private
+    helpers it calls enter none.
     """
 
     draws = 2  # uniforms per action: one standard normal by ``box_muller``
@@ -280,46 +285,51 @@ class GaussianActor:
         self.policy = policy
         self.dim = policy.dim
         self.theta = _floats(theta)
+        # the squared feature norm above which a row is re-checked
+        self._near = _square((policy.feature_bound + 1e-9) * (1.0 - 1e-12))
 
     def _phi_and_mean(self, states: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         policy = self.policy
         phi = np.asarray(policy.features.batch(states), dtype=float)
-        # np.linalg.norm per row may differ from the scalar norm in the last
-        # bit; rows near the bound are re-checked by the scalar check
-        near = np.linalg.norm(phi, axis=1) > (policy.feature_bound + 1e-9) * (1.0 - 1e-12)
-        for i in np.flatnonzero(near):
-            policy._phi(states[i])
+        # a screen: squared row norms, whose last bits may differ from
+        # np.linalg.norm's, against the squared bound less a slack far above
+        # that; the scalar check's np.linalg.norm decides each flagged row
+        near = np.einsum("ij,ij->i", phi, phi) > self._near
+        if near.any():
+            for i in np.flatnonzero(near):
+                policy._phi(states[i])
         mean = np.zeros(len(states))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j, t in enumerate(self.theta):
-                mean += t * phi[:, j]
-        bad = ~np.isfinite(mean)
-        if bad.any():
-            raise NumericError(f"non-finite policy mean {mean[bad][0]}")
+        for j, t in enumerate(self.theta):
+            mean += t * phi[:, j]
+        if not np.isfinite(mean).all():
+            raise NumericError(f"non-finite policy mean {mean[~np.isfinite(mean)][0]}")
         return phi, mean
 
     def _score(
         self, phi: np.ndarray, mean: np.ndarray, actions: np.ndarray, out: "np.ndarray | None" = None
     ) -> np.ndarray:
-        # the scalar score, row by row
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.divide(phi * (actions - mean)[:, None], self.policy.variance, out=out)
+        # the scalar score, row by row: phi times (action - mean), over the variance
+        out = np.multiply(phi, (actions - mean)[:, None], out=out)
+        out /= self.policy.variance
+        return out
 
     def sample(self, states: np.ndarray, u: np.ndarray, scores: np.ndarray) -> np.ndarray:
         """Actions at ``states`` (n,) from uniforms ``u`` (n, 2): the mean plus
         sigma times the standard normal ``box_muller`` makes of each row.
         Their scores are written to ``scores`` (n, m)."""
         z = box_muller(u[:, 0], u[:, 1])
-        phi, mean = self._phi_and_mean(states)
-        with np.errstate(over="ignore"):
-            actions = mean + self.policy.sigma * z
-        self._score(phi, mean, actions, out=scores)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi, mean = self._phi_and_mean(states)
+            z *= self.policy.sigma
+            actions = np.add(mean, z, out=z)
+            self._score(phi, mean, actions, out=scores)
         return actions
 
     def score(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Scores, shape states.shape + (m,), of ``actions`` at ``states``."""
-        phi, mean = self._phi_and_mean(states.ravel())
-        return self._score(phi, mean, actions.ravel()).reshape(*states.shape, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi, mean = self._phi_and_mean(states.ravel())
+            return self._score(phi, mean, actions.ravel()).reshape(*states.shape, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -94,9 +94,17 @@ def box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Standard normals from two arrays of uniforms in [0, 1), one pair per normal.
 
     ``sqrt(-2 log(1 - u1)) * cos(2 pi u2)``: finite on all of [0, 1), and 0
-    at u1 = 0.
+    at u1 = 0.  It runs ``np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi
+    * u2)`` operation by operation, in place in two new arrays.
     """
-    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
+    radius = np.negative(u1)
+    np.log1p(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = np.multiply(2.0 * math.pi, u2)
+    np.cos(angle, out=angle)
+    radius *= angle
+    return radius
 
 
 def inverse_cdf(cdf: "list[np.ndarray]", u: np.ndarray) -> np.ndarray:

@@ -156,6 +156,48 @@ class TestLqg1d:
         env = Lqg1dEnv(Lqg1dConfig())
         with pytest.raises(NumericError, match="non-finite action"):
             env.step(0.5, action, substream(0, 0))
+        # the batch methods alone, each under its one error-state scope: the
+        # scalar step's message and no numpy warning (the suite makes
+        # warnings errors); the bad action is named among finite ones
+        states, actions = np.array([0.5, 0.5]), np.array([0.25, action])
+        for call in (
+            lambda: env.reward_batch(states, actions),
+            lambda: env.step_batch(states, actions, np.full((2, 2), 0.5)),
+        ):
+            with pytest.raises(NumericError, match=f"^non-finite action {action}$"):
+                call()
+
+    @pytest.mark.parametrize(
+        "state, action",
+        [(1e200, 0.3), (-1e200, 0.3), (0.3, 1e200), (0.3, -1.7e308), (1.7e308, 1.7e308)],
+    )
+    def test_overflowing_batch_steps_match_the_scalar_step(self, state, action):
+        """States or actions whose squares or drift overflow give, without a
+        numpy warning, the inf the scalar step's Python floats give, clipped:
+        the rewards -r_max and next states at the edge of [-s_max, s_max]."""
+        env = Lqg1dEnv(Lqg1dConfig())
+        u = np.array([[0.3, 0.7], [0.0, 0.5]])
+        states, actions = np.full(2, state), np.full(2, action)
+        next_states, rewards = env.step_batch(states, actions, u)
+        np.testing.assert_array_equal(env.reward_batch(states, actions), rewards)
+        step = env.kernels()[1]
+        expected = [step(state, action, z) for z in box_muller(u[:, 0], u[:, 1]).tolist()]
+        assert next_states.tolist() == [s for s, _ in expected]
+        assert rewards.tolist() == [r for _, r in expected] == [-env.spec.r_max] * 2
+
+    def test_step_batch_clips_as_np_clip(self):
+        """The drift is clipped by maximum then minimum, which keep np.clip's
+        NaN and signed zeros."""
+        env = Lqg1dEnv(Lqg1dConfig(a_dyn=1.0, b_dyn=1.0, noise_std=0.2))
+        states = np.array([math.nan, -0.0, 0.0, -0.0, 0.7, -0.9])
+        actions = np.array([0.0, -0.0, -0.0, 0.0, 0.6, -0.4])
+        # u1 = 0 gives the normal 0.0 (or -0.0, where the cosine is negative)
+        u = np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 0.5], [0.0, 0.0], [0.5, 0.1], [0.5, 0.6]])
+        next_states, _ = env.step_batch(states, actions, u)
+        z = box_muller(u[:, 0], u[:, 1])
+        expected = np.clip(states + actions + 0.2 * z, -1.0, 1.0)
+        assert next_states.tobytes() == expected.tobytes()
+        assert np.signbit(next_states[1]) and math.isnan(next_states[0])
 
     def test_rewards_bounded_over_random_steps(self):
         env = Lqg1dEnv(Lqg1dConfig())

@@ -30,6 +30,20 @@ def scalar_gaussian(sigma=1.0, bound=1.0):
     return GaussianPolicy(PolynomialFeatures(degree=1), feature_bound=bound, sigma=sigma)
 
 
+class RowFeatures:
+    """A stand-in feature map: state i has the features ``rows[i]``."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.dim = rows.shape[1]
+
+    def values(self, state):
+        return self.rows[int(state)].tolist()
+
+    def batch(self, states):
+        return self.rows[np.asarray(states, dtype=int)]
+
+
 class TestSampling:
     def test_gaussian_zero_mean(self):
         policy = scalar_gaussian()
@@ -361,6 +375,43 @@ class TestFeatureBoundEnforcement:
                 kept += 1
         assert raised > 0 and kept > 0
 
+    @pytest.mark.parametrize("dim", [1, 3, 7])
+    def test_block_decisions_near_the_bound_follow_numpy_norm(self, dim):
+        """The actor's screen flags every row whose np.linalg.norm exceeds
+        feature_bound + 1e-9, for rows within a few ulps of that threshold:
+        each row alone raises exactly then, with the scalar path's message,
+        and a block raises for its first such row."""
+        rng = substream(82, dim)
+        bound = 0.75
+        rows = rng.standard_normal((1000, dim))
+        rows *= (bound + 1e-9) / np.linalg.norm(rows, axis=1, keepdims=True)
+        rows *= 1.0 + rng.integers(-4, 5, (1000, 1)) * 2.0**-52
+        policy = GaussianPolicy(RowFeatures(rows), feature_bound=bound, sigma=1.0)
+        actor = policy.actor(np.zeros(dim))
+        u, scores = np.full((1, 2), 0.5), np.empty((1, dim))
+        messages = []
+        for i, phi in enumerate(rows):
+            norm = float(np.linalg.norm(phi))
+            message = f"||phi(state)|| = {norm} exceeds feature_bound {bound}"
+            over = norm > bound + 1e-9
+            for call in (
+                lambda: actor.sample(np.array([i]), u, scores),
+                lambda: actor.score(np.array([[i]]), np.zeros((1, 1))),
+            ):
+                if over:
+                    with pytest.raises(ConfigurationError) as info:
+                        call()
+                    assert str(info.value) == message
+                else:
+                    call()
+            if over:
+                messages.append(message)
+        assert 0 < len(messages) < len(rows)
+        states = np.arange(len(rows))
+        with pytest.raises(ConfigurationError) as info:
+            actor.sample(states, np.full((len(rows), 2), 0.5), np.empty((len(rows), dim)))
+        assert str(info.value) == messages[0]
+
     def test_overflowing_mean_raises_numeric_error(self):
         from spgrad.errors import NumericError
 
@@ -370,6 +421,14 @@ class TestFeatureBoundEnforcement:
             policy.sample_action(theta, 0.85, substream(0, 0))
         with pytest.raises(NumericError):
             policy.score(theta, 0.85, 0.0)
+        # the actor's scores alone, under their one error-state scope: the
+        # same error and no numpy warning (the suite makes warnings errors)
+        with pytest.raises(NumericError, match="^non-finite policy mean inf$"):
+            policy.actor(theta).score(np.array([[0.85]]), np.zeros((1, 1)))
+        # an action that overflows the score gives inf, as Python floats do
+        narrow = GaussianPolicy(PolynomialFeatures(1), feature_bound=1.0, sigma=1e-10)
+        scores = narrow.actor(np.zeros(1)).score(np.array([0.5, -0.5]), np.array([1e300, 1e300]))
+        np.testing.assert_array_equal(scores, [[math.inf], [-math.inf]])
 
     def test_overflowing_softmax_logit_raises_numeric_error(self):
         from spgrad.errors import NumericError

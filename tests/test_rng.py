@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spgrad.rng import UniformRows, inverse_cdf, substream
+from spgrad.rng import UniformRows, box_muller, inverse_cdf, substream
 
 from conftest import iteration_generator
 
@@ -124,3 +124,25 @@ class TestGeneratorArrayDraws:
         scalars = [getattr(one_by_one, kind)() for _ in range(k)]
         assert values.tolist() == scalars
         assert whole.bit_generator.state == one_by_one.bit_generator.state
+
+
+UNIFORMS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53]), st.floats(0.0, 1.0, exclude_max=True)
+)
+
+
+class TestBoxMullerExpression:
+    """``box_muller`` builds its normals in place, and each is the value,
+    bit for bit, of the expression it computes, from the two strided columns
+    a block reads; the columns come back unchanged."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(UNIFORMS, UNIFORMS), min_size=1, max_size=40))
+    @example([(0.0, 0.0), (0.0, 0.5), (0.5, 0.25), (1.0 - 2.0**-53, 1.0 - 2.0**-53)])
+    def test_bits_of_the_expression(self, pairs):
+        rows = np.array(pairs)
+        before = rows.copy()
+        u1, u2 = rows[:, 0], rows[:, 1]
+        expected = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
+        assert box_muller(u1, u2).tobytes() == expected.tobytes()
+        assert rows.tobytes() == before.tobytes()
