@@ -94,27 +94,22 @@ def trajectory_terms(
     rewards: np.ndarray,
     scores: np.ndarray,
     weights: "np.ndarray | None" = None,
-    keep_scores: bool = True,
-) -> "tuple[np.ndarray, np.ndarray, list[np.ndarray] | None, np.ndarray]":
-    """The term form of a block of trajectories: (w R, w r, c, g).
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """The term form of a block of trajectories: (w R, w r, g).
 
     ``rewards`` is (n, T) and ``scores`` (n, T, m), row i holding trajectory
-    i.  Reward terms r are (n, K) and score terms c a list of K arrays
-    (n, m).  GPOMDP has K = T, the weighted discounted rewards w_i gamma^t
-    r_t and the cumulative scores c_t = score_0 + ... + score_t; REINFORCE
-    has K = 1, their totals: the weighted discounted return w_i R_i (n,),
-    which is returned for both kinds, and c_{T-1}.  Row i's estimate is
+    i.  Reward terms r are (n, K), paired with the score terms c_k (n, m).
+    GPOMDP has K = T, the weighted discounted rewards w_i gamma^t r_t and
+    the cumulative scores c_t = score_0 + ... + score_t; REINFORCE has
+    K = 1, their totals: the weighted discounted return w_i R_i (n,), which
+    is returned for both kinds, and c_{T-1}.  Row i's estimate is
     g_i = sum_k w_i r_ik c_ik (n, m); every w_i is 1 when ``weights`` is
-    None.
+    None.  The c_k are the last K steps of ``np.cumsum(scores, axis=1)``.
 
     Every sum over a trajectory's steps runs in time order, one (n, m) slice
     per step: the return and g from 0.0, c_t from score_0.  So the bits do
-    not depend on the memory layout of ``scores``.  g and each product
-    r_k c_k are written in place, into one (n, m) array each.
-
-    With ``keep_scores`` False, c is None and the running c_t is summed in
-    place, in one (n, m) array, not kept as a list: the zero-baseline sums
-    read g alone.
+    not depend on the memory layout of ``scores``.  g, the running c_t and
+    each product r_k c_k are written in place, into one (n, m) array each.
     """
     horizon = rewards.shape[1]
     gpomdp = EstimatorKind(kind) is EstimatorKind.GPOMDP
@@ -122,24 +117,20 @@ def trajectory_terms(
     if weights is not None:
         r = weights[:, None] * r
     ret = 0.0
-    c = [] if keep_scores else None
     ct = scores[:, 0]
     g, term = np.zeros(ct.shape), np.empty(ct.shape)
     for t in range(horizon):
         ret += r[:, t]
-        if t == 1 or (t > 1 and keep_scores):
-            ct = ct + scores[:, t]  # a new array: c_0 is a view of scores, and c keeps each c_t
+        if t == 1:
+            ct = ct + scores[:, t]  # a new array: c_0 is a view of scores
         elif t > 1:
             ct += scores[:, t]
-        if keep_scores:
-            c.append(ct)
         if gpomdp:
             g += np.multiply(r[:, t, None], ct, out=term)
     if not gpomdp:
         r = ret[:, None]
-        c = [ct] if keep_scores else None
         g += np.multiply(r, ct, out=term)
-    return ret, r, c, g
+    return ret, r, g
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +214,13 @@ class GradientAccumulator:
             raise ValueError(
                 f"trajectory has horizon {horizon}, accumulator expects {self.horizon}"
             )
-        peters = self.baseline is BaselineKind.PETERS
-        ret, wr, c, g = trajectory_terms(
-            self.kind, self.gamma, rewards, scores, weights, keep_scores=peters
-        )
+        ret, wr, g = trajectory_terms(self.kind, self.gamma, rewards, scores, weights)
         if weights is None:
             weights = np.ones(n)
         terms = {"weight_sum": weights, "return_sum": ret, "_sum_g": g}
-        if peters:
-            c = np.stack(c, axis=1)
+        if self.baseline is BaselineKind.PETERS:
+            # the (n, K, m) score terms, summed over steps in time order
+            c = np.cumsum(scores, axis=1)[:, -wr.shape[1] :]
             w, wr3, c2 = weights[:, None, None], wr[:, :, None], c**2
             terms.update(_sum_rc=wr3 * c, _sum_c=w * c, _sum_rc2=wr3 * c2, _sum_c2=w * c2)
         running = {name: running_sums(getattr(self, name), term) for name, term in terms.items()}

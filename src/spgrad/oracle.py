@@ -7,10 +7,10 @@ of that gradient.  Path enumeration stays as their judge on small
 instances: ``enumerated_performance`` and ``enumerated_gradient`` sum over
 every T-step path, and ``expected_gradient_estimate`` runs the estimator
 on every path.  Only these enumerate, and only they take a path budget.  A
-policy enters through its table at theta, ``policy.table(theta)``: (S, A)
-probabilities and (S, A, m) scores over the MDP's discrete actions.  The
-Softmax policy gives it directly, the Gaussian one through its binned-action
-view.
+policy enters through its table at theta, ``policy.table(theta)``, fetched
+once per theta: (S, A) probabilities and (S, A, m) scores over the MDP's
+discrete actions.  The Softmax policy gives it directly, the Gaussian one
+through its binned-action view.
 
 The path sums take the paths in walk order in blocks (``path_blocks``) and
 carry their totals across blocks in path order, so each is the
@@ -58,14 +58,9 @@ def policy_table(mdp: EnumerableMdp, policy, theta: np.ndarray) -> PolicyTable:
     return table
 
 
-def policy_matrix(mdp: EnumerableMdp, policy, theta: np.ndarray) -> np.ndarray:
-    """(S, A) action probabilities of the policy on the MDP's states."""
-    return policy_table(mdp, policy, theta).probs
-
-
 def exact_values(mdp: EnumerableMdp, policy, theta: np.ndarray) -> ValueTable:
     """Backward induction over the remaining horizon; exact."""
-    probs = policy_matrix(mdp, policy, theta)
+    probs = policy_table(mdp, policy, theta).probs
     gamma = mdp.spec.gamma
     v = np.zeros(mdp.n_states)
     q = np.zeros((mdp.n_states, mdp.n_actions))
@@ -129,13 +124,13 @@ def _walk_paths(mdp: EnumerableMdp, probs: np.ndarray):
                     stack.append((t + 1, s2, p_next, states + (s2,), new_actions))
 
 
-def path_blocks(mdp: EnumerableMdp, policy, theta: np.ndarray, budget: int = DEFAULT_PATH_BUDGET):
-    """The paths of ``_walk_paths`` in walk order, in blocks of at most ``BLOCK_ROWS``:
+def path_blocks(mdp: EnumerableMdp, probs: np.ndarray, budget: int = DEFAULT_PATH_BUDGET):
+    """The paths of ``_walk_paths`` under the (S, A) action probabilities
+    ``probs``, in walk order, in blocks of at most ``BLOCK_ROWS``:
     (probabilities (n,), states (n, T), actions (n, T)) per block.
 
     The budget is checked by this call, before any path is walked.
     """
-    probs = policy_matrix(mdp, policy, theta)
     _check_budget(mdp, probs, budget)
     paths = _walk_paths(mdp, probs)
     blocks = iter(lambda: list(itertools.islice(paths, BLOCK_ROWS)), [])
@@ -153,8 +148,9 @@ def enumerated_performance(
 ) -> float:
     """J(theta) as a probability-weighted sum over all paths; equals the DP value."""
     total = 0.0
-    for probs, states, actions in path_blocks(mdp, policy, theta, budget):
-        total = running_sums(total, probs * _returns(mdp, states, actions))[-1]
+    probs = policy_table(mdp, policy, theta).probs
+    for weights, states, actions in path_blocks(mdp, probs, budget):
+        total = running_sums(total, weights * _returns(mdp, states, actions))[-1]
     return total
 
 
@@ -199,10 +195,11 @@ def enumerated_gradient(
     the sum runs over every path.  Paths are added in walk order and each
     path's return and score in time order.
     """
-    scores = policy_table(mdp, policy, theta).scores
+    table = policy_table(mdp, policy, theta)
+    scores = table.scores
     grad = np.zeros(scores.shape[-1])
-    for probs, states, actions in path_blocks(mdp, policy, theta, budget):
-        weighted = probs * _returns(mdp, states, actions)
+    for weights, states, actions in path_blocks(mdp, table.probs, budget):
+        weighted = weights * _returns(mdp, states, actions)
         score_sums = np.cumsum(scores[states, actions], axis=1)[:, -1]
         grad = running_sums(grad, weighted[:, None] * score_sums)[-1]
     return grad
@@ -254,9 +251,9 @@ def expected_gradient_estimate(
     estimate of the baseline would be degenerate).
     """
     acc = GradientAccumulator(policy, theta, mdp.spec.gamma, kind, baseline)
-    scores = policy_table(mdp, policy, theta).scores
-    for probs, states, actions in path_blocks(mdp, policy, theta, budget):
-        acc.add_block(mdp.reward[states, actions], scores[states, actions], probs)
+    table = policy_table(mdp, policy, theta)
+    for weights, states, actions in path_blocks(mdp, table.probs, budget):
+        acc.add_block(mdp.reward[states, actions], table.scores[states, actions], weights)
     return acc.finalize().vector
 
 

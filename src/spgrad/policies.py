@@ -23,10 +23,12 @@ computable before any data is seen.
 
 On a finite state space a policy at theta is one table: ``table(theta)``
 gives the (S, A) probabilities pi(a | s) and the (S, A, m) scores, which
-is how the exact oracles read ``SoftmaxPolicy`` and ``BinnedGaussianPolicy``.
-A Softmax policy builds that table, with its cumulative sums, in one array
-pass over the states and keeps it as its one memo, at the last theta seen,
-which its methods and its actor read.
+is how the exact oracles read ``SoftmaxPolicy`` and ``BinnedGaussianPolicy``,
+and the scalar methods of both return entries of it.  A Softmax policy
+builds its table, with the log-probabilities and cumulative sums, in one
+array pass over the states and keeps it as its one memo, at the last theta
+seen; its actor reads ``table(theta)``.  The binned view builds its table
+on each call.
 """
 from __future__ import annotations
 
@@ -347,10 +349,9 @@ class PolicyTable(NamedTuple):
 class _SoftmaxTable(NamedTuple):
     """A Softmax policy at one theta, at every state and action."""
 
-    probs: np.ndarray  # (S, A) pi(a | s), read-only
-    rows: list  # its S rows, the views ``action_probabilities`` returns
-    cdf: np.ndarray  # (S, A) np.cumsum of the rows
-    cum: list  # the same rows as Python lists, for ``bisect_right``
+    probs: np.ndarray  # (S, A) pi(a | s), read-only; a row is ``action_probabilities``
+    log_probs: np.ndarray  # (S, A) log pi(a | s), read-only, which ``log_pdf`` reads
+    cum: list  # np.cumsum of each row of probs as a Python list, for ``bisect_right``
     scores: np.ndarray  # (S, A, m) read-only
 
 
@@ -397,21 +398,13 @@ class SoftmaxPolicy:
             self._phi = phi
         return self._phi
 
-    def _log_probabilities(self, theta: np.ndarray, state) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = self._feature_table()[int(state)] @ np.asarray(theta, dtype=float) / self.tau
-            if not np.all(np.abs(z) < math.inf):
-                raise NumericError(f"non-finite Softmax logit {z[~np.isfinite(z)][0]}")
-            z = z - np.max(z)  # finite logits: exp(z) in [0, 1], the largest 1
-        return z - math.log(float(np.sum(np.exp(z))))
-
     def _table(self, theta: np.ndarray) -> _SoftmaxTable:
         """The memo at theta, rebuilt when theta differs from the last one seen.
 
-        One array pass over the states, each value as ``_log_probabilities``
-        and a per-state score would give it: the stacked products compute
-        every state's row as its own product does, and the normalizer is
-        ``math.log`` of each state's sum.
+        One array pass over the states, each value as a per-state log-softmax
+        and score would give it: the stacked products compute every state's
+        row as its own product does, and the normalizer is ``math.log`` of
+        each state's sum.
         """
         theta = np.asarray(theta, dtype=float)
         key = theta.tobytes()
@@ -424,12 +417,12 @@ class SoftmaxPolicy:
                 raise NumericError(f"non-finite Softmax logit {z[~finite][0]}")
             z -= z.max(axis=1, keepdims=True)  # finite logits: exp(z) in [0, 1], the largest 1
             norms = [math.log(total) for total in np.exp(z).sum(axis=1).tolist()]
-            probs = np.exp(z - np.array(norms)[:, None])
+            log_probs = z - np.array(norms)[:, None]
+            probs = np.exp(log_probs)
             scores = (phi - np.matmul(probs[:, None, :], phi)) / self.tau
-            cdf = np.cumsum(probs, axis=1)
-            for table in (probs, cdf, scores):
+            for table in (probs, log_probs, scores):
                 table.flags.writeable = False
-            memo = _SoftmaxTable(probs, list(probs), cdf, cdf.tolist(), scores)
+            memo = _SoftmaxTable(probs, log_probs, np.cumsum(probs, axis=1).tolist(), scores)
             self._memo, self._theta = memo, key
         return self._memo
 
@@ -440,7 +433,7 @@ class SoftmaxPolicy:
 
     def action_probabilities(self, theta: np.ndarray, state) -> np.ndarray:
         """pi(. | state) at theta, read-only."""
-        return self._table(theta).rows[int(state)]
+        return self._table(theta).probs[int(state)]
 
     def action_kernel(self, theta: np.ndarray):
         """``act(state, u)``: the action at ``state`` for the uniform u, from
@@ -458,7 +451,7 @@ class SoftmaxPolicy:
         return self.action_kernel(theta)(state, rng.random())
 
     def log_pdf(self, theta: np.ndarray, state, action) -> float:
-        return float(self._log_probabilities(theta, state)[int(action)])
+        return float(self._table(theta).log_probs[int(state), int(action)])
 
     def score(self, theta: np.ndarray, state, action) -> np.ndarray:
         """The score at (state, action), read-only."""
@@ -489,7 +482,7 @@ class SoftmaxPolicy:
 
 class SoftmaxActor:
     """A Softmax policy frozen at theta, acting on arrays of integer states:
-    a view of the policy's table at theta.  ``sample`` draws for row i the
+    a view of ``policy.table(theta)``.  ``sample`` draws for row i the
     action ``sample_action`` draws from uniform i, reading column a of the
     cumulative probabilities over the S states with one ``take`` each, and
     writes its score, the row of the (S * A, m) scores at the flat index
@@ -499,10 +492,10 @@ class SoftmaxActor:
     draws = 1
 
     def __init__(self, policy: SoftmaxPolicy, theta: np.ndarray):
-        table = policy._table(theta)
+        table = policy.table(theta)
         self.n_actions = policy.n_actions
         self.dim = policy.dim
-        self.cdf = list(table.cdf.T.copy())
+        self.cdf = list(np.cumsum(table.probs, axis=1).T.copy())
         self.scores = table.scores.reshape(-1, table.scores.shape[-1])
 
     def sample(self, states: np.ndarray, u: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -541,8 +534,9 @@ class BinnedGaussianPolicy:
     Action index j stands for the interval [edges[j-1], edges[j]) of the
     real line (with open ends at the extremes), matching the binning of
     :class:`spgrad.mdp.EnumerableEnv` on states 0 .. n_states-1.
-    Probabilities and their exact score come from Gaussian CDF differences,
-    which lets the exact oracles run on the Gaussian policy class.
+    Probabilities and their exact scores come from Gaussian CDF differences
+    in ``table(theta)``, which the scalar methods read and which lets the
+    exact oracles run on the Gaussian policy class.
     """
 
     def __init__(self, gaussian: GaussianPolicy, edges: np.ndarray, n_states: int):
@@ -563,29 +557,20 @@ class BinnedGaussianPolicy:
         return self.gaussian.dim
 
     def action_probabilities(self, theta: np.ndarray, state) -> np.ndarray:
-        m = self.gaussian.mean(theta, state)
-        z = (self.edges - m) / self.gaussian.sigma
-        cdf = np.array([_normal_cdf(v) for v in z])
-        return np.diff(np.concatenate(([0.0], cdf, [1.0])))
+        """pi(. | state) at theta, read-only: a row of ``table(theta)``."""
+        return self.table(theta).probs[int(state)]
 
     def score(self, theta: np.ndarray, state, action) -> np.ndarray:
-        a = int(action)
-        m = self.gaussian.mean(theta, state)
-        sigma = self.gaussian.sigma
-        z = (self.edges - m) / sigma
-        pdf_lo = _normal_pdf(z[a - 1]) if a > 0 else 0.0
-        pdf_hi = _normal_pdf(z[a]) if a < self.n_actions - 1 else 0.0
-        prob = float(self.action_probabilities(theta, state)[a])
-        if prob <= 0.0:
-            raise NumericError(f"bin {a} has vanishing probability at the queried theta")
-        phi = self.gaussian._phi(state)
-        return phi * (pdf_lo - pdf_hi) / (sigma * prob)
+        """The score at (state, action), read-only: an entry of ``table(theta)``."""
+        return self.table(theta).scores[int(state), int(action)]
 
     def table(self, theta: np.ndarray) -> PolicyTable:
-        """The probabilities and scores at every state and bin, each as
-        ``action_probabilities`` and ``score`` give it, from one mean and one
-        set of edge CDFs and densities per state.  Raises the error ``score``
-        raises, at the first bin in state-major order of vanishing probability.
+        """The probabilities and scores at every state and bin, from one mean
+        and one set of edge CDFs and densities per state: a bin's probability
+        is the difference of the CDFs at its edges, and its score phi(s)
+        times the density at its lower edge less that at its upper one, over
+        sigma times its probability.  Raises NumericError at the first bin in
+        state-major order of vanishing probability.
         """
         gaussian, sigma, theta = self.gaussian, self.gaussian.sigma, _floats(theta)
         probs = np.empty((self.n_states, self.n_actions))

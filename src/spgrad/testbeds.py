@@ -36,7 +36,7 @@ class DiscreteInstance:
     mdp: EnumerableMdp
     env: EnumerableEnv
     policy: object  # samples raw actions
-    oracle_policy: object  # exposes action_probabilities / score over discrete actions
+    oracle_policy: object  # table(theta) over the MDP's discrete actions, read by the oracles
 
 
 def two_state_instance() -> DiscreteInstance:

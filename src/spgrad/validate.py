@@ -310,7 +310,7 @@ def _score_chunk(trajs: list, rewards: np.ndarray, actor, gamma: float, kinds) -
     (``policy.actor(theta)``)."""
     scores = actor.score(np.stack([t.states for t in trajs]), np.stack([t.actions for t in trajs]))
     return {
-        kind: trajectory_terms(kind, gamma, rewards, scores, keep_scores=False)[3]
+        kind: trajectory_terms(kind, gamma, rewards, scores)[2]
         for kind in kinds
     }
 

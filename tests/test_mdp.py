@@ -714,10 +714,18 @@ def numpy_step(env, state, action, rng):
     return next_state, float(env.mdp.reward[s, a])
 
 
+def log_softmax(policy, theta, state) -> np.ndarray:
+    """log pi(. | state) from the features, unmemoised, so a stale memo in
+    the policy cannot leak into the reference."""
+    phi = np.array([policy.features(state, a) for a in range(policy.n_actions)], dtype=float)
+    z = phi @ np.asarray(theta, dtype=float) / policy.tau
+    z = z - np.max(z)
+    return z - math.log(float(np.sum(np.exp(z))))
+
+
 def numpy_action(policy, theta, state, rng):
     if isinstance(policy, SoftmaxPolicy):
-        # unmemoised, so a stale memo in the policy cannot leak into the reference
-        cum = np.cumsum(np.exp(policy._log_probabilities(theta, state)))
+        cum = np.cumsum(np.exp(log_softmax(policy, theta, state)))
         idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
         return min(idx, policy.n_actions - 1)
     phi = np.asarray(policy.features(state), dtype=float)
@@ -794,6 +802,17 @@ class TestScalarRolloutMatchesNumpyReference:
         for i in range(200):
             traj = sample_trajectory(env, policy, theta, substream(71, i))
             assert_same_episode(traj, numpy_trajectory(env, policy, theta, substream(71, i)))
+
+    @pytest.mark.parametrize("name", ["two-state", "bandit", "chain"])
+    def test_softmax_log_pdf_is_the_reference_log_softmax(self, name):
+        _, policy = self.env_and_policy(name)
+        rng = substream(75, len(name))
+        for scale in (0.5, 3.0, 20.0):
+            for _ in range(10):
+                theta = scale * rng.standard_normal(policy.dim)
+                for s in range(policy.n_states):
+                    got = [policy.log_pdf(theta, s, a) for a in range(policy.n_actions)]
+                    assert np.array(got).tobytes() == log_softmax(policy, theta, s).tobytes()
 
     @pytest.mark.parametrize("name", list(SETUPS))
     def test_generator_state_after_an_episode(self, name):

@@ -21,7 +21,7 @@ from spgrad.oracle import (
     fd_gradient,
     grid_maximize,
     path_blocks,
-    policy_matrix,
+    policy_table,
 )
 from spgrad.policies import ActionIndicatorFeatures, SoftmaxPolicy
 from spgrad.rng import substream
@@ -77,7 +77,7 @@ class TestValueTables:
         for _ in range(10):
             theta = random_theta(rng, two_state.policy.dim)
             tables = exact_values(two_state.mdp, two_state.policy, theta)
-            probs = policy_matrix(two_state.mdp, two_state.policy, theta)
+            probs = policy_table(two_state.mdp, two_state.policy, theta).probs
             np.testing.assert_allclose(tables.v, (probs * tables.q).sum(axis=1), atol=1e-12)
             assert np.max(np.abs(tables.v)) <= v_bound + 1e-12
 
@@ -166,6 +166,44 @@ class TestExactHessian:
             assert np.linalg.norm(hess, 2) <= lip * (1 + 1e-6)
 
 
+class CountingTables:
+    """A policy whose ``table`` calls are counted."""
+
+    def __init__(self, policy):
+        self.policy, self.dim, self.calls = policy, policy.dim, 0
+
+    def table(self, theta):
+        self.calls += 1
+        return self.policy.table(theta)
+
+
+class TestOneTablePerTheta:
+    """Each oracle fetches the policy's table once per theta it evaluates."""
+
+    ORACLES = {
+        "exact_values": exact_values,
+        "exact_performance": exact_performance,
+        "enumerated_performance": enumerated_performance,
+        "exact_gradient": exact_gradient,
+        "enumerated_gradient": enumerated_gradient,
+        "expected_gradient_estimate": lambda mdp, policy, theta: expected_gradient_estimate(
+            mdp, policy, theta, EstimatorKind.GPOMDP, BaselineKind.PETERS
+        ),
+        "fd_gradient": fd_gradient,
+        "exact_hessian": exact_hessian,
+    }
+
+    @pytest.mark.parametrize("name", list(ORACLES))
+    @pytest.mark.parametrize("instance", ["binned_gaussian", "two_state"])
+    def test_table_calls(self, request, instance, name):
+        inst = request.getfixturevalue(instance)
+        policy = CountingTables(inst.oracle_policy)
+        self.ORACLES[name](inst.mdp, policy, random_theta(substream(38, 0), policy.dim))
+        # the central differences evaluate two thetas per component
+        thetas = 2 * policy.dim if name in ("fd_gradient", "exact_hessian") else 1
+        assert policy.calls == thetas
+
+
 class TestBudget:
     def test_enumeration_budget_enforced(self, two_state):
         theta = np.zeros(two_state.policy.dim)
@@ -173,7 +211,7 @@ class TestBudget:
             enumerated_gradient(two_state.mdp, two_state.policy, theta, budget=10)
         with pytest.raises(OracleBudgetError):
             # raised by the call itself, before any block is taken
-            path_blocks(two_state.mdp, two_state.policy, theta, budget=10)
+            path_blocks(two_state.mdp, two_state.policy.table(theta).probs, budget=10)
         # dynamic programming does not enumerate paths and stays available
         exact_performance(two_state.mdp, two_state.policy, theta)
 
@@ -200,17 +238,18 @@ class TestBudget:
                 inst = request.getfixturevalue(name)
             mdp, policy = inst.mdp, inst.oracle_policy
             theta = random_theta(substream(35, 0), policy.dim)
-        walked = sum(len(block[0]) for block in path_blocks(mdp, policy, theta))
+        probs = policy.table(theta).probs
+        walked = sum(len(block[0]) for block in path_blocks(mdp, probs))
         with pytest.raises(OracleBudgetError) as error:
-            path_blocks(mdp, policy, theta, budget=0)
+            path_blocks(mdp, probs, budget=0)
         charged = int(str(error.value).split()[0])
         assert charged >= walked
         assert (charged > walked) == (name == "underflow")
-        path_blocks(mdp, policy, theta, budget=charged)
+        path_blocks(mdp, probs, budget=charged)
 
     def test_path_count_matches_combinatorics(self, two_state):
         # 2 states * 2 actions over T=3 gives 64 paths, all positive here
-        blocks = list(path_blocks(two_state.mdp, two_state.policy, np.zeros(4)))
+        blocks = list(path_blocks(two_state.mdp, two_state.policy.table(np.zeros(4)).probs))
         assert len(blocks) == 1
         probs, states, actions = blocks[0]
         assert probs.shape == (64,) and states.shape == actions.shape == (64, 3)
@@ -228,7 +267,7 @@ def reference_path_sums(mdp, policy, theta):
     """(J, exact gradient, {(kind, baseline): expected estimate}) summed one
     path at a time, each path's return and score in time order, and each path
     a weighted one-row batch of the accumulator, scored step by step."""
-    probs = policy_matrix(mdp, policy, theta)
+    probs = policy_table(mdp, policy, theta).probs
     scores = np.stack(
         [[policy.score(theta, s, a) for a in range(mdp.n_actions)] for s in range(mdp.n_states)]
     )
@@ -278,7 +317,7 @@ class TestBlockedPathSums:
         rng = substream(34, n_paths)
         for _ in range(3):
             theta = random_theta(rng, policy.dim)
-            sizes = [len(block[0]) for block in path_blocks(mdp, policy, theta)]
+            sizes = [len(block[0]) for block in path_blocks(mdp, policy.table(theta).probs)]
             assert sum(sizes) == n_paths and max(sizes) <= BLOCK_ROWS
             total, grad, estimates = reference_path_sums(mdp, policy, theta)
             assert bits(enumerated_performance(mdp, policy, theta)) == bits(total)
@@ -306,7 +345,7 @@ class TestBlockedPathSums:
         default = sums()
         for rows in (1, 7):
             monkeypatch.setattr(oracle, "BLOCK_ROWS", rows)
-            sizes = [len(block[0]) for block in path_blocks(mdp, policy, theta)]
+            sizes = [len(block[0]) for block in path_blocks(mdp, policy.table(theta).probs)]
             assert max(sizes) == rows
             assert sums() == default
 

@@ -587,11 +587,16 @@ class TestActionProbabilityMemo:
         )
         theta = np.linspace(-1.0, 1.0, 6)
         first = policy.action_probabilities(theta, 1)
-        assert policy.action_probabilities(theta.copy(), np.int64(1)) is first
+        memo = policy._memo  # a rebuild would replace it
+        again = policy.action_probabilities(theta.copy(), np.int64(1))
+        assert policy._memo is memo
+        # both are views of row 1 of the one memo's probabilities
+        for row in (first, again):
+            assert row.base is memo.probs and np.shares_memory(row, memo.probs[1])
         with pytest.raises(ValueError):
             first[0] = 0.5
         moved = policy.action_probabilities(2.0 * theta, 1)
-        assert moved is not first and not np.array_equal(moved, first)
+        assert policy._memo is not memo and not np.array_equal(moved, first)
         np.testing.assert_array_equal(policy.action_probabilities(theta, 1), first)
 
     def test_features_are_evaluated_once(self):
@@ -683,17 +688,31 @@ class TestPolicyTables:
             with pytest.raises(NumericError, match="^non-finite Softmax logit inf$"):
                 policy.table(np.array([0.0, 0.0, 1e308, 0.0]))
 
-    def test_binned_table_matches_scalar_methods(self, binned_gaussian):
+    def test_binned_table_matches_erf_formula(self, binned_gaussian):
         view = binned_gaussian.oracle_policy
+        sigma, edges = view.gaussian.sigma, view.edges.tolist()
         rng = substream(83, 0)
         for _ in range(20):
             theta = random_theta(rng, view.dim, scale=1.0)
             table = view.table(theta)
             assert table.probs.shape == (2, 3) and table.scores.shape == (2, 3, view.dim)
             for s in range(2):
-                assert bits(table.probs[s]) == bits(view.action_probabilities(theta, s))
+                phi = view.gaussian.features.values(s)
+                mean = 0.0
+                for t, p in zip(theta.tolist(), phi):
+                    mean += t * p
+                z = [(edge - mean) / sigma for edge in edges]
+                cdf = [0.0, *(0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in z), 1.0]
+                pdf = [0.0, *(math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi) for v in z), 0.0]
                 for a in range(3):
-                    assert bits(table.scores[s, a]) == bits(view.score(theta, s, a))
+                    # bin a spans edges a - 1 and a: the CDF difference, and
+                    # the density at its lower edge less that at its upper one
+                    prob = cdf[a + 1] - cdf[a]
+                    score = [p * (pdf[a] - pdf[a + 1]) / (sigma * prob) for p in phi]
+                    assert bits(table.probs[s, a]) == bits(prob)
+                    assert bits(table.scores[s, a]) == bits(score)
+                    assert bits(view.score(theta, s, a)) == bits(score)
+                assert bits(view.action_probabilities(theta, s)) == bits(table.probs[s])
 
     def test_binned_table_vanishing_bin(self, binned_gaussian):
         from spgrad.errors import NumericError
@@ -706,3 +725,18 @@ class TestPolicyTables:
             view.score(theta, 0, 0)
         with pytest.raises(NumericError, match=message):
             view.table(theta)
+
+    def test_binned_methods_refuse_a_theta_with_a_vanishing_bin(self, binned_gaussian):
+        from spgrad.errors import NumericError
+
+        # a mean of 40 at state 1 leaves its bins 0 and 1 no probability;
+        # state 0, at mean 0, has none vanishing, and its entries are
+        # refused all the same, as the table that holds them is
+        view = binned_gaussian.oracle_policy
+        theta = np.array([0.0, 40.0])
+        message = "^bin 0 has vanishing probability at the queried theta$"
+        with pytest.raises(NumericError, match=message):
+            view.action_probabilities(theta, 0)
+        for a in range(view.n_actions):
+            with pytest.raises(NumericError, match=message):
+                view.score(theta, 0, a)
