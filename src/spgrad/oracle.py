@@ -8,9 +8,19 @@ instances: ``enumerated_performance`` and ``enumerated_gradient`` sum over
 every T-step path, and ``expected_gradient_estimate`` runs the estimator
 on every path.  Only these enumerate, and only they take a path budget.  A
 policy enters through its table at theta, ``policy.table(theta)``, fetched
-once per theta: (S, A) probabilities and (S, A, m) scores over the MDP's
+once per call: (S, A) probabilities and (S, A, m) scores over the MDP's
 discrete actions.  The Softmax policy gives it directly, the Gaussian one
 through its binned-action view.
+
+``exact_values``, ``exact_performance``, ``exact_gradient``,
+``fd_gradient`` and ``exact_hessian`` also take a stack of theta (k, m)
+and return one result per row, stacked; a single theta (m,) is the k = 1
+case of the same code.  A row of a stack equals the single-theta result
+bit for bit: the stacked products are numpy broadcasts of the products a
+single theta forms.  ``fd_gradient`` and ``exact_hessian`` evaluate all
+their bumped thetas in one call of ``exact_performance`` and
+``exact_gradient``, and so fetch one table per call.  Path enumeration
+takes a single theta.
 
 The path sums take the paths in walk order in blocks (``path_blocks``) and
 carry their totals across blocks in path order, so each is the
@@ -48,9 +58,10 @@ class ValueTable:
 
 
 def policy_table(mdp: EnumerableMdp, policy, theta: np.ndarray) -> PolicyTable:
-    """The policy's table at theta, checked against the MDP's states and actions."""
+    """The policy's table at theta (m,), or its stacked tables at the rows
+    of theta (k, m), checked against the MDP's states and actions."""
     table = policy.table(theta)
-    if table.probs.shape != (mdp.n_states, mdp.n_actions):
+    if table.probs.shape[-2:] != (mdp.n_states, mdp.n_actions):
         raise ValueError(
             f"policy table has shape {table.probs.shape}, "
             f"MDP has {mdp.n_states} states and {mdp.n_actions} actions"
@@ -59,19 +70,22 @@ def policy_table(mdp: EnumerableMdp, policy, theta: np.ndarray) -> PolicyTable:
 
 
 def exact_values(mdp: EnumerableMdp, policy, theta: np.ndarray) -> ValueTable:
-    """Backward induction over the remaining horizon; exact."""
+    """Backward induction over the remaining horizon; exact.  At a stack of
+    theta (k, m), v and q lead with k."""
     probs = policy_table(mdp, policy, theta).probs
-    gamma = mdp.spec.gamma
-    v = np.zeros(mdp.n_states)
-    q = np.zeros((mdp.n_states, mdp.n_actions))
-    for _ in range(mdp.spec.horizon):
-        q = mdp.reward + gamma * mdp.transition @ v
-        v = (probs * q).sum(axis=1)
+    discounted = mdp.spec.gamma * mdp.transition
+    v = np.zeros(probs.shape[:-1])
+    for _ in range(mdp.spec.horizon):  # at least one step: MdpSpec checks horizon >= 1
+        # per theta and state, the (A, S) @ (S,) product of a single theta
+        q = mdp.reward + (discounted @ v[..., None, :, None])[..., 0]
+        v = (probs * q).sum(axis=-1)
     return ValueTable(v=v, q=q)
 
 
-def exact_performance(mdp: EnumerableMdp, policy, theta: np.ndarray) -> float:
-    return float(mdp.initial @ exact_values(mdp, policy, theta).v)
+def exact_performance(mdp: EnumerableMdp, policy, theta: np.ndarray) -> "float | np.ndarray":
+    """J at theta (m,) as a float; at a stack of theta (k, m), the (k,) array."""
+    j = (mdp.initial @ exact_values(mdp, policy, theta).v[..., None])[..., 0]
+    return j if j.ndim else float(j)
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +178,25 @@ def exact_gradient(mdp: EnumerableMdp, policy, theta: np.ndarray) -> np.ndarray:
     E[c_t; s_t = s, a_t = a] = pi(a|s) (e(s) + p(s) score(s, a)); the
     rewards weigh these into the gradient and the transition tensor
     carries both to s_{t+1}.  gamma^t is built by repeated multiplication.
+    At a stack of theta (k, m) the pass carries k of each and returns (k, m);
+    every product is a broadcast stack of the product one theta forms.
     """
-    table = policy_table(mdp, policy, theta)
-    probs, scores = table.probs, table.scores
+    probs, scores = policy_table(mdp, policy, theta)
+    lead, m = probs.shape[:-2], scores.shape[-1]  # lead: () for one theta, (k,) for a stack
     n_pairs = mdp.n_states * mdp.n_actions
     transition = mdp.transition.reshape(n_pairs, mdp.n_states)
     reward = mdp.reward.ravel()
     p = mdp.initial
-    e = np.zeros((mdp.n_states, scores.shape[-1]))
-    grad = np.zeros(scores.shape[-1])
+    e = np.zeros(lead + (mdp.n_states, m))
+    grad = np.zeros(lead + (m,))
     discount = 1.0
     for t in range(mdp.spec.horizon):
-        carried = (probs[:, :, None] * (e[:, None, :] + p[:, None, None] * scores)).reshape(
-            n_pairs, -1
+        carried = (probs[..., None] * (e[..., None, :] + p[..., None, None] * scores)).reshape(
+            lead + (n_pairs, m)
         )
         grad += discount * (reward @ carried)
         if t < mdp.spec.horizon - 1:
-            p = (p[:, None] * probs).ravel() @ transition
+            p = ((p[..., None] * probs).reshape(lead + (1, n_pairs)) @ transition)[..., 0, :]
             e = transition.T @ carried
             discount *= mdp.spec.gamma
     return grad
@@ -205,35 +221,40 @@ def enumerated_gradient(
     return grad
 
 
+def _bumped(theta: np.ndarray, step: float) -> np.ndarray:
+    """The central-difference points of theta (m,) or of each row of theta
+    (k, m): (k * 2 * m, m), row-major over (row, +step then -step, coordinate)."""
+    rows = theta.reshape(-1, theta.shape[-1])[:, None, :]
+    bump = step * np.eye(theta.shape[-1])
+    return np.stack([rows + bump, rows - bump], axis=1).reshape(-1, theta.shape[-1])
+
+
 def fd_gradient(mdp: EnumerableMdp, policy, theta: np.ndarray) -> np.ndarray:
-    """Central finite differences of the exact performance, step ``_FD_STEP``."""
+    """Central finite differences of the exact performance, step ``_FD_STEP``;
+    at a stack of theta (k, m), (k, m).  The 2m bumped thetas of every row
+    are evaluated in one ``exact_performance`` call."""
     theta = np.asarray(theta, dtype=float)
-    grad = np.zeros_like(theta)
-    for i in range(theta.size):
-        bump = np.zeros_like(theta)
-        bump[i] = _FD_STEP
-        grad[i] = (
-            exact_performance(mdp, policy, theta + bump)
-            - exact_performance(mdp, policy, theta - bump)
-        ) / (2.0 * _FD_STEP)
-    return grad
+    j = exact_performance(mdp, policy, _bumped(theta, _FD_STEP)).reshape(-1, 2, theta.shape[-1])
+    return ((j[:, 0] - j[:, 1]) / (2.0 * _FD_STEP)).reshape(theta.shape)
 
 
 def exact_hessian(mdp: EnumerableMdp, policy, theta: np.ndarray) -> np.ndarray:
-    """Central finite differences of the exact gradient, step ``_HESSIAN_STEP``, symmetrized."""
+    """Central finite differences of the exact gradient, step ``_HESSIAN_STEP``,
+    symmetrized; at a stack of theta (k, m), (k, m, m).  The 2m bumped
+    thetas of every row are evaluated in one ``exact_gradient`` call."""
     theta = np.asarray(theta, dtype=float)
-    m = theta.size
-    hess = np.zeros((m, m))
-    for j in range(m):
-        bump = np.zeros(m)
-        bump[j] = _HESSIAN_STEP
-        plus = exact_gradient(mdp, policy, theta + bump)
-        minus = exact_gradient(mdp, policy, theta - bump)
-        hess[:, j] = (plus - minus) / (2.0 * _HESSIAN_STEP)
-    asymmetry = float(np.max(np.abs(hess - hess.T)))
-    if asymmetry > 1e-6:
-        raise NumericError(f"finite-difference Hessian asymmetry {asymmetry} exceeds 1e-6")
-    return 0.5 * (hess + hess.T)
+    m = theta.shape[-1]
+    grads = exact_gradient(mdp, policy, _bumped(theta, _HESSIAN_STEP)).reshape(-1, 2, m, m)
+    # column j of a Hessian from the gradients at theta + and - step e_j
+    hess = ((grads[:, 0] - grads[:, 1]) / (2.0 * _HESSIAN_STEP)).swapaxes(1, 2)
+    asymmetry = np.max(np.abs(hess - hess.swapaxes(1, 2)), axis=(1, 2))
+    rows = np.flatnonzero(asymmetry > 1e-6)
+    if rows.size:
+        where = f" at theta row {rows[0]}" if theta.ndim == 2 else ""
+        raise NumericError(
+            f"finite-difference Hessian asymmetry {float(asymmetry[rows[0]])} exceeds 1e-6{where}"
+        )
+    return (0.5 * (hess + hess.swapaxes(1, 2))).reshape(theta.shape + (m,))
 
 
 def expected_gradient_estimate(

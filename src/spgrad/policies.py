@@ -7,7 +7,9 @@ Softmax draw is ``bisect_right`` on a row of cumulative probabilities, as
 ``np.searchsorted`` on ``np.cumsum`` would find it), ``sample_action`` (the
 same, drawing its variate from a generator), ``log_pdf``, ``score``
 (gradient of the log-density in theta),
-``observed_information`` (its Hessian), ``actor(theta)`` (the policy frozen
+``observed_information`` (the Hessian of the log-density in theta,
+negative semidefinite for both classes, so the negative of what statistics
+calls the observed information), ``actor(theta)`` (the policy frozen
 at theta, acting on arrays of states), and
 ``smoothing_constants`` returning the class constants (psi, kappa, xi)
 that bound, uniformly over states and theta,
@@ -24,11 +26,14 @@ computable before any data is seen.
 On a finite state space a policy at theta is one table: ``table(theta)``
 gives the (S, A) probabilities pi(a | s) and the (S, A, m) scores, which
 is how the exact oracles read ``SoftmaxPolicy`` and ``BinnedGaussianPolicy``,
-and the scalar methods of both return entries of it.  A Softmax policy
-builds its table, with the log-probabilities and cumulative sums, in one
-array pass over the states and keeps it as its one memo, at the last theta
-seen; its actor reads ``table(theta)``.  The binned view builds its table
-on each call.
+and the scalar methods of both return entries of it.  ``table`` also takes
+a stack of theta (k, m) and returns the k tables stacked, each equal bit
+for bit to the table at its row; a single theta is the same array pass
+without the leading axis.  Both policies build a table in one array pass
+over the thetas and states and keep it as their one memo, at the last
+theta seen, keyed by theta's shape and bytes, so a (1, m) stack never
+returns a single theta's table.  A Softmax policy's memo also holds the
+log-probabilities and cumulative sums; its actor reads ``table(theta)``.
 """
 from __future__ import annotations
 
@@ -68,6 +73,23 @@ def _square(x: float) -> float:
 def _floats(theta: np.ndarray) -> "list[float]":
     """theta as a list of Python floats."""
     return np.asarray(theta, dtype=float).tolist()
+
+
+def _thetas(theta: np.ndarray, dim: int) -> np.ndarray:
+    """A single theta (m,) or a stack (k, m) as a contiguous float array,
+    checked when a table is built.  Tables broadcast over the optional
+    leading axis, so a single theta is the k = 1 case of the same code,
+    with the leading axis dropped."""
+    theta = np.ascontiguousarray(theta, dtype=float)
+    if theta.ndim not in (1, 2) or theta.shape[-1] != dim:
+        raise ValueError(f"theta has shape {theta.shape}, expected ({dim},) or (k, {dim})")
+    return theta
+
+
+def _at_row(theta: np.ndarray, index: "tuple | np.ndarray", single: str = "") -> str:
+    """How an error at ``index`` (theta row first, for a stack) names the
+    theta it arose at: ``single`` for a single theta, the row for a stack."""
+    return f" at theta row {index[0]}" if theta.ndim == 2 else single
 
 
 def _finite_constants(key: str, value: float, **constants: float) -> SmoothingConstants:
@@ -252,6 +274,11 @@ class GaussianPolicy:
         return np.array(phi) * (float(action) - m) / self.variance
 
     def observed_information(self, theta: np.ndarray, state, action) -> np.ndarray:
+        """grad^2_theta log pi(action | state) = -phi phi^T / sigma^2.
+
+        Negative semidefinite: this is the negative of the statistical
+        observed information, whose name the method keeps.
+        """
         phi = self._phi(state)
         return -np.outer(phi, phi) / self.variance
 
@@ -340,18 +367,21 @@ class GaussianActor:
 
 
 class PolicyTable(NamedTuple):
-    """A policy at one theta on a finite state and action space."""
+    """A policy on a finite state and action space, at one theta (m,) or
+    at each row of a stack (k, m), whose arrays then lead with k."""
 
     probs: np.ndarray  # (S, A) pi(a | s), read-only
     scores: np.ndarray  # (S, A, m) grad_theta log pi(a | s), read-only
 
 
 class _SoftmaxTable(NamedTuple):
-    """A Softmax policy at one theta, at every state and action."""
+    """A Softmax policy at one theta, or a stack of them, at every state and action."""
 
     probs: np.ndarray  # (S, A) pi(a | s), read-only; a row is ``action_probabilities``
     log_probs: np.ndarray  # (S, A) log pi(a | s), read-only, which ``log_pdf`` reads
-    cum: list  # np.cumsum of each row of probs as a Python list, for ``bisect_right``
+    # np.cumsum of each row of probs as a Python list, for ``bisect_right``:
+    # empty until ``action_kernel`` first reads this memo
+    cum: list
     scores: np.ndarray  # (S, A, m) read-only
 
 
@@ -378,7 +408,7 @@ class SoftmaxPolicy:
         self.n_actions = n_actions
         self.n_states = n_states
         self._phi: "np.ndarray | None" = None
-        self._theta: "bytes | None" = None
+        self._key: "tuple | None" = None  # theta's shape and bytes
         self._memo: "_SoftmaxTable | None" = None
 
     @property
@@ -399,35 +429,39 @@ class SoftmaxPolicy:
         return self._phi
 
     def _table(self, theta: np.ndarray) -> _SoftmaxTable:
-        """The memo at theta, rebuilt when theta differs from the last one seen.
+        """The memo at theta (m,) or at a stack (k, m), rebuilt when theta's
+        shape or bytes differ from the last one seen.
 
-        One array pass over the states, each value as a per-state log-softmax
-        and score would give it: the stacked products compute every state's
-        row as its own product does, and the normalizer is ``math.log`` of
-        each state's sum.
+        One array pass over the thetas and states, each value as a per-state
+        log-softmax and score at a single theta would give it: the
+        broadcast products compute every (theta, state) row as its own
+        product does, and the normalizer is ``math.log`` of each row's sum.
         """
         theta = np.asarray(theta, dtype=float)
-        key = theta.tobytes()
-        if key != self._theta:
-            phi = self._feature_table()
+        key = (theta.shape, theta.tobytes())
+        if key != self._key:
+            theta, phi = _thetas(theta, self.dim), self._feature_table()
             with np.errstate(over="ignore", invalid="ignore"):
-                z = phi @ theta / self.tau
+                # ([k,] S, A): per theta and state, the (A, m) @ (m,) product
+                z = (phi @ theta[..., None, :, None])[..., 0] / self.tau
             finite = np.isfinite(z)
             if not finite.all():
-                raise NumericError(f"non-finite Softmax logit {z[~finite][0]}")
-            z -= z.max(axis=1, keepdims=True)  # finite logits: exp(z) in [0, 1], the largest 1
-            norms = [math.log(total) for total in np.exp(z).sum(axis=1).tolist()]
-            log_probs = z - np.array(norms)[:, None]
+                index = np.argwhere(~finite)[0]
+                raise NumericError(f"non-finite Softmax logit {z[tuple(index)]}{_at_row(theta, index)}")
+            z -= z.max(axis=-1, keepdims=True)  # finite logits: exp(z) in [0, 1], the largest 1
+            norms = [math.log(total) for total in np.exp(z).sum(axis=-1).ravel().tolist()]
+            log_probs = z - np.array(norms).reshape(z.shape[:-1] + (1,))
             probs = np.exp(log_probs)
-            scores = (phi - np.matmul(probs[:, None, :], phi)) / self.tau
+            scores = (phi - np.matmul(probs[..., None, :], phi)) / self.tau
             for table in (probs, log_probs, scores):
                 table.flags.writeable = False
-            memo = _SoftmaxTable(probs, log_probs, np.cumsum(probs, axis=1).tolist(), scores)
-            self._memo, self._theta = memo, key
+            memo = _SoftmaxTable(probs, log_probs, [], scores)
+            self._memo, self._key = memo, key
         return self._memo
 
     def table(self, theta: np.ndarray) -> PolicyTable:
-        """The probabilities and scores at every state and action, read-only."""
+        """The probabilities and scores at every state and action, read-only;
+        at a stack of theta (k, m), one table per row, stacked."""
         memo = self._table(theta)
         return PolicyTable(memo.probs, memo.scores)
 
@@ -438,7 +472,10 @@ class SoftmaxPolicy:
     def action_kernel(self, theta: np.ndarray):
         """``act(state, u)``: the action at ``state`` for the uniform u, from
         the cumulative rows of the table at theta, looked up once."""
-        cum, last = self._table(theta).cum, self.n_actions - 1
+        memo, last = self._table(theta), self.n_actions - 1
+        cum = memo.cum
+        if not cum:
+            cum.extend(np.cumsum(memo.probs, axis=1).tolist())
 
         def act(state, u: float) -> int:
             row = cum[int(state)]
@@ -458,7 +495,11 @@ class SoftmaxPolicy:
         return self._table(theta).scores[int(state), int(action)]
 
     def observed_information(self, theta: np.ndarray, state, action) -> np.ndarray:
-        # Action-independent: mean mean^T - E[phi phi^T], scaled by 1/tau^2.
+        """grad^2_theta log pi(action | state) = (mu mu^T - E[phi phi^T]) / tau^2
+        with mu = E[phi] under pi(. | state), for every action.  Minus a
+        covariance, so negative semidefinite: this is the negative of the
+        statistical observed information, whose name the method keeps.
+        """
         probs = self._table(theta).probs[int(state)]
         rows = self._phi[int(state)]
         mean = probs @ rows
@@ -536,7 +577,8 @@ class BinnedGaussianPolicy:
     :class:`spgrad.mdp.EnumerableEnv` on states 0 .. n_states-1.
     Probabilities and their exact scores come from Gaussian CDF differences
     in ``table(theta)``, which the scalar methods read and which lets the
-    exact oracles run on the Gaussian policy class.
+    exact oracles run on the Gaussian policy class.  The table at the last
+    theta seen is kept as a memo, as a Softmax policy keeps its own.
     """
 
     def __init__(self, gaussian: GaussianPolicy, edges: np.ndarray, n_states: int):
@@ -551,6 +593,9 @@ class BinnedGaussianPolicy:
         self.edges = edges
         self.n_actions = edges.size + 1
         self.n_states = n_states
+        self._phi: "np.ndarray | None" = None
+        self._key: "tuple | None" = None  # theta's shape and bytes
+        self._memo: "PolicyTable | None" = None
 
     @property
     def dim(self) -> int:
@@ -565,29 +610,53 @@ class BinnedGaussianPolicy:
         return self.table(theta).scores[int(state), int(action)]
 
     def table(self, theta: np.ndarray) -> PolicyTable:
-        """The probabilities and scores at every state and bin, from one mean
-        and one set of edge CDFs and densities per state: a bin's probability
-        is the difference of the CDFs at its edges, and its score phi(s)
-        times the density at its lower edge less that at its upper one, over
-        sigma times its probability.  Raises NumericError at the first bin in
-        state-major order of vanishing probability.
+        """The probabilities and scores at every state and bin, read-only; at
+        a stack of theta (k, m), one table per row, stacked.
+
+        One array pass over the thetas and states: each mean is summed
+        feature by feature, as ``GaussianPolicy._linear_mean`` sums it, and
+        ``math.erf`` and ``math.exp`` give the edge CDFs and densities of
+        every (theta, state) row from one flat list.  A bin's probability is
+        the difference of the CDFs at its edges, and its score phi(s) times
+        the density at its lower edge less that at its upper one, over sigma
+        times its probability.  At the first (theta, state) in row-major
+        order with a non-finite mean or a bin of vanishing probability,
+        raises NumericError for the first of the two.
         """
-        gaussian, sigma, theta = self.gaussian, self.gaussian.sigma, _floats(theta)
-        probs = np.empty((self.n_states, self.n_actions))
-        scores = np.empty((self.n_states, self.n_actions, self.dim))
-        for s in range(self.n_states):
-            phi = gaussian._phi(s)
-            z = (self.edges - gaussian._linear_mean(theta, phi.tolist())) / sigma
-            probs[s] = np.diff([0.0, *(_normal_cdf(v) for v in z), 1.0])
-            vanishing = np.flatnonzero(probs[s] <= 0.0)
-            if vanishing.size:
-                raise NumericError(
-                    f"bin {vanishing[0]} has vanishing probability at the queried theta"
-                )
-            pdf = [_normal_pdf(v) for v in z]
-            # the density at each bin's lower edge minus that at its upper one
-            slopes = np.subtract([0.0, *pdf], [*pdf, 0.0])
-            scores[s] = phi * slopes[:, None] / (sigma * probs[s])[:, None]
+        theta = np.asarray(theta, dtype=float)
+        key = (theta.shape, theta.tobytes())
+        if key != self._key:
+            self._memo, self._key = self._build(_thetas(theta, self.dim)), key
+        return self._memo
+
+    def _build(self, theta: np.ndarray) -> PolicyTable:
+        if self._phi is None:  # (S, m), each row checked against the feature bound
+            self._phi = np.array([self.gaussian._phi_values(s) for s in range(self.n_states)])
+        phi, sigma = self._phi, self.gaussian.sigma
+        mean = np.zeros(theta.shape[:-1] + (self.n_states,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(self.dim):
+                mean += theta[..., j, None] * phi[:, j]
+            z = (self.edges - mean[..., None]) / sigma  # ([k,] S, edges)
+        flat = z.ravel().tolist()
+        cdf = np.array([_normal_cdf(v) for v in flat]).reshape(z.shape)
+        probs = np.diff(cdf, axis=-1, prepend=0.0, append=1.0)
+        bad_mean = ~np.isfinite(mean)
+        vanishing = probs <= 0.0
+        flagged = np.argwhere(bad_mean | vanishing.any(axis=-1))
+        if flagged.size:
+            index = tuple(flagged[0])
+            if bad_mean[index]:
+                raise NumericError(f"non-finite policy mean {float(mean[index])}{_at_row(theta, index)}")
+            where = _at_row(theta, index, " at the queried theta")
+            raise NumericError(
+                f"bin {np.flatnonzero(vanishing[index])[0]} has vanishing probability{where}"
+            )
+        pdf = np.array([_normal_pdf(v) for v in flat]).reshape(z.shape)
+        # the density at each bin's lower edge minus that at its upper one
+        outer = np.zeros(z.shape[:-1] + (1,))
+        slopes = np.concatenate([outer, pdf], axis=-1) - np.concatenate([pdf, outer], axis=-1)
+        scores = phi[:, None, :] * slopes[..., None] / (sigma * probs)[..., None]
         for table in (probs, scores):
             table.flags.writeable = False
         return PolicyTable(probs, scores)

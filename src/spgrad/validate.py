@@ -10,7 +10,9 @@ declared with ``_check(name, tolerance)``, which builds its
 ``baseline-mean-invariance``) take the ``budget`` argument; ``_check``
 reports one as skipped when the budget is too small.  Every other exact
 quantity comes from dynamic programming or the forward pass, which need no
-budget.
+budget.  A check that evaluates them at many theta first draws every
+point from its stream, in the order a one-point-at-a-time loop would, and
+then makes one oracle call per quantity on the stack of points.
 
 These checks are the only implementation of the acceptance criteria: the
 CLI runs them at its default sizes, the acceptance tests at larger ones
@@ -110,18 +112,27 @@ def _random_theta(rng: np.random.Generator, dim: int, scale: float = 0.5) -> np.
     return scale * rng.standard_normal(dim)
 
 
+def _random_thetas(rng: np.random.Generator, dim: int, n_points: int) -> np.ndarray:
+    """(n_points, dim): ``n_points`` draws of ``_random_theta``, in order."""
+    return np.array([_random_theta(rng, dim) for _ in range(n_points)]).reshape(n_points, dim)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> "list[float]":
+    """``np.dot`` of each row of ``a`` (n, m) with the same row of ``b``."""
+    return (a[:, None, :] @ b[:, :, None]).ravel().tolist()
+
+
 @_check("dp-enumeration-consistency", "<= 1e-10")
 def check_dp_enumeration(budget: int, seed: int):
     inst = two_state_instance()
-    rng = substream(seed, 1)
+    mdp, policy = inst.mdp, inst.oracle_policy
+    thetas = _random_thetas(substream(seed, 1), policy.dim, 10)
+    j_dp = exact_performance(mdp, policy, thetas).tolist()
+    grads = exact_gradient(mdp, policy, thetas)
     worst = worst_grad = 0.0
-    for _ in range(10):
-        theta = _random_theta(rng, inst.policy.dim)
-        j_dp = exact_performance(inst.mdp, inst.oracle_policy, theta)
-        j_enum = enumerated_performance(inst.mdp, inst.oracle_policy, theta, budget)
-        worst = max(worst, abs(j_dp - j_enum))
-        grad = exact_gradient(inst.mdp, inst.oracle_policy, theta)
-        grad_enum = enumerated_gradient(inst.mdp, inst.oracle_policy, theta, budget)
+    for theta, j, grad in zip(thetas, j_dp, grads):
+        worst = max(worst, abs(j - enumerated_performance(mdp, policy, theta, budget)))
+        grad_enum = enumerated_gradient(mdp, policy, theta, budget)
         worst_grad = max(worst_grad, float(np.max(np.abs(grad - grad_enum))))
     observed = f"max |J_dp - J_enum| = {worst:.3e}; max |grad_fwd - grad_enum| = {worst_grad:.3e}"
     return max(worst, worst_grad) <= 1e-10, observed
@@ -130,14 +141,14 @@ def check_dp_enumeration(budget: int, seed: int):
 @_check("gradient-fd-crosscheck", "rel <= 1e-6")
 def check_gradient_crosscheck(seed: int):
     inst = two_state_instance()
-    rng = substream(seed, 2)
+    thetas = _random_thetas(substream(seed, 2), inst.policy.dim, 20)
+    grads = exact_gradient(inst.mdp, inst.oracle_policy, thetas)
+    fds = fd_gradient(inst.mdp, inst.oracle_policy, thetas)
+    gaps = grads - fds
     worst = 0.0
-    for _ in range(20):
-        theta = _random_theta(rng, inst.policy.dim)
-        grad = exact_gradient(inst.mdp, inst.oracle_policy, theta)
-        fd = fd_gradient(inst.mdp, inst.oracle_policy, theta)
-        rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
-        worst = max(worst, rel)
+    # each norm as np.linalg.norm gives it: the square root of the row's np.dot
+    for gap2, fd2 in zip(_row_dots(gaps, gaps), _row_dots(fds, fds)):
+        worst = max(worst, math.sqrt(gap2) / max(math.sqrt(fd2), 1e-12))
     return worst <= 1e-6, f"max relative gap = {worst:.3e}"
 
 
@@ -176,18 +187,21 @@ def check_quadratic_bound(seed: int, lipschitz_scale: float, n_points: int = 100
     inst = two_state_instance()
     lip = lipschitz_constant(inst.policy.smoothing_constants(), inst.mdp.spec)
     l_used = lip * lipschitz_scale
-    rng = substream(seed, 5)
-    worst = -np.inf
+    dim, rng = inst.policy.dim, substream(seed, 5)
+    thetas, steps = [], []
     for _ in range(n_points):
-        theta = _random_theta(rng, inst.policy.dim)
-        step = rng.standard_normal(inst.policy.dim)
+        thetas.append(_random_theta(rng, dim))
+        step = rng.standard_normal(dim)
         step *= rng.uniform(0.05, 1.0) / np.linalg.norm(step)
-        # theta's values together, then the stepped theta's: one policy table each
-        grad = exact_gradient(inst.mdp, inst.oracle_policy, theta)
-        j_theta = exact_performance(inst.mdp, inst.oracle_policy, theta)
-        j_step = exact_performance(inst.mdp, inst.oracle_policy, theta + step)
-        deviation = abs(j_step - j_theta - float(np.dot(step, grad)))
-        worst = max(worst, deviation - (l_used / 2.0) * float(np.dot(step, step)))
+        steps.append(step)
+    thetas, steps = np.reshape(thetas, (n_points, dim)), np.reshape(steps, (n_points, dim))
+    grads = exact_gradient(inst.mdp, inst.oracle_policy, thetas)
+    stacked = np.concatenate([thetas, thetas + steps])
+    j = exact_performance(inst.mdp, inst.oracle_policy, stacked).tolist()
+    along, squares = _row_dots(steps, grads), _row_dots(steps, steps)
+    worst = -np.inf
+    for j_theta, j_step, d, sq in zip(j[:n_points], j[n_points:], along, squares):
+        worst = max(worst, abs(j_step - j_theta - d) - (l_used / 2.0) * sq)
     return worst <= 1e-9, f"max excess = {worst:.3e}"
 
 
@@ -197,11 +211,10 @@ def check_hessian_bound(seed: int, lipschitz_scale: float, n_points: int = 10):
     for idx, inst in enumerate((two_state_instance(), binned_gaussian_instance())):
         lip = lipschitz_constant(inst.policy.smoothing_constants(), inst.mdp.spec)
         l_used = lip * lipschitz_scale
-        rng = substream(seed, 6, idx)
-        for _ in range(n_points):
-            theta = _random_theta(rng, inst.policy.dim)
-            hess = exact_hessian(inst.mdp, inst.oracle_policy, theta)
-            worst_ratio = max(worst_ratio, float(np.linalg.norm(hess, 2)) / l_used)
+        thetas = _random_thetas(substream(seed, 6, idx), inst.policy.dim, n_points)
+        hess = exact_hessian(inst.mdp, inst.oracle_policy, thetas)
+        for norm in np.linalg.norm(hess, 2, axis=(1, 2)).tolist():
+            worst_ratio = max(worst_ratio, norm / l_used)
     return worst_ratio <= 1.0 + 1e-6, f"max ||H||/L = {worst_ratio:.3e}"
 
 
@@ -210,16 +223,13 @@ def check_exact_step(seed: int, n_points: int = 50):
     inst = two_state_instance()
     lip = lipschitz_constant(inst.policy.smoothing_constants(), inst.mdp.spec)
     alpha = optimal_step_exact(lip)
-    rng = substream(seed, 7)
+    thetas = _random_thetas(substream(seed, 7), inst.policy.dim, n_points)
+    grads = exact_gradient(inst.mdp, inst.oracle_policy, thetas)
+    stacked = np.concatenate([thetas, thetas + alpha * grads])
+    j = exact_performance(inst.mdp, inst.oracle_policy, stacked).tolist()
     worst = np.inf
-    for _ in range(n_points):
-        theta = _random_theta(rng, inst.policy.dim)
-        # theta's values together, then the stepped theta's: one policy table each
-        grad = exact_gradient(inst.mdp, inst.oracle_policy, theta)
-        j_theta = exact_performance(inst.mdp, inst.oracle_policy, theta)
-        j_step = exact_performance(inst.mdp, inst.oracle_policy, theta + alpha * grad)
-        improvement = j_step - j_theta
-        worst = min(worst, improvement - float(np.dot(grad, grad)) / (2.0 * lip))
+    for j_theta, j_step, sq in zip(j[:n_points], j[n_points:], _row_dots(grads, grads)):
+        worst = min(worst, j_step - j_theta - sq / (2.0 * lip))
     return worst >= -1e-9, f"min margin = {worst:.3e}"
 
 

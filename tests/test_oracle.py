@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spgrad.errors import OracleBudgetError
+from spgrad.errors import NumericError, OracleBudgetError
 import spgrad.oracle as oracle
 from spgrad.estimators import BLOCK_ROWS, BaselineKind, EstimatorKind, GradientAccumulator
 from spgrad.mdp import make_bandit
@@ -167,18 +167,20 @@ class TestExactHessian:
 
 
 class CountingTables:
-    """A policy whose ``table`` calls are counted."""
+    """A policy whose ``table`` calls, and the thetas they cover, are counted."""
 
     def __init__(self, policy):
-        self.policy, self.dim, self.calls = policy, policy.dim, 0
+        self.policy, self.dim, self.calls, self.thetas = policy, policy.dim, 0, 0
 
     def table(self, theta):
         self.calls += 1
+        self.thetas += len(np.atleast_2d(theta))
         return self.policy.table(theta)
 
 
 class TestOneTablePerTheta:
-    """Each oracle fetches the policy's table once per theta it evaluates."""
+    """Each oracle fetches the policy's table once per call, covering every
+    theta it evaluates."""
 
     ORACLES = {
         "exact_values": exact_values,
@@ -192,6 +194,7 @@ class TestOneTablePerTheta:
         "fd_gradient": fd_gradient,
         "exact_hessian": exact_hessian,
     }
+    STACKED = ["exact_values", "exact_performance", "exact_gradient", "fd_gradient", "exact_hessian"]
 
     @pytest.mark.parametrize("name", list(ORACLES))
     @pytest.mark.parametrize("instance", ["binned_gaussian", "two_state"])
@@ -199,9 +202,78 @@ class TestOneTablePerTheta:
         inst = request.getfixturevalue(instance)
         policy = CountingTables(inst.oracle_policy)
         self.ORACLES[name](inst.mdp, policy, random_theta(substream(38, 0), policy.dim))
-        # the central differences evaluate two thetas per component
+        # the central differences evaluate two thetas per component, in one table
         thetas = 2 * policy.dim if name in ("fd_gradient", "exact_hessian") else 1
-        assert policy.calls == thetas
+        assert (policy.calls, policy.thetas) == (1, thetas)
+
+    @pytest.mark.parametrize("name", STACKED)
+    @pytest.mark.parametrize("instance", ["binned_gaussian", "two_state"])
+    def test_one_table_covers_a_stack(self, request, instance, name):
+        inst = request.getfixturevalue(instance)
+        policy = CountingTables(inst.oracle_policy)
+        thetas = random_theta(substream(38, 1), 5 * policy.dim).reshape(5, policy.dim)
+        self.ORACLES[name](inst.mdp, policy, thetas)
+        per_theta = 2 * policy.dim if name in ("fd_gradient", "exact_hessian") else 1
+        assert (policy.calls, policy.thetas) == (1, 5 * per_theta)
+
+
+def stacked_oracles(mdp, policy, thetas) -> dict:
+    """Every stacked oracle's result at ``thetas``, (m,) or (k, m)."""
+    values = exact_values(mdp, policy, thetas)
+    return {
+        "v": values.v,
+        "q": values.q,
+        "exact_performance": exact_performance(mdp, policy, thetas),
+        "exact_gradient": exact_gradient(mdp, policy, thetas),
+        "fd_gradient": fd_gradient(mdp, policy, thetas),
+        "exact_hessian": exact_hessian(mdp, policy, thetas),
+    }
+
+
+class TestStackedOracles:
+    @pytest.mark.parametrize("name", ["two_state", "chain", "bandit", "binned_gaussian"])
+    def test_rows_equal_single_theta_results(self, request, name):
+        inst = request.getfixturevalue(name)
+        mdp, policy = inst.mdp, inst.oracle_policy
+        thetas = random_theta(substream(39, 0), 20 * policy.dim).reshape(20, policy.dim)
+        stacked = stacked_oracles(mdp, policy, thetas)
+        for i, theta in enumerate(thetas):
+            single = stacked_oracles(mdp, policy, theta)
+            one = stacked_oracles(mdp, policy, theta[None])
+            for key, value in single.items():
+                assert one[key].shape == (1, *np.shape(value))
+                assert np.asarray(value).tobytes() == one[key][0].tobytes()
+                assert np.asarray(value).tobytes() == stacked[key][i].tobytes(), key
+            assert type(single["exact_performance"]) is float
+
+    def test_single_theta_shapes(self, two_state):
+        m = two_state.policy.dim
+        results = stacked_oracles(two_state.mdp, two_state.policy, np.zeros(m))
+        shapes = {key: np.shape(value) for key, value in results.items()}
+        assert shapes == {
+            "v": (2,),
+            "q": (2, 2),
+            "exact_performance": (),
+            "exact_gradient": (m,),
+            "fd_gradient": (m,),
+            "exact_hessian": (m, m),
+        }
+
+    def test_hessian_asymmetry_names_the_row(self, two_state, monkeypatch):
+        # a gradient field whose Jacobian is asymmetric where theta[0] > 5
+        skew = np.array([[1.0, 2.0], [0.0, 1.0]])
+
+        def gradient(mdp, policy, thetas):
+            return np.where(thetas[:, :1] > 5.0, thetas @ skew.T, thetas)
+
+        monkeypatch.setattr(oracle, "exact_gradient", gradient)
+        thetas = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 1.0]])
+        message = "^finite-difference Hessian asymmetry [0-9.]+ exceeds 1e-6"
+        with pytest.raises(NumericError, match=message + " at theta row 1$"):
+            exact_hessian(two_state.mdp, two_state.policy, thetas)
+        with pytest.raises(NumericError, match=message + "$"):
+            exact_hessian(two_state.mdp, two_state.policy, thetas[1])
+        np.testing.assert_allclose(exact_hessian(two_state.mdp, two_state.policy, thetas[:1]), [np.eye(2)])
 
 
 class TestBudget:

@@ -135,6 +135,19 @@ class TestObservedInformation:
         np.testing.assert_allclose(info, expected)
         np.testing.assert_allclose(info, [[-0.25]])
 
+    def test_negative_semidefinite_on_both_policies(self, two_state):
+        # the Hessian of log pi: the negative of the statistical observed information
+        gaussian = GaussianPolicy(StateTabularFeatures(3), feature_bound=1.0, sigma=0.7)
+        rng = substream(85, 0)
+        for _ in range(20):
+            for policy, state, action in (
+                (two_state.policy, int(rng.integers(2)), int(rng.integers(2))),
+                (gaussian, int(rng.integers(3)), float(rng.standard_normal())),
+            ):
+                info = policy.observed_information(random_theta(rng, policy.dim), state, action)
+                np.testing.assert_array_equal(info, info.T)
+                assert np.max(np.linalg.eigvalsh(info)) <= 1e-12
+
 
 class TestSmoothingConstants:
     def test_gaussian_values(self):
@@ -740,3 +753,95 @@ class TestPolicyTables:
         for a in range(view.n_actions):
             with pytest.raises(NumericError, match=message):
                 view.score(theta, 0, a)
+
+
+class TestStackedTables:
+    """``table`` at a stack of theta (k, m): one table per row, stacked."""
+
+    @pytest.mark.parametrize("name", ["two_state", "chain", "bandit", "binned_gaussian"])
+    def test_rows_equal_single_theta_tables(self, request, name):
+        policy = request.getfixturevalue(name).oracle_policy
+        thetas = random_theta(substream(84, 0), 50 * policy.dim, scale=1.0).reshape(50, policy.dim)
+        stacked = policy.table(thetas)
+        assert stacked.probs.shape == (50, policy.n_states, policy.n_actions)
+        assert stacked.scores.shape == (50, policy.n_states, policy.n_actions, policy.dim)
+        for array in stacked:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0.5
+        for i, theta in enumerate(thetas):
+            single = policy.table(theta)
+            one = policy.table(theta[None])
+            for field in range(2):
+                assert one[field].shape == (1, *single[field].shape)
+                assert bits(one[field][0]) == bits(single[field]) == bits(stacked[field][i])
+
+    def test_softmax_memo_is_keyed_by_shape(self):
+        policy = SoftmaxPolicy(
+            TabularFeatures(2, 3), feature_bound=1.0, tau=1.0, n_actions=3, n_states=2
+        )
+        theta = np.linspace(-1.0, 1.0, 6)
+        single = policy.table(theta)
+        # the same bytes as a (1, m) stack are another table
+        assert policy.table(theta[None]).probs.shape == (1, 2, 3)
+        assert bits(policy.action_probabilities(theta, 1)) == bits(single.probs[1])
+        assert policy._memo.probs.shape == (2, 3)
+
+    def test_binned_memo_follows_theta_and_shape(self, binned_gaussian):
+        view = binned_gaussian.oracle_policy
+        view = BinnedGaussianPolicy(view.gaussian, view.edges, view.n_states)
+        theta = np.array([0.3, -0.2])
+        table = view.table(theta)
+        for s in range(view.n_states):
+            view.action_probabilities(theta.copy(), s)
+            for a in range(view.n_actions):
+                view.score(theta, s, a)
+        # the scalar methods read the one memo, not a table of their own
+        assert view._memo is table and view.table(theta) is table
+        stacked = view.table(theta[None])
+        assert stacked.probs.shape == (1, 2, 3) and view._memo is stacked
+        again = view.table(theta)
+        assert again is not table and bits(again.scores) == bits(table.scores)
+
+    def test_wrong_theta_shape_rejected(self, two_state, binned_gaussian):
+        for policy in (two_state.oracle_policy, binned_gaussian.oracle_policy):
+            m = policy.dim
+            for theta in (np.zeros(m + 1), np.zeros((2, m - 1)), np.zeros((2, 2, m))):
+                with pytest.raises(ValueError, match="^theta has shape"):
+                    policy.table(theta)
+
+    def test_softmax_non_finite_logit_names_the_row(self):
+        from spgrad.errors import NumericError
+
+        policy = SoftmaxPolicy(
+            TabularFeatures(2, 2), feature_bound=1.0, tau=0.5, n_actions=2, n_states=2
+        )
+        thetas = np.zeros((3, 4))
+        thetas[2, 2] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^non-finite Softmax logit inf at theta row 2$"):
+                policy.table(thetas)
+
+    def test_binned_errors_name_the_row_in_state_order(self):
+        from spgrad.errors import NumericError
+
+        # state 1's mean overflows at theta[1] = 1e10, while state 0's mean is
+        # theta[0]; a mean of 40 leaves bins 0 and 1 no probability
+        rows = np.array([[1.0, 0.0], [0.0, 1e300]])
+        gaussian = GaussianPolicy(RowFeatures(rows), feature_bound=2e300, sigma=0.6)
+        view = BinnedGaussianPolicy(gaussian, np.array([-0.5, 0.5]), n_states=2)
+        vanishing = "bin 0 has vanishing probability"
+        cases = [
+            ([0.0, 0.0], [40.0, 0.0], f"^{vanishing} at theta row 1$"),
+            ([0.0, 0.0], [40.0, 1e10], f"^{vanishing} at theta row 1$"),
+            ([0.0, 1e10], [40.0, 0.0], "^non-finite policy mean inf at theta row 0$"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for first, second, message in cases:
+                with pytest.raises(NumericError, match=message):
+                    view.table(np.array([first, second]))
+            with pytest.raises(NumericError, match=f"^{vanishing} at the queried theta$"):
+                view.table(np.array([40.0, 1e10]))
+            with pytest.raises(NumericError, match="^non-finite policy mean inf$"):
+                view.table(np.array([0.0, 1e10]))
