@@ -79,7 +79,7 @@ def derived_constants(config: ExperimentConfig) -> "dict[str, float]":
     for kind in EstimatorKind:
         vb = variance_bound(kind, spec, sc.kappa)
         table[f"nu2_{kind.value}"] = vb.nu_squared
-        table[f"eps_delta_{kind.value}"] = error_bound(vb, config.delta).eps_delta
+        table[f"eps_delta_{kind.value}"] = error_bound(vb, config.delta)
     return table
 
 
@@ -106,8 +106,8 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _parse_schedule(text: str) -> "MetaParams | None":
-    """None for the adaptive rule, else the fixed (alpha, N)."""
+def _parse_schedule(text: str, baseline: BaselineKind) -> "MetaParams | None":
+    """None for the adaptive rule, else the fixed (alpha, N) estimated with ``baseline``."""
     if text == "spg":
         return None
     if text.startswith("fixed:"):
@@ -127,7 +127,7 @@ def _parse_schedule(text: str) -> "MetaParams | None":
             n = int(fields["n"])
         except (KeyError, ValueError) as exc:
             raise ConfigurationError(f"schedule {text!r}: needs alpha=<float>,n=<int>") from exc
-        return MetaParams(alpha=alpha, batch_size=n)
+        return MetaParams(alpha=alpha, batch_size=n, baseline=baseline)
     raise ConfigurationError(f"unknown schedule {text!r}; use 'spg' or 'fixed:alpha=...,n=...'")
 
 
@@ -145,7 +145,7 @@ def cmd_sweep(args) -> int:
     # every schedule is checked before any is run, so a bad one writes nothing
     schedules: dict[str, tuple[str, MetaParams | None]] = {}
     for text in args.schedule:
-        fixed = _parse_schedule(text)
+        fixed = _parse_schedule(text, config.baseline_kind)
         check_schedule(fixed, config.limits)
         label = _schedule_label(fixed)
         if label in schedules:
@@ -167,7 +167,6 @@ def cmd_sweep(args) -> int:
             limits=config.limits,
             seed=config.seed,
             fixed=fixed,
-            baseline=BaselineKind.ZERO if fixed is None else config.baseline_kind,
         )
         echo = copy.deepcopy(config.raw)
         echo["schedule"] = text

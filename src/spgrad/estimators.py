@@ -68,14 +68,6 @@ class VarianceBound:
             raise ConfigurationError("nu_squared must be non-negative")
 
 
-@dataclass(frozen=True)
-class ErrorBound:
-    """With probability 1 - delta the estimate is within eps_delta / sqrt(N) of the gradient."""
-
-    delta: float
-    eps_delta: float
-
-
 # ---------------------------------------------------------------------------
 # Per-trajectory terms
 # ---------------------------------------------------------------------------
@@ -301,11 +293,12 @@ def variance_bound(kind: EstimatorKind, spec: MdpSpec, kappa: float) -> Variance
     return VarianceBound(nu_squared=nu2)
 
 
-def error_bound(vb: VarianceBound, delta: float) -> ErrorBound:
-    """Chebyshev: with probability 1 - delta, ||error|| <= sqrt(nu^2 / delta) / sqrt(N)."""
+def error_bound(vb: VarianceBound, delta: float) -> float:
+    """eps_delta = sqrt(nu^2 / delta): by Chebyshev, with probability 1 - delta
+    the N-sample estimate is within eps_delta / sqrt(N) of the gradient."""
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must be in (0, 1), got {delta}")
     eps_delta = float(np.sqrt(vb.nu_squared / delta))
     if not math.isfinite(eps_delta):
         raise ConfigurationError(f"eps_delta overflows at nu^2 = {vb.nu_squared:g}, delta = {delta}")
-    return ErrorBound(delta=delta, eps_delta=eps_delta)
+    return eps_delta

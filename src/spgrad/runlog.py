@@ -53,12 +53,12 @@ def render_run_csv(result: RunResult, config_echo: dict) -> str:
                 ("xi", result.constants.xi),
                 ("L", result.lipschitz),
                 ("nu2", result.variance.nu_squared),
-                ("eps_delta", result.error.eps_delta),
+                ("eps_delta", result.eps_delta),
             )
         ),
         f"# estimator: {result.estimator_kind.value}",
         "# note: the improvement guarantee holds per update at confidence "
-        f"{format_float(1.0 - result.error.delta)}; no union bound is taken across updates",
+        f"{format_float(1.0 - result.delta)}; no union bound is taken across updates",
         ",".join(RUN_CSV_COLUMNS),
     ]
     lines.extend(_record_row(record) for record in result.records)

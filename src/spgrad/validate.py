@@ -67,10 +67,12 @@ from .rng import substream
 from .runlog import read_run_csv, write_run_csv
 from .safe_updates import (
     RunLimits,
+    certified_improvement,
+    certified_step,
     exact_improvement_bound,
     lipschitz_constant,
-    optimal_step_and_batch,
     optimal_step_exact,
+    required_batch_size,
     spg_run,
     stochastic_improvement_bound,
 )
@@ -257,13 +259,13 @@ def check_step_grid():
 @_check("joint-step-batch-grid", "closed form within 1% of grid; kept branch wins")
 def check_joint_grid():
     lip, eps, grad_norm = 2.0, 10.0, 2.0
-    meta = optimal_step_and_batch(grad_norm, eps, lip)
+    alpha, batch = certified_step(lip), required_batch_size(grad_norm, eps)
     upsilon_star = grad_norm**4 / (32.0 * lip * eps**2)
     upsilon_rejected = grad_norm**4 / (54.0 * lip * eps**2)
     _, _, grid_val = grid_maximize(
         lambda a, n: stochastic_improvement_bound(a, grad_norm, eps, n, lip) / n,
         (0.0, 1.0 / lip),
-        (1.0, 10.0 * meta.batch_size),
+        (1.0, 10.0 * batch),
     )
     gap = abs(grid_val - upsilon_star) / upsilon_star
     # the rejected stationary point of the averaged branch of the bound
@@ -273,12 +275,15 @@ def check_joint_grid():
         - rejected_alpha**2 * lip * grad_norm**2 / 2.0
     ) / rejected_n
     rejected_identity = abs(second_branch - upsilon_rejected) / upsilon_rejected
+    # the certified guarantee is the stochastic bound at the rule's step and batch
+    guarantee = stochastic_improvement_bound(alpha, grad_norm, eps, 4.0 * eps**2 / grad_norm**2, lip)
     ok = (
         gap <= 0.01
         and rejected_identity <= 1e-12
         and upsilon_rejected < upsilon_star
-        and meta.alpha == 1.0 / (2.0 * lip)
-        and meta.batch_size == 100
+        and alpha == 1.0 / (2.0 * lip)
+        and batch == 100
+        and abs(certified_improvement(grad_norm, lip) - guarantee) <= 1e-12
     )
     return ok, f"value gap = {gap:.3e}"
 
@@ -401,7 +406,7 @@ def chebyshev_violations(
     gamma = inst.mdp.spec.gamma
     kappa = inst.policy.smoothing_constants().kappa
     radius = {
-        (kind, delta): error_bound(variance_bound(kind, inst.mdp.spec, kappa), delta).eps_delta
+        (kind, delta): error_bound(variance_bound(kind, inst.mdp.spec, kappa), delta)
         / math.sqrt(batch)
         for kind in kinds
         for delta in (0.1, 0.5)

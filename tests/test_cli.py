@@ -12,7 +12,7 @@ import yaml
 from spgrad.cli import EXIT_CONFIG, EXIT_OK, EXIT_SKIPPED, main
 from spgrad.config import load_config, parse_config, build_experiment
 from spgrad.errors import ConfigurationError
-from spgrad.estimators import ErrorBound, EstimatorKind, GradientAccumulator, variance_bound
+from spgrad.estimators import EstimatorKind, GradientAccumulator, variance_bound
 from spgrad.mdp import MdpSpec, sample_trajectory
 from spgrad.oracle import exact_gradient
 from spgrad.policies import SoftmaxPolicy, TabularFeatures
@@ -609,7 +609,7 @@ class TestValidateSampling:
         import spgrad.validate as validate
 
         # a radius of 3 delta / sqrt(25) puts every rate strictly inside (0, 1)
-        monkeypatch.setattr(validate, "error_bound", lambda vb, delta: ErrorBound(delta, 3 * delta))
+        monkeypatch.setattr(validate, "error_bound", lambda vb, delta: 3 * delta)
         inst = two_state_instance()
         theta = np.zeros(inst.policy.dim)
         exact = exact_gradient(inst.mdp, inst.oracle_policy, theta)
@@ -637,7 +637,7 @@ class TestValidateSampling:
     def test_block_size_does_not_change_statistics(self, monkeypatch, rows):
         import spgrad.validate as validate
 
-        monkeypatch.setattr(validate, "error_bound", lambda vb, delta: ErrorBound(delta, 3 * delta))
+        monkeypatch.setattr(validate, "error_bound", lambda vb, delta: 3 * delta)
         setups = list(validate.variance_setups().values())
         kinds = tuple(EstimatorKind)
 

@@ -404,13 +404,13 @@ class TestVarianceBound:
     def test_error_bound_values(self):
         r = variance_bound(EstimatorKind.REINFORCE, self.SPEC, kappa=1.0)
         g = variance_bound(EstimatorKind.GPOMDP, self.SPEC, kappa=1.0)
-        assert error_bound(r, 0.1).eps_delta == pytest.approx(65.13215599, rel=1e-9)
-        assert error_bound(g, 0.1).eps_delta == pytest.approx(80.70449553, rel=1e-9)
+        assert error_bound(r, 0.1) == pytest.approx(65.13215599, rel=1e-9)
+        assert error_bound(g, 0.1) == pytest.approx(80.70449553, rel=1e-9)
 
     def test_error_bound_degenerate(self):
         from spgrad.estimators import VarianceBound
 
-        assert error_bound(VarianceBound(0.0), 0.7).eps_delta == 0.0
+        assert error_bound(VarianceBound(0.0), 0.7) == 0.0
 
     def test_error_bound_delta_validated(self):
         vb = variance_bound(EstimatorKind.GPOMDP, self.SPEC, kappa=1.0)

@@ -34,9 +34,10 @@ from spgrad.safe_updates import (
     MetaParams,
     RunLimits,
     RunRecord,
+    certified_improvement,
+    certified_step,
     exact_improvement_bound,
     lipschitz_constant,
-    optimal_step_and_batch,
     optimal_step_exact,
     required_batch_size,
     spg_run,
@@ -160,29 +161,59 @@ class TestStochasticBound:
 
 
 class TestOptimalStepAndBatch:
+    """The jointly optimal (alpha, N) and its guarantee: ``certified_step``,
+    ``required_batch_size`` and ``certified_improvement``."""
+
     def test_example_values(self):
-        meta = optimal_step_and_batch(2.0, 10.0, 2.0)
-        assert meta.alpha == 0.25
-        assert meta.batch_size == 100
-        improvement = stochastic_improvement_bound(meta.alpha, 2.0, 10.0, meta.batch_size, 2.0)
+        alpha, batch = certified_step(2.0), required_batch_size(2.0, 10.0)
+        assert alpha == 0.25
+        assert batch == 100
+        assert certified_improvement(2.0, 2.0) == 0.25
+        improvement = stochastic_improvement_bound(alpha, 2.0, 10.0, batch, 2.0)
         assert improvement == pytest.approx(4.0 / 16.0)
 
     def test_scaling_law(self):
-        base = optimal_step_and_batch(1.0, 10.0, 2.0)
-        doubled = optimal_step_and_batch(2.0, 10.0, 2.0)
-        assert doubled.alpha == base.alpha
-        assert doubled.batch_size * 4 == base.batch_size
+        # doubling the estimate's norm quarters the batch and quadruples the guarantee
+        assert required_batch_size(2.0, 10.0) * 4 == required_batch_size(1.0, 10.0)
+        assert certified_improvement(2.0, 2.0) == 4 * certified_improvement(1.0, 2.0)
 
     def test_zero_gradient_signalled(self):
-        with pytest.raises(ValueError):
-            optimal_step_and_batch(0.0, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            optimal_step_and_batch(1.0, 0.0, 2.0)
+        assert required_batch_size(0.0, 1.0) is None
+        for lip in (0.0, -1.0):
+            with pytest.raises(ConfigurationError, match="no certified step exists"):
+                certified_step(lip)
 
     def test_required_batch_size(self):
         assert required_batch_size(2.0, 10.0) == 100
         assert required_batch_size(0.0, 10.0) is None
         assert required_batch_size(1e9, 1e-9) == 1
+
+    @pytest.mark.parametrize(
+        "norm, eps",
+        [
+            (1e-160, 1.0),  # ||g||^2 is subnormal, 4 eps^2 / ||g||^2 overflows
+            (1e-170, 1.0),  # ||g||^2 underflows to 0
+            (1e-10, 1e150),  # the quotient overflows
+            (1.0, 1e154),  # 4 eps^2 overflows
+            (1.0, 1e160),  # eps^2 is past the float range
+            (1e160, 1.0),  # ||g||^2 is past the float range: no certificate, not an error
+            (math.inf, 1.0),
+            (math.nan, 1.0),
+        ],
+    )
+    def test_no_finite_batch_is_none(self, norm, eps):
+        assert required_batch_size(norm, eps) is None
+
+    def test_stop_never_certifies_a_row_without_a_batch(self):
+        # rows 1 and 2 pass the stop's screen (S^2 overflows to inf), but at
+        # eps = 1e154 the rule has no finite batch for any row
+        sums = np.array([[1.3e154, 0.0], [2e154, 0.0], [3e154, 0.0]])
+        counts = np.array([1.0, 2.0, 3.0])
+        norms = [float(np.linalg.norm(s / w)) for s, w in zip(sums, counts)]
+        assert [required_batch_size(norm, 1e154) for norm in norms] == [None] * 3
+        assert safe_updates._first_certified(1e154)(counts, sums, counts) is None
+        # at eps = 1 the rule asks one trajectory of every row
+        assert safe_updates._first_certified(1.0)(counts, sums, counts) == 0
 
 
 class TestSpgRun:
@@ -240,7 +271,7 @@ class TestSpgRun:
         result = spg_run(
             bandit.env, bandit.policy, np.zeros(1), n_iterations=4, delta=0.2, seed=17
         )
-        eps = result.error.eps_delta
+        eps = result.eps_delta
         lip = result.lipschitz
         # the float the run log records as L
         derived = render_run_csv(result, {}).splitlines()[1].removeprefix("# derived: ")
@@ -334,6 +365,23 @@ class TestSpgRun:
 
 
 class TestFixedMetaRun:
+    def test_baseline_is_coerced_and_checked(self):
+        assert MetaParams(alpha=0.1, batch_size=5).baseline is BaselineKind.ZERO
+        fixed = MetaParams(alpha=0.1, batch_size=5, baseline="peters")
+        assert fixed.baseline is BaselineKind.PETERS
+        assert fixed == MetaParams(alpha=0.1, batch_size=5, baseline=BaselineKind.PETERS)
+        with pytest.raises(ConfigurationError, match="unknown baseline 'median'"):
+            MetaParams(alpha=0.1, batch_size=5, baseline="median")
+
+    def test_baseline_is_not_a_run_parameter(self, bandit):
+        # a certified run always estimates with the zero baseline; only a
+        # fixed schedule carries another
+        with pytest.raises(TypeError, match="baseline"):
+            spg_run(
+                bandit.env, bandit.policy, np.zeros(1), n_iterations=1, delta=0.5,
+                baseline=BaselineKind.PETERS,
+            )
+
     def test_runs_requested_iterations(self, bandit):
         result = spg_run(
             bandit.env, bandit.policy, np.zeros(1), n_iterations=5, delta=0.5,
@@ -353,17 +401,16 @@ class TestFixedMetaRun:
         assert len(result.records) == 2
 
 
-def one_at_a_time(
-    env, policy, theta0, n_iterations, delta, kind, limits, seed, fixed=None, baseline="zero"
-):
+def one_at_a_time(env, policy, theta0, n_iterations, delta, kind, limits, seed, fixed=None):
     """(records, thetas) of the rule checked after every single trajectory:
     trajectory i of iteration k is one row through ``sample_block`` on row i
     of ``uniform_rows``, added with ``add_block``."""
     theta = np.asarray(theta0, dtype=float).copy()
     constants = policy.smoothing_constants()
     lip = lipschitz_constant(constants, env.spec)
-    eps = error_bound(variance_bound(kind, env.spec, constants.kappa), delta).eps_delta
+    eps = error_bound(variance_bound(kind, env.spec, constants.kappa), delta)
     alpha = 1.0 / (2.0 * lip) if fixed is None else fixed.alpha
+    baseline = BaselineKind.ZERO if fixed is None else fixed.baseline
     records, thetas, total = [], [theta.copy()], 0
     for k in range(n_iterations):
         if fixed is not None and total + fixed.batch_size > limits.max_total_trajectories:
@@ -459,15 +506,12 @@ class TestBlockSamplingIsExact:
     @pytest.mark.parametrize("name", ["chain", "binned-gaussian", "lqg"])
     def test_fixed_schedule_with_peters_baseline(self, name, kind):
         env, policy = INSTANCES[name]()
-        fixed = MetaParams(alpha=0.05, batch_size=700)
+        fixed = MetaParams(alpha=0.05, batch_size=700, baseline=BaselineKind.PETERS)
         limits = RunLimits(max_trajectories_per_iteration=1000, max_total_trajectories=2500)
         theta0 = np.zeros(policy.dim)
-        records, thetas = one_at_a_time(
-            env, policy, theta0, 4, 0.5, kind, limits, 5, fixed, BaselineKind.PETERS
-        )
+        records, thetas = one_at_a_time(env, policy, theta0, 4, 0.5, kind, limits, 5, fixed)
         result = spg_run(
-            env, policy, theta0, 4, 0.5, estimator_kind=kind, limits=limits, seed=5,
-            fixed=fixed, baseline=BaselineKind.PETERS,
+            env, policy, theta0, 4, 0.5, estimator_kind=kind, limits=limits, seed=5, fixed=fixed
         )
         assert_same_run(result, records, thetas)
         assert [r.batch_size for r in records] == [700, 700, 700]
