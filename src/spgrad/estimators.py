@@ -54,7 +54,12 @@ class GradientEstimate:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
+        """||vector||; NumericError where it is past the float range."""
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.vector))
+        if not math.isfinite(norm):
+            raise NumericError("gradient estimate norm is not finite")
+        return norm
 
 
 @dataclass(frozen=True)
@@ -184,19 +189,19 @@ class GradientAccumulator:
         ones that adding rows one at a time reaches, bit for bit, however
         the rows are split into blocks.
 
-        ``stop(counts, sums, weight_sums)``, if given, sees after each row
-        the trajectory count, the running zero-baseline sum S and the
-        running weight w (the estimate is S / w), up to the first row whose
-        estimate is not finite, and returns the index of the row that ends
-        the block or None.  Rows past that row are dropped and True is
-        returned; otherwise every row is added, or NumericError is raised
-        when an estimate is not finite.  A stop takes unit-weight rows
-        only (ValueError otherwise): they make w >= 1, so S / w is finite
-        where S is, and one check over all the sums stands for the per-row
-        check, which runs only where it fails.
+        ``stop(counts, sums)``, if given, sees after each row the trajectory
+        count N and the running zero-baseline sum S (the estimate is S / N),
+        up to the first row whose estimate is not finite, and returns the
+        index of the row that ends the block or None.  Rows past that row
+        are dropped and True is returned; otherwise every row is added, or
+        NumericError is raised when an estimate is not finite.  A stop
+        takes unit-weight rows only, on an accumulator whose weight sum is
+        its count (ValueError otherwise), so that S / N is the estimate;
+        N >= 1 makes it finite where S is, so one check over all the sums
+        stands for the per-row check, which runs only where it fails.
         """
         n, horizon = rewards.shape
-        if stop is not None and weights is not None:
+        if stop is not None and (weights is not None or self.weight_sum != self.count):
             raise ValueError("a stop takes unit-weight rows only")
         if weights is not None and not np.all((weights > 0.0) & (weights < math.inf)):
             raise ValueError(f"trajectory weights must be positive and finite, got {weights}")
@@ -218,13 +223,9 @@ class GradientAccumulator:
         running = {name: running_sums(getattr(self, name), term) for name, term in terms.items()}
         keep, stopped = n, False
         if stop is not None:
-            sums, weight_sums = running["_sum_g"], running["weight_sum"]
-            valid = n
-            if not np.isfinite(sums).all():
-                finite = np.isfinite(sums / weight_sums[:, None]).all(axis=1)
-                valid = n if finite.all() else int(np.argmin(finite))
-            counts = self.count + np.arange(1, valid + 1)
-            end = stop(counts, sums[:valid], weight_sums[:valid])
+            sums = running["_sum_g"]
+            valid = n if np.isfinite(sums).all() else int(np.argmin(np.isfinite(sums).all(axis=1)))
+            end = stop(self.count + np.arange(1, valid + 1), sums[:valid])
             if end is not None:
                 keep, stopped = end + 1, True
             elif valid < n:

@@ -50,7 +50,7 @@ import math
 import reprlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol
+from typing import Any
 
 import numpy as np
 
@@ -103,19 +103,6 @@ class Trajectory:
         return len(self.rewards)
 
 
-class Environment(Protocol):
-    spec: MdpSpec
-    reset_variate: str  # the Generator method that draws the reset's variate
-    step_variate: str  # and a step's
-
-    def kernels(self) -> "tuple[Callable, Callable]":
-        """``reset(v)`` and ``step(state, action, v)``, each given its variate."""
-
-    def reset(self, rng: np.random.Generator) -> Any: ...
-
-    def step(self, state: Any, action: Any, rng: np.random.Generator) -> tuple[Any, float]: ...
-
-
 @functools.lru_cache(maxsize=64)
 def _draw_runs(reset: str, action: str, step: str, horizon: int) -> "tuple[tuple[str, int], ...]":
     """(Generator method, count) for each run of like variates of an episode,
@@ -138,9 +125,7 @@ def _draw_variates(rng: np.random.Generator, runs) -> "list[float]":
     return values
 
 
-def sample_trajectory(
-    env: Environment, policy, theta: np.ndarray, rng: np.random.Generator
-) -> Trajectory:
+def sample_trajectory(env, policy, theta: np.ndarray, rng: np.random.Generator) -> Trajectory:
     """Roll out one episode of exactly ``env.spec.horizon`` steps.
 
     The initial state is drawn from the environment, each action from

@@ -246,29 +246,30 @@ def _rollout(env, policy, theta: np.ndarray, seed: int, k: int):
 
 
 def _first_certified(eps_delta: float):
-    """stop(counts, sums, weight_sums) for ``GradientAccumulator.add_block``:
-    the first row whose prefix meets N >= required_batch_size(||S / w||,
-    eps_delta), S / w being the estimate after that row.
+    """stop(counts, sums) for ``GradientAccumulator.add_block``: the first
+    row whose prefix meets N >= required_batch_size(||S / N||, eps_delta),
+    S / N being the estimate after that row's N unit-weight trajectories.
 
     A vectorized screen with slack picks the candidate rows on
-    ``einsum(S, S) / w**2``, so no (n, m) array of estimates is formed; each
-    candidate is then decided by the rule itself on ``np.linalg.norm`` of
-    S_i / w_i, the division a row of the full array would make and the
-    norm ``finalize`` reports, so the stop is the one a check after every
-    trajectory finds.  The screen relies on w >= 1, which the unit-weight
-    rows ``add_block`` hands a stop give: then |S / w| <= |S|, and a square
-    the screen sees as 0 is 0 for the estimate too.
+    ``einsum(S, S) / N**2``, the counts taken as floats, so no (n, m) array
+    of estimates is formed; each candidate is then decided by the rule
+    itself on ``np.linalg.norm`` of S_i / N_i, the division a row of the
+    full array would make and the norm ``finalize`` reports, so the stop is
+    the one a check after every trajectory finds.  Since N >= 1,
+    |S / N| <= |S|, and a square the screen sees as 0 is 0 for the estimate
+    too.  Squares and norms past the float range are inf, with no warning,
+    and a candidate whose norm is inf is not certified.
     """
     floor = 4.0 * eps_delta**2 * (1.0 - 1e-9)
 
-    def stop(counts: np.ndarray, sums: np.ndarray, weight_sums: np.ndarray) -> "int | None":
+    def stop(counts: np.ndarray, sums: np.ndarray) -> "int | None":
         with np.errstate(over="ignore"):
-            squares = np.einsum("ij,ij->i", sums, sums) / weight_sums**2
-        for i in np.flatnonzero((squares > 0.0) & (counts * squares >= floor)):
-            norm = float(np.linalg.norm(sums[i] / weight_sums[i]))
-            needed = required_batch_size(norm, eps_delta)
-            if needed is not None and counts[i] >= needed:
-                return int(i)
+            squares = np.einsum("ij,ij->i", sums, sums) / np.square(counts, dtype=float)
+            for i in np.flatnonzero((squares > 0.0) & (counts * squares >= floor)):
+                norm = float(np.linalg.norm(sums[i] / counts[i]))
+                needed = required_batch_size(norm, eps_delta)
+                if needed is not None and counts[i] >= needed:
+                    return int(i)
         return None
 
     return stop
@@ -303,27 +304,32 @@ def spg_run(
 ) -> RunResult:
     """Safe policy gradient: the adaptive rule, or a fixed (alpha, N) for comparison.
 
-    With ``fixed=None`` each iteration samples blocks of trajectories
-    (trajectory i of iteration k depends only on (seed, k, i); see
-    ``_rollout``) and stops at the first prefix with
+    Both schedules run one block loop.  Iteration k samples blocks of
+    trajectories (trajectory i of iteration k depends only on (seed, k, i);
+    see ``_rollout``) toward its target: ``max_trajectories_per_iteration``
+    for the certified rule, ``fixed.batch_size`` for a fixed schedule.  A
+    block has at most ``ROLLOUT_ROWS`` rows and the room that the target and
+    ``max_total_trajectories`` leave.  The first is a pilot of
+    ``ROLLOUT_ROWS // 2`` rows; only the later sizes depend on the schedule:
+    the rows the rule forecasts from the estimate so far
+    (``_forecast_rows``), or the pilot's size again for a fixed schedule.
+
+    With ``fixed=None`` the iteration ends at the first prefix with
     N >= ``required_batch_size``, the estimate taken over that prefix; rows
     past it are dropped and not counted.  It then steps theta by
     ``certified_step`` and logs ``certified_improvement`` as the guarantee.
-    The first block is a pilot of ``ROLLOUT_ROWS // 2`` rows; each later
-    one has the rows the rule forecasts from the estimate so far
-    (``_forecast_rows``), at most ``ROLLOUT_ROWS`` and fewer where a cap
-    leaves less room.  The records are those of checking the rule after
-    every trajectory, whatever the block sizes.  An iteration that hits
-    ``max_trajectories_per_iteration`` before satisfying the rule stalls:
-    theta is left unchanged (a safe no-op) and the run moves on.  Hitting
-    ``max_total_trajectories`` ends the run.  Certified updates use the
-    zero baseline, for which the error bound is proven.
+    The records are those of checking the rule after every trajectory,
+    whatever the block sizes.  An iteration that runs out of room before
+    meeting the rule stalls: theta is left unchanged (a safe no-op) and the
+    run moves on.  Hitting ``max_total_trajectories`` ends the run.
+    Certified updates use the zero baseline, for which the error bound is
+    proven.
 
     With ``fixed`` given, every iteration takes exactly ``fixed.batch_size``
-    trajectories, in blocks of ``ROLLOUT_ROWS // 2``, and the step
-    ``fixed.alpha``, estimated with ``fixed.baseline``.  An iteration whose
-    batch would cross ``max_total_trajectories`` is not started.  Nothing is
-    certified, so the guaranteed improvement is logged as zero.
+    trajectories and the step ``fixed.alpha``, estimated with
+    ``fixed.baseline``.  An iteration whose batch would cross
+    ``max_total_trajectories`` is not started.  Nothing is certified, so the
+    guaranteed improvement is logged as zero.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     if not np.all(np.isfinite(theta)):
@@ -346,6 +352,7 @@ def spg_run(
         alpha, baseline, stop = fixed.alpha, fixed.baseline, None
     gamma = env.spec.gamma
 
+    target = limits.max_trajectories_per_iteration if fixed is None else fixed.batch_size
     records: list[RunRecord] = []
     thetas = [theta.copy()]
     total = 0
@@ -354,34 +361,19 @@ def spg_run(
             break
         acc = GradientAccumulator(policy, theta, gamma, kind, baseline)
         rollout = _rollout(env, policy, theta, seed, k)
-        stalled = False
-        want = max(1, ROLLOUT_ROWS // 2)
-        while True:
-            room = min(
-                limits.max_trajectories_per_iteration - acc.count,
-                limits.max_total_trajectories - total,
-            )
-            if room <= 0:
-                stalled = True
-                break
-            size = min(ROLLOUT_ROWS, room, want)
-            if fixed is not None:
-                size = min(size, fixed.batch_size - acc.count)
+        want, met = max(1, ROLLOUT_ROWS // 2), False
+        while (room := min(target - acc.count, limits.max_total_trajectories - total)) > 0:
             first = acc.count
-            met = acc.add_block(*rollout(first, size), stop=stop)
+            met = acc.add_block(*rollout(first, min(ROLLOUT_ROWS, room, want)), stop=stop)
             total += acc.count - first
-            if met or (fixed is not None and acc.count >= fixed.batch_size):
+            if met:
                 break
             if stop is not None:
                 want = _forecast_rows(acc.finalize().norm, eps_delta, acc.count)
-        if acc.count == 0:
-            # total cap exhausted before this iteration could sample anything
-            break
         estimate = acc.finalize()
-        guaranteed = 0.0
+        stalled = stop is not None and not met
+        guaranteed = certified_improvement(estimate.norm, lip) if met else 0.0
         if not stalled:
-            if fixed is None:
-                guaranteed = certified_improvement(estimate.norm, lip)
             theta = theta + alpha * estimate.vector
             if not np.all(np.isfinite(theta)):
                 raise NumericError("parameter update produced non-finite values")

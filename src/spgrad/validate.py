@@ -19,10 +19,12 @@ CLI runs them at its default sizes, the acceptance tests at larger ones
 (``n_points``, ``n_samples``, ``n_estimates``).  The sampled criteria are
 split into a ``check_*`` wrapper and a helper taking the stream key, so the
 tests can draw their own streams.  Each helper call builds one generator,
-``substream(seed, *key)``, and rolls its trajectories out of it in row order,
-one ``sample_trajectory`` call each.  It scores chunks of at most
-``estimators.BLOCK_ROWS`` of them at once (whole batches of 25 in the
-Chebyshev check); per-trajectory estimates come from
+``substream(seed, *key)``, and both sample through one chunked sampler,
+``_sampled_estimates``: it rolls the trajectories out of that generator in
+row order, one ``sample_trajectory`` call each, checks each chunk against
+the horizon and r_max contract the bounds assume, and scores chunks of at
+most ``estimators.BLOCK_ROWS`` of them at once (whole batches of 25 in the
+Chebyshev check).  Per-trajectory estimates come from
 ``estimators.trajectory_terms`` and are summed in row order, so every
 statistic equals the one-at-a-time sum and none depends on the chunk size.
 
@@ -318,16 +320,30 @@ def check_constants_closed_forms(seed: int):
     return worst <= 1e-12, f"max relative gap = {worst:.3e}"
 
 
-def _score_chunk(trajs: list, rewards: np.ndarray, actor, gamma: float, kinds) -> dict:
-    """Kind -> per-trajectory zero-baseline estimates (n, m) of equal-length
-    ``trajs``, whose rewards the caller has stacked as ``rewards`` (n, T),
-    scored once through ``actor``, the policy frozen at theta
-    (``policy.actor(theta)``)."""
-    scores = actor.score(np.stack([t.states for t in trajs]), np.stack([t.actions for t in trajs]))
-    return {
-        kind: trajectory_terms(kind, gamma, rewards, scores)[2]
-        for kind in kinds
-    }
+def _sampled_estimates(env, policy, theta: np.ndarray, rng, n: int, chunk: int, kinds):
+    """Per-trajectory zero-baseline estimates of the first ``n`` rollouts
+    of ``rng`` under the policy at theta, one chunk of at most ``chunk``
+    trajectories at a time, in row order: yields kind -> (rows, m) per chunk.
+
+    Each trajectory is one ``sample_trajectory`` call; a chunk's rewards are
+    stacked, its scores taken in one ``policy.actor(theta).score`` call and
+    its estimates in one ``trajectory_terms`` call per kind.  Yields None,
+    and stops, at the first chunk with a trajectory that breaks the
+    contract the bounds assume: exactly ``horizon`` steps and every
+    |reward| <= r_max.
+    """
+    spec = env.spec
+    actor = policy.actor(theta)
+    for first in range(0, n, chunk):
+        trajs = [sample_trajectory(env, policy, theta, rng) for _ in range(min(chunk, n - first))]
+        # np.stack needs equal lengths, so the horizon is checked first
+        if any(len(t.rewards) != spec.horizon for t in trajs) or not (
+            np.max(np.abs(rewards := np.stack([t.rewards for t in trajs]))) <= spec.r_max + 1e-12
+        ):
+            yield None
+            return
+        scores = actor.score(np.stack([t.states for t in trajs]), np.stack([t.actions for t in trajs]))
+        yield {kind: trajectory_terms(kind, spec.gamma, rewards, scores)[2] for kind in kinds}
 
 
 def variance_setups() -> "dict[str, tuple]":
@@ -344,27 +360,16 @@ def variance_ratios(setup: tuple, seed: int, n_samples: int, *key: int) -> "dict
     """Single-trajectory trace variance over nu^2, per estimator kind.
 
     Trajectory i is the i-th rollout of the one stream
-    ``substream(seed, *key)``.  Returns None when a trajectory breaks the
-    contract the bound assumes: exactly ``horizon`` steps and every
-    |reward| <= r_max, checked once per chunk of stacked rewards.
+    ``substream(seed, *key)``, in chunks of ``BLOCK_ROWS``.  Returns None
+    when a trajectory breaks the horizon or r_max contract.
     """
     env, policy, theta = setup
-    spec = env.spec
-    actor = policy.actor(theta)
     sums = {kind: np.zeros(policy.dim) for kind in EstimatorKind}
     sq_sums = {kind: 0.0 for kind in EstimatorKind}
     rng = substream(seed, *key)
-    for first in range(0, n_samples, BLOCK_ROWS):
-        trajs = [
-            sample_trajectory(env, policy, theta, rng)
-            for _ in range(first, min(first + BLOCK_ROWS, n_samples))
-        ]
-        if any(len(t.rewards) != spec.horizon for t in trajs):
+    for estimates in _sampled_estimates(env, policy, theta, rng, n_samples, BLOCK_ROWS, EstimatorKind):
+        if estimates is None:
             return None
-        rewards = np.stack([t.rewards for t in trajs])
-        if not np.max(np.abs(rewards)) <= spec.r_max + 1e-12:
-            return None
-        estimates = _score_chunk(trajs, rewards, actor, spec.gamma, EstimatorKind)
         for kind, g in estimates.items():
             sums[kind] = running_sums(sums[kind], g)[-1]
             sq_sums[kind] = float(running_sums(sq_sums[kind], (g * g).sum(axis=1))[-1])
@@ -373,7 +378,7 @@ def variance_ratios(setup: tuple, seed: int, n_samples: int, *key: int) -> "dict
     for kind in EstimatorKind:
         mean = sums[kind] / n_samples
         trace_var = sq_sums[kind] / n_samples - float(np.dot(mean, mean))
-        ratios[kind] = trace_var / variance_bound(kind, spec, kappa).nu_squared
+        ratios[kind] = trace_var / variance_bound(kind, env.spec, kappa).nu_squared
     return ratios
 
 
@@ -390,20 +395,19 @@ def check_variance_bound(seed: int, n_samples: int):
 
 def chebyshev_violations(
     seed: int, n_estimates: int, kinds: tuple, *key: int
-) -> "dict[tuple, float]":
+) -> "dict[tuple, float] | None":
     """Rate of batch-25 estimates farther than eps_delta/sqrt(25) from the exact gradient.
 
     Estimates are at theta = 0 on the two-state instance; estimate i takes
     trajectories 25i .. 25i+24 of the one stream ``substream(seed, *key)``,
-    each feeding every kind.  Returns the rate per (kind, delta) for delta
-    in (0.1, 0.5).
+    each feeding every kind, in chunks of whole batches.  Returns the rate
+    per (kind, delta) for delta in (0.1, 0.5), or None when a trajectory
+    breaks the horizon or r_max contract.
     """
     inst = two_state_instance()
     theta = np.zeros(inst.policy.dim)
-    actor = inst.policy.actor(theta)
     batch = 25
     exact = exact_gradient(inst.mdp, inst.oracle_policy, theta)
-    gamma = inst.mdp.spec.gamma
     kappa = inst.policy.smoothing_constants().kappa
     radius = {
         (kind, delta): error_bound(variance_bound(kind, inst.mdp.spec, kappa), delta)
@@ -412,15 +416,14 @@ def chebyshev_violations(
         for delta in (0.1, 0.5)
     }
     violations = {pair: 0 for pair in radius}
-    per_chunk = BLOCK_ROWS // batch
     rng = substream(seed, *key)
-    for first in range(0, n_estimates, per_chunk):
-        trajs = [
-            sample_trajectory(inst.env, inst.policy, theta, rng)
-            for _ in range(batch * (min(first + per_chunk, n_estimates) - first))
-        ]
-        rewards = np.stack([t.rewards for t in trajs])
-        for kind, g in _score_chunk(trajs, rewards, actor, gamma, kinds).items():
+    chunk = batch * (BLOCK_ROWS // batch)
+    for estimates in _sampled_estimates(
+        inst.env, inst.policy, theta, rng, batch * n_estimates, chunk, kinds
+    ):
+        if estimates is None:
+            return None
+        for kind, g in estimates.items():
             for rows in np.split(g, len(g) // batch):
                 err = np.linalg.norm(running_sums(0.0, rows)[-1] / batch - exact)
                 for delta in (0.1, 0.5):
@@ -431,6 +434,8 @@ def chebyshev_violations(
 @_check("chebyshev-coverage", "violation rate <= delta")
 def check_chebyshev(seed: int, n_estimates: int):
     rates = chebyshev_violations(seed, n_estimates, (EstimatorKind.GPOMDP,), 10)
+    if rates is None:
+        return False, "a trajectory breaks the horizon or r_max contract"
     worst = max(rate - delta for (_, delta), rate in rates.items())
     return worst <= 0.0, f"max rate-minus-delta = {worst:.3e}"
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -650,6 +651,24 @@ class TestValidateSampling:
         assert all(0.0 < rate < 1.0 for rate in default[1].values())
         monkeypatch.setattr(validate, "BLOCK_ROWS", rows)
         assert statistics() == default
+
+    def test_both_criteria_refuse_a_contract_breach(self, monkeypatch):
+        import spgrad.validate as validate
+
+        def breaching():
+            # the two-state rewards reach |r| = 1, past a stated r_max of 0.5
+            inst = two_state_instance()
+            inst.env.spec = dataclasses.replace(inst.env.spec, r_max=0.5)
+            return inst
+
+        monkeypatch.setattr(validate, "two_state_instance", breaching)
+        inst = breaching()
+        setup = (inst.env, inst.policy, np.zeros(inst.policy.dim))
+        assert validate.variance_ratios(setup, 5, 30, 9, 0) is None
+        assert validate.chebyshev_violations(5, 41, tuple(EstimatorKind), 10) is None
+        result = validate.check_chebyshev(5, 41)
+        assert result.status == "fail"
+        assert result.observed == "a trajectory breaks the horizon or r_max contract"
 
 
 class TestSweepCommand:

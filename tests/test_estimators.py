@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from spgrad.estimators import (
     BaselineKind,
     EstimatorKind,
     GradientAccumulator,
+    GradientEstimate,
     error_bound,
     trajectory_scores,
     trajectory_terms,
@@ -90,6 +93,14 @@ class TestDegenerateBatches:
         vector = estimate([traj], policy, np.zeros(1), 0.9, kind, BaselineKind.PETERS)
         assert np.all(np.isfinite(vector))
         np.testing.assert_array_equal(vector, [0.0])
+
+    def test_norm_past_the_float_range_is_a_numeric_error(self):
+        # finite components whose squares overflow: no overflow warning, a typed error
+        assert GradientEstimate(np.array([3.0, 4.0])).norm == 5.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="norm is not finite"):
+                GradientEstimate(np.array([1e200, 1.0])).norm
 
 
 class TestAccumulator:
@@ -325,16 +336,17 @@ def python_running(kind, rewards, scores, weights, sum_g, weight_sum):
 
 
 class TestAddBlockStop:
-    """``add_block`` hands its stop the count, the running sum S and the
-    running weight w after each row, up to the first row whose estimate
-    S / w is not finite; a stop takes unit-weight rows only."""
+    """``add_block`` hands its stop the count N and the running sum S after
+    each row, up to the first row whose estimate S / N is not finite; a
+    stop takes unit-weight rows only, on an accumulator whose weight sum
+    is its count."""
 
     @staticmethod
     def recorder(end=None):
         seen = []
 
-        def stop(counts, sums, weight_sums):
-            seen.append((counts.copy(), sums.copy(), weight_sums.copy()))
+        def stop(counts, sums):
+            seen.append((counts.copy(), sums.copy()))
             return end
 
         return seen, stop
@@ -351,11 +363,12 @@ class TestAddBlockStop:
         seen, stop = self.recorder()
         with pytest.raises(NumericError, match="gradient estimate is not finite"):
             acc.add_block(rewards, scores, stop=stop)
-        [(counts, sums, weight_sums)] = seen
+        [(counts, sums)] = seen
         assert counts.tolist() == list(range(5, 12))
         assert same_bits(sums, want_sums[:7])
-        assert same_bits(weight_sums, want_w[:7])
-        assert np.isfinite(sums / weight_sums[:, None]).all()
+        # the counts as floats are the running weight sums, bit for bit
+        assert same_bits(counts.astype(float), want_w[:7])
+        assert np.isfinite(sums / counts[:, None]).all()
         # a stop that ends the block before the inf keeps the rows up to its end
         seen, stop = self.recorder(end=3)
         acc = GradientAccumulator(bandit_policy(), np.zeros(1), 0.9, kind)
@@ -375,6 +388,19 @@ class TestAddBlockStop:
         with pytest.raises(ValueError, match="unit-weight rows only"):
             acc.add_block(rewards, scores, weights, stop=stop)
         assert seen == [] and acc.count == 0 and acc.weight_sum == 0.0
+
+    def test_stop_refuses_an_accumulator_of_weighted_rows(self):
+        # after weighted rows S / N is not the estimate S / w
+        rewards, scores, weights = stop_inputs(3, 6)
+        acc = GradientAccumulator(bandit_policy(), np.zeros(1), 0.9, EstimatorKind.GPOMDP)
+        acc.add_block(rewards, scores, weights)
+        before = (acc.count, acc.weight_sum, acc._sum_g.copy())
+        assert acc.weight_sum != acc.count
+        seen, stop = self.recorder()
+        with pytest.raises(ValueError, match="unit-weight rows only"):
+            acc.add_block(rewards, scores, stop=stop)
+        assert seen == [] and (acc.count, acc.weight_sum) == before[:2]
+        assert same_bits(acc._sum_g, before[2])
 
 
 class TestVarianceBound:

@@ -1,10 +1,11 @@
-"""Static checks on src/spgrad/ that need no linter: unused module-level imports."""
+"""Static checks on src/spgrad/ and tests/ that need no linter: unused module-level imports."""
 import ast
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spgrad"
+TESTS = Path(__file__).resolve().parent
 
 # bound for the benchmark, which patches them by name
 KEPT = {"safe_updates.py": {"sample_trajectory", "substream"}}
@@ -75,10 +76,17 @@ def _exported(init: Path) -> "set[str]":
     return set()
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def _source_id(path: Path) -> str:
+    """A package module by its name, a test module as tests/<name>."""
+    return path.name if path.parent == PACKAGE else f"tests/{path.name}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=_source_id
+)
 def test_no_unused_module_imports(path):
-    allowed = KEPT.get(path.name, set())
-    if path.name == "__init__.py":
+    allowed = KEPT.get(_source_id(path), set())
+    if _source_id(path) == "__init__.py":
         allowed = allowed | _exported(path)
     assert unused_imports(path.read_text(), allowed) == []
 

@@ -211,9 +211,18 @@ class TestOptimalStepAndBatch:
         counts = np.array([1.0, 2.0, 3.0])
         norms = [float(np.linalg.norm(s / w)) for s, w in zip(sums, counts)]
         assert [required_batch_size(norm, 1e154) for norm in norms] == [None] * 3
-        assert safe_updates._first_certified(1e154)(counts, sums, counts) is None
+        assert safe_updates._first_certified(1e154)(counts, sums) is None
         # at eps = 1 the rule asks one trajectory of every row
-        assert safe_updates._first_certified(1.0)(counts, sums, counts) == 0
+        assert safe_updates._first_certified(1.0)(counts, sums) == 0
+
+    def test_stop_never_certifies_an_infinite_norm(self):
+        # S^2 and the norm of S / N overflow: no warning, and no certificate
+        # for the first row; the second row's norm is finite and certifies
+        sums = np.array([[1e200, 0.0], [1e150, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert safe_updates._first_certified(1.0)(np.array([1]), sums[:1]) is None
+            assert safe_updates._first_certified(1.0)(np.array([1, 2]), sums) == 1
 
 
 class TestSpgRun:
@@ -515,6 +524,25 @@ class TestBlockSamplingIsExact:
         )
         assert_same_run(result, records, thetas)
         assert [r.batch_size for r in records] == [700, 700, 700]
+
+    @pytest.mark.parametrize("baseline", list(BaselineKind), ids=lambda b: b.value)
+    @pytest.mark.parametrize("name", ["bandit", "chain"])
+    def test_fixed_schedule_across_blocks(self, name, baseline, monkeypatch):
+        # N = 155 spans several blocks under each patched pilot (3, 32 and 100
+        # rows) and is a multiple of none; the total cap of 500 refuses the
+        # fourth iteration, whose batch would cross it
+        env, policy = INSTANCES[name]()
+        fixed = MetaParams(alpha=0.05, batch_size=155, baseline=baseline)
+        limits = RunLimits(max_trajectories_per_iteration=200, max_total_trajectories=500)
+        kind, theta0 = EstimatorKind.REINFORCE, np.zeros(policy.dim)
+        records, thetas = one_at_a_time(env, policy, theta0, 5, 0.5, kind, limits, 4, fixed)
+        assert [r.cum_trajectories for r in records] == [155, 310, 465]
+        for bound in (7, 64, 200):
+            monkeypatch.setattr(safe_updates, "ROLLOUT_ROWS", bound)
+            result = spg_run(
+                env, policy, theta0, 5, 0.5, estimator_kind=kind, limits=limits, seed=4, fixed=fixed
+            )
+            assert_same_run(result, records, thetas)
 
     def test_per_iteration_cap_stall(self):
         env, policy = INSTANCES["chain"]()
