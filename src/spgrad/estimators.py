@@ -182,12 +182,14 @@ class GradientAccumulator:
         """Add a block of trajectories, row after row.
 
         ``rewards`` is (n, T) and ``scores`` (n, T, m), row i holding
-        trajectory i; ``weights`` defaults to 1 for every row.  The terms of
-        all rows come from one ``trajectory_terms`` call and are accumulated with
-        ``np.cumsum``, which adds in row order like the one-at-a-time sums
-        (``np.sum`` may pair terms), so the statistics after row i are the
-        ones that adding rows one at a time reaches, bit for bit, however
-        the rows are split into blocks.
+        trajectory i, with the T and m of any earlier block; ``weights``
+        (n,) defaults to 1 for every row.  Shapes that disagree raise
+        ValueError; a block of no rows adds nothing and returns False.  The
+        terms of all rows come from one ``trajectory_terms`` call and are
+        accumulated with ``np.cumsum``, which adds in row order like the
+        one-at-a-time sums (``np.sum`` may pair terms), so the statistics
+        after row i are the ones that adding rows one at a time reaches, bit
+        for bit, however the rows are split into blocks.
 
         ``stop(counts, sums)``, if given, sees after each row the trajectory
         count N and the running zero-baseline sum S (the estimate is S / N),
@@ -200,17 +202,32 @@ class GradientAccumulator:
         N >= 1 makes it finite where S is, so one check over all the sums
         stands for the per-row check, which runs only where it fails.
         """
+        dim = np.shape(self._sum_g)  # () before the first row, (m,) after
+        if (
+            rewards.ndim != 2
+            or scores.ndim != 3
+            or scores.shape[:2] != rewards.shape
+            or dim not in ((), scores.shape[2:])
+            or (weights is not None and weights.shape != rewards.shape[:1])
+        ):
+            weighted = "" if weights is None else f", weights {weights.shape}"
+            m = dim[0] if dim else "m"
+            raise ValueError(
+                f"block shapes disagree: rewards {rewards.shape}, scores {scores.shape}{weighted};"
+                f" expected (n, T), (n, T, {m}) and (n,)"
+            )
         n, horizon = rewards.shape
         if stop is not None and (weights is not None or self.weight_sum != self.count):
             raise ValueError("a stop takes unit-weight rows only")
         if weights is not None and not np.all((weights > 0.0) & (weights < math.inf)):
             raise ValueError(f"trajectory weights must be positive and finite, got {weights}")
-        if self.horizon is None:
-            self.horizon = horizon
-        elif horizon != self.horizon:
+        if self.horizon not in (None, horizon):
             raise ValueError(
                 f"trajectory has horizon {horizon}, accumulator expects {self.horizon}"
             )
+        if n == 0:
+            return False
+        self.horizon = horizon
         ret, wr, g = trajectory_terms(self.kind, self.gamma, rewards, scores, weights)
         if weights is None:
             weights = np.ones(n)

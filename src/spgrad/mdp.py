@@ -250,6 +250,17 @@ class EnumerableMdp:
             raise ConfigurationError("rewards exceed spec.r_max")
 
 
+def check_bin_edges(edges) -> np.ndarray:
+    """``edges`` as a 1-D float array of at least one finite edge, strictly
+    increasing; ConfigurationError otherwise."""
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 1:
+        raise ConfigurationError(f"need a 1-D array of at least one bin edge, got shape {edges.shape}")
+    if not (np.all(np.abs(edges) < math.inf) and np.all(np.diff(edges) > 0)):
+        raise ConfigurationError(f"bin edges must be finite and strictly increasing, got {edges}")
+    return edges
+
+
 class EnumerableEnv:
     """Sampling view of an :class:`EnumerableMdp`.
 
@@ -265,18 +276,12 @@ class EnumerableEnv:
     def __init__(self, mdp: EnumerableMdp, bin_edges: np.ndarray | None = None):
         self.mdp = mdp
         self.spec = mdp.spec
-        self.bin_edges = None if bin_edges is None else np.asarray(bin_edges, dtype=float)
-        if self.bin_edges is not None:
-            if self.bin_edges.size != mdp.n_actions - 1:
-                raise ConfigurationError(
-                    f"{mdp.n_actions} actions require {mdp.n_actions - 1} bin edges, "
-                    f"got {self.bin_edges.size}"
-                )
-            edges = self.bin_edges
-            if not (np.all(np.abs(edges) < math.inf) and np.all(np.diff(edges) > 0)):
-                raise ConfigurationError(
-                    f"bin edges must be finite and strictly increasing, got {edges}"
-                )
+        self.bin_edges = None if bin_edges is None else check_bin_edges(bin_edges)
+        if self.bin_edges is not None and self.bin_edges.size != mdp.n_actions - 1:
+            raise ConfigurationError(
+                f"{mdp.n_actions} actions require {mdp.n_actions - 1} bin edges, "
+                f"got {self.bin_edges.size}"
+            )
         self.n_states = mdp.n_states
         cum_initial = np.cumsum(mdp.initial)
         # the initial CDF's entries but the last, one column each for inverse_cdf
@@ -297,8 +302,8 @@ class EnumerableEnv:
         if self._edges is not None:
             return bisect_right(self._edges, float(action))
         index = int(action)
-        if not 0 <= index < self.mdp.n_actions:
-            raise ValueError(f"action {index} out of range [0, {self.mdp.n_actions})")
+        if index != action or not 0 <= index < self.mdp.n_actions:
+            raise ValueError(f"action {action} out of range [0, {self.mdp.n_actions})")
         return index
 
     def kernels(self):
@@ -328,14 +333,18 @@ class EnumerableEnv:
         return inverse_cdf(self._initial_columns, u[:, 0])
 
     def _flat_index(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """s * n_actions + a for every (state, action) pair, the actions checked."""
+        """s * n_actions + a for every (state, action) pair, the actions
+        checked: in range and, in an array not of intp, integral."""
         if self.bin_edges is not None:
             a = np.searchsorted(self.bin_edges, actions, side="right")
         else:
-            a = np.asarray(actions).astype(np.intp, copy=False)
+            actions = np.asarray(actions)
+            a = actions.astype(np.intp, copy=False)
             bad = (a < 0) | (a >= self.mdp.n_actions)
+            if a is not actions:  # cast: an action the cast moved is not an index
+                bad |= a != actions
             if bad.any():
-                raise ValueError(f"action {a[bad][0]} out of range [0, {self.mdp.n_actions})")
+                raise ValueError(f"action {actions[bad][0]} out of range [0, {self.mdp.n_actions})")
         return states * self.mdp.n_actions + a
 
     def reward_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:

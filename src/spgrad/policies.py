@@ -30,10 +30,11 @@ and the scalar methods of both return entries of it.  ``table`` also takes
 a stack of theta (k, m) and returns the k tables stacked, each equal bit
 for bit to the table at its row; a single theta is the same array pass
 without the leading axis.  Both policies build a table in one array pass
-over the thetas and states and keep it as their one memo, at the last
-theta seen, keyed by theta's shape and bytes, so a (1, m) stack never
-returns a single theta's table.  A Softmax policy's memo also holds the
-log-probabilities and cumulative sums; its actor reads ``table(theta)``.
+over the thetas and states.  Only the Softmax table is memoised, as the
+scalar sampler asks for it once per trajectory: at the last theta seen,
+keyed by theta's shape and bytes (a (1, m) stack never returns a single
+theta's table), with the log-probabilities and cumulative sums.  The
+binned view builds its table on each call.
 """
 from __future__ import annotations
 
@@ -45,6 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
+from .mdp import check_bin_edges
 from .rng import box_muller, inverse_cdf
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -70,9 +72,13 @@ def _square(x: float) -> float:
         return math.inf
 
 
-def _floats(theta: np.ndarray) -> "list[float]":
-    """theta as a list of Python floats."""
-    return np.asarray(theta, dtype=float).tolist()
+def _floats(theta: np.ndarray, dim: "int | None" = None) -> "list[float]":
+    """A single theta (m,) as a list of Python floats; ValueError for any
+    other shape, or for m other than ``dim`` where that is given."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1 or dim not in (None, theta.size):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({'m' if dim is None else dim},)")
+    return theta.tolist()
 
 
 def _thetas(theta: np.ndarray, dim: int) -> np.ndarray:
@@ -238,6 +244,9 @@ class GaussianPolicy:
 
     @staticmethod
     def _linear_mean(theta: "list[float]", phi: "list[float]") -> float:
+        # a feature map need not declare its dim, so theta is matched to phi
+        if len(theta) != len(phi):
+            raise ValueError(f"theta has shape ({len(theta)},), expected ({len(phi)},)")
         # Python floats overflow to inf without numpy's RuntimeWarning; at
         # dim 1 the sum is exactly np.dot's
         m = 0.0
@@ -313,7 +322,7 @@ class GaussianActor:
     def __init__(self, policy: GaussianPolicy, theta: np.ndarray):
         self.policy = policy
         self.dim = policy.dim
-        self.theta = _floats(theta)
+        self.theta = _floats(theta, policy.dim)
         # the squared feature norm above which a row is re-checked
         self._near = _square((policy.feature_bound + 1e-9) * (1.0 - 1e-12))
 
@@ -577,25 +586,17 @@ class BinnedGaussianPolicy:
     :class:`spgrad.mdp.EnumerableEnv` on states 0 .. n_states-1.
     Probabilities and their exact scores come from Gaussian CDF differences
     in ``table(theta)``, which the scalar methods read and which lets the
-    exact oracles run on the Gaussian policy class.  The table at the last
-    theta seen is kept as a memo, as a Softmax policy keeps its own.
+    exact oracles run on the Gaussian policy class.  No sampler reads this
+    view, so the table is built on each call.
     """
 
     def __init__(self, gaussian: GaussianPolicy, edges: np.ndarray, n_states: int):
-        edges = np.asarray(edges, dtype=float)
-        if edges.ndim != 1 or edges.size < 1:
-            raise ConfigurationError("need at least one bin edge")
-        if not (np.all(np.abs(edges) < math.inf) and np.all(np.diff(edges) > 0)):
-            raise ConfigurationError(f"bin edges must be finite and strictly increasing, got {edges}")
         if n_states < 1:
             raise ConfigurationError(f"n_states must be >= 1, got {n_states}")
         self.gaussian = gaussian
-        self.edges = edges
-        self.n_actions = edges.size + 1
+        self.edges = check_bin_edges(edges)
+        self.n_actions = self.edges.size + 1
         self.n_states = n_states
-        self._phi: "np.ndarray | None" = None
-        self._key: "tuple | None" = None  # theta's shape and bytes
-        self._memo: "PolicyTable | None" = None
 
     @property
     def dim(self) -> int:
@@ -623,16 +624,9 @@ class BinnedGaussianPolicy:
         order with a non-finite mean or a bin of vanishing probability,
         raises NumericError for the first of the two.
         """
-        theta = np.asarray(theta, dtype=float)
-        key = (theta.shape, theta.tobytes())
-        if key != self._key:
-            self._memo, self._key = self._build(_thetas(theta, self.dim)), key
-        return self._memo
-
-    def _build(self, theta: np.ndarray) -> PolicyTable:
-        if self._phi is None:  # (S, m), each row checked against the feature bound
-            self._phi = np.array([self.gaussian._phi_values(s) for s in range(self.n_states)])
-        phi, sigma = self._phi, self.gaussian.sigma
+        theta, sigma = _thetas(theta, self.dim), self.gaussian.sigma
+        # (S, m), each row checked against the feature bound
+        phi = np.array([self.gaussian._phi_values(s) for s in range(self.n_states)])
         mean = np.zeros(theta.shape[:-1] + (self.n_states,))
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(self.dim):

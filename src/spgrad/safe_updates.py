@@ -127,16 +127,6 @@ def stochastic_improvement_bound(
     return alpha * (grad_est_norm - err) * anticipated - alpha**2 * lip * grad_est_norm**2 / 2.0
 
 
-def _batch_bound(grad_est_norm: float, eps_delta: float) -> float:
-    """4 eps^2 / ||grad||^2, not rounded, for a norm > 0; inf where the
-    square underflows to 0 or a square or the quotient overflows."""
-    try:
-        square = grad_est_norm**2
-        return 4.0 * eps_delta**2 / square if square > 0.0 else math.inf
-    except OverflowError:
-        return math.inf
-
-
 def certified_step(lip: float) -> float:
     """The certified rule's step, alpha = 1/(2L)."""
     if lip <= 0:
@@ -147,10 +137,14 @@ def certified_step(lip: float) -> float:
 def required_batch_size(grad_est_norm: float, eps_delta: float) -> "int | None":
     """The certified rule's batch, ceil(4 eps^2 / ||grad||^2); None where no
     finite batch meets it: the estimate vanishes or is not finite, or the
-    quotient is not finite."""
+    quotient is not (a square underflows to 0 or overflows)."""
     if not 0.0 < grad_est_norm < math.inf:
         return None
-    bound = _batch_bound(grad_est_norm, eps_delta)
+    try:
+        square = grad_est_norm**2
+        bound = 4.0 * eps_delta**2 / square if square > 0.0 else math.inf
+    except OverflowError:
+        return None
     return max(1, math.ceil(bound)) if bound < math.inf else None
 
 
@@ -277,18 +271,16 @@ def _first_certified(eps_delta: float):
 
 def _forecast_rows(norm: float, eps_delta: float, count: int) -> int:
     """Rows for the next block of a certified iteration that has ``count``
-    rows and an estimate of norm ``norm``: FORECAST_MARGIN times the rows the
-    stop rule still asks for, ceil(4 eps^2 / norm^2) - count, and at least
-    FORECAST_FLOOR.  Where the rule asks for ``ROLLOUT_ROWS`` more rows or
-    no finite batch at all (a zero estimate, or one whose square underflows)
-    it is ``ROLLOUT_ROWS``.  The caller caps it at ``ROLLOUT_ROWS`` and the
-    room left.  It does not call ``required_batch_size``, whose calls
-    perfbench counts as stop checks.
+    rows and an estimate of norm ``norm``: FORECAST_MARGIN times the rows
+    ``required_batch_size`` still asks for, and at least FORECAST_FLOOR.
+    Where the rule asks for ``ROLLOUT_ROWS`` more rows or no finite batch at
+    all (a zero estimate, or one whose square underflows) it is
+    ``ROLLOUT_ROWS``.  The caller caps it at ``ROLLOUT_ROWS`` and the room left.
     """
-    bound = _batch_bound(norm, eps_delta) if norm > 0.0 else math.inf
-    if bound >= count + ROLLOUT_ROWS:
+    needed = required_batch_size(norm, eps_delta)
+    if needed is None or needed >= count + ROLLOUT_ROWS:
         return ROLLOUT_ROWS
-    return max(FORECAST_FLOOR, math.ceil(FORECAST_MARGIN * (math.ceil(bound) - count)))
+    return max(FORECAST_FLOOR, math.ceil(FORECAST_MARGIN * (needed - count)))
 
 
 def spg_run(

@@ -403,6 +403,54 @@ class TestAddBlockStop:
         assert same_bits(acc._sum_g, before[2])
 
 
+class TestAddBlockShapes:
+    """``add_block`` adds nothing for a block of no rows and refuses shapes
+    that disagree, before anything is added."""
+
+    @staticmethod
+    def state(acc):
+        return (acc.count, acc.horizon, acc.weight_sum, acc.return_sum, np.shape(acc._sum_g))
+
+    @pytest.mark.parametrize("baseline", list(BaselineKind))
+    def test_empty_block_adds_nothing(self, baseline):
+        acc = GradientAccumulator(bandit_policy(), np.zeros(1), 0.9, "gpomdp", baseline)
+        before = self.state(acc)
+        empty = np.empty((0, 5)), np.empty((0, 5, 2))
+        assert acc.add_block(*empty) is False
+        assert acc.add_block(*empty, weights=np.empty(0)) is False
+        assert acc.add_block(*empty, stop=lambda counts, sums: 0) is False
+        assert self.state(acc) == before and acc.horizon is None
+        with pytest.raises(ValueError, match="empty accumulator"):
+            acc.finalize()
+        # the empty blocks fixed no horizon: a block of horizon 3 is taken
+        rewards, scores, _ = stop_inputs(4, 6)
+        assert not acc.add_block(rewards, scores)
+        assert acc.count == 6 and acc.horizon == 3
+        want = GradientAccumulator(bandit_policy(), np.zeros(1), 0.9, "gpomdp", baseline)
+        want.add_block(rewards, scores)
+        assert acc.finalize().vector.tobytes() == want.finalize().vector.tobytes()
+
+    def test_mismatched_shapes_rejected(self):
+        rewards, scores, weights = stop_inputs(5, 6)  # (6, 3), (6, 3, 2), (6,)
+        bad = [
+            (rewards[:5], scores, None),
+            (rewards, scores[:, :2], None),
+            (rewards, scores, weights[:4]),
+            (rewards, scores[:, :, 0], None),
+            (rewards[:, :, None], scores, None),
+        ]
+        acc = GradientAccumulator(bandit_policy(), np.zeros(1), 0.9, "reinforce")
+        for r, s, w in bad:
+            with pytest.raises(ValueError, match="^block shapes disagree: rewards"):
+                acc.add_block(r, s, w)
+            assert self.state(acc) == (0, None, 0.0, 0.0, ())
+        # a later block must keep the m of the first
+        acc.add_block(rewards, scores)
+        with pytest.raises(ValueError, match=r"expected \(n, T\), \(n, T, 2\) and \(n,\)$"):
+            acc.add_block(rewards, scores[:, :, :1])
+        assert acc.count == 6
+
+
 class TestVarianceBound:
     SPEC = MdpSpec(gamma=0.9, r_max=1.0, horizon=10)
 

@@ -1,4 +1,5 @@
-"""Static checks on src/spgrad/ and tests/ that need no linter: unused module-level imports."""
+"""Static checks on src/spgrad/ and tests/ that need no linter: unused
+module-level imports, and private module-level names that nothing reads."""
 import ast
 from pathlib import Path
 
@@ -44,7 +45,11 @@ def _annotations(tree: ast.Module):
 
 def _used_names(tree: ast.Module) -> "set[str]":
     """Every name read outside an import statement, quoted annotations included."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -65,6 +70,29 @@ def unused_imports(source: str, allowed: "set[str]" = frozenset()) -> "list[str]
     used = _used_names(tree) | allowed
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     return [f"{name} (line {line})" for line, name in unused]
+
+
+def _bound_here(node: ast.stmt) -> "list[tuple[str, int]]":
+    """(name, line) for each name that a def, a class or an assignment binds."""
+    if isinstance(node, ast.ClassDef | ast.FunctionDef | ast.AsyncFunctionDef):
+        return [(node.name, node.lineno)]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [
+        (n.id, n.lineno) for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)
+    ]
+
+
+def orphaned_private_names(source: str) -> "list[str]":
+    """'name (line n)' for each module-level def, class or assignment target
+    named with one leading underscore that nothing in the module reads."""
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    orphans: "dict[str, int]" = {}  # name -> line of its first binding
+    for statement in _module_level(tree):
+        for name, line in _bound_here(statement):
+            if name.startswith("_") and not name.startswith("__") and name not in used:
+                orphans[name] = min(line, orphans.get(name, line))
+    return [f"{name} (line {line})" for name, line in sorted(orphans.items(), key=lambda x: x[1])]
 
 
 def _exported(init: Path) -> "set[str]":
@@ -102,3 +130,34 @@ def test_unused_import_is_caught():
     )
     assert unused_imports(source) == ["os (line 3)", "Any (line 4)"]
     assert unused_imports(source, {"os", "Any"}) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=_source_id)
+def test_no_orphaned_private_names(path):
+    assert orphaned_private_names(path.read_text()) == []
+
+
+def test_orphaned_private_name_is_caught():
+    source = (
+        "_USED = 1\n"
+        "_UNUSED, public = 2, 3\n"
+        "__dunder__ = 4\n"
+        "_annotated: int = 5\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "def _orphan():\n"
+        "    _local = _helper()\n"
+        "class _Quoted:\n"
+        "    _attribute = 6\n"
+        "def f(x: '_Quoted'):\n"
+        "    pass\n"
+        "if public:\n"
+        "    _stored = 7\n"
+        "    _stored += 1\n"
+    )
+    assert orphaned_private_names(source) == [
+        "_UNUSED (line 2)",
+        "_annotated (line 4)",
+        "_orphan (line 7)",
+        "_stored (line 14)",
+    ]

@@ -280,6 +280,28 @@ class TestEnumerableMdp:
         with pytest.raises(ValueError, match=f"action {action} out of range"):
             chain.env.step(0, action, substream(0, 0))
 
+    def test_fractional_action_raises(self, two_state):
+        env = two_state.env
+        states, u = np.array([0, 1]), np.full((2, 1), 0.5)
+        for action in (0.7, 1.9, -0.5):
+            with pytest.raises(ValueError, match=f"action {action} out of range"):
+                env.step(0, action, substream(0, 0))
+        for method, args in (("step_batch", (u,)), ("reward_batch", ())):
+            with pytest.raises(ValueError, match="action 0.7 out of range"):
+                getattr(env, method)(states, np.array([0.7, 1.9]), *args)
+            with pytest.raises(ValueError, match="action 1.5 out of range"):
+                getattr(env, method)(states, np.array([1.0, 1.5]), *args)
+        # integral actions of any dtype are indices
+        assert env.step(0, 1.0, substream(0, 0)) == env.step(0, 1, substream(0, 0))
+        for actions in (np.array([0.0, 1.0]), np.array([0, 1], dtype=np.int32)):
+            assert np.array_equal(
+                env.reward_batch(states, actions), env.reward_batch(states, np.array([0, 1]))
+            )
+
+    def test_binned_env_rejects_two_dimensional_edges(self, binned_gaussian):
+        with pytest.raises(ConfigurationError, match=r"1-D array .* got shape \(1, 2\)"):
+            EnumerableEnv(binned_gaussian.mdp, bin_edges=[[-0.5, 0.5]])
+
     def test_binned_action_mapping(self, binned_gaussian):
         env = binned_gaussian.env
         assert env.action_index(-0.7) == 0

@@ -502,6 +502,32 @@ class TestBinnedGaussian:
         assert np.array_equal(binned_gaussian.oracle_policy.edges, binned_gaussian.env.bin_edges)
 
 
+class TestGaussianThetaShape:
+    """Every Gaussian entry point refuses a theta that is not (m,), as the
+    tables do, rather than reading only the coordinates it finds."""
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_wrong_length_rejected(self, length):
+        policy = GaussianPolicy(StateTabularFeatures(3), feature_bound=1.0, sigma=0.5)
+        theta = np.full(length, 0.3)
+        calls = {
+            "mean": lambda: policy.mean(theta, 1),
+            "action_kernel": lambda: policy.action_kernel(theta)(1, 0.0),
+            "sample_action": lambda: policy.sample_action(theta, 1, substream(0, 0)),
+            "log_pdf": lambda: policy.log_pdf(theta, 1, 0.2),
+            "score": lambda: policy.score(theta, 1, 0.2),
+            "actor": lambda: policy.actor(theta).score(np.array([0, 1]), np.array([0.2, 0.1])),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=rf"^theta has shape \({length},\), expected \(3,\)$"):
+                call()
+
+    def test_stack_rejected(self):
+        policy = GaussianPolicy(StateTabularFeatures(3), feature_bound=1.0, sigma=0.5)
+        with pytest.raises(ValueError, match="^theta has shape"):
+            policy.mean(np.zeros((1, 3)), 1)
+
+
 class TestFeatureMaps:
     def test_state_tabular(self):
         features = StateTabularFeatures(3)
@@ -786,21 +812,23 @@ class TestStackedTables:
         assert bits(policy.action_probabilities(theta, 1)) == bits(single.probs[1])
         assert policy._memo.probs.shape == (2, 3)
 
-    def test_binned_memo_follows_theta_and_shape(self, binned_gaussian):
+    def test_binned_table_follows_theta_and_shape(self, binned_gaussian):
         view = binned_gaussian.oracle_policy
         view = BinnedGaussianPolicy(view.gaussian, view.edges, view.n_states)
         theta = np.array([0.3, -0.2])
         table = view.table(theta)
-        for s in range(view.n_states):
-            view.action_probabilities(theta.copy(), s)
-            for a in range(view.n_actions):
-                view.score(theta, s, a)
-        # the scalar methods read the one memo, not a table of their own
-        assert view._memo is table and view.table(theta) is table
-        stacked = view.table(theta[None])
-        assert stacked.probs.shape == (1, 2, 3) and view._memo is stacked
         again = view.table(theta)
-        assert again is not table and bits(again.scores) == bits(table.scores)
+        for field in range(2):
+            assert bits(again[field]) == bits(table[field])
+        # the scalar methods return the table's entries
+        for s in range(view.n_states):
+            assert bits(view.action_probabilities(theta.copy(), s)) == bits(table.probs[s])
+            for a in range(view.n_actions):
+                assert bits(view.score(theta, s, a)) == bits(table.scores[s, a])
+        stacked = view.table(theta[None])
+        assert stacked.probs.shape == (1, 2, 3) and stacked.scores.shape == (1, 2, 3, 2)
+        for field in range(2):
+            assert bits(stacked[field][0]) == bits(table[field])
 
     def test_wrong_theta_shape_rejected(self, two_state, binned_gaussian):
         for policy in (two_state.oracle_policy, binned_gaussian.oracle_policy):
