@@ -99,9 +99,6 @@ class Trajectory:
         if len(self.rewards) == 0:
             raise ValueError("trajectory must contain at least one step")
 
-    def __len__(self) -> int:
-        return len(self.rewards)
-
 
 @functools.lru_cache(maxsize=64)
 def _draw_runs(reset: str, action: str, step: str, horizon: int) -> "tuple[tuple[str, int], ...]":
@@ -261,6 +258,19 @@ def check_bin_edges(edges) -> np.ndarray:
     return edges
 
 
+def check_index(value: Any, size: int, what: str) -> int:
+    """``value`` as an index into range(size): integral floats and numpy
+    integers index as their int, anything else raises a ValueError that
+    names the range."""
+    try:
+        index = int(value)
+    except (TypeError, ValueError, OverflowError):
+        index = None
+    if index is None or index != value or not 0 <= index < size:
+        raise ValueError(f"{what} {value} out of range [0, {size})")
+    return index
+
+
 class EnumerableEnv:
     """Sampling view of an :class:`EnumerableMdp`.
 
@@ -301,10 +311,7 @@ class EnumerableEnv:
     def action_index(self, action: Any) -> int:
         if self._edges is not None:
             return bisect_right(self._edges, float(action))
-        index = int(action)
-        if index != action or not 0 <= index < self.mdp.n_actions:
-            raise ValueError(f"action {action} out of range [0, {self.mdp.n_actions})")
-        return index
+        return check_index(action, self.mdp.n_actions, "action")
 
     def kernels(self):
         """``reset(u)`` and ``step(state, action, u)``, each an inverse-CDF

@@ -12,15 +12,14 @@ once per call: (S, A) probabilities and (S, A, m) scores over the MDP's
 discrete actions.  The Softmax policy gives it directly, the Gaussian one
 through its binned-action view.
 
-``exact_values``, ``exact_performance``, ``exact_gradient``,
-``fd_gradient`` and ``exact_hessian`` also take a stack of theta (k, m)
-and return one result per row, stacked; a single theta (m,) is the k = 1
-case of the same code.  A row of a stack equals the single-theta result
-bit for bit: the stacked products are numpy broadcasts of the products a
-single theta forms.  ``fd_gradient`` and ``exact_hessian`` evaluate all
-their bumped thetas in one call of ``exact_performance`` and
-``exact_gradient``, and so fetch one table per call.  Path enumeration
-takes a single theta.
+``exact_performance``, ``exact_gradient``, ``fd_gradient`` and
+``exact_hessian`` also take a stack of theta (k, m) and return one result
+per row, stacked; a single theta (m,) is the k = 1 case of the same code.
+A row of a stack equals the single-theta result bit for bit: the stacked
+products are numpy broadcasts of the products a single theta forms.
+``fd_gradient`` and ``exact_hessian`` evaluate all their bumped thetas in
+one call of ``exact_performance`` and ``exact_gradient``, and so fetch one
+table per call.  Path enumeration takes a single theta.
 
 The path sums take the paths in walk order in blocks (``path_blocks``) and
 carry their totals across blocks in path order, so each is the
@@ -31,7 +30,6 @@ number of paths.  Only ``expected_gradient_estimate`` goes through
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -49,14 +47,6 @@ _HESSIAN_STEP = 1e-4
 GRID_ROWS = 16
 
 
-@dataclass
-class ValueTable:
-    """State values v[s] and action values q[s, a] at the start of the episode."""
-
-    v: np.ndarray
-    q: np.ndarray
-
-
 def policy_table(mdp: EnumerableMdp, policy, theta: np.ndarray) -> PolicyTable:
     """The policy's table at theta (m,), or its stacked tables at the rows
     of theta (k, m), checked against the MDP's states and actions."""
@@ -69,9 +59,12 @@ def policy_table(mdp: EnumerableMdp, policy, theta: np.ndarray) -> PolicyTable:
     return table
 
 
-def exact_values(mdp: EnumerableMdp, policy, theta: np.ndarray) -> ValueTable:
-    """Backward induction over the remaining horizon; exact.  At a stack of
-    theta (k, m), v and q lead with k."""
+def exact_performance(mdp: EnumerableMdp, policy, theta: np.ndarray) -> "float | np.ndarray":
+    """J at theta (m,) as a float; at a stack of theta (k, m), the (k,) array.
+
+    Backward induction over the remaining horizon; exact.  v[s] ends as the
+    value of starting in state s, and J is its mean under ``initial``.
+    """
     probs = policy_table(mdp, policy, theta).probs
     discounted = mdp.spec.gamma * mdp.transition
     v = np.zeros(probs.shape[:-1])
@@ -79,12 +72,7 @@ def exact_values(mdp: EnumerableMdp, policy, theta: np.ndarray) -> ValueTable:
         # per theta and state, the (A, S) @ (S,) product of a single theta
         q = mdp.reward + (discounted @ v[..., None, :, None])[..., 0]
         v = (probs * q).sum(axis=-1)
-    return ValueTable(v=v, q=q)
-
-
-def exact_performance(mdp: EnumerableMdp, policy, theta: np.ndarray) -> "float | np.ndarray":
-    """J at theta (m,) as a float; at a stack of theta (k, m), the (k,) array."""
-    j = (mdp.initial @ exact_values(mdp, policy, theta).v[..., None])[..., 0]
+    j = (mdp.initial @ v[..., None])[..., 0]
     return j if j.ndim else float(j)
 
 

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .mdp import check_bin_edges
+from .mdp import check_bin_edges, check_index
 from .rng import box_muller, inverse_cdf
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -239,9 +239,6 @@ class GaussianPolicy:
                 )
         return phi
 
-    def _phi(self, state) -> np.ndarray:
-        return np.array(self._phi_values(state))
-
     @staticmethod
     def _linear_mean(theta: "list[float]", phi: "list[float]") -> float:
         # a feature map need not declare its dim, so theta is matched to phi
@@ -288,7 +285,7 @@ class GaussianPolicy:
         Negative semidefinite: this is the negative of the statistical
         observed information, whose name the method keeps.
         """
-        phi = self._phi(state)
+        phi = np.array(self._phi_values(state))
         return -np.outer(phi, phi) / self.variance
 
     def actor(self, theta: np.ndarray) -> "GaussianActor":
@@ -335,7 +332,7 @@ class GaussianActor:
         near = np.einsum("ij,ij->i", phi, phi) > self._near
         if near.any():
             for i in np.flatnonzero(near):
-                policy._phi(states[i])
+                policy._phi_values(states[i])
         mean = np.zeros(len(states))
         for j, t in enumerate(self.theta):
             mean += t * phi[:, j]
@@ -375,6 +372,12 @@ class GaussianActor:
 # ---------------------------------------------------------------------------
 
 
+def _cell(policy, state, action) -> "tuple[int, int]":
+    """(state, action) as an index of the policy's (S, A) table, each checked."""
+    state = check_index(state, policy.n_states, "state")
+    return state, check_index(action, policy.n_actions, "action")
+
+
 class PolicyTable(NamedTuple):
     """A policy on a finite state and action space, at one theta (m,) or
     at each row of a stack (k, m), whose arrays then lead with k."""
@@ -396,8 +399,8 @@ class _SoftmaxTable(NamedTuple):
 
 class SoftmaxPolicy:
     """Discrete-action Softmax: pi(a|s) proportional to exp(theta . phi(s,a) / tau)
-    on states 0 .. n_states-1 (a state is read as ``int(state)``).  The features
-    are evaluated once, and their bound checked, when the first table is built.
+    on states 0 .. n_states-1.  The features are evaluated once, and their
+    bound checked, when the first table is built.
     """
 
     variate = "random"  # the Generator method of an action's variate
@@ -476,7 +479,7 @@ class SoftmaxPolicy:
 
     def action_probabilities(self, theta: np.ndarray, state) -> np.ndarray:
         """pi(. | state) at theta, read-only."""
-        return self._table(theta).probs[int(state)]
+        return self._table(theta).probs[check_index(state, self.n_states, "state")]
 
     def action_kernel(self, theta: np.ndarray):
         """``act(state, u)``: the action at ``state`` for the uniform u, from
@@ -497,11 +500,11 @@ class SoftmaxPolicy:
         return self.action_kernel(theta)(state, rng.random())
 
     def log_pdf(self, theta: np.ndarray, state, action) -> float:
-        return float(self._table(theta).log_probs[int(state), int(action)])
+        return float(self._table(theta).log_probs[_cell(self, state, action)])
 
     def score(self, theta: np.ndarray, state, action) -> np.ndarray:
         """The score at (state, action), read-only."""
-        return self._table(theta).scores[int(state), int(action)]
+        return self._table(theta).scores[_cell(self, state, action)]
 
     def observed_information(self, theta: np.ndarray, state, action) -> np.ndarray:
         """grad^2_theta log pi(action | state) = (mu mu^T - E[phi phi^T]) / tau^2
@@ -509,8 +512,9 @@ class SoftmaxPolicy:
         covariance, so negative semidefinite: this is the negative of the
         statistical observed information, whose name the method keeps.
         """
-        probs = self._table(theta).probs[int(state)]
-        rows = self._phi[int(state)]
+        state, _ = _cell(self, state, action)
+        probs = self._table(theta).probs[state]
+        rows = self._phi[state]
         mean = probs @ rows
         second = rows.T @ (probs[:, None] * rows)
         return (np.outer(mean, mean) - second) / (self.tau**2)
@@ -604,11 +608,11 @@ class BinnedGaussianPolicy:
 
     def action_probabilities(self, theta: np.ndarray, state) -> np.ndarray:
         """pi(. | state) at theta, read-only: a row of ``table(theta)``."""
-        return self.table(theta).probs[int(state)]
+        return self.table(theta).probs[check_index(state, self.n_states, "state")]
 
     def score(self, theta: np.ndarray, state, action) -> np.ndarray:
         """The score at (state, action), read-only: an entry of ``table(theta)``."""
-        return self.table(theta).scores[int(state), int(action)]
+        return self.table(theta).scores[_cell(self, state, action)]
 
     def table(self, theta: np.ndarray) -> PolicyTable:
         """The probabilities and scores at every state and bin, read-only; at

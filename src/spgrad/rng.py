@@ -10,8 +10,7 @@ easy as 1, 2, 3", SC'11).
   ``k`` has one PCG64DXSM stream (O'Neill, HMC-CS-2014-0905) and row ``i``
   is its ``width`` outputs from ``i * width`` on, reached by ``advance`` in
   O(log i) steps, so one array draw returns a whole block and row ``i``
-  depends only on ``(seed, k, i)``.  ``uniform_rows(seed, k, first, n,
-  width)`` is the one-shot form.
+  depends only on ``(seed, k, i)``.
 * ``substream(seed, *path)``: a generator per key path, for code that draws
   one value at a time through ``np.random.Generator`` methods.
 
@@ -82,12 +81,6 @@ class UniformRows:
         if out is None:
             return self._random((n, self._width))
         return self._random(out=out[:n])
-
-
-def uniform_rows(master_seed: int, iteration: int, first: int, n: int, width: int) -> np.ndarray:
-    """Rows ``first .. first+n-1`` of ``iteration``'s uniforms, shape (n, width):
-    ``UniformRows(master_seed, iteration, width).take(first, n)``."""
-    return UniformRows(master_seed, iteration, width).take(first, n)
 
 
 def box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:

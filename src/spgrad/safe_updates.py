@@ -57,6 +57,15 @@ FORECAST_MARGIN = 1.05
 FORECAST_FLOOR = 256
 
 
+def _integer_field(owner, name: str) -> None:
+    """Refuse a field of a frozen dataclass that is not an int or numpy
+    integer (a bool is neither), and store it as an int."""
+    value = getattr(owner, name)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    object.__setattr__(owner, name, int(value))
+
+
 @dataclass(frozen=True)
 class MetaParams:
     """A fixed, uncertified schedule: step alpha, batch N and the estimator's baseline."""
@@ -68,6 +77,7 @@ class MetaParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigurationError(f"alpha must be finite and non-negative, got {self.alpha}")
+        _integer_field(self, "batch_size")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         try:
@@ -165,6 +175,8 @@ class RunLimits:
     max_total_trajectories: int = 10_000_000
 
     def __post_init__(self) -> None:
+        _integer_field(self, "max_trajectories_per_iteration")
+        _integer_field(self, "max_total_trajectories")
         if self.max_trajectories_per_iteration < 1 or self.max_total_trajectories < 1:
             raise ConfigurationError("trajectory limits must be >= 1")
 
@@ -191,10 +203,6 @@ class RunResult:
     delta: float
     eps_delta: float
     estimator_kind: EstimatorKind
-
-    @property
-    def theta_final(self) -> np.ndarray:
-        return self.thetas[-1]
 
 
 def check_schedule(fixed: "MetaParams | None", limits: RunLimits) -> None:

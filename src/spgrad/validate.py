@@ -356,13 +356,21 @@ def variance_setups() -> "dict[str, tuple]":
     }
 
 
+def _check_count(count, least: int, name: str) -> None:
+    """Refuse a sample count that is not an integer >= ``least``."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {count!r}")
+
+
 def variance_ratios(setup: tuple, seed: int, n_samples: int, *key: int) -> "dict | None":
     """Single-trajectory trace variance over nu^2, per estimator kind.
 
     Trajectory i is the i-th rollout of the one stream
     ``substream(seed, *key)``, in chunks of ``BLOCK_ROWS``.  Returns None
-    when a trajectory breaks the horizon or r_max contract.
+    when a trajectory breaks the horizon or r_max contract.  A variance
+    needs two samples: one alone has variance 0 and would pass vacuously.
     """
+    _check_count(n_samples, 2, "n_samples")
     env, policy, theta = setup
     sums = {kind: np.zeros(policy.dim) for kind in EstimatorKind}
     sq_sums = {kind: 0.0 for kind in EstimatorKind}
@@ -404,6 +412,7 @@ def chebyshev_violations(
     per (kind, delta) for delta in (0.1, 0.5), or None when a trajectory
     breaks the horizon or r_max contract.
     """
+    _check_count(n_estimates, 1, "n_estimates")
     inst = two_state_instance()
     theta = np.zeros(inst.policy.dim)
     batch = 25
@@ -473,7 +482,10 @@ def run_validation(
     mc_samples: int = 20_000,
     chebyshev_estimates: int = 1_000,
 ) -> "list[CheckResult]":
-    """Run every check; returns one result per named check."""
+    """Run every check; returns one result per named check.  Refuses too
+    few samples for the two sampled checks before any check runs."""
+    _check_count(mc_samples, 2, "mc_samples")
+    _check_count(chebyshev_estimates, 1, "chebyshev_estimates")
     return [
         check_dp_enumeration(budget, seed),
         check_gradient_crosscheck(seed),

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -670,6 +671,33 @@ class TestValidateSampling:
         assert result.status == "fail"
         assert result.observed == "a trajectory breaks the horizon or r_max contract"
 
+    def test_too_few_samples_are_refused_before_any_draw(self, sampled, monkeypatch):
+        # 0 samples divided by zero (with a RuntimeWarning first), and 1
+        # sample gave a variance of 0, a vacuous pass
+        import spgrad.validate as validate
+
+        def no_check(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(validate, "check_dp_enumeration", no_check)
+        setup = next(iter(validate.variance_setups().values()))
+        kinds = (EstimatorKind.GPOMDP,)
+        calls = {
+            "n_samples": [lambda n=n: validate.variance_ratios(setup, 5, n, 9) for n in (0, 1, -3, 2.0)],
+            "n_estimates": [lambda n=n: validate.chebyshev_violations(5, n, kinds, 10) for n in (0, -1, 1.0)],
+            "mc_samples": [lambda: run_validation(mc_samples=1)],
+            "chebyshev_estimates": [lambda: run_validation(chebyshev_estimates=0)],
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, refused in calls.items():
+                for call in refused:
+                    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= [12], got "):
+                        call()
+        assert sampled == {"calls": 0, "streams": 0}
+        ratios = validate.variance_ratios(setup, 5, 2, 9)
+        assert all(ratio > 0.0 for ratio in ratios.values())
+
 
 class TestSweepCommand:
     def test_two_schedules_produce_logs_and_summary(self, tmp_path):
@@ -758,14 +786,34 @@ class TestHugeSigma:
         assert not (tmp_path / "out" / "run.csv").exists()
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 class TestShippedRunLogs:
-    """The run.csv of every shipped config, pinned by its sha256: a change to
-    any byte of a run log has to be made deliberately, with the new digest."""
+    """The run.csv and the ``spgrad constants`` table of every shipped
+    config, and the files of one bandit sweep, pinned by their sha256: a
+    change to any byte of them has to be made deliberately, with the new
+    digest."""
 
     DIGESTS = {
         "bandit": "727b72973aef2184515cd8fe208b34553b9231099779aee1cd9064d8ede11221",
         "chain": "e8fa852148455a96bce0fa66a2f5044550ac6c8b4d67a2bf08a73b8c5aa6be92",
         "lqg": "c26527a29bdade1e64176def167c3a4c103065be03ffaf6528e0ee40d378fe7c",
+    }
+    CONSTANTS_DIGESTS = {
+        "bandit": "bda398c293a79dc8b493c1a4c4f570d858bbd9ce4642df4e36bf66a33bdfacf2",
+        "chain": "8f751766a315b093dd9c83faa3ddc3b3a50bdd401de1d09e7cc7b0cae11070fe",
+        "lqg": "8226ec6b8212784440bd208259ac647efcf7a77858c6ae1d34ef43d4ae5fb159",
+    }
+    # zero-baseline schedules only: a Peters sweep's grad_norm moves in its
+    # last digits with numpy's SIMD dispatch (Softmax tables through np.exp)
+    SWEEP_SCHEDULES = ["spg", "fixed:alpha=0.05,n=40", "fixed:alpha=0.2,n=2500"]
+    SWEEP_DIGESTS = {
+        "sweep_fixed_a0.05_n40.csv": "3501015ff3e4df15ce7f1bed6657a828d81f8589eaf6ef208322309b5d5e2b3a",
+        "sweep_fixed_a0.2_n2500.csv": "06e559aa672f23b6d6e0f42414215fb0f26fba226789bb0a040d4ed3542a28e1",
+        "sweep_spg.csv": "36f7e33126fd3e762898da1a89c6b53bb58671c31cd98b0cb867681f82de85d3",
+        "sweep_summary.csv": "3fc749c1bca51b4e113d8bc7f122536b0e8d57ef9eb9df3cb163678d4f16eb45",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -773,5 +821,17 @@ class TestShippedRunLogs:
         out = tmp_path / name
         config = str(CONFIGS / f"{name}.yaml")
         assert main(["run", "--config", config, "--out", str(out)]) == EXIT_OK
-        digest = hashlib.sha256((out / "run.csv").read_bytes()).hexdigest()
+        digest = sha256((out / "run.csv").read_bytes())
         assert digest == self.DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(CONSTANTS_DIGESTS))
+    def test_constants_digest(self, capsys, name):
+        assert main(["constants", "--config", str(CONFIGS / f"{name}.yaml")]) == EXIT_OK
+        assert sha256(capsys.readouterr().out.encode()) == self.CONSTANTS_DIGESTS[name]
+
+    def test_bandit_sweep_digests(self, tmp_path):
+        schedules = [arg for text in self.SWEEP_SCHEDULES for arg in ("--schedule", text)]
+        args = ["sweep", "--config", str(CONFIGS / "bandit.yaml"), "--out", str(tmp_path), *schedules]
+        assert main(args) == EXIT_OK
+        digests = {path.name: sha256(path.read_bytes()) for path in tmp_path.iterdir()}
+        assert digests == self.SWEEP_DIGESTS

@@ -28,7 +28,7 @@ from spgrad.policies import (
     StateTabularFeatures,
     TabularFeatures,
 )
-from spgrad.rng import UniformRows, box_muller, inverse_cdf, substream, uniform_rows
+from spgrad.rng import UniformRows, box_muller, inverse_cdf, substream
 from spgrad.testbeds import (
     DiscreteInstance,
     bandit_instance,
@@ -85,7 +85,7 @@ class TestSampleTrajectory:
             EnumerableEnv(mdp), uniform_two_action_policy(), np.zeros(1), substream(0, 0)
         )
         assert np.array_equal(traj.rewards, [1.0, 1.0, 1.0])
-        assert len(traj) == 3
+        assert len(traj.rewards) == 3
 
     def test_uniform_softmax_action_frequency(self):
         mdp = make_bandit([1.0, 0.0])
@@ -120,7 +120,7 @@ class TestSampleTrajectory:
             e, p = setup
             for i in range(300):
                 traj = sample_trajectory(e, p, theta, substream(9, i))
-                assert len(traj) == e.spec.horizon
+                assert len(traj.rewards) == e.spec.horizon
                 assert np.max(np.abs(traj.rewards)) <= e.spec.r_max + 1e-12
 
 
@@ -356,20 +356,20 @@ class TestUniformRows:
     @pytest.mark.parametrize("block", [1, 7, 513])
     def test_any_split_gives_the_same_rows(self, width, block):
         n = 1100
-        whole = uniform_rows(5, 3, 0, n, width)
+        whole = UniformRows(5, 3, width).take(0, n)
         assert whole.shape == (n, width)
         assert np.all((whole >= 0.0) & (whole < 1.0))
-        parts = [uniform_rows(5, 3, first, min(block, n - first), width)
+        parts = [UniformRows(5, 3, width).take(first, min(block, n - first))
                  for first in range(0, n, block)]
         np.testing.assert_array_equal(np.concatenate(parts), whole)
         # and a split at the same points in one pass: [0, 1), [1, 7), [7, 513), [513, n)
         edges = [0, 1, 7, 513, n]
-        uneven = [uniform_rows(5, 3, a, b - a, width) for a, b in zip(edges, edges[1:])]
+        uneven = [UniformRows(5, 3, width).take(a, b - a) for a, b in zip(edges, edges[1:])]
         np.testing.assert_array_equal(np.concatenate(uneven), whole)
 
     @pytest.mark.parametrize("width", list(WIDTHS.values()), ids=list(WIDTHS))
     def test_one_source_read_in_any_order(self, width):
-        whole = uniform_rows(5, 3, 0, 1100, width)
+        whole = UniformRows(5, 3, width).take(0, 1100)
         rows = UniformRows(5, 3, width)
         # on from the last read, a jump forward, a move back, a re-read, an empty read
         for first, n in [(0, 7), (7, 513), (1000, 100), (3, 20), (3, 20), (23, 0), (23, 2)]:
@@ -377,7 +377,7 @@ class TestUniformRows:
 
     @pytest.mark.parametrize("width", list(WIDTHS.values()), ids=list(WIDTHS))
     def test_rows_written_into_a_larger_buffer(self, width):
-        whole = uniform_rows(5, 3, 0, 1100, width)
+        whole = UniformRows(5, 3, width).take(0, 1100)
         rows = UniformRows(5, 3, width)
         for first, n in [(0, 50), (50, 80), (1000, 30), (3, 0)]:
             buffer = np.full((80, width), np.nan)
@@ -393,14 +393,14 @@ class TestUniformRows:
 
     @pytest.mark.parametrize("width", list(WIDTHS.values()), ids=list(WIDTHS))
     def test_row_is_the_generator_advanced_to_it(self, width):
-        rows = uniform_rows(2**64 - 1, 6, 40, 3, width)
+        rows = UniformRows(2**64 - 1, 6, width).take(40, 3)
         drawn_in_order = iteration_generator(2**64 - 1, 6).random((43, width))
         for j, row in enumerate(rows):
             np.testing.assert_array_equal(row, drawn_in_order[40 + j])
 
     def test_distinct_addresses_differ(self):
         addresses = [(0, 0), (0, 1), (1, 0), (1, 1), (7, 3), (3, 7), (2**64 - 1, 0)]
-        rows = [uniform_rows(seed, k, 0, 2, 11) for seed, k in addresses]
+        rows = [UniformRows(seed, k, 11).take(0, 2) for seed, k in addresses]
         for a in range(len(rows)):
             for b in range(a + 1, len(rows)):
                 assert not np.any(rows[a] == rows[b]), (addresses[a], addresses[b])
@@ -418,7 +418,7 @@ class TestUniformRows:
             drawn += [stream.random(4096), np.random.Generator(aliased).random(4096)]
         drawn = np.concatenate(drawn)
         for k in range(4):
-            rows = uniform_rows(seed, k, 0, 400, 11)
+            rows = UniformRows(seed, k, 11).take(0, 400)
             assert not np.isin(rows, drawn).any(), k
 
     @pytest.mark.parametrize(
@@ -427,7 +427,7 @@ class TestUniformRows:
     )
     def test_address_range_checked(self, seed, k, first):
         with pytest.raises(ConfigurationError):
-            uniform_rows(seed, k, first, 1, 11)
+            UniformRows(seed, k, 11).take(first, 1)
 
 
 class TestBoxMuller:
@@ -441,7 +441,7 @@ class TestBoxMuller:
 
     def test_standard_normal_moments(self):
         n = 100_000
-        u = uniform_rows(31, 0, 0, n, 2)
+        u = UniformRows(31, 0, 2).take(0, n)
         z = box_muller(u[:, 0], u[:, 1])
         # about five standard errors: sd(mean) = 1/sqrt(n) = 0.0032,
         # sd(variance) = sqrt(2/n) = 0.0045
@@ -463,7 +463,7 @@ class TestBlockMatchesScalarPath:
         actor = policy.actor(theta)
         width = row_draws(env, actor)
         seed, k, first, n = 9, 2, 30, 200
-        rewards, scores = sample_block(env, actor, uniform_rows(seed, k, first, n, width))
+        rewards, scores = sample_block(env, actor, UniformRows(seed, k, width).take(first, n))
         assert rewards.shape == (n, env.spec.horizon)
         for i in range(n):
             traj = sample_trajectory(env, policy, theta, generator_at(seed, k, first + i, width))
@@ -478,7 +478,7 @@ class TestBlockMatchesScalarPath:
             inst = chain_instance()
             env, policy = inst.env, inst.policy
         actor = policy.actor(random_theta(substream(64, 0), policy.dim, scale=2.0))
-        draws = uniform_rows(5, 0, 0, 50, row_draws(env, actor))
+        draws = UniformRows(5, 0, row_draws(env, actor)).take(0, 50)
         T, m = env.spec.horizon, policy.dim
         out = np.full((T, 80), np.nan), np.full((T, 80, m), np.nan)
         rewards, scores = sample_block(env, actor, draws, out)
@@ -493,7 +493,7 @@ class TestBlockMatchesScalarPath:
         inst = chain_instance()
         actor = inst.policy.actor(np.zeros(inst.policy.dim))
         with pytest.raises(ValueError, match="expected"):
-            sample_block(inst.env, actor, uniform_rows(0, 0, 0, 4, 10))
+            sample_block(inst.env, actor, UniformRows(0, 0, 10).take(0, 4))
 
 
 def scripted_rows(env, actor, draws) -> "list[Scripted]":
@@ -551,7 +551,7 @@ class TestGaussianBlockMatchesPerStepLoop:
         env, policy = built if name == "lqg" else (built.env, built.policy)
         theta = random_theta(substream(63, 0), policy.dim, scale=2.0)
         actor = policy.actor(theta)
-        draws = uniform_rows(11, 1, 40, 300, row_draws(env, actor))
+        draws = UniformRows(11, 1, row_draws(env, actor)).take(40, 300)
         rewards, scores = sample_block(env, actor, draws)
         assert rewards.shape == (300, env.spec.horizon)
         assert scores.shape == (300, env.spec.horizon, policy.dim)
@@ -561,7 +561,7 @@ class TestGaussianBlockMatchesPerStepLoop:
         env, _ = lqg_instance()
         features = CountingPolynomialFeatures()
         actor = GaussianPolicy(features, feature_bound=1.0, sigma=0.5).actor(np.array([0.4]))
-        sample_block(env, actor, uniform_rows(3, 0, 0, 64, row_draws(env, actor)))
+        sample_block(env, actor, UniformRows(3, 0, row_draws(env, actor)).take(0, 64))
         assert features.batch_sizes == [64] * env.spec.horizon
 
 
@@ -605,7 +605,7 @@ class TestNoStateAfterTheHorizon:
         counting = CountingEnv(env)
         theta = random_theta(substream(65, 0), policy.dim, scale=2.0)
         actor = policy.actor(theta)
-        draws = uniform_rows(13, 2, 7, 150, row_draws(env, actor))
+        draws = UniformRows(13, 2, row_draws(env, actor)).take(7, 150)
         rewards, scores = sample_block(counting, actor, draws)
         horizon = env.spec.horizon
         assert counting.calls == {"step_batch": horizon - 1, "reward_batch": 1}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -16,7 +17,6 @@ from spgrad.oracle import (
     exact_gradient,
     exact_hessian,
     exact_performance,
-    exact_values,
     expected_gradient_estimate,
     fd_gradient,
     grid_maximize,
@@ -71,15 +71,18 @@ class TestExactPerformance:
 
 class TestValueTables:
     def test_consistency_and_bound(self, two_state):
+        # v(s) is J of the same MDP started in s; J is v's mean under initial
+        mdp = two_state.mdp
+        starts = [dataclasses.replace(mdp, initial=e) for e in np.eye(mdp.n_states)]
         rng = substream(31, 0)
-        spec = two_state.mdp.spec
+        spec = mdp.spec
         v_bound = spec.r_max * (1.0 - spec.gamma**spec.horizon) / (1.0 - spec.gamma)
         for _ in range(10):
             theta = random_theta(rng, two_state.policy.dim)
-            tables = exact_values(two_state.mdp, two_state.policy, theta)
-            probs = policy_table(two_state.mdp, two_state.policy, theta).probs
-            np.testing.assert_allclose(tables.v, (probs * tables.q).sum(axis=1), atol=1e-12)
-            assert np.max(np.abs(tables.v)) <= v_bound + 1e-12
+            v = np.array([exact_performance(start, two_state.policy, theta) for start in starts])
+            j = exact_performance(mdp, two_state.policy, theta)
+            assert j == pytest.approx(float(mdp.initial @ v), abs=1e-12)
+            assert np.max(np.abs(v)) <= v_bound + 1e-12
 
 
 class TestExactGradient:
@@ -183,7 +186,6 @@ class TestOneTablePerTheta:
     theta it evaluates."""
 
     ORACLES = {
-        "exact_values": exact_values,
         "exact_performance": exact_performance,
         "enumerated_performance": enumerated_performance,
         "exact_gradient": exact_gradient,
@@ -194,7 +196,7 @@ class TestOneTablePerTheta:
         "fd_gradient": fd_gradient,
         "exact_hessian": exact_hessian,
     }
-    STACKED = ["exact_values", "exact_performance", "exact_gradient", "fd_gradient", "exact_hessian"]
+    STACKED = ["exact_performance", "exact_gradient", "fd_gradient", "exact_hessian"]
 
     @pytest.mark.parametrize("name", list(ORACLES))
     @pytest.mark.parametrize("instance", ["binned_gaussian", "two_state"])
@@ -219,10 +221,7 @@ class TestOneTablePerTheta:
 
 def stacked_oracles(mdp, policy, thetas) -> dict:
     """Every stacked oracle's result at ``thetas``, (m,) or (k, m)."""
-    values = exact_values(mdp, policy, thetas)
     return {
-        "v": values.v,
-        "q": values.q,
         "exact_performance": exact_performance(mdp, policy, thetas),
         "exact_gradient": exact_gradient(mdp, policy, thetas),
         "fd_gradient": fd_gradient(mdp, policy, thetas),
@@ -251,8 +250,6 @@ class TestStackedOracles:
         results = stacked_oracles(two_state.mdp, two_state.policy, np.zeros(m))
         shapes = {key: np.shape(value) for key, value in results.items()}
         assert shapes == {
-            "v": (2,),
-            "q": (2, 2),
             "exact_performance": (),
             "exact_gradient": (m,),
             "fd_gradient": (m,),

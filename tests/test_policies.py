@@ -502,6 +502,51 @@ class TestBinnedGaussian:
         assert np.array_equal(binned_gaussian.oracle_policy.edges, binned_gaussian.env.bin_edges)
 
 
+def table_methods(policy, theta):
+    """The scalar methods of an enumerable policy, each as f(state, action)."""
+    methods = {
+        "action_probabilities": lambda s, a: policy.action_probabilities(theta, s),
+        "score": lambda s, a: policy.score(theta, s, a),
+    }
+    if isinstance(policy, SoftmaxPolicy):
+        methods["log_pdf"] = lambda s, a: policy.log_pdf(theta, s, a)
+        methods["observed_information"] = lambda s, a: policy.observed_information(theta, s, a)
+    return methods
+
+
+class TestTableIndices:
+    """The Softmax and binned scalar methods refuse a state or action outside
+    the table, in ``EnumerableEnv.action_index``'s words, where indexing
+    with ``int()`` used to wrap -1 to the last row or truncate 1.9 to 1."""
+
+    @pytest.mark.parametrize("name", ["chain", "binned_gaussian"])
+    def test_out_of_range_raises(self, request, name):
+        policy = request.getfixturevalue(name).oracle_policy
+        theta = random_theta(substream(14, 0), policy.dim)
+        n_states, n_actions = policy.n_states, policy.n_actions
+        bad_states = [-1, n_states, 0.5, n_states - 0.1, math.nan, math.inf, None]
+        bad_actions = [-1, n_actions, 0.9, math.nan]
+        for method, call in table_methods(policy, theta).items():
+            for state in bad_states:
+                with pytest.raises(ValueError, match=rf"^state {state} out of range \[0, {n_states}\)$"):
+                    call(state, 0)
+            if method == "action_probabilities":
+                continue
+            for action in bad_actions:
+                with pytest.raises(ValueError, match=rf"^action {action} out of range \[0, {n_actions}\)$"):
+                    call(0, action)
+
+    @pytest.mark.parametrize("name", ["chain", "binned_gaussian"])
+    def test_integral_floats_and_numpy_integers_index(self, request, name):
+        policy = request.getfixturevalue(name).oracle_policy
+        theta = random_theta(substream(14, 1), policy.dim)
+        state, action = policy.n_states - 1, policy.n_actions - 1
+        for method, call in table_methods(policy, theta).items():
+            want = np.asarray(call(state, action)).tobytes()
+            for s, a in ((float(state), float(action)), (np.int64(state), np.int32(action))):
+                assert np.asarray(call(s, a)).tobytes() == want, method
+
+
 class TestGaussianThetaShape:
     """Every Gaussian entry point refuses a theta that is not (m,), as the
     tables do, rather than reading only the coordinates it finds."""

@@ -28,7 +28,7 @@ from spgrad.mdp import (
 )
 from spgrad.oracle import grid_maximize
 from spgrad.policies import GaussianPolicy, PolynomialFeatures, SmoothingConstants, TabularFeatures, SoftmaxPolicy
-from spgrad.rng import substream, uniform_rows
+from spgrad.rng import UniformRows, substream
 from spgrad.runlog import RUN_CSV_COLUMNS, read_run_csv, render_run_csv, write_run_csv
 from spgrad.safe_updates import (
     MetaParams,
@@ -245,7 +245,7 @@ class TestSpgRun:
         assert record.stalled
         assert record.batch_size == 2000
         assert record.guaranteed_improvement == 0.0
-        np.testing.assert_array_equal(result.theta_final, theta0)
+        np.testing.assert_array_equal(result.thetas[-1], theta0)
 
     @pytest.mark.parametrize("theta", [360.0, 376.0, 400.0])
     def test_tiny_estimate_forecasts_no_finite_batch(self, theta):
@@ -382,6 +382,31 @@ class TestFixedMetaRun:
         with pytest.raises(ConfigurationError, match="unknown baseline 'median'"):
             MetaParams(alpha=0.1, batch_size=5, baseline="median")
 
+    @pytest.mark.parametrize(
+        "count", [2.5, 40.0, True, np.float64(40.0), "40", None],
+        ids=["2.5", "40.0", "True", "float64", "str", "None"],
+    )
+    def test_counts_must_be_integers(self, count):
+        # a float count used to construct and then fail inside numpy; True ran batches of 1
+        with pytest.raises(ConfigurationError, match=r"^batch_size must be an integer, got "):
+            MetaParams(alpha=0.1, batch_size=count)
+        for field in ("max_trajectories_per_iteration", "max_total_trajectories"):
+            with pytest.raises(ConfigurationError, match=rf"^{field} must be an integer, got "):
+                RunLimits(**{field: count})
+
+    def test_numpy_integer_counts_are_ints(self, bandit):
+        fixed = MetaParams(alpha=0.02, batch_size=np.int64(40))
+        limits = RunLimits(np.int32(100), np.uint64(10_000))
+        assert type(fixed.batch_size) is int and fixed == MetaParams(alpha=0.02, batch_size=40)
+        assert limits == RunLimits(100, 10_000)
+        assert all(type(cap) is int for cap in dataclasses.astuple(limits))
+        runs = [
+            spg_run(bandit.env, bandit.policy, np.zeros(1), n_iterations=2, delta=0.5,
+                    fixed=f, limits=l, seed=3)
+            for f, l in ((fixed, limits), (MetaParams(alpha=0.02, batch_size=40), RunLimits(100, 10_000)))
+        ]
+        assert runs[0].records == runs[1].records
+
     def test_baseline_is_not_a_run_parameter(self, bandit):
         # a certified run always estimates with the zero baseline; only a
         # fixed schedule carries another
@@ -413,7 +438,7 @@ class TestFixedMetaRun:
 def one_at_a_time(env, policy, theta0, n_iterations, delta, kind, limits, seed, fixed=None):
     """(records, thetas) of the rule checked after every single trajectory:
     trajectory i of iteration k is one row through ``sample_block`` on row i
-    of ``uniform_rows``, added with ``add_block``."""
+    of iteration k's ``UniformRows``, added with ``add_block``."""
     theta = np.asarray(theta0, dtype=float).copy()
     constants = policy.smoothing_constants()
     lip = lipschitz_constant(constants, env.spec)
@@ -435,7 +460,7 @@ def one_at_a_time(env, policy, theta0, n_iterations, delta, kind, limits, seed, 
             ):
                 stalled = True
                 break
-            acc.add_block(*sample_block(env, actor, uniform_rows(seed, k, acc.count, 1, width)))
+            acc.add_block(*sample_block(env, actor, UniformRows(seed, k, width).take(acc.count, 1)))
             total += 1
             if fixed is None:
                 needed = required_batch_size(acc.finalize().norm, eps)
