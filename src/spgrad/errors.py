@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer check
+that every count and stream address goes through."""
+
+import numpy as np
 
 
 class SpgradError(Exception):
@@ -15,3 +18,11 @@ class NumericError(SpgradError):
 
 class OracleBudgetError(SpgradError):
     """An exact-enumeration oracle would exceed its path budget."""
+
+
+def check_integer(value, name: str) -> int:
+    """``value`` as an int when it is an int or a numpy integer (a bool is
+    neither); ConfigurationError otherwise, so that 2.5 is never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -8,11 +8,14 @@ Two estimators over a batch of N trajectories:
 Both pair K reward terms r_k with K score terms c_k per trajectory and
 average sum_k (r_k - b_k) c_k: REINFORCE is the one-step case (K = 1, the
 discounted return and the summed score), GPOMDP has K = T.  That term form
-is computed in one place, ``trajectory_terms``: ``GradientAccumulator``
-sums it for certified runs and the exact oracle, and the sampled validate
-checks read its per-trajectory estimates directly.  Every sum over a
-trajectory's steps runs in time order, one (n, m) slice per step, whatever
-the memory layout.  The baseline is zero or the component-wise
+is computed in one place, the per-step fold ``TermFold``: a certified run
+feeds it each step as the block is rolled out
+(``GradientAccumulator.add_steps`` as the consumer of
+``mdp.sample_block``), so no (T, n, m) array of scores is made, while
+``add_block`` (the exact oracle, ``add_trajectory``) and
+``trajectory_terms`` (the sampled validate checks) feed it from arrays.
+Every sum over a trajectory's steps runs in time order, one (n, m) slice
+per step, whatever the memory layout.  The baseline is zero or the component-wise
 variance-minimizing one of Peters & Schaal, b_k = E[r_k c_k^2] / E[c_k^2],
 estimated from the batch.  Single-trajectory variance is bounded by a
 closed-form nu^2 (so Var <= nu^2 / N), which a Chebyshev argument turns
@@ -101,33 +104,101 @@ def trajectory_terms(
     K = 1, their totals: the weighted discounted return w_i R_i (n,), which
     is returned for both kinds, and c_{T-1}.  Row i's estimate is
     g_i = sum_k w_i r_ik c_ik (n, m); every w_i is 1 when ``weights`` is
-    None.  The c_k are the last K steps of ``np.cumsum(scores, axis=1)``.
-
-    Every sum over a trajectory's steps runs in time order, one (n, m) slice
-    per step: the return and g from 0.0, c_t from score_0.  So the bits do
-    not depend on the memory layout of ``scores``.  g, the running c_t and
-    each product r_k c_k are written in place, into one (n, m) array each.
+    None.  The arrays are fed to a ``TermFold`` one step at a time, so the
+    bits do not depend on the memory layout of ``scores``.
     """
-    horizon = rewards.shape[1]
-    gpomdp = EstimatorKind(kind) is EstimatorKind.GPOMDP
-    r = gamma ** np.arange(horizon) * rewards
-    if weights is not None:
-        r = weights[:, None] * r
-    ret = 0.0
-    ct = scores[:, 0]
-    g, term = np.zeros(ct.shape), np.empty(ct.shape)
-    for t in range(horizon):
-        ret += r[:, t]
-        if t == 1:
-            ct = ct + scores[:, t]  # a new array: c_0 is a view of scores
-        elif t > 1:
-            ct += scores[:, t]
-        if gpomdp:
-            g += np.multiply(r[:, t, None], ct, out=term)
-    if not gpomdp:
-        r = ret[:, None]
-        g += np.multiply(r, ct, out=term)
-    return ret, r, g
+    fold = TermFold(kind, gamma, rewards.shape[1], weights)
+    r = np.empty(rewards.shape)
+    for t in range(rewards.shape[1]):
+        r[:, t] = fold(t, rewards[:, t], scores[:, t])
+    return fold.ret, r if fold.gpomdp else fold.ret[:, None], fold.g
+
+
+class TermFold:
+    """The term form of one block of n trajectories, folded in a step at a time.
+
+    ``fold(t, rewards, scores)`` takes step t's rewards (n,) and scores
+    (n, m), for t = 0 .. T-1 in order, and returns the step's reward term
+    w_i gamma^t r_t, gamma^t read from ``gamma ** np.arange(T)`` and w_i
+    only where ``weights`` are given.  Every sum over a trajectory's steps
+    runs in time order, one (n, m) slice per step: the return ``ret`` from
+    0.0, the cumulative score c_t = c_{t-1} + score_t from a copy of
+    score_0 (so ``scores`` may be one array that the caller rewrites every
+    step), and the estimates ``g`` from zero: GPOMDP adds r_t c_t at every
+    step, REINFORCE the return times c_{T-1} after the last.  c_t, g and
+    each product r_k c_k are written in place, into one (n, m) array each,
+    taken from ``work``: a list that keeps those three arrays between folds
+    (``GradientAccumulator`` passes its own, so that every block of an
+    iteration writes over the same memory), grown when a block is longer.
+    ``c`` and ``g`` are views of them, valid until the next fold on ``work``.
+
+    ``peters``, if given, maps the names of the four Peters (K, m) totals of
+    r c, c, r c^2 and c^2 to the totals to continue (0.0 before any row).
+    Each reward term k then sets row k of ``totals[name]``: the total
+    continued by its n rows, summed in row order.
+    """
+
+    PETERS_TOTALS = ("_sum_rc", "_sum_c", "_sum_rc2", "_sum_c2")
+
+    def __init__(
+        self,
+        kind: EstimatorKind,
+        gamma: float,
+        horizon: int,
+        weights: "np.ndarray | None" = None,
+        peters: "dict | None" = None,
+        work: "list | None" = None,
+    ):
+        self.gpomdp = EstimatorKind(kind) is EstimatorKind.GPOMDP
+        self.discount = gamma ** np.arange(horizon)
+        self.weights = weights
+        self.peters = peters
+        self.work = [] if work is None else work
+        self.ret = 0.0
+        self.c = self.g = None
+
+    def __call__(self, t: int, rewards: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        r = self.discount[t] * rewards
+        if self.weights is not None:
+            r = self.weights * r
+        self.ret += r
+        if t == 0:
+            n, m = scores.shape
+            if not self.work or len(self.work[0]) < n or self.work[0].shape[1] != m:
+                self.work[:] = (np.empty((n, m)) for _ in range(3))
+            self.c, self.g, self._term = (buffer[:n] for buffer in self.work)
+            np.copyto(self.c, scores)
+            self.g.fill(0.0)
+            if self.peters is not None:
+                shape = (len(self.discount) if self.gpomdp else 1, m)
+                self.totals = {name: np.empty(shape) for name in self.PETERS_TOTALS}
+        else:
+            self.c += scores
+        if self.gpomdp:
+            self._add(t, r)
+        elif t == len(self.discount) - 1:
+            self._add(0, self.ret)
+        return r
+
+    def _add(self, k: int, r: np.ndarray) -> None:
+        """g += r c_t for reward term k, and row k of the Peters totals.
+
+        Where m > 1, r is repeated along each row first: the same
+        products, but numpy forms them more than twice as fast as against a
+        broadcast (n, 1) column when m is small (m = 6 on the chain config);
+        at m = 1 the column already is the layout of c.
+        """
+        c = self.c
+        n, m = c.shape
+        rk = r[:, None] if m == 1 else r.repeat(m).reshape(n, m)
+        self.g += np.multiply(rk, c, out=self._term)
+        if self.peters is not None:
+            w = 1.0 if self.weights is None else self.weights[:, None]
+            c2 = c**2
+            for name, term in zip(self.PETERS_TOTALS, (rk * c, w * c, rk * c2, w * c2)):
+                start = self.peters[name]
+                total = start if np.ndim(start) == 0 else start[k]
+                self.totals[name][k] = running_sums(total, term)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +214,10 @@ class GradientAccumulator:
     (``oracle.expected_gradient_estimate``).  The accumulator keeps weighted
     sums and divides by the weight sum, so the estimate is the weighted mean
     of the per-trajectory terms; Peters baselines are recomputed from the
-    weighted statistics at finalize time.
+    weighted statistics at finalize time.  A block comes either as arrays
+    (``add_block``) or one step at a time as it is rolled out
+    (``add_steps``, fed by ``mdp.sample_block``); both fold it through one
+    ``TermFold``, so they give the same bits.
     """
 
     def __init__(
@@ -166,6 +240,7 @@ class GradientAccumulator:
         # the (K, m) totals of r c, c, r c^2 and c^2
         self.weight_sum = self.return_sum = self._sum_g = 0.0
         self._sum_rc = self._sum_c = self._sum_rc2 = self._sum_c2 = 0.0
+        self._work: list = []  # the folds' (n, m) work arrays, kept across blocks
 
     def add_trajectory(self, traj: Trajectory) -> "GradientAccumulator":
         rewards = np.asarray(traj.rewards, dtype=float)[None]
@@ -179,28 +254,13 @@ class GradientAccumulator:
         weights: "np.ndarray | None" = None,
         stop=None,
     ) -> bool:
-        """Add a block of trajectories, row after row.
+        """Add a block of trajectories given as arrays: ``add_steps`` fed
+        step t's rewards[:, t] and scores[:, t] for t = 0 .. T-1.
 
         ``rewards`` is (n, T) and ``scores`` (n, T, m), row i holding
         trajectory i, with the T and m of any earlier block; ``weights``
         (n,) defaults to 1 for every row.  Shapes that disagree raise
-        ValueError; a block of no rows adds nothing and returns False.  The
-        terms of all rows come from one ``trajectory_terms`` call and are
-        accumulated with ``np.cumsum``, which adds in row order like the
-        one-at-a-time sums (``np.sum`` may pair terms), so the statistics
-        after row i are the ones that adding rows one at a time reaches, bit
-        for bit, however the rows are split into blocks.
-
-        ``stop(counts, sums)``, if given, sees after each row the trajectory
-        count N and the running zero-baseline sum S (the estimate is S / N),
-        up to the first row whose estimate is not finite, and returns the
-        index of the row that ends the block or None.  Rows past that row
-        are dropped and True is returned; otherwise every row is added, or
-        NumericError is raised when an estimate is not finite.  A stop
-        takes unit-weight rows only, on an accumulator whose weight sum is
-        its count (ValueError otherwise), so that S / N is the estimate;
-        N >= 1 makes it finite where S is, so one check over all the sums
-        stands for the per-row check, which runs only where it fails.
+        ValueError; a block of no rows adds nothing and returns False.
         """
         dim = np.shape(self._sum_g)  # () before the first row, (m,) after
         if (
@@ -217,6 +277,40 @@ class GradientAccumulator:
                 f" expected (n, T), (n, T, {m}) and (n,)"
             )
         n, horizon = rewards.shape
+
+        def feed(fold: TermFold) -> None:
+            for t in range(horizon if n else 0):
+                fold(t, rewards[:, t], scores[:, t])
+
+        return self.add_steps(feed, horizon, weights, stop)
+
+    def add_steps(self, feed, horizon: int, weights: "np.ndarray | None" = None, stop=None) -> bool:
+        """Add a block of trajectories of ``horizon`` steps, row after row,
+        its terms folded in one step at a time.
+
+        ``feed(fold)`` calls ``fold(t, rewards, scores)`` with every row's
+        rewards (n,) and scores (n, m) of step t, for t = 0 .. T-1 in order
+        (``mdp.sample_block`` takes it as its consumer); ``weights`` (n,)
+        defaults to 1 for every row.  A feed that makes no call adds nothing
+        and returns False.  The rows' terms are then accumulated with
+        ``np.cumsum``, which adds in row order like the one-at-a-time sums
+        (``np.sum`` may pair terms), so the statistics after row i are the
+        ones that adding rows one at a time reaches, bit for bit, however the
+        rows are split into blocks.  The Peters totals are continued step by
+        step inside the fold.
+
+        ``stop(counts, sums)``, if given, sees after each row the trajectory
+        count N and the running zero-baseline sum S (the estimate is S / N),
+        up to the first row whose estimate is not finite, and returns the
+        index of the row that ends the block or None.  Rows past that row
+        are dropped and True is returned; otherwise every row is added, or
+        NumericError is raised when an estimate is not finite.  A stop
+        takes unit-weight rows only, on an accumulator whose weight sum is
+        its count, and the zero baseline only (ValueError otherwise), so
+        that S / N is the estimate; N >= 1 makes it finite where S is, and a
+        running sum that turns non-finite stays so, so a check of the last
+        sum stands for the per-row check, which runs only where it fails.
+        """
         if stop is not None and (weights is not None or self.weight_sum != self.count):
             raise ValueError("a stop takes unit-weight rows only")
         if weights is not None and not np.all((weights > 0.0) & (weights < math.inf)):
@@ -225,31 +319,36 @@ class GradientAccumulator:
             raise ValueError(
                 f"trajectory has horizon {horizon}, accumulator expects {self.horizon}"
             )
+        peters = None
+        if self.baseline is BaselineKind.PETERS:
+            peters = {name: getattr(self, name) for name in TermFold.PETERS_TOTALS}
+        fold = TermFold(self.kind, self.gamma, horizon, weights, peters, self._work)
+        feed(fold)
+        n = 0 if fold.g is None else len(fold.g)
         if n == 0:
             return False
+        if stop is not None and peters is not None:
+            raise ValueError("a stop takes the zero baseline only")
         self.horizon = horizon
-        ret, wr, g = trajectory_terms(self.kind, self.gamma, rewards, scores, weights)
-        if weights is None:
-            weights = np.ones(n)
-        terms = {"weight_sum": weights, "return_sum": ret, "_sum_g": g}
-        if self.baseline is BaselineKind.PETERS:
-            # the (n, K, m) score terms, summed over steps in time order
-            c = np.cumsum(scores, axis=1)[:, -wr.shape[1] :]
-            w, wr3, c2 = weights[:, None, None], wr[:, :, None], c**2
-            terms.update(_sum_rc=wr3 * c, _sum_c=w * c, _sum_rc2=wr3 * c2, _sum_c2=w * c2)
-        running = {name: running_sums(getattr(self, name), term) for name, term in terms.items()}
+        sums = running_sums(self._sum_g, fold.g)
         keep, stopped = n, False
         if stop is not None:
-            sums = running["_sum_g"]
-            valid = n if np.isfinite(sums).all() else int(np.argmin(np.isfinite(sums).all(axis=1)))
+            valid = n if np.isfinite(sums[-1]).all() else int(np.argmin(np.isfinite(sums).all(axis=1)))
             end = stop(self.count + np.arange(1, valid + 1), sums[:valid])
             if end is not None:
                 keep, stopped = end + 1, True
             elif valid < n:
                 raise NumericError("gradient estimate is not finite")
-        for name, values in running.items():
-            value = values[keep - 1]
-            setattr(self, name, float(value) if values.ndim == 1 else value.copy())
+        self._sum_g = sums[keep - 1].copy()
+        self.return_sum = float(running_sums(self.return_sum, fold.ret)[keep - 1])
+        if weights is None and self.weight_sum == self.count:
+            self.weight_sum = float(self.count + keep)  # a running sum of ones is exact
+        else:
+            unit = np.ones(n) if weights is None else weights
+            self.weight_sum = float(running_sums(self.weight_sum, unit)[keep - 1])
+        if peters is not None:
+            for name, total in fold.totals.items():
+                setattr(self, name, total)
         self.count += keep
         return stopped
 

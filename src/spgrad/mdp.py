@@ -31,8 +31,8 @@ state.  It takes the last step of every episode, so no state after the
 horizon is drawn, though each row keeps that step's columns.  The policy's
 side of a block is ``policy.actor(theta)``, so the contract has no state
 count; its one call per step, ``sample(states, u, scores)``, draws the
-actions and scores them in the same pass, and ``sample_block`` writes each
-step's rewards and scores straight into buffers laid out step by step.  The
+actions and scores them in the same pass, and ``sample_block`` hands each
+step's rewards and scores to a consumer as the step is taken.  The
 batch methods' numpy calls run over whole columns of n episodes: an
 enumerable environment reads each (state, action) pair at its flat index
 s * n_actions + a, one ``take`` per column of its transition CDFs but the
@@ -160,8 +160,9 @@ def row_draws(env, actor) -> int:
     return env.reset_draws + env.spec.horizon * (actor.draws + env.step_draws)
 
 
-def sample_block(env, actor, draws: np.ndarray, out=None) -> "tuple[np.ndarray, np.ndarray]":
-    """Roll out one episode per row of ``draws``, stepping all of them together.
+def sample_block(env, actor, draws: np.ndarray, consume) -> None:
+    """Roll out one episode per row of ``draws``, stepping all of them
+    together, and hand each step to ``consume``.
 
     ``actor`` is a policy frozen at theta (``policy.actor``) with ``draws``,
     ``dim`` (m) and ``sample(states, u, scores)``, which returns the actions
@@ -172,33 +173,30 @@ def sample_block(env, actor, draws: np.ndarray, out=None) -> "tuple[np.ndarray, 
     count of columns it declares.  Steps 0 .. T-2 go through
     ``env.step_batch``; the last step takes its rewards from
     ``env.reward_batch(states, actions)`` and draws no next state, though
-    its transition columns stay in the row.  Returns the rewards, shape
-    (n, T), and the per-step scores, shape (n, T, m).
+    its transition columns stay in the row.
 
-    ``out``, if given, is a pair of buffers, (T, N) for the rewards and
-    (T, N, m) for the scores with N >= n, that the rollout writes into in
-    place of new ones; the arrays returned are then views of their first n
-    columns, valid until the buffers are written again.
+    After step t, ``consume(t, rewards, scores)`` gets the rewards (n,) and
+    the scores (n, m) of every row at that step, for t = 0 .. T-1 in order.
+    The scores are one array that every step rewrites, so a consumer copies
+    what it keeps; no array of more than one step is made.
+    ``GradientAccumulator.add_steps`` folds the steps into its terms as
+    they come.
     """
     horizon = env.spec.horizon
     width = row_draws(env, actor)
     if draws.ndim != 2 or draws.shape[1] != width:
         raise ValueError(f"draws have shape {draws.shape}, expected (n, {width})")
     r, a, s = env.reset_draws, actor.draws, env.step_draws
-    n = len(draws)
-    if out is None:
-        out = np.empty((horizon, n)), np.empty((horizon, n, actor.dim))
-    # laid out step by step: each step writes one contiguous (n,) and (n, m) slice
-    rewards, scores = out[0][:, :n], out[1][:, :n]
+    scores = np.empty((len(draws), actor.dim))
     state = env.reset_batch(draws[:, :r])
     for t in range(horizon):
         col = r + t * (a + s)
-        action = actor.sample(state, draws[:, col : col + a], scores[t])
+        action = actor.sample(state, draws[:, col : col + a], scores)
         if t < horizon - 1:
-            state, rewards[t] = env.step_batch(state, action, draws[:, col + a : col + a + s])
+            state, rewards = env.step_batch(state, action, draws[:, col + a : col + a + s])
         else:  # no state follows the last step
-            rewards[t] = env.reward_batch(state, action)
-    return rewards.T, scores.swapaxes(0, 1)
+            rewards = env.reward_batch(state, action)
+        consume(t, rewards, scores)
 
 
 @dataclass

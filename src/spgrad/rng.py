@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer
 
 _MAX_SEED = 2**64 - 1
 # substream's SeedSequence entropy is the seed's 32-bit words, at most two,
@@ -33,13 +33,21 @@ _MAX_SEED = 2**64 - 1
 _ROWS_TAG = 1 << 64
 
 
-def _check_address(master_seed: int, path: "tuple[int, ...]") -> "tuple[int, tuple[int, ...]]":
-    if not 0 <= int(master_seed) <= _MAX_SEED:
+def check_seed(master_seed: int) -> int:
+    """The master seed as an int: an int or numpy integer (not a bool or an
+    integral float) in [0, 2**64); ConfigurationError otherwise."""
+    seed = check_integer(master_seed, "seed")
+    if not 0 <= seed <= _MAX_SEED:
         raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {master_seed}")
-    key = tuple(int(p) for p in path)
+    return seed
+
+
+def _check_address(master_seed: int, path: "tuple[int, ...]") -> "tuple[int, tuple[int, ...]]":
+    """The seed and path as ints, each path entry an int or numpy integer >= 0."""
+    key = tuple(check_integer(p, "stream path entry") for p in path)
     if any(p < 0 for p in key):
         raise ConfigurationError(f"stream path must be non-negative, got {key}")
-    return int(master_seed), key
+    return check_seed(master_seed), key
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
@@ -67,13 +75,14 @@ class UniformRows:
         self._next = 0
 
     def take(self, first: int, n: int, out: "np.ndarray | None" = None) -> np.ndarray:
-        """Rows ``first .. first+n-1``, shape (n, width).
+        """Rows ``first .. first+n-1``, shape (n, width); ``first`` and ``n``
+        are checked as a stream path is.
 
         ``out``, if given, is an (N, width) buffer with N >= n that the rows
         are written into in place of a new array; the array returned is then
         a view of its first n rows, valid until the buffer is written again.
         """
-        _, (first,) = _check_address(0, (first,))
+        _, (first, n) = _check_address(0, (first, n))
         if first != self._next:
             # the state has 128 bits, so a move back is an advance modulo 2**128
             self._bits.advance(((first - self._next) * self._width) % 2**128)

@@ -22,12 +22,13 @@ sets would need a projection step that is not modeled here.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, check_integer
 from .estimators import (
     BaselineKind,
     EstimatorKind,
@@ -39,7 +40,7 @@ from .estimators import (
 # sample_trajectory and substream stay bound here: perfbench patches them by name
 from .mdp import row_draws, sample_block, sample_trajectory
 from .policies import SmoothingConstants
-from .rng import UniformRows, substream
+from .rng import UniformRows, check_seed, substream
 
 # Rows per rollout block of ``spg_run``, at most.  No record depends on the
 # block sizes (row i of iteration k is addressed by its offset).  Each block
@@ -50,8 +51,10 @@ from .rng import UniformRows, substream
 # rows (one block for the bandit config's ~1.9k; a fixed schedule keeps
 # that size), then a certified one sizes each block to what the stop rule
 # forecasts from the estimate in hand: FORECAST_MARGIN times the rows it
-# still asks for, at least FORECAST_FLOOR.  At 4096 rows one certified
-# update peaks at ~2.1 MiB on the chain config, ~2.3 on lqg.
+# still asks for, at least FORECAST_FLOOR.  Each step is folded into the
+# estimates as it is rolled out, so a block holds no (T, n, m) scores: at
+# 4096 rows one certified update peaks at ~1.5 MiB on the chain config,
+# ~2.0 on lqg.
 ROLLOUT_ROWS = 4096
 FORECAST_MARGIN = 1.05
 FORECAST_FLOOR = 256
@@ -59,11 +62,8 @@ FORECAST_FLOOR = 256
 
 def _integer_field(owner, name: str) -> None:
     """Refuse a field of a frozen dataclass that is not an int or numpy
-    integer (a bool is neither), and store it as an int."""
-    value = getattr(owner, name)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    object.__setattr__(owner, name, int(value))
+    integer (``check_integer``), and store it as an int."""
+    object.__setattr__(owner, name, check_integer(getattr(owner, name), name))
 
 
 @dataclass(frozen=True)
@@ -219,36 +219,34 @@ def check_schedule(fixed: "MetaParams | None", limits: RunLimits) -> None:
 
 
 def _rollout(env, policy, theta: np.ndarray, seed: int, k: int):
-    """(first, n) -> (rewards (n, T), scores (n, T, m)) for trajectories
-    first .. first+n-1 of iteration k.
+    """(first, n, consume) -> None: rolls out trajectories first ..
+    first+n-1 of iteration k and hands each step to ``consume``.
 
     The environment steps them as a block (``mdp.sample_block``) with the
     policy frozen at theta, ``policy.actor(theta)``, on rows of iteration k's
     one ``UniformRows(seed, k, width)``, so row i depends only on (seed, k, i).
-    Every block's draws, rewards and scores are written into one set of
-    buffers, made anew only when a block is longer than any before it:
-    ``add_block`` copies what it keeps, and memory written once per iteration
-    is not handed back to the system and faulted in again for every block.
+    ``spg_run`` passes the fold of ``GradientAccumulator.add_steps`` as the
+    consumer, so no block array of rewards or scores is made.  Every block's
+    draws are written into one buffer, made anew only when a block is
+    longer than any before it: memory written once per iteration is not
+    handed back to the system and faulted in again for every block.
     """
     actor = policy.actor(theta)
     width = row_draws(env, actor)
     rows = UniformRows(seed, k, width)
-    horizon = env.spec.horizon
     draws = np.empty((0, width))
-    out = np.empty((horizon, 0)), np.empty((horizon, 0, actor.dim))
 
-    def block(first: int, n: int):
-        nonlocal draws, out
+    def block(first: int, n: int, consume) -> None:
+        nonlocal draws
         if n > len(draws):
             draws = np.empty((n, width))
-            out = np.empty((horizon, n)), np.empty((horizon, n, actor.dim))
-        return sample_block(env, actor, rows.take(first, n, draws), out)
+        sample_block(env, actor, rows.take(first, n, draws), consume)
 
     return block
 
 
 def _first_certified(eps_delta: float):
-    """stop(counts, sums) for ``GradientAccumulator.add_block``: the first
+    """stop(counts, sums) for ``GradientAccumulator.add_steps``: the first
     row whose prefix meets N >= required_batch_size(||S / N||, eps_delta),
     S / N being the estimate after that row's N unit-weight trajectories.
 
@@ -306,8 +304,10 @@ def spg_run(
 
     Both schedules run one block loop.  Iteration k samples blocks of
     trajectories (trajectory i of iteration k depends only on (seed, k, i);
-    see ``_rollout``) toward its target: ``max_trajectories_per_iteration``
-    for the certified rule, ``fixed.batch_size`` for a fixed schedule.  A
+    see ``_rollout``), each step folded into the estimates as the block is
+    rolled out (``GradientAccumulator.add_steps``), toward its target:
+    ``max_trajectories_per_iteration`` for the certified rule,
+    ``fixed.batch_size`` for a fixed schedule.  A
     block has at most ``ROLLOUT_ROWS`` rows and the room that the target and
     ``max_total_trajectories`` leave.  The first is a pilot of
     ``ROLLOUT_ROWS // 2`` rows; only the later sizes depend on the schedule:
@@ -338,8 +338,9 @@ def spg_run(
         raise ConfigurationError(
             f"theta has shape {theta.shape}, policy expects ({policy.dim},)"
         )
-    if n_iterations < 1:
+    if check_integer(n_iterations, "n_iterations") < 1:
         raise ConfigurationError(f"n_iterations must be >= 1, got {n_iterations}")
+    check_seed(seed)
     check_schedule(fixed, limits)
     kind = EstimatorKind(estimator_kind)
     constants = policy.smoothing_constants()
@@ -350,7 +351,7 @@ def spg_run(
         alpha, baseline, stop = certified_step(lip), BaselineKind.ZERO, _first_certified(eps_delta)
     else:
         alpha, baseline, stop = fixed.alpha, fixed.baseline, None
-    gamma = env.spec.gamma
+    gamma, horizon = env.spec.gamma, env.spec.horizon
 
     target = limits.max_trajectories_per_iteration if fixed is None else fixed.batch_size
     records: list[RunRecord] = []
@@ -364,7 +365,8 @@ def spg_run(
         want, met = max(1, ROLLOUT_ROWS // 2), False
         while (room := min(target - acc.count, limits.max_total_trajectories - total)) > 0:
             first = acc.count
-            met = acc.add_block(*rollout(first, min(ROLLOUT_ROWS, room, want)), stop=stop)
+            feed = functools.partial(rollout, first, min(ROLLOUT_ROWS, room, want))
+            met = acc.add_steps(feed, horizon, stop=stop)
             total += acc.count - first
             if met:
                 break

@@ -403,6 +403,59 @@ class TestAddBlockStop:
         assert same_bits(acc._sum_g, before[2])
 
 
+class TestAddSteps:
+    """``add_steps`` fed one step at a time, each step's scores written into
+    one array that the feed rewrites, as ``sample_block`` hands them over,
+    gives the totals of ``add_block`` on the whole arrays, bit for bit."""
+
+    TOTALS = ("count", "weight_sum", "return_sum", "_sum_g", "_sum_rc", "_sum_c", "_sum_rc2", "_sum_c2")
+
+    @staticmethod
+    def slab_feed(rewards, scores):
+        slab = np.full(scores[:, 0].shape, np.nan)
+
+        def feed(fold):
+            for t in range(rewards.shape[1]):
+                slab[...] = scores[:, t]
+                fold(t, rewards[:, t].copy(), slab)
+
+        return feed
+
+    @pytest.mark.parametrize("baseline", list(BaselineKind), ids=lambda b: b.value)
+    @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
+    def test_steps_from_one_slab_match_add_block(self, kind, baseline):
+        rewards, scores, weights = term_inputs(6, 30, 7, 3)
+        policy = bandit_policy()
+        for w in (None, weights):
+            blocks = [slice(0, 1), slice(1, 18), slice(18, 30)]
+            by_steps = GradientAccumulator(policy, np.zeros(1), 0.9, kind, baseline)
+            by_block = GradientAccumulator(policy, np.zeros(1), 0.9, kind, baseline)
+            for rows in blocks:
+                block_w = None if w is None else w[rows]
+                assert not by_steps.add_steps(self.slab_feed(rewards[rows], scores[rows]), 7, block_w)
+                by_block.add_block(rewards[rows], scores[rows], block_w)
+            for name in self.TOTALS:
+                assert same_bits(getattr(by_steps, name), getattr(by_block, name)), (w is None, name)
+
+    def test_a_feed_of_no_step_adds_nothing(self):
+        acc = GradientAccumulator(bandit_policy(), np.zeros(1), 0.9, "gpomdp")
+        assert acc.add_steps(lambda fold: None, 3, stop=lambda counts, sums: 0) is False
+        assert (acc.count, acc.horizon, acc.weight_sum) == (0, None, 0.0)
+
+    def test_stop_refuses_the_peters_baseline(self):
+        # a stop reads the zero-baseline sums, which a Peters run does not estimate by
+        rewards, scores, _ = stop_inputs(7, 6)
+        acc = GradientAccumulator(bandit_policy(), np.zeros(1), 0.9, "gpomdp", "peters")
+        acc.add_block(rewards, scores)
+        before = {name: np.copy(getattr(acc, name)) for name in self.TOTALS}
+        seen = []
+        with pytest.raises(ValueError, match="^a stop takes the zero baseline only$"):
+            acc.add_block(rewards, scores, stop=lambda counts, sums: seen.append(counts))
+        assert seen == []
+        for name, value in before.items():
+            assert same_bits(getattr(acc, name), value), name
+
+
 class TestAddBlockShapes:
     """``add_block`` adds nothing for a block of no rows and refuses shapes
     that disagree, before anything is added."""

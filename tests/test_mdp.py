@@ -38,7 +38,7 @@ from spgrad.testbeds import (
     two_state_instance,
 )
 
-from conftest import iteration_generator, random_theta
+from conftest import Scripted, iteration_generator, random_theta, record_block, scripted_rows
 
 
 def uniform_two_action_policy():
@@ -463,7 +463,7 @@ class TestBlockMatchesScalarPath:
         actor = policy.actor(theta)
         width = row_draws(env, actor)
         seed, k, first, n = 9, 2, 30, 200
-        rewards, scores = sample_block(env, actor, UniformRows(seed, k, width).take(first, n))
+        rewards, scores = record_block(env, actor, UniformRows(seed, k, width).take(first, n))
         assert rewards.shape == (n, env.spec.horizon)
         for i in range(n):
             traj = sample_trajectory(env, policy, theta, generator_at(seed, k, first + i, width))
@@ -471,45 +471,36 @@ class TestBlockMatchesScalarPath:
             np.testing.assert_array_equal(scores[i], trajectory_scores(traj, policy, theta))
 
     @pytest.mark.parametrize("name", ["chain", "lqg"])
-    def test_rows_written_into_larger_buffers(self, name):
+    def test_steps_share_one_score_slab(self, name):
+        # every step is handed over in order, its scores in the one (n, m)
+        # array that every step rewrites; copied as they come, the steps are
+        # the rows' episodes, bit for bit (``record_block`` copies them too)
         if name == "lqg":
             env, policy = lqg_instance()
         else:
             inst = chain_instance()
             env, policy = inst.env, inst.policy
-        actor = policy.actor(random_theta(substream(64, 0), policy.dim, scale=2.0))
+        theta = random_theta(substream(64, 0), policy.dim, scale=2.0)
+        actor = policy.actor(theta)
         draws = UniformRows(5, 0, row_draws(env, actor)).take(0, 50)
-        T, m = env.spec.horizon, policy.dim
-        out = np.full((T, 80), np.nan), np.full((T, 80, m), np.nan)
-        rewards, scores = sample_block(env, actor, draws, out)
-        assert np.shares_memory(rewards, out[0]) and np.shares_memory(scores, out[1])
-        expected = sample_block(env, actor, draws)
-        for got, want in zip((rewards, scores), expected):
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-        assert np.isnan(out[0][:, 50:]).all() and np.isnan(out[1][:, 50:]).all()
+        steps, slabs = [], []
+
+        def consume(t, rewards, scores):
+            steps.append((t, rewards.copy(), scores.copy()))
+            slabs.append(scores)
+
+        sample_block(env, actor, draws, consume)
+        assert [t for t, _, _ in steps] == list(range(env.spec.horizon))
+        assert all(slab is slabs[0] and slab.shape == (50, policy.dim) for slab in slabs)
+        rewards = np.stack([r for _, r, _ in steps], axis=1)
+        scores = np.stack([c for _, _, c in steps], axis=1)
+        assert_rows_equal_per_step_episodes(env, policy, theta, actor, draws, rewards, scores)
 
     def test_wrong_width_rejected(self):
         inst = chain_instance()
         actor = inst.policy.actor(np.zeros(inst.policy.dim))
         with pytest.raises(ValueError, match="expected"):
-            sample_block(inst.env, actor, UniformRows(0, 0, 10).take(0, 4))
-
-
-def scripted_rows(env, actor, draws) -> "list[Scripted]":
-    """One stand-in generator per row of ``draws``, serving the row as the
-    scalar path reads it: the uniform of each one-column draw, and the
-    standard normal that ``box_muller`` makes of each two-column draw, made
-    over the whole column pair as the block makes it."""
-    widths = [env.reset_draws] + [actor.draws, env.step_draws] * env.spec.horizon
-    starts = np.cumsum([0] + widths[:-1]).tolist()
-    uniform_cols = [c for c, w in zip(starts, widths) if w == 1]
-    normal_cols = [c for c, w in zip(starts, widths) if w == 2]
-    normals = [box_muller(draws[:, c], draws[:, c + 1]) for c in normal_cols]
-    return [
-        Scripted(draws[i, uniform_cols].tolist(), [float(z[i]) for z in normals])
-        for i in range(len(draws))
-    ]
+            record_block(inst.env, actor, UniformRows(0, 0, 10).take(0, 4))
 
 
 def assert_rows_equal_per_step_episodes(env, policy, theta, actor, draws, rewards, scores):
@@ -552,7 +543,7 @@ class TestGaussianBlockMatchesPerStepLoop:
         theta = random_theta(substream(63, 0), policy.dim, scale=2.0)
         actor = policy.actor(theta)
         draws = UniformRows(11, 1, row_draws(env, actor)).take(40, 300)
-        rewards, scores = sample_block(env, actor, draws)
+        rewards, scores = record_block(env, actor, draws)
         assert rewards.shape == (300, env.spec.horizon)
         assert scores.shape == (300, env.spec.horizon, policy.dim)
         assert_rows_equal_per_step_episodes(env, policy, theta, actor, draws, rewards, scores)
@@ -561,7 +552,7 @@ class TestGaussianBlockMatchesPerStepLoop:
         env, _ = lqg_instance()
         features = CountingPolynomialFeatures()
         actor = GaussianPolicy(features, feature_bound=1.0, sigma=0.5).actor(np.array([0.4]))
-        sample_block(env, actor, UniformRows(3, 0, row_draws(env, actor)).take(0, 64))
+        record_block(env, actor, UniformRows(3, 0, row_draws(env, actor)).take(0, 64))
         assert features.batch_sizes == [64] * env.spec.horizon
 
 
@@ -606,7 +597,7 @@ class TestNoStateAfterTheHorizon:
         theta = random_theta(substream(65, 0), policy.dim, scale=2.0)
         actor = policy.actor(theta)
         draws = UniformRows(13, 2, row_draws(env, actor)).take(7, 150)
-        rewards, scores = sample_block(counting, actor, draws)
+        rewards, scores = record_block(counting, actor, draws)
         horizon = env.spec.horizon
         assert counting.calls == {"step_batch": horizon - 1, "reward_batch": 1}
         if name == "bandit":
@@ -673,7 +664,7 @@ class TestBlockDrawsOnCdfSteps:
                 for i in range(4 * size)
             ]
         )
-        rewards, scores = sample_block(env, actor, draws)
+        rewards, scores = record_block(env, actor, draws)
         hits = {"action": 0, "transition": 0}
         for i, row in enumerate(draws):
             state = searchsorted_draw(cum_initial, row[0])
@@ -775,26 +766,6 @@ def assert_same_episode(traj, reference):
     for got, want in zip((traj.states, traj.actions, traj.rewards), reference):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
-
-
-class Scripted:
-    """A stand-in generator that returns the given uniforms and normals in
-    turn: one at a time, or the next ``count`` of them as an array."""
-
-    def __init__(self, uniforms, normals=(0.0,)):
-        self._uniforms, self._normals = itertools.cycle(uniforms), itertools.cycle(normals)
-
-    @staticmethod
-    def _next(values, count):
-        if count is None:
-            return next(values)
-        return np.array([next(values) for _ in range(count)])
-
-    def random(self, count=None):
-        return self._next(self._uniforms, count)
-
-    def standard_normal(self, count=None):
-        return self._next(self._normals, count)
 
 
 class TestScalarRolloutMatchesNumpyReference:

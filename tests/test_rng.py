@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spgrad.errors import ConfigurationError
 from spgrad.rng import UniformRows, box_muller, inverse_cdf, substream
 
 from conftest import iteration_generator
@@ -98,6 +99,37 @@ class TestUniformRowsTake:
             got = rows.take(first, n)
             assert got.shape == (n, width)
             np.testing.assert_array_equal(got, whole[first : first + n])
+
+
+class TestAddressesAreIntegers:
+    """A seed, a stream path entry, an iteration and a row address must be
+    an int or a numpy integer: a float (integral or not), a bool, a string
+    or None is refused, never truncated."""
+
+    NOT_INTEGERS = [1.5, 1.0, True, np.float64(1.0), "1", None]
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    def test_substream_refuses(self, value):
+        with pytest.raises(ConfigurationError, match="^seed must be an integer, got "):
+            substream(value, 2)
+        with pytest.raises(ConfigurationError, match="^stream path entry must be an integer, got "):
+            substream(1, value)
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    def test_uniform_rows_refuse(self, value):
+        with pytest.raises(ConfigurationError, match="^seed must be an integer, got "):
+            UniformRows(value, 0, 3)
+        with pytest.raises(ConfigurationError, match="^stream path entry must be an integer, got "):
+            UniformRows(1, value, 3)
+        rows = UniformRows(1, 0, 3)
+        for first, n in ((value, 2), (2, value)):
+            with pytest.raises(ConfigurationError, match="^stream path entry must be an integer, got "):
+                rows.take(first, n)
+
+    def test_numpy_integers_address_as_their_int(self):
+        assert substream(np.uint64(1), np.int32(2)).random() == substream(1, 2).random()
+        got = UniformRows(np.int64(1), np.int8(0), 3).take(np.intp(2), np.int16(2))
+        assert got.tobytes() == UniformRows(1, 0, 3).take(2, 2).tobytes()
 
 
 class TestGeneratorArrayDraws:

@@ -25,6 +25,7 @@ from spgrad.mdp import (
     make_bandit,
     row_draws,
     sample_block,
+    sample_trajectory,
 )
 from spgrad.oracle import grid_maximize
 from spgrad.policies import GaussianPolicy, PolynomialFeatures, SmoothingConstants, TabularFeatures, SoftmaxPolicy
@@ -50,6 +51,8 @@ from spgrad.testbeds import (
     lqg_instance,
     two_state_instance,
 )
+
+from conftest import scripted_rows
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -359,6 +362,20 @@ class TestSpgRun:
         for a, b in zip(first.thetas, second.thetas):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.9), ("seed", 1.0), ("seed", True), ("n_iterations", 2.5), ("n_iterations", True)],
+    )
+    def test_seed_and_iteration_count_must_be_integers(self, bandit, field, value):
+        kwargs = {"n_iterations": 1, "delta": 0.5, "seed": 1, field: value}
+        with pytest.raises(ConfigurationError, match=rf"^{field} must be an integer, got "):
+            spg_run(bandit.env, bandit.policy, np.zeros(1), **kwargs)
+
+    def test_numpy_integer_seed_and_iteration_count(self, bandit):
+        want = spg_run(bandit.env, bandit.policy, np.zeros(1), 2, 0.5, seed=3)
+        got = spg_run(bandit.env, bandit.policy, np.zeros(1), np.int64(2), 0.5, seed=np.uint64(3))
+        assert_same_run(got, want.records, want.thetas)
+
     @pytest.mark.parametrize("name", ["bandit", "lqg"])
     def test_theta_of_wrong_shape_rejected(self, name):
         env, policy = INSTANCES[name]()
@@ -437,8 +454,10 @@ class TestFixedMetaRun:
 
 def one_at_a_time(env, policy, theta0, n_iterations, delta, kind, limits, seed, fixed=None):
     """(records, thetas) of the rule checked after every single trajectory:
-    trajectory i of iteration k is one row through ``sample_block`` on row i
-    of iteration k's ``UniformRows``, added with ``add_block``."""
+    trajectory i of iteration k is rolled out by the scalar
+    ``sample_trajectory`` on row i of iteration k's ``UniformRows``, served
+    by its stand-in generator (``scripted_rows``), and added with
+    ``add_trajectory``."""
     theta = np.asarray(theta0, dtype=float).copy()
     constants = policy.smoothing_constants()
     lip = lipschitz_constant(constants, env.spec)
@@ -460,7 +479,8 @@ def one_at_a_time(env, policy, theta0, n_iterations, delta, kind, limits, seed, 
             ):
                 stalled = True
                 break
-            acc.add_block(*sample_block(env, actor, UniformRows(seed, k, width).take(acc.count, 1)))
+            [rng] = scripted_rows(env, actor, UniformRows(seed, k, width).take(acc.count, 1))
+            acc.add_trajectory(sample_trajectory(env, policy, theta, rng))
             total += 1
             if fixed is None:
                 needed = required_batch_size(acc.finalize().norm, eps)
@@ -627,25 +647,37 @@ class TestBlockSamplingIsExact:
         assert len(reads) > len(built)
         assert all(not r.stalled for r in result.records)
 
-    @pytest.mark.parametrize("name", ["bandit", "chain", "lqg"])
+    @pytest.mark.parametrize("name", ["bandit", "chain", "lqg", "chain10"])
     def test_certified_update_memory_is_bounded(self, name):
-        # one certified update of each shipped config holds one rollout block
-        # of at most ROLLOUT_ROWS rows at a time, however many rows the stop
-        # needs (1.9k / 30k / 12k): at 4096 rows the peak is ~0.23 / 2.1 /
-        # 2.3 MiB, in one block of the per-iteration cap 11 / 34 / 52 MiB
-        config = load_config(str(CONFIGS / f"{name}.yaml"))
-        built = build_experiment(config)
+        # one certified update holds one rollout block of at most
+        # ROLLOUT_ROWS rows at a time, however many rows the stop needs, and
+        # folds each step into the estimates as it is rolled out, so no
+        # (T, n, m) array of scores is made.  The shipped configs (1.9k /
+        # 30k / 12k rows) are held to 4 MiB.  The 10-state T = 50 chain
+        # (m = 20) runs one update under an 8,192-row cap, which stalls, and
+        # is held to 12 MiB, where its scores alone would take 31 MiB per
+        # 4,096-row block.
+        if name == "chain10":
+            inst = chain_instance(n_states=10, horizon=50)
+            env, policy, theta0 = inst.env, inst.policy, np.zeros(inst.policy.dim)
+            delta, kind, limits, seed, bound = 0.5, EstimatorKind.GPOMDP, RunLimits(8192, 8192), 0, 12
+        else:
+            config = load_config(str(CONFIGS / f"{name}.yaml"))
+            built = build_experiment(config)
+            env, policy, theta0 = built.env, built.policy, built.theta0
+            delta, kind, limits, seed = config.delta, config.estimator_kind, config.limits, config.seed
+            bound = 4
         tracemalloc.start()
         try:
             result = spg_run(
-                built.env, built.policy, built.theta0, 1, config.delta,
-                estimator_kind=config.estimator_kind, limits=config.limits, seed=config.seed,
+                env, policy, theta0, 1, delta,
+                estimator_kind=kind, limits=limits, seed=seed,
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not result.records[0].stalled
-        assert peak < 4 * 2**20, f"{name} peaked at {peak / 2**20:.2f} MiB"
+        assert result.records[0].stalled == (name == "chain10")
+        assert peak < bound * 2**20, f"{name} peaked at {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize(
         "name, delta", [("bandit", 0.5), ("bandit", 0.2), ("chain", None), ("lqg", None)]
@@ -656,9 +688,9 @@ class TestBlockSamplingIsExact:
         # out past the stops of a whole shipped run
         sizes = []
 
-        def counting(env, actor, draws, out=None):
+        def counting(env, actor, draws, consume):
             sizes.append(len(draws))
-            return sample_block(env, actor, draws, out)
+            return sample_block(env, actor, draws, consume)
 
         monkeypatch.setattr(safe_updates, "sample_block", counting)
         config = load_config(str(CONFIGS / f"{name}.yaml"))
