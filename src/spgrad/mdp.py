@@ -19,7 +19,12 @@ call per variate, though no longer the same calls.  It then runs the
 kernels in Python floats, ints and lists (``bisect_right`` for an
 inverse-CDF draw, ``min``/``max`` for a clamp), giving the values of the
 numpy forms (``np.searchsorted(..., side="right")``, ``np.clip``,
-``rng.uniform``).
+``rng.uniform``).  It binds the runs and kernels once per (env, policy,
+theta) and keeps the one binding for the calls that follow, so a call
+pays only for its own episode.  The enumerable step and the Softmax act
+index with an in-range Python int as it is and pass any other state (and
+the step, without bin edges, any other action) through
+:func:`check_index`; the states and actions they produce are such ints.
 
 The shipped environments also step arrays of episodes at once for
 :func:`sample_block`, the one rollout of ``safe_updates.spg_run``:
@@ -122,6 +127,12 @@ def _draw_variates(rng: np.random.Generator, runs) -> "list[float]":
     return values
 
 
+# sample_trajectory's one binding: (env, policy, theta's shape and bytes,
+# draw runs, reset, step, act) of the last setup sampled, which it keeps
+# alive until the next binding
+_bound: "tuple | None" = None
+
+
 def sample_trajectory(env, policy, theta: np.ndarray, rng: np.random.Generator) -> Trajectory:
     """Roll out one episode of exactly ``env.spec.horizon`` steps.
 
@@ -129,16 +140,32 @@ def sample_trajectory(env, policy, theta: np.ndarray, rng: np.random.Generator) 
     ``policy`` at ``theta``, each transition from the environment kernel.
     All of the episode's variates are drawn before the first step, so an
     error raised on the way leaves ``rng`` past the whole episode's draws.
+
+    The draw runs, ``env.kernels()`` and ``policy.action_kernel(theta)``
+    are resolved once per binding and kept for the calls that follow: one
+    entry, keyed on ``env`` and ``policy`` by identity and on theta's shape
+    and bytes, so any other env, policy or theta (a theta changed in place
+    included) rebinds.  An env or policy changed after it is built is not
+    noticed; the shipped classes are never changed after construction, and
+    the Softmax table memo has the same limit.  Theta's shape is checked on
+    every call, before any draw.
     """
+    global _bound
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (policy.dim,):
         raise ConfigurationError(
             f"theta has shape {theta.shape}, policy expects ({policy.dim},)"
         )
-    runs = _draw_runs(env.reset_variate, policy.variate, env.step_variate, env.spec.horizon)
-    variates = iter(_draw_variates(rng, runs))
-    reset, step = env.kernels()
-    act = policy.action_kernel(theta)
+    key = (theta.shape, theta.tobytes())
+    bound = _bound
+    if bound is None or bound[0] is not env or bound[1] is not policy or bound[2] != key:
+        runs = _draw_runs(env.reset_variate, policy.variate, env.step_variate, env.spec.horizon)
+        variates = iter(_draw_variates(rng, runs))
+        # bound after the draws, so an error binding leaves rng past them
+        bound = _bound = (env, policy, key, runs, *env.kernels(), policy.action_kernel(theta))
+    else:
+        variates = iter(_draw_variates(rng, bound[3]))
+    reset, step, act = bound[4:]
     states, actions, rewards = [], [], []
     state = reset(next(variates))
     for action_variate, step_variate in zip(variates, variates):
@@ -314,17 +341,23 @@ class EnumerableEnv:
     def kernels(self):
         """``reset(u)`` and ``step(state, action, u)``, each an inverse-CDF
         draw from its uniform u: ``np.searchsorted(cum, u, side="right")``,
-        clamped to the last state."""
+        clamped to the last state.  ``step`` takes its state, and without
+        bin edges its action, by :func:`check_index`'s rule."""
         initial, next_cdf, reward = self._initial_cdf, self._next_cdf, self._reward
-        action_index, last = self.action_index, self.n_states - 1
+        action_index, n_states, last = self.action_index, self.n_states, self.n_states - 1
+        # without bin edges, an in-range int action indexes directly
+        n_actions = self.mdp.n_actions if self._edges is None else 0
 
         def reset(u: float) -> int:
             return min(bisect_right(initial, u), last)
 
         def step(state: int, action: Any, u: float) -> "tuple[int, float]":
-            s = int(state)
-            a = action_index(action)
-            return min(bisect_right(next_cdf[s][a], u), last), reward[s][a]
+            # the states and actions the scalar kernels produce skip check_index
+            if not (type(state) is int and 0 <= state < n_states):
+                state = check_index(state, n_states, "state")
+            if not (type(action) is int and 0 <= action < n_actions):
+                action = action_index(action)
+            return min(bisect_right(next_cdf[state][action], u), last), reward[state][action]
 
         return reset, step
 

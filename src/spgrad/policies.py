@@ -30,11 +30,13 @@ and the scalar methods of both return entries of it.  ``table`` also takes
 a stack of theta (k, m) and returns the k tables stacked, each equal bit
 for bit to the table at its row; a single theta is the same array pass
 without the leading axis.  Both policies build a table in one array pass
-over the thetas and states.  Only the Softmax table is memoised, as the
-scalar sampler asks for it once per trajectory: at the last theta seen,
-keyed by theta's shape and bytes (a (1, m) stack never returns a single
-theta's table), with the log-probabilities and cumulative sums.  The
-binned view builds its table on each call.
+over the thetas and states.  Only the Softmax table is memoised: the
+scalar sampler asks for it once per binding of (env, policy, theta), but
+``add_trajectory`` and the scalar methods ask for it on every call.  The
+memo is at the last theta seen, keyed by theta's shape and bytes (a
+(1, m) stack never returns a single theta's table), with the
+log-probabilities and cumulative sums.  The binned view builds its table
+on each call.
 """
 from __future__ import annotations
 
@@ -124,9 +126,13 @@ class PolynomialFeatures:
         self.dim = degree
 
     def values(self, state) -> "list[float]":
-        """phi(state) as Python floats."""
+        """phi(state) as Python floats: x itself (x**1 == x), then Python's
+        x**k for k >= 2, with no comprehension's frame per call."""
         x = float(state) * self.scale
-        return [x**k for k in range(1, self.degree + 1)]
+        phi = [x]
+        for k in range(2, self.degree + 1):
+            phi.append(x**k)
+        return phi
 
     def __call__(self, state) -> np.ndarray:
         return np.array(self.values(state))
@@ -484,13 +490,16 @@ class SoftmaxPolicy:
     def action_kernel(self, theta: np.ndarray):
         """``act(state, u)``: the action at ``state`` for the uniform u, from
         the cumulative rows of the table at theta, looked up once."""
-        memo, last = self._table(theta), self.n_actions - 1
+        memo, last, n_states = self._table(theta), self.n_actions - 1, self.n_states
         cum = memo.cum
         if not cum:
             cum.extend(np.cumsum(memo.probs, axis=1).tolist())
 
         def act(state, u: float) -> int:
-            row = cum[int(state)]
+            # the states the env kernels produce skip check_index
+            if not (type(state) is int and 0 <= state < n_states):
+                state = check_index(state, n_states, "state")
+            row = cum[state]
             # np.searchsorted(row, u * row[-1], side="right"), the last action at the top
             return min(bisect_right(row, u * row[-1]), last)
 

@@ -21,7 +21,9 @@ split into a ``check_*`` wrapper and a helper taking the stream key, so the
 tests can draw their own streams.  Each helper call builds one generator,
 ``substream(seed, *key)``, and both sample through one chunked sampler,
 ``_sampled_estimates``: it rolls the trajectories out of that generator in
-row order, one ``sample_trajectory`` call each, checks each chunk against
+row order, one ``sample_trajectory`` call each (the sampler binds its
+kernels at a helper call's first trajectory and reuses them for the rest,
+so each later call pays only for its episode), checks each chunk against
 the horizon and r_max contract the bounds assume, and scores chunks of at
 most ``estimators.BLOCK_ROWS`` of them at once (whole batches of 25 in the
 Chebyshev check).  Per-trajectory estimates come from

@@ -835,3 +835,56 @@ class TestShippedRunLogs:
         assert main(args) == EXIT_OK
         digests = {path.name: sha256(path.read_bytes()) for path in tmp_path.iterdir()}
         assert digests == self.SWEEP_DIGESTS
+
+
+class TestScalarSamplerPins:
+    """The episodes and statistics of validate's sampled criteria at the CLI
+    seed, pinned: the states, actions and rewards of the first 500
+    trajectories of each of validate's three streams, by their sha256, and
+    the ``repr`` of ``variance_ratios`` at 2,000 samples.  They were
+    recorded before the sampler bound its kernels once per (env, policy,
+    theta), and they hold under NPY_DISABLE_CPU_FEATURES="AVX512_ICL X86_V4
+    X86_V3" and OPENBLAS_CORETYPE=Prescott too."""
+
+    SEED = 20240
+    EPISODE_DIGESTS = {
+        "gaussian-lqg": "984a1e6b8822c274add7bfa1e45cec3bfcd90a8017f0c635e7de471b6c302376",
+        "softmax-chain": "1bf59e879068c9dcd0761e0c2efe1a72d1eebe330973db502c2903734be18a63",
+        "two-state": "43112c4f105be11513b5f39dc296fd2f1a62e2b4c8f906550933e6c786026d1b",
+    }
+    RATIOS = {
+        "gaussian-lqg": "{<EstimatorKind.REINFORCE: 'reinforce'>: 0.26489873988341456, "
+        "<EstimatorKind.GPOMDP: 'gpomdp'>: 0.05067700075786197}",
+        "softmax-chain": "{<EstimatorKind.REINFORCE: 'reinforce'>: 0.005108286658589467, "
+        "<EstimatorKind.GPOMDP: 'gpomdp'>: 0.0007006180672966544}",
+    }
+
+    def streams(self):
+        """Label -> (env, policy, theta, generator), as validate draws them."""
+        import spgrad.validate as validate
+
+        streams = {
+            label: (*setup, substream(self.SEED, 9, idx))
+            for idx, (label, setup) in enumerate(validate.variance_setups().items())
+        }
+        inst = two_state_instance()
+        theta = np.zeros(inst.policy.dim)
+        streams["two-state"] = (inst.env, inst.policy, theta, substream(self.SEED, 10))
+        return streams
+
+    def test_episode_digests(self):
+        digests = {}
+        for label, (env, policy, theta, rng) in self.streams().items():
+            h = hashlib.sha256()
+            for _ in range(500):
+                traj = sample_trajectory(env, policy, theta, rng)
+                for values in (traj.states, traj.actions, traj.rewards):
+                    h.update(values.tobytes())
+            digests[label] = h.hexdigest()
+        assert digests == self.EPISODE_DIGESTS
+
+    def test_variance_ratios(self):
+        import spgrad.validate as validate
+
+        for idx, (label, setup) in enumerate(validate.variance_setups().items()):
+            assert repr(validate.variance_ratios(setup, self.SEED, 2000, 9, idx)) == self.RATIOS[label]

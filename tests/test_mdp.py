@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import spgrad.mdp as mdp_module
 from spgrad.errors import ConfigurationError, NumericError
 from spgrad.mdp import (
     ChainConfig,
@@ -877,3 +878,153 @@ class TestScalarRolloutMatchesNumpyReference:
             assert_same_episode(
                 traj, numpy_trajectory(env, policy, theta, Scripted(script, normals))
             )
+
+
+class TestScalarKernelIndices:
+    """The scalar env step and Softmax act take a state by ``check_index``'s
+    rule, where ``int()`` used to wrap -1 to the last row, truncate 1.9 to
+    1 and let ``n_states`` raise a bare IndexError."""
+
+    BAD_STATES = [-1, 1.9, "n_states", math.nan]
+
+    def bad_states(self, n_states):
+        return [n_states if s == "n_states" else s for s in self.BAD_STATES]
+
+    @pytest.mark.parametrize("name", ["chain", "binned_gaussian"])
+    def test_env_step_refuses_a_bad_state(self, request, name):
+        env = request.getfixturevalue(name).env
+        action = 0 if env.bin_edges is None else 0.3
+        step = env.kernels()[1]
+        for state in self.bad_states(env.n_states):
+            pattern = rf"^state {state} out of range \[0, {env.n_states}\)$"
+            with pytest.raises(ValueError, match=pattern):
+                env.step(state, action, substream(0, 0))
+            with pytest.raises(ValueError, match=pattern):
+                step(state, action, 0.5)
+
+    @pytest.mark.parametrize("name", ["chain", "binned_gaussian"])
+    def test_env_step_takes_integral_states(self, request, name):
+        env = request.getfixturevalue(name).env
+        action = 1 if env.bin_edges is None else 0.3
+        want = env.step(1, action, substream(0, 0))
+        for state in (np.int64(1), 1.0, True):
+            assert env.step(state, action, substream(0, 0)) == want
+
+    def test_softmax_act_refuses_a_bad_state(self, chain):
+        policy = chain.policy
+        theta = random_theta(substream(15, 0), policy.dim)
+        act = policy.action_kernel(theta)
+        for state in self.bad_states(policy.n_states):
+            pattern = rf"^state {state} out of range \[0, {policy.n_states}\)$"
+            with pytest.raises(ValueError, match=pattern):
+                policy.sample_action(theta, state, substream(0, 0))
+            with pytest.raises(ValueError, match=pattern):
+                act(state, 0.5)
+
+    def test_softmax_act_takes_integral_states(self, chain):
+        policy = chain.policy
+        theta = random_theta(substream(15, 1), policy.dim)
+        act = policy.action_kernel(theta)
+        for u in np.linspace(0.0, 0.99, 12).tolist():
+            want = act(1, u)
+            assert act(np.int64(1), u) == act(1.0, u) == want
+
+
+class CountingCalls:
+    """Counts the calls of ``env.kernels`` and ``policy.action_kernel``
+    made through instance attributes that wrap the methods."""
+
+    def __init__(self, monkeypatch, env, policy):
+        self.calls = {"kernels": 0, "action_kernel": 0}
+        for owner, name in ((env, "kernels"), (policy, "action_kernel")):
+            monkeypatch.setattr(owner, name, self.counted(name, getattr(owner, name)))
+
+    def counted(self, name, method):
+        def call(*args):
+            self.calls[name] += 1
+            return method(*args)
+
+        return call
+
+
+class TestSamplerBinding:
+    """``sample_trajectory`` resolves its kernels once per (env, policy,
+    theta) and rebinds on any other; a call after a rebinding equals a
+    freshly bound call bit for bit."""
+
+    def setups(self):
+        chain = chain_instance()
+        env, policy = lqg_instance()
+        return {
+            "chain": (chain.env, chain.policy, np.linspace(-1.0, 1.0, chain.policy.dim)),
+            "lqg": (env, policy, np.array([0.4])),
+        }
+
+    @staticmethod
+    def fresh(monkeypatch, env, policy, theta, rng):
+        """The episode of a call with no binding kept."""
+        monkeypatch.setattr(mdp_module, "_bound", None)
+        return sample_trajectory(env, policy, theta, rng)
+
+    @pytest.mark.parametrize("name", ["chain", "lqg"])
+    def test_one_binding_for_many_calls(self, monkeypatch, name):
+        env, policy, theta = self.setups()[name]
+        counter = CountingCalls(monkeypatch, env, policy)
+        episodes = [sample_trajectory(env, policy, theta, substream(76, i)) for i in range(200)]
+        assert counter.calls == {"kernels": 1, "action_kernel": 1}
+        for i, traj in enumerate(episodes):
+            assert_same_episode(traj, numpy_trajectory(env, policy, theta, substream(76, i)))
+
+    @pytest.mark.parametrize("name", ["chain", "lqg"])
+    @pytest.mark.parametrize("change", ["new-theta", "theta-in-place", "other-env", "other-policy"])
+    def test_any_other_setup_rebinds(self, monkeypatch, name, change):
+        env, policy, theta = self.setups()[name]
+        theta = theta.copy()
+        sample_trajectory(env, policy, theta, substream(77, 0))
+        # an equal env or policy built anew: the same construction, another object
+        other_env, other_policy, _ = self.setups()[name]
+        if change == "new-theta":
+            theta = theta + 0.25
+        elif change == "theta-in-place":
+            theta += 0.25
+        elif change == "other-env":
+            env = other_env
+        else:
+            policy = other_policy
+        counter = CountingCalls(monkeypatch, env, policy)
+        rng, reference = substream(77, 1), substream(77, 1)
+        traj = sample_trajectory(env, policy, theta, rng)
+        assert counter.calls == {"kernels": 1, "action_kernel": 1}
+        assert_same_episode(traj, astuple(self.fresh(monkeypatch, env, policy, theta, reference)))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_interleaved_setups_match_each_alone(self, monkeypatch):
+        """Alternating two setups call by call, as validate's checks
+        alternate between theirs, gives each setup's own episodes."""
+        setups = list(self.setups().values())
+        alone = []
+        for k, (env, policy, theta) in enumerate(setups):
+            monkeypatch.setattr(mdp_module, "_bound", None)
+            rng = substream(78, k)
+            alone.append([astuple(sample_trajectory(env, policy, theta, rng)) for _ in range(50)])
+        rngs = [substream(78, k) for k in range(len(setups))]
+        for i in range(50):
+            for k, (env, policy, theta) in enumerate(setups):
+                assert_same_episode(sample_trajectory(env, policy, theta, rngs[k]), alone[k][i])
+
+    @pytest.mark.parametrize("name", ["chain", "lqg"])
+    def test_wrong_theta_shape_raises_before_any_draw(self, name):
+        env, policy, theta = self.setups()[name]
+        for bad in (np.zeros(policy.dim + 1), np.zeros((1, policy.dim))):
+            for bound_first in (False, True):
+                if bound_first:  # right after a successful call on the same setup
+                    sample_trajectory(env, policy, theta, substream(79, 0))
+                rng = substream(79, 1)
+                before = rng.bit_generator.state
+                with pytest.raises(ConfigurationError, match="theta has shape"):
+                    sample_trajectory(env, policy, bad, rng)
+                assert rng.bit_generator.state == before
+
+
+def astuple(traj) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    return traj.states, traj.actions, traj.rewards
