@@ -14,8 +14,8 @@ from .config import ExperimentConfig, build_experiment, check_seed, load_config
 from .errors import ConfigurationError, NumericError, SpgradError
 from .estimators import BaselineKind, EstimatorKind, error_bound, variance_bound
 from .oracle import DEFAULT_PATH_BUDGET
-from .runlog import write_run_csv
-from .safe_updates import MetaParams, check_schedule, lipschitz_constant, spg_run
+from .runlog import format_float, write_run_csv
+from .safe_updates import MetaParams, RunResult, check_schedule, lipschitz_constant, spg_run
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -45,10 +45,9 @@ def _effective_config(args) -> ExperimentConfig:
     return config
 
 
-def cmd_run(args) -> int:
-    config = _effective_config(args)
-    built = build_experiment(config)
-    result = spg_run(
+def _run(config: ExperimentConfig, built, fixed: "MetaParams | None" = None) -> RunResult:
+    """``spg_run`` on the built experiment, with the config's settings."""
+    return spg_run(
         built.env,
         built.policy,
         built.theta0,
@@ -57,7 +56,13 @@ def cmd_run(args) -> int:
         estimator_kind=config.estimator_kind,
         limits=config.limits,
         seed=config.seed,
+        fixed=fixed,
     )
+
+
+def cmd_run(args) -> int:
+    config = _effective_config(args)
+    result = _run(config, build_experiment(config))
     os.makedirs(config.output_dir, exist_ok=True)
     path = os.path.join(config.output_dir, "run.csv")
     write_run_csv(path, result, config_echo=config.raw)
@@ -157,17 +162,7 @@ def cmd_sweep(args) -> int:
     os.makedirs(config.output_dir, exist_ok=True)
     summary_rows = []
     for label, (text, fixed) in schedules.items():
-        result = spg_run(
-            built.env,
-            built.policy,
-            built.theta0,
-            n_iterations=config.iterations,
-            delta=config.delta,
-            estimator_kind=config.estimator_kind,
-            limits=config.limits,
-            seed=config.seed,
-            fixed=fixed,
-        )
+        result = _run(config, built, fixed)
         echo = copy.deepcopy(config.raw)
         echo["schedule"] = text
         path = os.path.join(config.output_dir, f"sweep_{label}.csv")
@@ -184,7 +179,7 @@ def cmd_sweep(args) -> int:
     with open(summary_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("schedule,final_J_hat,total_trajectories,performance_drops\n")
         for label, final_j, total, drops in summary_rows:
-            handle.write(f"{label},{format(final_j, '.17g')},{total},{drops}\n")
+            handle.write(f"{label},{format_float(final_j)},{total},{drops}\n")
     print(summary_path)
     return EXIT_OK
 

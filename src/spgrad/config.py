@@ -20,6 +20,7 @@ from typing import Any
 import numpy as np
 import yaml
 
+from . import rng
 from .errors import ConfigurationError
 from .estimators import BaselineKind, EstimatorKind
 from .mdp import ChainConfig, EnumerableEnv, Lqg1dConfig, Lqg1dEnv, make_bandit, make_chain
@@ -179,13 +180,12 @@ def _read_section(data: dict, name: str) -> dict:
 
 
 def check_seed(value) -> int:
-    """The run seed, from the config file or a command-line override: an
-    unsigned 64-bit integer."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail("seed", f"expected {int}, got {value!r}")
-    if not 0 <= value <= 2**64 - 1:
-        _fail("seed", f"must be an unsigned 64-bit integer, got {value}")
-    return value
+    """The run seed, from the config file or a command-line override, by
+    ``rng.check_seed``'s rule, its error named ``seed: `` as a key's is."""
+    try:
+        return rng.check_seed(value)
+    except ConfigurationError as exc:
+        _fail("seed", str(exc).removeprefix("seed "))
 
 
 def parse_config(data: dict) -> ExperimentConfig:

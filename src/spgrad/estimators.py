@@ -12,8 +12,8 @@ is computed in one place, the per-step fold ``TermFold``: a certified run
 feeds it each step as the block is rolled out
 (``GradientAccumulator.add_steps`` as the consumer of
 ``mdp.sample_block``), so no (T, n, m) array of scores is made, while
-``add_block`` (the exact oracle, ``add_trajectory``) and
-``trajectory_terms`` (the sampled validate checks) feed it from arrays.
+``TermFold.feed`` folds in arrays, for ``add_block`` (the exact oracle,
+``add_trajectory``) and the sampled validate checks.
 Every sum over a trajectory's steps runs in time order, one (n, m) slice
 per step, whatever the memory layout.  The baseline is zero or the component-wise
 variance-minimizing one of Peters & Schaal, b_k = E[r_k c_k^2] / E[c_k^2],
@@ -88,32 +88,6 @@ def trajectory_scores(traj: Trajectory, policy, theta: np.ndarray) -> np.ndarray
     )
 
 
-def trajectory_terms(
-    kind: EstimatorKind,
-    gamma: float,
-    rewards: np.ndarray,
-    scores: np.ndarray,
-    weights: "np.ndarray | None" = None,
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """The term form of a block of trajectories: (w R, w r, g).
-
-    ``rewards`` is (n, T) and ``scores`` (n, T, m), row i holding trajectory
-    i.  Reward terms r are (n, K), paired with the score terms c_k (n, m).
-    GPOMDP has K = T, the weighted discounted rewards w_i gamma^t r_t and
-    the cumulative scores c_t = score_0 + ... + score_t; REINFORCE has
-    K = 1, their totals: the weighted discounted return w_i R_i (n,), which
-    is returned for both kinds, and c_{T-1}.  Row i's estimate is
-    g_i = sum_k w_i r_ik c_ik (n, m); every w_i is 1 when ``weights`` is
-    None.  The arrays are fed to a ``TermFold`` one step at a time, so the
-    bits do not depend on the memory layout of ``scores``.
-    """
-    fold = TermFold(kind, gamma, rewards.shape[1], weights)
-    r = np.empty(rewards.shape)
-    for t in range(rewards.shape[1]):
-        r[:, t] = fold(t, rewards[:, t], scores[:, t])
-    return fold.ret, r if fold.gpomdp else fold.ret[:, None], fold.g
-
-
 class TermFold:
     """The term form of one block of n trajectories, folded in a step at a time.
 
@@ -136,6 +110,9 @@ class TermFold:
     r c, c, r c^2 and c^2 to the totals to continue (0.0 before any row).
     Each reward term k then sets row k of ``totals[name]``: the total
     continued by its n rows, summed in row order.
+
+    ``feed(rewards, scores)`` folds in a block given as arrays, rewards
+    (n, T) and scores (n, T, m), row i holding trajectory i.
     """
 
     PETERS_TOTALS = ("_sum_rc", "_sum_c", "_sum_rc2", "_sum_c2")
@@ -179,6 +156,13 @@ class TermFold:
         elif t == len(self.discount) - 1:
             self._add(0, self.ret)
         return r
+
+    def feed(self, rewards: np.ndarray, scores: np.ndarray) -> "TermFold":
+        """Fold in step t's rewards[:, t] and scores[:, t] for t = 0 .. T-1;
+        a block of no rows folds nothing.  Returns the fold."""
+        for t in range(rewards.shape[1] if len(rewards) else 0):
+            self(t, rewards[:, t], scores[:, t])
+        return self
 
     def _add(self, k: int, r: np.ndarray) -> None:
         """g += r c_t for reward term k, and row k of the Peters totals.
@@ -255,7 +239,7 @@ class GradientAccumulator:
         stop=None,
     ) -> bool:
         """Add a block of trajectories given as arrays: ``add_steps`` fed
-        step t's rewards[:, t] and scores[:, t] for t = 0 .. T-1.
+        by ``TermFold.feed``.
 
         ``rewards`` is (n, T) and ``scores`` (n, T, m), row i holding
         trajectory i, with the T and m of any earlier block; ``weights``
@@ -276,13 +260,7 @@ class GradientAccumulator:
                 f"block shapes disagree: rewards {rewards.shape}, scores {scores.shape}{weighted};"
                 f" expected (n, T), (n, T, {m}) and (n,)"
             )
-        n, horizon = rewards.shape
-
-        def feed(fold: TermFold) -> None:
-            for t in range(horizon if n else 0):
-                fold(t, rewards[:, t], scores[:, t])
-
-        return self.add_steps(feed, horizon, weights, stop)
+        return self.add_steps(lambda fold: fold.feed(rewards, scores), rewards.shape[1], weights, stop)
 
     def add_steps(self, feed, horizon: int, weights: "np.ndarray | None" = None, stop=None) -> bool:
         """Add a block of trajectories of ``horizon`` steps, row after row,

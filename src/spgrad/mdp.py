@@ -49,7 +49,6 @@ but the last.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import reprlib
@@ -59,7 +58,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, check_integer
 from .rng import box_muller, inverse_cdf
 
 _STOCHASTIC_ATOL = 1e-12
@@ -72,7 +71,8 @@ class MdpSpec:
 
     gamma: discount factor in (0, 1).
     r_max: bound on the absolute value of every reward the environment emits.
-    horizon: episode length T; the effective horizon of the task.
+    horizon: episode length T; the effective horizon of the task, stored as
+        an int (``check_integer``).
     """
 
     gamma: float
@@ -84,6 +84,7 @@ class MdpSpec:
             raise ConfigurationError(f"gamma must be in (0, 1), got {self.gamma}")
         if not self.r_max > 0.0:
             raise ConfigurationError(f"r_max must be positive, got {self.r_max}")
+        object.__setattr__(self, "horizon", check_integer(self.horizon, "horizon"))
         if not 1 <= self.horizon <= _INTP_MAX:
             raise ConfigurationError(
                 f"horizon must be in [1, {_INTP_MAX}], got {reprlib.repr(self.horizon)}"
@@ -105,7 +106,6 @@ class Trajectory:
             raise ValueError("trajectory must contain at least one step")
 
 
-@functools.lru_cache(maxsize=64)
 def _draw_runs(reset: str, action: str, step: str, horizon: int) -> "tuple[tuple[str, int], ...]":
     """(Generator method, count) for each run of like variates of an episode,
     in draw order: the reset's, then an action's and a transition's per step."""
@@ -148,14 +148,10 @@ def sample_trajectory(env, policy, theta: np.ndarray, rng: np.random.Generator) 
     included) rebinds.  An env or policy changed after it is built is not
     noticed; the shipped classes are never changed after construction, and
     the Softmax table memo has the same limit.  Theta's shape is checked on
-    every call, before any draw.
+    every call, by :func:`check_theta`, before any draw.
     """
     global _bound
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (policy.dim,):
-        raise ConfigurationError(
-            f"theta has shape {theta.shape}, policy expects ({policy.dim},)"
-        )
+    theta = check_theta(theta, policy.dim)
     key = (theta.shape, theta.tobytes())
     bound = _bound
     if bound is None or bound[0] is not env or bound[1] is not policy or bound[2] != key:
@@ -180,6 +176,14 @@ def sample_trajectory(env, policy, theta: np.ndarray, rng: np.random.Generator) 
         actions=np.asarray(actions),
         rewards=np.asarray(rewards, dtype=float),
     )
+
+
+def check_theta(theta: np.ndarray, dim: int) -> np.ndarray:
+    """A single theta as a float array of shape (dim,); ConfigurationError otherwise."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (dim,):
+        raise ConfigurationError(f"theta has shape {theta.shape}, policy expects ({dim},)")
+    return theta
 
 
 def row_draws(env, actor) -> int:
@@ -520,7 +524,7 @@ LEFT, RIGHT = 0, 1
 
 def make_chain(config: ChainConfig) -> EnumerableMdp:
     """Build the chain as an enumerable MDP (start at the leftmost state)."""
-    n = config.n_states
+    n = check_integer(config.n_states, "n_states")
     if n < 2:
         raise ConfigurationError(f"chain needs at least 2 states, got {n}")
     if not 0.0 <= config.slip < 1.0:

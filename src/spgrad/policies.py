@@ -31,12 +31,12 @@ a stack of theta (k, m) and returns the k tables stacked, each equal bit
 for bit to the table at its row; a single theta is the same array pass
 without the leading axis.  Both policies build a table in one array pass
 over the thetas and states.  Only the Softmax table is memoised: the
-scalar sampler asks for it once per binding of (env, policy, theta), but
+scalar sampler asks for it once per binding of (env, policy, theta),
+through ``action_kernel``, which builds its cumulative rows from it, but
 ``add_trajectory`` and the scalar methods ask for it on every call.  The
-memo is at the last theta seen, keyed by theta's shape and bytes (a
-(1, m) stack never returns a single theta's table), with the
-log-probabilities and cumulative sums.  The binned view builds its table
-on each call.
+memo holds the policy at the last theta seen, keyed by theta's shape and
+bytes (a (1, m) stack never returns a single theta's table), with the
+log-probabilities.  The binned view builds its table on each call.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, check_integer
 from .mdp import check_bin_edges, check_index
 from .rng import box_muller, inverse_cdf
 
@@ -119,6 +119,7 @@ class PolynomialFeatures:
     """phi(s) = [(s*scale)^1, ..., (s*scale)^degree] for scalar states."""
 
     def __init__(self, degree: int = 1, scale: float = 1.0):
+        degree = check_integer(degree, "degree")
         if degree < 1:
             raise ConfigurationError(f"degree must be >= 1, got {degree}")
         self.degree = degree
@@ -151,6 +152,7 @@ class StateTabularFeatures:
     """One-hot encoding of a discrete state (for Gaussian means over finite MDPs)."""
 
     def __init__(self, n_states: int):
+        n_states = check_integer(n_states, "n_states")
         if n_states < 1:
             raise ConfigurationError(f"n_states must be >= 1, got {n_states}")
         self.n_states = n_states
@@ -172,6 +174,7 @@ class TabularFeatures:
     """One-hot encoding of a (state, action) pair."""
 
     def __init__(self, n_states: int, n_actions: int):
+        n_states, n_actions = check_integer(n_states, "n_states"), check_integer(n_actions, "n_actions")
         if n_states < 1 or n_actions < 1:
             raise ConfigurationError("n_states and n_actions must be >= 1")
         self.n_states = n_states
@@ -397,9 +400,6 @@ class _SoftmaxTable(NamedTuple):
 
     probs: np.ndarray  # (S, A) pi(a | s), read-only; a row is ``action_probabilities``
     log_probs: np.ndarray  # (S, A) log pi(a | s), read-only, which ``log_pdf`` reads
-    # np.cumsum of each row of probs as a Python list, for ``bisect_right``:
-    # empty until ``action_kernel`` first reads this memo
-    cum: list
     scores: np.ndarray  # (S, A, m) read-only
 
 
@@ -416,6 +416,7 @@ class SoftmaxPolicy:
             raise ConfigurationError(f"tau must be positive and finite, got {tau}")
         if not 0 <= feature_bound < math.inf:
             raise ConfigurationError(f"feature_bound must be finite and >= 0, got {feature_bound}")
+        n_actions, n_states = check_integer(n_actions, "n_actions"), check_integer(n_states, "n_states")
         if n_actions < 2:
             raise ConfigurationError(f"need at least 2 actions, got {n_actions}")
         if n_states < 1:
@@ -473,8 +474,7 @@ class SoftmaxPolicy:
             scores = (phi - np.matmul(probs[..., None, :], phi)) / self.tau
             for table in (probs, log_probs, scores):
                 table.flags.writeable = False
-            memo = _SoftmaxTable(probs, log_probs, [], scores)
-            self._memo, self._key = memo, key
+            self._memo, self._key = _SoftmaxTable(probs, log_probs, scores), key
         return self._memo
 
     def table(self, theta: np.ndarray) -> PolicyTable:
@@ -489,11 +489,9 @@ class SoftmaxPolicy:
 
     def action_kernel(self, theta: np.ndarray):
         """``act(state, u)``: the action at ``state`` for the uniform u, from
-        the cumulative rows of the table at theta, looked up once."""
-        memo, last, n_states = self._table(theta), self.n_actions - 1, self.n_states
-        cum = memo.cum
-        if not cum:
-            cum.extend(np.cumsum(memo.probs, axis=1).tolist())
+        the cumulative rows of the table at theta, built once per call."""
+        cum = np.cumsum(self._table(theta).probs, axis=1).tolist()
+        last, n_states = self.n_actions - 1, self.n_states
 
         def act(state, u: float) -> int:
             # the states the env kernels produce skip check_index
@@ -555,6 +553,7 @@ class SoftmaxActor:
     draws = 1
 
     def __init__(self, policy: SoftmaxPolicy, theta: np.ndarray):
+        _floats(theta, policy.dim)  # a single theta, as ``GaussianActor`` takes
         table = policy.table(theta)
         self.n_actions = policy.n_actions
         self.dim = policy.dim
@@ -604,6 +603,7 @@ class BinnedGaussianPolicy:
     """
 
     def __init__(self, gaussian: GaussianPolicy, edges: np.ndarray, n_states: int):
+        n_states = check_integer(n_states, "n_states")
         if n_states < 1:
             raise ConfigurationError(f"n_states must be >= 1, got {n_states}")
         self.gaussian = gaussian

@@ -38,7 +38,7 @@ from .estimators import (
     variance_bound,
 )
 # sample_trajectory and substream stay bound here: perfbench patches them by name
-from .mdp import row_draws, sample_block, sample_trajectory
+from .mdp import check_theta, row_draws, sample_block, sample_trajectory
 from .policies import SmoothingConstants
 from .rng import UniformRows, check_seed, substream
 
@@ -334,10 +334,7 @@ def spg_run(
     theta = np.asarray(theta0, dtype=float).copy()
     if not np.all(np.isfinite(theta)):
         raise ConfigurationError("theta0 must be finite")
-    if theta.shape != (policy.dim,):
-        raise ConfigurationError(
-            f"theta has shape {theta.shape}, policy expects ({policy.dim},)"
-        )
+    check_theta(theta, policy.dim)
     if check_integer(n_iterations, "n_iterations") < 1:
         raise ConfigurationError(f"n_iterations must be >= 1, got {n_iterations}")
     check_seed(seed)

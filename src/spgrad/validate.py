@@ -27,7 +27,7 @@ so each later call pays only for its episode), checks each chunk against
 the horizon and r_max contract the bounds assume, and scores chunks of at
 most ``estimators.BLOCK_ROWS`` of them at once (whole batches of 25 in the
 Chebyshev check).  Per-trajectory estimates come from
-``estimators.trajectory_terms`` and are summed in row order, so every
+``estimators.TermFold.feed`` and are summed in row order, so every
 statistic equals the one-at-a-time sum and none depends on the chunk size.
 
 ``check_quadratic_bound`` and ``check_hessian_bound`` take a
@@ -49,13 +49,13 @@ from .estimators import (
     BLOCK_ROWS,
     BaselineKind,
     EstimatorKind,
+    TermFold,
     error_bound,
     running_sums,
-    trajectory_terms,
     variance_bound,
 )
 from .mdp import sample_trajectory
-from .policies import GaussianPolicy, PolynomialFeatures, SmoothingConstants
+from .policies import GaussianPolicy, PolynomialFeatures, SoftmaxPolicy, TabularFeatures
 from .oracle import (
     DEFAULT_PATH_BUDGET,
     enumerated_gradient,
@@ -310,10 +310,8 @@ def check_constants_closed_forms(seed: int):
             2.0 * bound**2 * r / (sigma**2 * (1 - gamma) ** 2)
             * (1.0 + 2.0 * gamma / (math.pi * (1.0 - gamma)))
         )
-        soft = lipschitz_constant(
-            SmoothingConstants(2 * bound / tau, 4 * bound**2 / tau**2, 2 * bound**2 / tau**2),
-            spec_like,
-        )
+        softmax = SoftmaxPolicy(TabularFeatures(1, 2), bound, tau, n_actions=2, n_states=1)
+        soft = lipschitz_constant(softmax.smoothing_constants(), spec_like)
         soft_table = (
             2.0 * bound**2 * r / (tau**2 * (1 - gamma) ** 2)
             * (3.0 + 4.0 * gamma / (1.0 - gamma))
@@ -329,7 +327,7 @@ def _sampled_estimates(env, policy, theta: np.ndarray, rng, n: int, chunk: int, 
 
     Each trajectory is one ``sample_trajectory`` call; a chunk's rewards are
     stacked, its scores taken in one ``policy.actor(theta).score`` call and
-    its estimates in one ``trajectory_terms`` call per kind.  Yields None,
+    its estimates by one ``TermFold.feed`` per kind.  Yields None,
     and stops, at the first chunk with a trajectory that breaks the
     contract the bounds assume: exactly ``horizon`` steps and every
     |reward| <= r_max.
@@ -345,7 +343,7 @@ def _sampled_estimates(env, policy, theta: np.ndarray, rng, n: int, chunk: int, 
             yield None
             return
         scores = actor.score(np.stack([t.states for t in trajs]), np.stack([t.actions for t in trajs]))
-        yield {kind: trajectory_terms(kind, spec.gamma, rewards, scores)[2] for kind in kinds}
+        yield {kind: TermFold(kind, spec.gamma, spec.horizon).feed(rewards, scores).g for kind in kinds}
 
 
 def variance_setups() -> "dict[str, tuple]":

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from spgrad.cli import EXIT_CONFIG, EXIT_OK, EXIT_SKIPPED, main
-from spgrad.config import load_config, parse_config, build_experiment
+from spgrad.config import build_experiment, check_seed, load_config, parse_config
 from spgrad.errors import ConfigurationError
 from spgrad.estimators import EstimatorKind, GradientAccumulator, variance_bound
 from spgrad.mdp import MdpSpec, sample_trajectory
@@ -21,7 +21,12 @@ from spgrad.policies import SoftmaxPolicy, TabularFeatures
 from spgrad.rng import substream
 from spgrad.runlog import read_run_csv
 from spgrad.testbeds import two_state_instance
-from spgrad.validate import check_hessian_bound, check_quadratic_bound, run_validation
+from spgrad.validate import (
+    check_constants_closed_forms,
+    check_hessian_bound,
+    check_quadratic_bound,
+    run_validation,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -110,6 +115,17 @@ class TestConfigParsing:
         data = chain_config(tmp_path, seed=seed)
         with pytest.raises(ConfigurationError, match=r"^seed: "):
             parse_config(data)
+
+    def test_seed_rule_is_the_rng_one(self):
+        assert check_seed(np.uint64(5)) == 5 and type(check_seed(np.uint64(5))) is int
+        for seed, message in (
+            (True, "seed: must be an integer, got True"),
+            (1.5, "seed: must be an integer, got 1.5"),
+            (2**64, f"seed: must be an unsigned 64-bit integer, got {2**64}"),
+        ):
+            with pytest.raises(ConfigurationError) as caught:
+                check_seed(seed)
+            assert str(caught.value) == message
 
     def test_build_experiment_shapes(self, tmp_path):
         built = build_experiment(parse_config(chain_config(tmp_path)))
@@ -498,6 +514,20 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "seed: must be an unsigned 64-bit integer" in captured.err
+
+    def test_constants_check_judges_the_softmax_method(self, monkeypatch):
+        # a kappa a quarter of the shipped one must fail the closed forms
+        shipped = SoftmaxPolicy.smoothing_constants
+        assert check_constants_closed_forms(20240).status == "pass"
+
+        def quarter_kappa(policy):
+            sc = shipped(policy)
+            return dataclasses.replace(sc, kappa=sc.kappa / 4.0)
+
+        monkeypatch.setattr(SoftmaxPolicy, "smoothing_constants", quarter_kappa)
+        result = check_constants_closed_forms(20240)
+        assert result.status == "fail"
+        assert float(result.observed.removeprefix("max relative gap = ")) > 0.1
 
     def test_corrupted_lipschitz_constant_fails_bound_checks(self):
         # The closed-form L dominates the true curvature by about four

@@ -9,9 +9,9 @@ from spgrad.estimators import (
     EstimatorKind,
     GradientAccumulator,
     GradientEstimate,
+    TermFold,
     error_bound,
     trajectory_scores,
-    trajectory_terms,
     variance_bound,
 )
 from spgrad.mdp import MdpSpec, Trajectory, sample_trajectory
@@ -271,7 +271,7 @@ def same_bits(got, want) -> bool:
 
 
 class TestTermFormMatchesNumpyExpressions:
-    """``trajectory_terms`` and ``add_block`` give, bit for bit, what the
+    """``TermFold`` and ``add_block`` give, bit for bit, what the
     plain-Python reference gives row by row, summing every trajectory's
     steps in time order and the rows in row order, for C-ordered and
     step-major ``scores`` alike."""
@@ -285,10 +285,30 @@ class TestTermFormMatchesNumpyExpressions:
         for w in (None, weights):
             want_ret, want_r, _, want_g = python_terms(kind, 0.9, rewards, scores, w)
             for layout in (scores, step_major(scores)):
-                ret, r, g = trajectory_terms(kind, 0.9, rewards, layout, w)
-                assert same_bits(ret, want_ret)
-                assert same_bits(r, want_r)
-                assert same_bits(g, want_g)
+                fold = TermFold(kind, 0.9, horizon, w)
+                r = np.stack([fold(t, rewards[:, t], layout[:, t]) for t in range(horizon)], axis=1)
+                assert same_bits(fold.ret, want_ret)
+                assert same_bits(r if fold.gpomdp else fold.ret[:, None], want_r)
+                assert same_bits(fold.g, want_g)
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("m, horizon", SHAPES)
+    def test_feed_is_the_step_by_step_fold(self, kind, m, horizon):
+        rewards, scores, weights = term_inputs(2, 40, horizon, m)
+        for w in (None, weights):
+            for layout in (scores, step_major(scores)):
+                stepped = TermFold(kind, 0.9, horizon, w)
+                for t in range(horizon):
+                    stepped(t, rewards[:, t], layout[:, t])
+                fed = TermFold(kind, 0.9, horizon, w)
+                assert fed.feed(rewards, layout) is fed
+                assert same_bits(fed.ret, stepped.ret)
+                assert same_bits(fed.c, stepped.c)
+                assert same_bits(fed.g, stepped.g)
+
+    def test_feed_of_no_rows_folds_nothing(self):
+        fold = TermFold(EstimatorKind.GPOMDP, 0.9, 3).feed(np.empty((0, 3)), np.empty((0, 3, 2)))
+        assert fold.g is None and fold.ret == 0.0
 
     @pytest.mark.parametrize("kind", list(EstimatorKind))
     @pytest.mark.parametrize("m, horizon", SHAPES)

@@ -1,6 +1,9 @@
 """Static checks on src/spgrad/ and tests/ that need no linter: unused
-module-level imports, and private module-level names that nothing reads."""
+module-level imports, and private module-level names that nothing reads.
+An import kept unused for the benchmark is allowed only while the
+benchmark still patches it."""
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ TESTS = Path(__file__).resolve().parent
 
 # bound for the benchmark, which patches them by name
 KEPT = {"safe_updates.py": {"sample_trajectory", "substream"}}
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 
 def _bound_names(node: "ast.Import | ast.ImportFrom") -> "list[str]":
@@ -117,6 +121,17 @@ def test_no_unused_module_imports(path):
     if _source_id(path) == "__init__.py":
         allowed = allowed | _exported(path)
     assert unused_imports(path.read_text(), allowed) == []
+
+
+def test_kept_names_are_still_patched_by_the_benchmark():
+    # an allowance outlives its reason once perfbench stops patching the name
+    sys.path.insert(0, str(PERFBENCH))
+    import spans
+
+    targets = {(owner.__name__, attr) for owner, attr, _ in spans._FUNCTION_TARGETS}
+    for source, names in KEPT.items():
+        module = "spgrad." + source.removesuffix(".py")
+        assert {(module, name) for name in names} <= targets
 
 
 def test_unused_import_is_caught():

@@ -14,6 +14,7 @@ from spgrad.mdp import (
     Lqg1dEnv,
     MdpSpec,
     Trajectory,
+    check_theta,
     make_bandit,
     make_chain,
     row_draws,
@@ -30,6 +31,7 @@ from spgrad.policies import (
     TabularFeatures,
 )
 from spgrad.rng import UniformRows, box_muller, inverse_cdf, substream
+from spgrad.safe_updates import spg_run
 from spgrad.testbeds import (
     DiscreteInstance,
     bandit_instance,
@@ -66,6 +68,23 @@ class TestMdpSpec:
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
             MdpSpec(**kwargs)
+
+    @pytest.mark.parametrize("horizon", [2.5, 3.0, True, "3"])
+    def test_non_integer_horizon_refused(self, horizon):
+        with pytest.raises(ConfigurationError, match="^horizon must be an integer, got "):
+            MdpSpec(gamma=0.9, r_max=1.0, horizon=horizon)
+
+    def test_numpy_integer_horizon_stored_as_int(self):
+        spec = MdpSpec(gamma=0.9, r_max=1.0, horizon=np.int64(4))
+        assert type(spec.horizon) is int and spec.horizon == 4
+        # an int out of range keeps its range message
+        with pytest.raises(ConfigurationError, match=r"^horizon must be in \[1, \d+\], got 0$"):
+            MdpSpec(gamma=0.9, r_max=1.0, horizon=np.int64(0))
+
+    def test_bandit_with_a_float_horizon_is_refused_before_any_run(self):
+        # before, it built, nu^2 was computed at T = 2.5, and spg_run died in range()
+        with pytest.raises(ConfigurationError, match="^horizon must be an integer"):
+            make_bandit([1.0, 0.0], horizon=2.5)
 
 
 class TestTrajectory:
@@ -111,6 +130,24 @@ class TestSampleTrajectory:
     def test_theta_dimension_checked(self, chain):
         with pytest.raises(ConfigurationError):
             sample_trajectory(chain.env, chain.policy, np.zeros(2), substream(0, 0))
+
+    @pytest.mark.parametrize("theta", [np.zeros(2), np.zeros((1, 6)), 0.0])
+    def test_sampler_and_run_share_check_theta(self, chain, theta):
+        with pytest.raises(ConfigurationError) as want:
+            check_theta(theta, chain.policy.dim)
+        shape = np.shape(theta)
+        assert str(want.value) == f"theta has shape {shape}, policy expects (6,)"
+        for call in (
+            lambda: sample_trajectory(chain.env, chain.policy, theta, substream(0, 0)),
+            lambda: spg_run(chain.env, chain.policy, theta, n_iterations=1, delta=0.5),
+        ):
+            with pytest.raises(ConfigurationError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
+    def test_check_theta_returns_floats(self):
+        theta = check_theta([1, 2], 2)
+        assert theta.dtype == float and theta.tolist() == [1.0, 2.0]
 
     def test_length_and_reward_bound(self, chain, lqg):
         env, policy = lqg
@@ -231,6 +268,15 @@ class TestChain:
     def test_too_short_rejected(self):
         with pytest.raises(ConfigurationError):
             make_chain(ChainConfig(n_states=1))
+
+    @pytest.mark.parametrize("n_states", [3.0, 2.5, True])
+    def test_non_integer_state_count_refused(self, n_states):
+        with pytest.raises(ConfigurationError, match="^n_states must be an integer, got "):
+            make_chain(ChainConfig(n_states=n_states))
+
+    def test_numpy_integer_state_count_stored_as_int(self):
+        mdp = make_chain(ChainConfig(n_states=np.int64(3)))
+        assert type(mdp.n_states) is int and mdp.n_states == 3
 
     def test_bad_slip_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -15,6 +15,7 @@ from spgrad.policies import (
     TabularFeatures,
 )
 from spgrad.rng import box_muller, substream
+from spgrad.testbeds import chain_instance
 
 from conftest import random_theta
 
@@ -571,6 +572,65 @@ class TestGaussianThetaShape:
         policy = GaussianPolicy(StateTabularFeatures(3), feature_bound=1.0, sigma=0.5)
         with pytest.raises(ValueError, match="^theta has shape"):
             policy.mean(np.zeros((1, 3)), 1)
+
+
+class TestSoftmaxThetaShape:
+    def test_actor_refuses_a_stack(self):
+        policy = chain_instance().policy
+        with pytest.raises(ValueError, match=r"^theta has shape \(2, 6\), expected \(6,\)$"):
+            policy.actor(np.zeros((2, 6)))
+
+
+def gaussian_view(n_states):
+    return BinnedGaussianPolicy(scalar_gaussian(), np.array([0.0]), n_states)
+
+
+# name -> (builder of the one count it is given, the error at count 0)
+COUNTS = {
+    "PolynomialFeatures.degree": (PolynomialFeatures, "degree must be >= 1, got 0"),
+    "StateTabularFeatures.n_states": (StateTabularFeatures, "n_states must be >= 1, got 0"),
+    "TabularFeatures.n_states": (
+        lambda n: TabularFeatures(n, 2), "n_states and n_actions must be >= 1"
+    ),
+    "TabularFeatures.n_actions": (
+        lambda n: TabularFeatures(2, n), "n_states and n_actions must be >= 1"
+    ),
+    "SoftmaxPolicy.n_actions": (
+        lambda n: SoftmaxPolicy(TabularFeatures(1, 2), 1.0, 1.0, n, 1), "need at least 2 actions, got 0"
+    ),
+    "SoftmaxPolicy.n_states": (
+        lambda n: SoftmaxPolicy(TabularFeatures(1, 2), 1.0, 1.0, 2, n), "n_states must be >= 1, got 0"
+    ),
+    "BinnedGaussianPolicy.n_states": (gaussian_view, "n_states must be >= 1, got 0"),
+}
+
+
+class TestCountsAreIntegers:
+    """Every count of a feature map or policy is an int where it is built:
+    a numpy integer is stored as its int, and a float or a bool is refused
+    with a ConfigurationError that names the count, never truncated."""
+
+    @pytest.mark.parametrize("name", list(COUNTS))
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, "2"])
+    def test_non_integer_refused(self, name, count):
+        field = name.split(".")[1]
+        with pytest.raises(ConfigurationError, match=f"^{field} must be an integer, got "):
+            COUNTS[name][0](count)
+
+    @pytest.mark.parametrize("name", list(COUNTS))
+    def test_numpy_integer_stored_as_int(self, name):
+        build, out_of_range = COUNTS[name]
+        field = name.split(".")[1]
+        built = build(np.int32(2))
+        assert type(getattr(built, field)) is int and getattr(built, field) == 2
+        # an int out of range keeps its range message
+        with pytest.raises(ConfigurationError, match=f"^{out_of_range}$"):
+            build(np.int32(0))
+
+    def test_a_float_state_count_never_reaches_a_table(self):
+        # before, this built and then raised a bare TypeError in table(theta)
+        with pytest.raises(ConfigurationError):
+            SoftmaxPolicy(TabularFeatures(2, 2), 1.0, 1.0, n_actions=2, n_states=2.5).table(np.zeros(4))
 
 
 class TestFeatureMaps:
