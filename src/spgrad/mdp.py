@@ -235,7 +235,8 @@ class EnumerableMdp:
     """A finite MDP given by explicit tables; the substrate for exact oracles.
 
     transition[s, a, s'] holds the transition probabilities, reward[s, a]
-    the (deterministic) rewards, initial[s] the start distribution.
+    the (deterministic) rewards, initial[s] the start distribution.  The
+    counts must be integers >= 1 (``check_integer``) and are stored as ints.
     """
 
     n_states: int
@@ -246,6 +247,11 @@ class EnumerableMdp:
     spec: MdpSpec
 
     def __post_init__(self) -> None:
+        for name in ("n_states", "n_actions"):
+            count = check_integer(getattr(self, name), name)
+            if count < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {count}")
+            setattr(self, name, count)
         self.transition = np.asarray(self.transition, dtype=float)
         self.reward = np.asarray(self.reward, dtype=float)
         self.initial = np.asarray(self.initial, dtype=float)

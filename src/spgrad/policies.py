@@ -190,10 +190,15 @@ class ActionIndicatorFeatures:
     """phi(s, a) = [1] if a equals the active action, else [0].
 
     One-parameter feature for small bandit instances; the induced Softmax is
-    a sigmoid in theta.
+    a sigmoid in theta.  ``active`` must be an integer >= 0; one past the
+    last action gives phi = [0] for every action, which ``SoftmaxPolicy``
+    refuses.
     """
 
     def __init__(self, active: int = 0):
+        active = check_integer(active, "active")
+        if active < 0:
+            raise ConfigurationError(f"active must be >= 0, got {active}")
         self.active = active
         self.dim = 1
 
@@ -406,7 +411,8 @@ class _SoftmaxTable(NamedTuple):
 class SoftmaxPolicy:
     """Discrete-action Softmax: pi(a|s) proportional to exp(theta . phi(s,a) / tau)
     on states 0 .. n_states-1.  The features are evaluated once, and their
-    bound checked, when the first table is built.
+    bound checked, when the first table is built; features that are the same
+    for every action at every state are refused, since they leave pi uniform.
     """
 
     variate = "random"  # the Generator method of an action's variate
@@ -444,6 +450,9 @@ class SoftmaxPolicy:
                 raise ConfigurationError(
                     f"||phi(state, action)|| = {worst} exceeds feature_bound {self.feature_bound}"
                 )
+            if np.all(phi == phi[:, :1]):
+                # then every action is equally likely at every theta and every score is 0
+                raise ConfigurationError("phi(state, action) is the same for every action at every state")
             self._phi = phi
         return self._phi
 

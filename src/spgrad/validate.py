@@ -24,11 +24,13 @@ tests can draw their own streams.  Each helper call builds one generator,
 row order, one ``sample_trajectory`` call each (the sampler binds its
 kernels at a helper call's first trajectory and reuses them for the rest,
 so each later call pays only for its episode), checks each chunk against
-the horizon and r_max contract the bounds assume, and scores chunks of at
-most ``estimators.BLOCK_ROWS`` of them at once (whole batches of 25 in the
-Chebyshev check).  Per-trajectory estimates come from
-``estimators.TermFold.feed`` and are summed in row order, so every
-statistic equals the one-at-a-time sum and none depends on the chunk size.
+the horizon and r_max contract the bounds assume, builds each chunk's
+rewards, states and actions with one concatenation per field, and scores
+chunks of at most ``estimators.BLOCK_ROWS`` of them at once (whole batches
+of 25 in the Chebyshev check, which sums a chunk's estimates in one pass).
+Per-trajectory estimates come from ``estimators.TermFold.feed`` and are
+summed in row order, so every statistic equals the one-at-a-time sum and
+none depends on the chunk size.
 
 ``check_quadratic_bound`` and ``check_hessian_bound`` take a
 ``lipschitz_scale`` that multiplies the smoothness constant; shrinking it
@@ -325,24 +327,30 @@ def _sampled_estimates(env, policy, theta: np.ndarray, rng, n: int, chunk: int, 
     of ``rng`` under the policy at theta, one chunk of at most ``chunk``
     trajectories at a time, in row order: yields kind -> (rows, m) per chunk.
 
-    Each trajectory is one ``sample_trajectory`` call; a chunk's rewards are
-    stacked, its scores taken in one ``policy.actor(theta).score`` call and
-    its estimates by one ``TermFold.feed`` per kind.  Yields None,
-    and stops, at the first chunk with a trajectory that breaks the
-    contract the bounds assume: exactly ``horizon`` steps and every
-    |reward| <= r_max.
+    Each trajectory is one ``sample_trajectory`` call.  A chunk's rewards,
+    states and actions are each one concatenation of its trajectories,
+    reshaped to (rows, horizon); its scores come from one
+    ``policy.actor(theta).score`` call and its estimates from one
+    ``TermFold.feed`` per kind.  Yields None, and stops, at the first chunk
+    with a trajectory that breaks the contract the bounds assume: exactly
+    ``horizon`` steps and every |reward| <= r_max.
     """
     spec = env.spec
     actor = policy.actor(theta)
     for first in range(0, n, chunk):
         trajs = [sample_trajectory(env, policy, theta, rng) for _ in range(min(chunk, n - first))]
-        # np.stack needs equal lengths, so the horizon is checked first
+        shape = (len(trajs), spec.horizon)
+        # a short and a long trajectory can still concatenate to rows * horizon
+        # values, so each length is checked before the reshape
         if any(len(t.rewards) != spec.horizon for t in trajs) or not (
-            np.max(np.abs(rewards := np.stack([t.rewards for t in trajs]))) <= spec.r_max + 1e-12
+            np.max(np.abs(rewards := np.concatenate([t.rewards for t in trajs]).reshape(shape)))
+            <= spec.r_max + 1e-12
         ):
             yield None
             return
-        scores = actor.score(np.stack([t.states for t in trajs]), np.stack([t.actions for t in trajs]))
+        states = np.concatenate([t.states for t in trajs]).reshape(shape)
+        actions = np.concatenate([t.actions for t in trajs]).reshape(shape)
+        scores = actor.score(states, actions)
         yield {kind: TermFold(kind, spec.gamma, spec.horizon).feed(rewards, scores).g for kind in kinds}
 
 
@@ -433,10 +441,11 @@ def chebyshev_violations(
         if estimates is None:
             return None
         for kind, g in estimates.items():
-            for rows in np.split(g, len(g) // batch):
-                err = np.linalg.norm(running_sums(0.0, rows)[-1] / batch - exact)
-                for delta in (0.1, 0.5):
-                    violations[kind, delta] += bool(err > radius[kind, delta])
+            # estimate i's batch, summed in row order; one norm per estimate
+            totals = running_sums(0.0, g.reshape(-1, batch, g.shape[1]).swapaxes(0, 1))[-1]
+            err = np.array([np.linalg.norm(total / batch - exact) for total in totals])
+            for delta in (0.1, 0.5):
+                violations[kind, delta] += int(np.count_nonzero(err > radius[kind, delta]))
     return {pair: count / n_estimates for pair, count in violations.items()}
 
 

@@ -15,7 +15,7 @@ from spgrad.cli import EXIT_CONFIG, EXIT_OK, EXIT_SKIPPED, main
 from spgrad.config import build_experiment, check_seed, load_config, parse_config
 from spgrad.errors import ConfigurationError
 from spgrad.estimators import EstimatorKind, GradientAccumulator, variance_bound
-from spgrad.mdp import MdpSpec, sample_trajectory
+from spgrad.mdp import MdpSpec, Trajectory, sample_trajectory
 from spgrad.oracle import exact_gradient
 from spgrad.policies import SoftmaxPolicy, TabularFeatures
 from spgrad.rng import substream
@@ -727,6 +727,50 @@ class TestValidateSampling:
         assert sampled == {"calls": 0, "streams": 0}
         ratios = validate.variance_ratios(setup, 5, 2, 9)
         assert all(ratio > 0.0 for ratio in ratios.values())
+
+
+class TestChunkAssembly:
+    """validate builds a chunk's fields by one concatenation each, reshaped to
+    (rows, horizon); a short and a long trajectory in one chunk concatenate
+    to rows * horizon values, so only the per-trajectory horizon check tells
+    them from a chunk of whole episodes."""
+
+    @staticmethod
+    def offset_sampler(monkeypatch):
+        """Installs a sampler whose 4th trajectory drops its last step and
+        whose 5th repeats it."""
+        import spgrad.validate as validate
+
+        calls = itertools.count()
+
+        def sampler(env, policy, theta, rng):
+            traj = sample_trajectory(env, policy, theta, rng)
+            fields = (traj.states, traj.actions, traj.rewards)
+            i = next(calls)
+            if i == 3:
+                return Trajectory(*(x[:-1] for x in fields))
+            if i == 4:
+                return Trajectory(*(np.append(x, x[-1]) for x in fields))
+            return traj
+
+        monkeypatch.setattr(validate, "sample_trajectory", sampler)
+
+    def test_offset_lengths_break_the_contract(self, monkeypatch):
+        import spgrad.validate as validate
+
+        setups = list(validate.variance_setups().values())
+        kinds = tuple(EstimatorKind)
+        breach = "a trajectory breaks the horizon or r_max contract"
+        for idx, setup in enumerate(setups):
+            self.offset_sampler(monkeypatch)
+            assert validate.variance_ratios(setup, 5, 30, 9, idx) is None
+        self.offset_sampler(monkeypatch)
+        # the first chunk of 20 estimates holds both offset trajectories
+        assert validate.chebyshev_violations(5, 41, kinds, 10) is None
+        for check, size in ((validate.check_variance_bound, 30), (validate.check_chebyshev, 2)):
+            self.offset_sampler(monkeypatch)
+            result = check(5, size)
+            assert (result.status, result.observed) == ("fail", breach)
 
 
 class TestSweepCommand:

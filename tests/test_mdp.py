@@ -313,6 +313,37 @@ class TestEnumerableMdp:
                     spec=MdpSpec(0.9, 1.0, 1),
                 )
 
+    @staticmethod
+    def one_state_bandit(n_states=1, n_actions=2):
+        return EnumerableMdp(
+            n_states=n_states,
+            n_actions=n_actions,
+            transition=np.ones((1, 2, 1)),
+            reward=np.array([[1.0, 0.0]]),
+            initial=np.ones(1),
+            spec=MdpSpec(0.9, 1.0, 1),
+        )
+
+    @pytest.mark.parametrize("field", ["n_states", "n_actions"])
+    @pytest.mark.parametrize("count", [1.0, 2.0, True, 1.5, "1"])
+    def test_non_integer_count_refused(self, field, count):
+        # before, a float count equal to the table's shape built, and only
+        # EnumerableEnv failed, with a bare TypeError
+        with pytest.raises(ConfigurationError, match=f"^{field} must be an integer, got "):
+            self.one_state_bandit(**{field: count})
+
+    @pytest.mark.parametrize("field", ["n_states", "n_actions"])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_refused(self, field, count):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be >= 1, got {count}$"):
+            self.one_state_bandit(**{field: count})
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        mdp = self.one_state_bandit(np.int64(1), np.int32(2))
+        assert (type(mdp.n_states), type(mdp.n_actions)) == (int, int)
+        assert (mdp.n_states, mdp.n_actions) == (1, 2)
+        EnumerableEnv(mdp)
+
     def test_binned_env_requires_matching_edges(self, binned_gaussian):
         with pytest.raises(ConfigurationError):
             EnumerableEnv(binned_gaussian.mdp, bin_edges=np.array([0.0]))

@@ -45,6 +45,17 @@ class RowFeatures:
         return self.rows[np.asarray(states, dtype=int)]
 
 
+class PairFeatures:
+    """A stand-in feature map: (state s, action a) has the features ``table[s][a]``."""
+
+    def __init__(self, table):
+        self.table = np.array(table, dtype=float)
+        self.dim = self.table.shape[2]
+
+    def __call__(self, state, action):
+        return self.table[state, action]
+
+
 class TestSampling:
     def test_gaussian_zero_mean(self):
         policy = scalar_gaussian()
@@ -631,6 +642,42 @@ class TestCountsAreIntegers:
         # before, this built and then raised a bare TypeError in table(theta)
         with pytest.raises(ConfigurationError):
             SoftmaxPolicy(TabularFeatures(2, 2), 1.0, 1.0, n_actions=2, n_states=2.5).table(np.zeros(4))
+
+
+class TestActionBlindSoftmax:
+    """A Softmax whose features ignore the action is uniform at every theta,
+    so every gradient is 0; it is refused where the feature table is built."""
+
+    @pytest.mark.parametrize("active", [1.5, 1.0, True, "1"])
+    def test_indicator_active_is_an_integer(self, active):
+        with pytest.raises(ConfigurationError, match="^active must be an integer, got "):
+            ActionIndicatorFeatures(active=active)
+
+    def test_indicator_active_below_zero_refused(self):
+        with pytest.raises(ConfigurationError, match="^active must be >= 0, got -1$"):
+            ActionIndicatorFeatures(active=-1)
+
+    def test_indicator_active_stored_as_int(self):
+        features = ActionIndicatorFeatures(active=np.int32(1))
+        assert type(features.active) is int and features.active == 1
+
+    @pytest.mark.parametrize("active", [2, 5])
+    def test_indicator_past_the_last_action_refused(self, active):
+        # before, the table was [[0.5, 0.5]] at every theta, with no error
+        policy = SoftmaxPolicy(ActionIndicatorFeatures(active=active), 1.0, 1.0, 2, 1)
+        with pytest.raises(ConfigurationError, match="same for every action at every state"):
+            policy.table(np.array([3.0]))
+
+    def test_state_only_features_refused(self):
+        # phi(s, a) = [s] at both states
+        policy = SoftmaxPolicy(PairFeatures([[[0.0], [0.0]], [[1.0], [1.0]]]), 1.0, 1.0, 2, 2)
+        with pytest.raises(ConfigurationError, match="same for every action at every state"):
+            policy.actor(np.array([1.0]))
+
+    def test_one_state_that_tells_actions_apart_is_enough(self):
+        policy = SoftmaxPolicy(PairFeatures([[[0.0], [0.0]], [[1.0], [0.0]]]), 1.0, 1.0, 2, 2)
+        probs = policy.table(np.array([2.0])).probs
+        assert probs[0, 0] == probs[0, 1] and probs[1, 0] > probs[1, 1]
 
 
 class TestFeatureMaps:
