@@ -17,7 +17,8 @@ policy's ``variate`` and ``action_kernel(theta)`` do the same for an action.
 generator call per run of like ones: the values and the end state of one
 call per variate, though no longer the same calls.  It then runs the
 kernels in Python floats, ints and lists (``bisect_right`` for an
-inverse-CDF draw, ``min``/``max`` for a clamp), giving the values of the
+inverse-CDF draw, for a clamp the comparisons ``min(max(x, low), high)``
+makes, which keep a NaN and signed zeros), giving the values of the
 numpy forms (``np.searchsorted(..., side="right")``, ``np.clip``,
 ``rng.uniform``).  It binds the runs and kernels once per (env, policy,
 theta) and keeps the one binding for the calls that follow, so a call
@@ -446,9 +447,10 @@ class Lqg1dEnv:
 
     def kernels(self):
         """``reset(u)`` from a uniform u and ``step(state, action, z)`` from a
-        standard normal z, the config's floats bound once."""
+        standard normal z, the config's floats bound once.  ``step`` takes a
+        Python float as it is and passes anything else through ``float()``."""
         cfg = self.config
-        low, high, s_max = -cfg.s_max, cfg.s_max, cfg.s_max
+        low, high = -cfg.s_max, cfg.s_max
         q, c, r_max = cfg.q, cfg.c, cfg.r_max
         a_dyn, b_dyn, noise_std = cfg.a_dyn, cfg.b_dyn, cfg.noise_std
 
@@ -457,14 +459,21 @@ class Lqg1dEnv:
             return low + (high - low) * u
 
         def step(state: float, action: float, z: float) -> "tuple[float, float]":
-            s = float(state)
-            a = float(action)
+            s = state if type(state) is float else float(state)
+            a = action if type(action) is float else float(action)
             if not math.isfinite(a):
                 raise NumericError(f"non-finite action {a}")
-            reward = -min(q * s * s + c * a * a, r_max)
+            # -min(cost, r_max): a NaN cost stays NaN
+            cost = q * s * s + c * a * a
+            reward = -(r_max if r_max < cost else cost)
             drift = a_dyn * s + b_dyn * a + noise_std * z
-            # np.clip(drift, -s_max, s_max); a NaN drift stays NaN, as there
-            return min(max(drift, -s_max), s_max), reward
+            # np.clip(drift, low, high), as min(max(drift, low), high) takes
+            # it: a NaN drift stays NaN, and signed zeros stay
+            if low > drift:
+                drift = low
+            elif high < drift:
+                drift = high
+            return drift, reward
 
         return reset, step
 

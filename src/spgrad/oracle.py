@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, OracleBudgetError
+from .errors import NumericError, OracleBudgetError, check_integer
 from .estimators import BLOCK_ROWS, BaselineKind, EstimatorKind, GradientAccumulator, running_sums
 from .mdp import EnumerableMdp
 from .policies import PolicyTable
@@ -88,7 +88,9 @@ def _check_budget(mdp: EnumerableMdp, probs: np.ndarray, budget: int) -> None:
     The count runs forward in Python integers, so it cannot overflow.  It is
     never below the number of paths ``_walk_paths`` visits, which skips the
     same zero entries and also a path whose probability underflows to zero.
+    A budget that is not an integer is a ConfigurationError (``check_integer``).
     """
+    budget = check_integer(budget, "budget")
     allowed = probs > 0.0
     # edges[s][s2]: the allowed actions at s that can lead to s2
     edges = (allowed[:, :, None] & (mdp.transition > 0.0)).sum(axis=1).tolist()

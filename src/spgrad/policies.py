@@ -217,7 +217,9 @@ class GaussianPolicy:
     ``feature_bound`` must dominate ||phi(s)|| for every state the policy is
     queried on; it is asserted online because the sup-norm of an arbitrary
     feature map is not computable in general.  The scalar methods read the
-    features as Python floats, through the map's ``values`` where it has one.
+    features as Python floats, through the map's ``values`` where it has one;
+    the act on a one-feature ``PolynomialFeatures`` map computes its one
+    feature itself (see ``action_kernel``).
     """
 
     variate = "standard_normal"  # the Generator method of an action's variate
@@ -231,6 +233,10 @@ class GaussianPolicy:
         self.feature_bound = feature_bound
         self.sigma = sigma
         self.variance = _square(sigma)
+        # the norm above which a state is re-checked: math.hypot may differ
+        # from np.linalg.norm in the last bits, so a norm near the bound is
+        # decided, and reported, by np.linalg.norm
+        self._screen = (feature_bound + 1e-9) * (1.0 - 1e-12)
         self._values = getattr(features, "values", None) or (
             lambda state: np.asarray(features(state), dtype=float).tolist()
         )
@@ -242,12 +248,9 @@ class GaussianPolicy:
     def _phi_values(self, state) -> "list[float]":
         """phi(state) as Python floats, its norm checked against the bound."""
         phi = self._values(state)
-        bound = self.feature_bound + 1e-9
-        # math.hypot may differ from np.linalg.norm in the last bits, so a
-        # norm near the bound is decided, and reported, by np.linalg.norm
-        if math.hypot(*phi) > bound * (1.0 - 1e-12):
+        if math.hypot(*phi) > self._screen:
             norm = float(np.linalg.norm(phi))
-            if norm > bound:
+            if norm > self.feature_bound + 1e-9:
                 raise ConfigurationError(
                     f"||phi(state)|| = {norm} exceeds feature_bound {self.feature_bound}"
                 )
@@ -272,12 +275,35 @@ class GaussianPolicy:
 
     def action_kernel(self, theta: np.ndarray):
         """``act(state, z)``: the action at ``state`` for the standard normal
-        z, the mean plus sigma times z, with theta bound once as floats."""
+        z, the mean plus sigma times z, with theta bound once as floats.
+
+        On a ``PolynomialFeatures(degree=1)`` map and a theta of one entry
+        the act is written in closed form, with the operations of the
+        general path: x = float(state) * scale, the norm screen on abs(x)
+        (``math.hypot`` of one value), a flagged state decided and reported
+        by ``_phi_values``, and the mean 0.0 + theta_0 x that
+        ``_linear_mean`` sums.  Every other map, and a theta of another
+        length, takes ``_linear_mean(theta, _phi_values(state))``.
+        """
         theta, sigma = _floats(theta), self.sigma
         phi, linear_mean = self._phi_values, self._linear_mean
+        features = self.features
+        if type(features) is PolynomialFeatures and features.degree == 1 and len(theta) == 1:
+            (t,), scale, screen = theta, features.scale, self._screen
 
-        def act(state, z: float) -> float:
-            return linear_mean(theta, phi(state)) + sigma * z
+            def act(state, z: float) -> float:
+                x = float(state) * scale
+                if abs(x) > screen:
+                    phi(state)
+                m = 0.0 + t * x
+                if not math.isfinite(m):
+                    raise NumericError(f"non-finite policy mean {m}")
+                return m + sigma * z
+
+        else:
+
+            def act(state, z: float) -> float:
+                return linear_mean(theta, phi(state)) + sigma * z
 
         return act
 
@@ -335,7 +361,7 @@ class GaussianActor:
         self.dim = policy.dim
         self.theta = _floats(theta, policy.dim)
         # the squared feature norm above which a row is re-checked
-        self._near = _square((policy.feature_bound + 1e-9) * (1.0 - 1e-12))
+        self._near = _square(policy._screen)
 
     def _phi_and_mean(self, states: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         policy = self.policy

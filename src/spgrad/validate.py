@@ -365,7 +365,7 @@ def variance_setups() -> "dict[str, tuple]":
 
 
 def _check_count(count, least: int, name: str) -> None:
-    """Refuse a sample count that is not an integer >= ``least``."""
+    """Refuse a count that is not an integer >= ``least``."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {count!r}")
 
@@ -491,8 +491,10 @@ def run_validation(
     mc_samples: int = 20_000,
     chebyshev_estimates: int = 1_000,
 ) -> "list[CheckResult]":
-    """Run every check; returns one result per named check.  Refuses too
-    few samples for the two sampled checks before any check runs."""
+    """Run every check; returns one result per named check.  Refuses a
+    budget that is not a path count and too few samples for the two sampled
+    checks before any check runs."""
+    _check_count(budget, 0, "budget")
     _check_count(mc_samples, 2, "mc_samples")
     _check_count(chebyshev_estimates, 1, "chebyshev_estimates")
     return [

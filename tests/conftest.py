@@ -68,7 +68,8 @@ def record_block(env, actor, draws) -> "tuple[np.ndarray, np.ndarray]":
 
 class Scripted:
     """A stand-in generator that returns the given uniforms and normals in
-    turn: one at a time, or the next ``count`` of them as an array."""
+    turn: one at a time, or the next ``count`` of them as an array, and a
+    uniform on [low, high) from the next uniform."""
 
     def __init__(self, uniforms, normals=(0.0,)):
         self._uniforms, self._normals = itertools.cycle(uniforms), itertools.cycle(normals)
@@ -84,6 +85,10 @@ class Scripted:
 
     def standard_normal(self, count=None):
         return self._next(self._normals, count)
+
+    def uniform(self, low, high):
+        # Generator.uniform's formula on the next scripted uniform
+        return low + (high - low) * self.random()
 
 
 def scripted_rows(env, actor, draws) -> "list[Scripted]":

@@ -502,6 +502,19 @@ class TestValidateCommand:
         assert captured.out == ""
         assert "--budget" in captured.err
 
+    @pytest.mark.parametrize("budget", [None, True, 0.5, -1, "10"])
+    def test_bad_budget_is_refused_before_any_check(self, monkeypatch, budget):
+        # None raised a bare TypeError from the first enumerating check, and
+        # True, 0.5 and -1 were taken as path counts
+        import spgrad.validate as validate
+
+        def no_check(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(validate, "check_dp_enumeration", no_check)
+        with pytest.raises(ValueError, match=rf"^budget must be an integer >= 0, got {budget!r}$"):
+            run_validation(budget=budget)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_bad_seed_is_checked_before_any_check(self, monkeypatch, capsys, seed):
         import spgrad.cli as cli

@@ -593,14 +593,19 @@ class TestEmpiricalVariance:
         inst = chain_instance(n_states=3, slip=0.1, gamma=0.9, horizon=5)
         theta = np.zeros(inst.policy.dim)
         gamma = inst.mdp.spec.gamma
-        n = 20_000
+        n, horizon = 20_000, inst.mdp.spec.horizon
+        trajs = [sample_trajectory(inst.env, inst.policy, theta, substream(23, i)) for i in range(n)]
+        rewards, states, actions = (
+            np.concatenate([getattr(t, field) for t in trajs]).reshape(n, horizon)
+            for field in ("rewards", "states", "actions")
+        )
+        scores = inst.policy.actor(theta).score(states, actions)
         sums = {kind: np.zeros(inst.policy.dim) for kind in EstimatorKind}
         sq = {kind: 0.0 for kind in EstimatorKind}
-        for i in range(n):
-            traj = sample_trajectory(inst.env, inst.policy, theta, substream(23, i))
-            for kind in EstimatorKind:
-                acc = GradientAccumulator(inst.policy, theta, gamma, kind)
-                vec = acc.add_trajectory(traj).finalize().vector
+        for kind in EstimatorKind:
+            # row i is trajectory i's single-trajectory estimate, the vector
+            # of a one-trajectory accumulator bit for bit
+            for vec in TermFold(kind, gamma, horizon).feed(rewards, scores).g:
                 sums[kind] += vec
                 sq[kind] += float(vec @ vec)
         trace_var = {

@@ -231,11 +231,16 @@ class TestLqg1d:
         actions = np.array([0.0, -0.0, -0.0, 0.0, 0.6, -0.4])
         # u1 = 0 gives the normal 0.0 (or -0.0, where the cosine is negative)
         u = np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 0.5], [0.0, 0.0], [0.5, 0.1], [0.5, 0.6]])
-        next_states, _ = env.step_batch(states, actions, u)
+        next_states, rewards = env.step_batch(states, actions, u)
         z = box_muller(u[:, 0], u[:, 1])
         expected = np.clip(states + actions + 0.2 * z, -1.0, 1.0)
         assert next_states.tobytes() == expected.tobytes()
         assert np.signbit(next_states[1]) and math.isnan(next_states[0])
+        # the scalar step's comparisons give the same bits, rewards included
+        step = env.kernels()[1]
+        scalar = [step(s, a, v) for s, a, v in zip(states.tolist(), actions.tolist(), z.tolist())]
+        assert np.array([s for s, _ in scalar]).tobytes() == expected.tobytes()
+        assert np.array([r for _, r in scalar]).tobytes() == rewards.tobytes()
 
     def test_rewards_bounded_over_random_steps(self):
         env = Lqg1dEnv(Lqg1dConfig())
@@ -846,6 +851,16 @@ def assert_same_episode(traj, reference):
         assert got.tobytes() == want.tobytes()
 
 
+# a feature bound whose 1e-12 slack, (b + 1e-9) * (1 - 1e-12) < |x| <= b + 1e-9, holds 1.0
+SLACK_BOUND = 1.0 - 1e-9 + 5e-13
+
+
+def lqg_with(features, feature_bound):
+    """The lqg instance's environment and sigma under another feature map."""
+    env, policy = lqg_instance()
+    return env, GaussianPolicy(features, feature_bound=feature_bound, sigma=policy.sigma)
+
+
 class TestScalarRolloutMatchesNumpyReference:
     """``sample_trajectory`` equals the numpy formulation of every scalar step,
     states, actions and rewards bit for bit and with the same dtypes."""
@@ -856,18 +871,24 @@ class TestScalarRolloutMatchesNumpyReference:
         "chain": chain_instance,
         "binned-gaussian": binned_gaussian_instance,
         "lqg": lqg_instance,
+        # the closed-form act at another scale, and at a bound whose slack
+        # holds the clipped states +-1.0, which np.linalg.norm then decides
+        "lqg-scaled": lambda: lqg_with(PolynomialFeatures(1, scale=0.7), 1.0),
+        "lqg-slack": lambda: lqg_with(PolynomialFeatures(1), SLACK_BOUND),
+        # the general act, feature by feature
+        "lqg-quadratic": lambda: lqg_with(PolynomialFeatures(2), 1.5),
     }
 
     def env_and_policy(self, name):
         built = self.SETUPS[name]()
-        return built if name == "lqg" else (built.env, built.policy)
+        return built if name.startswith("lqg") else (built.env, built.policy)
 
     @pytest.mark.parametrize("name", list(SETUPS))
     @pytest.mark.parametrize("scale", [0.0, 1.5])
     def test_episodes_on_substreams(self, name, scale):
         env, policy = self.env_and_policy(name)
-        if name == "lqg":
-            theta = np.array([0.5 - 1.2 * scale])
+        if name.startswith("lqg"):
+            theta = np.full(policy.dim, 0.5 - 1.2 * scale)
         else:
             theta = scale * np.linspace(-1.0, 0.6, policy.dim)
         for i in range(200):
@@ -898,6 +919,23 @@ class TestScalarRolloutMatchesNumpyReference:
             sample_trajectory(env, policy, theta, rng)
             numpy_trajectory(env, policy, theta, reference)
             assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("theta", [0.0, -0.0])
+    def test_signed_zero_means(self, theta):
+        """A zero product theta_0 x (-0.0 from theta 0 at a negative state,
+        or from theta -0.0 at a positive one) enters the mean as
+        0.0 + theta_0 x, which is +0.0; an action of z = -0.0 is then +0.0."""
+        env, policy = lqg_instance()
+        theta = np.array([theta])
+        # initial states -0.8, -0.5, 0.0 and 0.4, which a zero mean and
+        # z = +-0.0 keep; three normals, so the actions get both zeros
+        for uniform in (0.1, 0.25, 0.5, 0.7):
+            for first in range(3):
+                normals = [0.0, -0.0, -0.0][first:] + [0.0, -0.0, -0.0][:first]
+                traj = sample_trajectory(env, policy, theta, Scripted([uniform], normals))
+                reference = numpy_trajectory(env, policy, theta, Scripted([uniform], normals))
+                assert_same_episode(traj, reference)
+                assert not np.signbit(reference[1]).any()
 
     def test_non_finite_action_raises_past_the_whole_episode(self):
         """A Gaussian action that overflows still raises the environment's
@@ -1005,6 +1043,73 @@ class TestScalarKernelIndices:
         for u in np.linspace(0.0, 0.99, 12).tolist():
             want = act(1, u)
             assert act(np.int64(1), u) == act(1.0, u) == want
+
+
+class PlainPolynomial(PolynomialFeatures):
+    """PolynomialFeatures under another type: the Gaussian act takes its
+    general path on the same feature values."""
+
+
+def act_outcome(act, state, z):
+    """The bits of ``act(state, z)``, or the type and message of its error."""
+    try:
+        return np.array(act(state, z)).tobytes()
+    except (ConfigurationError, NumericError, ValueError) as error:
+        return type(error), str(error)
+
+
+class TestClosedFormGaussianAct:
+    """On a one-feature ``PolynomialFeatures`` map the Gaussian act is
+    written in closed form; it gives the general path's bits, or raises
+    the general path's error with its message."""
+
+    @pytest.mark.parametrize("bound", [0.5, SLACK_BOUND, 4.0])
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    def test_closed_form_equals_the_general_path(self, bound, scale):
+        closed = GaussianPolicy(PolynomialFeatures(1, scale=scale), bound, sigma=0.5)
+        general = GaussianPolicy(PlainPolynomial(1, scale=scale), bound, sigma=0.5)
+        near = (bound + 1e-9) * (1.0 - 1e-12)
+        # x on both sides of the screen and of the bound, a norm past the
+        # bound, a mean past the float range at theta = +-1e308, inf and NaN
+        xs = [near, math.nextafter(near, 2.0 * near), bound + 1e-9]
+        xs += [math.nextafter(xs[-1], 2.0 * near), 0.0, 0.3, 1.0, 2.0, 3.9, math.inf, math.nan]
+        states = [sign * x / scale for x in xs for sign in (1.0, -1.0)] + [np.float64(-0.3), 1]
+        seen = set()
+        for theta in ([0.0], [-0.0], [0.5], [-1.3], [1e308], [-1e308], [0.5, 0.5]):
+            acts = closed.action_kernel(np.array(theta)), general.action_kernel(np.array(theta))
+            for state in states:
+                for z in (0.0, -0.0, 1.3):
+                    outcome = act_outcome(acts[0], state, z)
+                    assert outcome == act_outcome(acts[1], state, z)
+                    seen.add(outcome[0] if isinstance(outcome, tuple) else bytes)
+        assert seen == {bytes, ConfigurationError, NumericError, ValueError}
+
+    def test_feature_values_only_for_flagged_states(self, monkeypatch):
+        """200 lqg episodes call no ``PolynomialFeatures.values``, but for
+        the states the screen flags, or on the general path."""
+        calls = []
+        values = PolynomialFeatures.values
+
+        def counted(features, state):
+            calls.append(state)
+            return values(features, state)
+
+        monkeypatch.setattr(PolynomialFeatures, "values", counted)
+        horizon = lqg_instance()[0].spec.horizon
+        setups = {  # name -> (map, bound, the states whose values are read)
+            "lqg": (PolynomialFeatures(1), 1.0, lambda s: False),
+            "lqg-slack": (PolynomialFeatures(1), SLACK_BOUND, lambda s: abs(s) == 1.0),
+            "lqg-quadratic": (PolynomialFeatures(2), 1.5, lambda s: True),
+        }
+        for name, (features, bound, read) in setups.items():
+            env, policy = lqg_with(features, bound)
+            theta = np.full(policy.dim, 0.5)
+            del calls[:]
+            episodes = [sample_trajectory(env, policy, theta, substream(80, i)) for i in range(200)]
+            states = [s for traj in episodes for s in traj.states.tolist()]
+            assert calls == [s for s in states if read(s)], name
+            assert (len(calls) > 0) == (name != "lqg")
+        assert len(states) == 200 * horizon
 
 
 class CountingCalls:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spgrad.errors import NumericError, OracleBudgetError
+from spgrad.errors import ConfigurationError, NumericError, OracleBudgetError
 import spgrad.oracle as oracle
 from spgrad.estimators import BLOCK_ROWS, BaselineKind, EstimatorKind, GradientAccumulator
 from spgrad.mdp import make_bandit
@@ -283,6 +283,14 @@ class TestBudget:
             path_blocks(two_state.mdp, two_state.policy.table(theta).probs, budget=10)
         # dynamic programming does not enumerate paths and stays available
         exact_performance(two_state.mdp, two_state.policy, theta)
+
+    @pytest.mark.parametrize("budget", [None, True, 0.5, 1e6, "64"])
+    def test_budget_must_be_an_integer(self, two_state, budget):
+        probs = two_state.policy.table(np.zeros(two_state.policy.dim)).probs
+        with pytest.raises(ConfigurationError, match=rf"^budget must be an integer, got {budget!r}$"):
+            path_blocks(two_state.mdp, probs, budget=budget)
+        # a numpy integer is a count
+        assert len(list(path_blocks(two_state.mdp, probs, budget=np.int64(64)))) > 0
 
     def test_chain_is_charged_its_positive_probability_paths(self, chain):
         # (S*A)^T = 6^5 = 7,776 state-action sequences, of which 232 have
